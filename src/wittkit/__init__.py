@@ -54,6 +54,7 @@ from .errors import (
     FormMismatch,
     IdealNotInvariant,
     ImproperIdeal,
+    InvalidBound,
     NotGorenstein,
     ParseError,
     UnstableBound,
@@ -131,6 +132,7 @@ __all__ = [
     "HermitianForm",
     "IdealNotInvariant",
     "ImproperIdeal",
+    "InvalidBound",
     "LocalcaseReport",
     "NotGorenstein",
     "ParseError",

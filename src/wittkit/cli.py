@@ -4,8 +4,10 @@ Subcommands wrap the library verbatim; all output is deterministic
 (fixed ordering, no clocks, no ambient randomness) so runs can be
 compared byte for byte.  Exit codes: 0 success (for devissage-check,
 success means isomorphism at a stable bound), 1 verified-negative or
-unsupported input, 2 descriptor parse error, 3 enumeration bound
-exceeded.
+unsupported input, including a length bound below 1 (InvalidBound), 2
+descriptor parse error, 3 enumeration bound exceeded.  A bound whose
+largest module (at bound + 1, for the stability check) exceeds the engine
+limit exits 3 before any class is enumerated.
 """
 
 from __future__ import annotations

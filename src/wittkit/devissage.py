@@ -23,7 +23,7 @@ from .errors import (
     WittKitError,
 )
 from .forms import coefficient_change
-from .intsnf import hom_kernel_cokernel_trivial, lattice_contains
+from .intsnf import hom_kernel_cokernel_trivial
 from .linalg import Matrix, span_basis, svec_matrix_of_additive_map
 from .modules import is_nilpotent_quotient
 from .rings import (
@@ -35,7 +35,7 @@ from .rings import (
     involution,
 )
 from .transfer import compose_flats_gamma, flat_coefficient, transfer_form
-from .wittgroup import witt_group
+from .wittgroup import require_valid_bound, witt_group
 
 
 def local_structure(ring):
@@ -141,7 +141,7 @@ def _class_map(src, dst, push):
             if c:
                 for j in range(len(dst.classes)):
                     vec[j] += c * images[i][j]
-        if not lattice_contains(dst.presentation.relations, vec):
+        if not dst.presentation.contains(vec):
             well = False
             break
     ker, coker = hom_kernel_cokernel_trivial(src.presentation, dst.presentation, images)
@@ -174,7 +174,9 @@ class ComparisonReport:
 
 def verify_devissage(rwi, epsilon, bound, require_stable=False, max_size=400000):
     """W(k, pi^flat E) -> W(finite-length R-modules, E) through the
-    transfer, compared at the same length bound on both sides."""
+    transfer, compared at the same length bound (at least 1) on both
+    sides."""
+    require_valid_bound(bound)
     data = rwi if isinstance(rwi, DevissageData) else DevissageData(rwi)
     Wk = witt_group(data.tc.coefficient, epsilon, bound, max_size=max_size)
     WR = witt_group(data.coef, epsilon, bound, max_size=max_size)
@@ -228,7 +230,9 @@ def verify_localcase_factorization(rwi, J, epsilon, bound, require_stable=False,
     coefficients along gamma), and that p_* is an isomorphism of the two
     Witt presentations.
 
-    J is a principal invariant ideal, given by a generating element."""
+    J is a principal invariant ideal, given by a generating element; the
+    bound is at least 1."""
+    require_valid_bound(bound)
     data = rwi if isinstance(rwi, DevissageData) else DevissageData(rwi)
     ring = data.ring
     g = ring.el(J)

@@ -71,6 +71,10 @@ class EnumerationBoundExceeded(WittKitError):
     pass
 
 
+class InvalidBound(WittKitError):
+    """A length bound below 1: no nonzero module fits it."""
+
+
 # maps between rings with involution
 class NotEquivariant(WittKitError):
     pass

@@ -1,9 +1,12 @@
 """Integer Smith normal form and finitely presented abelian groups.
 
 Everything is plain Python ints (exact, arbitrary precision).  A presented
-group is Z^n modulo the column span of a relation matrix; comparisons of
-presented groups (kernel/cokernel of a map given on generators) reduce to
-Smith computations on block matrices.
+group is Z^n modulo the column span of a relation matrix.  Each
+presentation is factored once: PresentedGroup keeps its Smith form and
+reuses it for invariant factors, generator coordinates and membership
+tests.  Comparing two presented groups (kernel and cokernel of a map given
+on generators) takes one more Smith form, of the block matrix
+[images | target relations].
 """
 
 from __future__ import annotations
@@ -98,19 +101,16 @@ def invariant_factors(a):
     """Nonzero diagonal entries != 1 of the Smith form, then one 0 per free
     rank of the cokernel.  For a presentation Z^m / columns(a) this is the
     canonical decomposition [d1, ..., dk, 0, ..., 0]."""
-    m = len(a)
-    if m == 0:
-        return []
-    d, _, _ = smith_normal_form(a)
-    n = len(a[0])
-    diag = [d[i][i] for i in range(min(m, n))]
-    r = sum(1 for x in diag if x != 0)
-    torsion = [x for x in diag if x not in (0, 1)]
-    return torsion + [0] * (m - r)
+    return PresentedGroup(len(a), [list(c) for c in zip(*a)]).factors
 
 
 class PresentedGroup:
-    """Z^ngens modulo the columns of relations (list of column vectors)."""
+    """Z^ngens modulo the columns of relations (list of column vectors).
+
+    The relation matrix A is factored once, u*A*v = d, and that one Smith
+    form answers every later question: the invariant factors come from d,
+    generator coordinates and membership from u, and the integer relations
+    among the columns from v."""
 
     def __init__(self, ngens, relation_columns):
         self.ngens = ngens
@@ -118,30 +118,40 @@ class PresentedGroup:
         for c in self.relations:
             if len(c) != ngens:
                 raise WittKitError("relation length mismatch")
-        rows = [[c[i] for c in self.relations] for i in range(ngens)]
-        if not self.relations:
-            rows = [[] for _ in range(ngens)]
-        self._rows = rows
-        self.factors = invariant_factors(rows) if ngens else []
-        d, u, _ = smith_normal_form(rows) if ngens else ([], [], [])
-        self._snf_d = d
-        self._snf_u = u
+        k = len(self.relations)
+        if ngens:
+            rows = [[c[i] for c in self.relations] for i in range(ngens)]
+            d, self._snf_u, self._snf_v = smith_normal_form(rows)
+            diag = [d[i][i] for i in range(min(ngens, k))]
+        else:
+            # a 0 x k matrix: every integer combination of columns vanishes
+            diag, self._snf_u = [], []
+            self._snf_v = [[int(i == j) for j in range(k)] for i in range(k)]
+        self._rank = sum(1 for x in diag if x != 0)
+        # one diagonal entry per generator, 0 past the rank
+        self._diag = diag + [0] * (ngens - len(diag))
+        self.factors = [x for x in diag if x not in (0, 1)] + [0] * (ngens - self._rank)
 
     def generator_image(self, idx):
         """Coordinates of generator idx in the canonical decomposition
         (one coordinate per invariant factor, torsion reduced)."""
-        if self.ngens == 0:
-            return ()
-        ncols = len(self.relations)
-        diag = [self._snf_d[i][i] for i in range(min(self.ngens, ncols))]
-        diag += [0] * (self.ngens - len(diag))
         coords = []
-        for i in range(self.ngens):
+        for i, di in enumerate(self._diag):
             c = self._snf_u[i][idx]
-            if diag[i] == 1:
+            if di == 1:
                 continue
-            coords.append(c % diag[i] if diag[i] else c)
+            coords.append(c % di if di else c)
         return tuple(coords)
+
+    def contains(self, vec):
+        """Is vec (length ngens) in the span of the relation columns?  With
+        u*A*v = d, A x = vec has an integer solution iff each coordinate of
+        u*vec is divisible by the matching diagonal entry of d."""
+        for row, di in zip(self._snf_u, self._diag):
+            w = sum(x * y for x, y in zip(row, vec))
+            if (w % di if di else w) != 0:
+                return False
+        return True
 
     def is_trivial(self):
         return all(f == 1 for f in self.factors) or not self.factors
@@ -151,70 +161,27 @@ def hom_kernel_cokernel_trivial(src, dst, gen_images):
     """For the map src -> dst sending generator i to the integer combination
     gen_images[i] of dst generators: return (kernel_trivial, coker_trivial).
 
-    Cokernel: Z^n / (image columns + dst relations).  Kernel: the lattice
-    {x : F x in span(dst relations)} modulo src relations."""
+    Both come from one Smith form of [F | dst relations].  Its cokernel
+    Z^n / (image columns + dst relations) is the cokernel of the map.  Its
+    integer nullspace, projected to the F-coordinates, is the lattice
+    {x : F x in span(dst relations)}; the kernel is that lattice modulo the
+    src relations.  The span of lattice + src relations always contains the
+    src relations, so it equals their span, and the kernel is trivial, iff
+    every lattice vector lies in the span of the src relations."""
     n = dst.ngens
     m = src.ngens
     f_cols = [list(c) for c in gen_images]
     if len(f_cols) != m or any(len(c) != n for c in f_cols):
         raise WittKitError("gen_images shape mismatch")
-
-    coker_cols = f_cols + dst.relations
-    coker_rows = [[c[i] for c in coker_cols] for i in range(n)]
-    if not coker_cols:
-        coker_rows = [[] for _ in range(n)]
-    coker_trivial = all(f == 1 for f in invariant_factors(coker_rows)) or n == 0
-
-    # kernel lattice: integer nullspace of [F | dst.relations], projected
-    # to the F-coordinates
-    aug_cols = f_cols + dst.relations
-    k = len(aug_cols)
-    rows = [[c[i] for c in aug_cols] for i in range(n)]
-    if k == 0:
-        lattice = []
-    else:
-        d, _, v = smith_normal_form(rows) if n else ([], [], [[int(i == j) for j in range(k)] for i in range(k)])
-        rank = 0
-        if n:
-            for i in range(min(n, k)):
-                if d[i][i] != 0:
-                    rank += 1
-        lattice = []
-        for j in range(rank, k):
-            col = [v[i][j] for i in range(k)]
-            lattice.append(col[:m])
-    # kernel of the presented map = (lattice projected) / src relations;
-    # trivial iff every lattice vector lies in the relation span of src
-    ker_cols = lattice + src.relations
-    base_cols = src.relations
-    ker_trivial = _same_column_span(ker_cols, base_cols, m)
+    aug = PresentedGroup(n, f_cols + dst.relations)
+    coker_trivial = aug.is_trivial()
+    v = aug._snf_v
+    ker_trivial = all(
+        src.contains([v[i][j] for i in range(m)]) for j in range(aug._rank, len(v))
+    )
     return ker_trivial, coker_trivial
 
 
 def lattice_contains(cols, vec):
-    """Is vec in the sublattice of Z^n spanned by the given columns?
-    Solved via Smith form: with u*A*v = d, the system A x = vec has an
-    integer solution iff (u*vec) is divisible by the diagonal."""
-    n = len(vec)
-    if not cols:
-        return all(x == 0 for x in vec)
-    rows = [[c[i] for c in cols] for i in range(n)]
-    d, u, _ = smith_normal_form(rows)
-    w = [sum(u[i][j] * vec[j] for j in range(n)) for i in range(n)]
-    k = len(cols)
-    for i in range(n):
-        di = d[i][i] if i < min(n, k) else 0
-        if di == 0:
-            if w[i] != 0:
-                return False
-        elif w[i] % di != 0:
-            return False
-    return True
-
-
-def _same_column_span(cols_a, cols_b, nrows):
-    """Do two integer column families span the same sublattice of Z^nrows?
-    Checked by mutual membership (families are small here)."""
-    return all(lattice_contains(cols_b, c) for c in cols_a) and all(
-        lattice_contains(cols_a, c) for c in cols_b
-    )
+    """Is vec in the sublattice of Z^n spanned by the given columns?"""
+    return PresentedGroup(len(vec), cols).contains(vec)

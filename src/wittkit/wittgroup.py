@@ -28,6 +28,7 @@ from .errors import (
     EngineError,
     EnumerationBoundExceeded,
     FormMismatch,
+    InvalidBound,
     NotFinite,
 )
 from .forms import (
@@ -150,6 +151,24 @@ class WittEngine:
         mods = [FLModule(self.rwi, s) for s in shapes]
         mods.sort(key=lambda m: (m.length, m.key))
         return mods
+
+    def require_shapes_fit(self, bound):
+        """Raise EnumerationBoundExceeded unless every module of
+        shapes_up_to(bound) is within max_size, which classes() would
+        otherwise find out only after enumerating the smaller shapes.
+        Uses the indecomposable factors alone: most[L] is the largest
+        scalar dimension of a shape of length <= L (an unbounded
+        knapsack), and the error names the size at the first length
+        that overflows."""
+        q = self.ring.scalar_field().size()
+        most = [0]
+        for total in range(1, bound + 1):
+            most.append(max((most[total - f.length] + f.sdim
+                             for f in self._facts if f.length <= total), default=0))
+            if most[total] and q ** most[total] > self.max_size:
+                raise EnumerationBoundExceeded(
+                    f"module of size {q ** most[total]} exceeds the engine limit {self.max_size}"
+                )
 
     def classes(self, module):
         order = sorted(range(len(module.factors)), key=lambda k: (module.factors[k].key, k))
@@ -283,12 +302,22 @@ def _keypair(form):
     return (form.module.key, form.gram_key())
 
 
+def require_valid_bound(bound):
+    """InvalidBound for a length bound below 1."""
+    if bound < 1:
+        raise InvalidBound(f"the length bound must be at least 1, not {bound}")
+
+
 def witt_group(coef, epsilon, bound, check_stability=True, max_size=400000, engine=None):
-    """The presented Witt group at the given length bound.
+    """The presented Witt group at the given length bound (at least 1).
 
     check_stability also computes the bound+1 presentation and records
-    whether the induced map is an isomorphism."""
+    whether the induced map is an isomorphism.  Every shape either
+    presentation needs is checked against the engine's max_size before
+    any class is enumerated."""
+    require_valid_bound(bound)
     engine = engine if engine is not None else WittEngine(coef, epsilon, max_size=max_size)
+    engine.require_shapes_fit(bound + 1 if check_stability else bound)
     pres, classes, _ = _presentation_at(engine, bound)
     stable = None
     if check_stability:

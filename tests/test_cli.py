@@ -1,0 +1,68 @@
+"""The command-line contract: golden --json lines and exit codes."""
+
+import time
+
+import pytest
+
+from wittkit.cli import main
+
+GOLDEN = [
+    (
+        ["witt", "GF(3), sigma=id", "+1", "2"],
+        0,
+        '{"bound": 2, "classes": 4, "epsilon": 1, "factors": [4], "group": "Z/4", "stable": true}',
+    ),
+    (
+        ["witt", "GF(3)[t]/(t^3), sigma=id", "+1", "3"],
+        0,
+        '{"bound": 3, "classes": 14, "epsilon": 1, "factors": [4, 0, 0], '
+        '"group": "Z/4 x Z x Z", "stable": false}',
+    ),
+    (
+        ["devissage-check", "GF(3)[t]/(t^2), sigma=id", "+1", "3"],
+        0,
+        '{"bound": 3, "epsilon": 1, "isomorphism": true, "source": "Z/4 (stable)", '
+        '"stable": true, "target": "Z/4 (stable)", "verdict": "ISOMORPHISM (stable)"}',
+    ),
+    (
+        # an isomorphism, but at a bound where neither side is stable yet
+        ["devissage-check", "GF(3)[t]/(t^2), sigma=id", "+1", "1"],
+        1,
+        '{"bound": 1, "epsilon": 1, "isomorphism": true, "source": "Z x Z (unstable)", '
+        '"stable": false, "target": "Z x Z (unstable)", "verdict": "ISOMORPHISM (unstable)"}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, line", GOLDEN, ids=["witt-stable", "witt-unstable", "devissage-iso", "devissage-unstable"]
+)
+def test_golden_json_and_exit_code(argv, code, line, capsys):
+    assert main(argv + ["--json"]) == code
+    out, err = capsys.readouterr()
+    assert out == line + "\n"
+    assert err == ""
+
+
+def test_parse_error_exits_2(capsys):
+    assert main(["witt", "GF(3, sigma=id", "+1", "2", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: expected ')', found ',' (line 1, column 5)\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_bound_below_one_exits_1(bound, capsys):
+    assert main(["witt", "GF(3), sigma=id", "+1", bound, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the length bound must be at least 1, not {bound}\n"
+
+
+def test_oversized_bound_exits_3_before_enumerating(capsys):
+    start = time.perf_counter()
+    assert main(["witt", "GF(3)[t]/(t^2), sigma=id", "+1", "99", "--json"]) == 3
+    assert time.perf_counter() - start < 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: module of size 531441 exceeds the engine limit 400000\n"

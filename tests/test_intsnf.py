@@ -1,5 +1,10 @@
 """Integer Smith normal form and finitely presented abelian groups."""
 
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wittkit.intsnf import (
     PresentedGroup,
     hom_kernel_cokernel_trivial,
@@ -75,3 +80,126 @@ def test_lattice_contains():
     assert lattice_contains(cols, [4, -2])
     assert not lattice_contains(cols, [1, 0])
     assert lattice_contains([], [0, 0])
+
+
+# -- fast path against the exhaustive one -------------------------------------
+#
+# The references below are the exhaustive path: a fresh Smith form for every
+# membership test, and both inclusions of the kernel lattice checked.
+# PresentedGroup, which factors each relation matrix once, must agree.
+
+ENTRY = st.integers(min_value=-6, max_value=6)
+CHECKS = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def reference_lattice_contains(cols, vec):
+    n = len(vec)
+    if not cols:
+        return all(x == 0 for x in vec)
+    rows = [[c[i] for c in cols] for i in range(n)]
+    d, u, _ = smith_normal_form(rows)
+    w = [sum(u[i][j] * vec[j] for j in range(n)) for i in range(n)]
+    k = len(cols)
+    for i in range(n):
+        di = d[i][i] if i < min(n, k) else 0
+        if di == 0:
+            if w[i] != 0:
+                return False
+        elif w[i] % di != 0:
+            return False
+    return True
+
+
+def reference_hom_kernel_cokernel_trivial(src, dst, gen_images):
+    n = dst.ngens
+    m = src.ngens
+    f_cols = [list(c) for c in gen_images]
+    aug_cols = f_cols + dst.relations
+    k = len(aug_cols)
+    rows = [[c[i] for c in aug_cols] for i in range(n)]
+    if not aug_cols:
+        rows = [[] for _ in range(n)]
+    coker_trivial = all(f == 1 for f in invariant_factors(rows)) or n == 0
+    lattice = []
+    if k:
+        if n:
+            d, _, v = smith_normal_form(rows)
+            rank = sum(1 for i in range(min(n, k)) if d[i][i] != 0)
+        else:
+            v = [[int(i == j) for j in range(k)] for i in range(k)]
+            rank = 0
+        lattice = [[v[i][j] for i in range(k)][:m] for j in range(rank, k)]
+    ker_cols = lattice + src.relations
+    base_cols = src.relations
+    ker_trivial = all(reference_lattice_contains(base_cols, c) for c in ker_cols) and all(
+        reference_lattice_contains(ker_cols, c) for c in base_cols
+    )
+    return ker_trivial, coker_trivial
+
+
+def columns(nrows, max_cols):
+    return st.lists(st.lists(ENTRY, min_size=nrows, max_size=nrows), max_size=max_cols)
+
+
+@st.composite
+def lattice_and_vector(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    cols = draw(columns(n, 6))
+    if cols and draw(st.booleans()):
+        # a combination of the columns, so that membership is often true
+        coeffs = draw(st.lists(ENTRY, min_size=len(cols), max_size=len(cols)))
+        vec = [sum(a * c[i] for a, c in zip(coeffs, cols)) for i in range(n)]
+    else:
+        vec = draw(st.lists(ENTRY, min_size=n, max_size=n))
+    return n, cols, vec
+
+
+@st.composite
+def presented_map(draw):
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=0, max_value=5))
+    images = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=m, max_size=m))
+    # [images | dst relations] stays within 5 x 6
+    dst_rels = draw(columns(n, 6 - m if m < 6 else 0))
+    src_rels = draw(columns(m, 6))
+    return PresentedGroup(m, src_rels), PresentedGroup(n, dst_rels), images
+
+
+@CHECKS
+@given(lattice_and_vector())
+def test_contains_agrees_with_fresh_smith_reference(case):
+    n, cols, vec = case
+    expected = reference_lattice_contains(cols, vec)
+    assert PresentedGroup(n, cols).contains(vec) == expected
+    assert lattice_contains(cols, vec) == expected
+
+
+@CHECKS
+@given(presented_map())
+def test_hom_kernel_cokernel_agrees_with_fresh_smith_reference(case):
+    src, dst, images = case
+    assert hom_kernel_cokernel_trivial(src, dst, images) == reference_hom_kernel_cokernel_trivial(
+        src, dst, images
+    )
+
+
+@st.composite
+def cyclic_map(draw):
+    a = draw(st.integers(min_value=1, max_value=12))
+    b = draw(st.integers(min_value=1, max_value=12))
+    # 1 -> c is well defined on Z/a iff b | a*c
+    step = b // gcd(a, b)
+    c = step * draw(st.integers(min_value=0, max_value=(b - 1) // step))
+    return a, b, c
+
+
+@CHECKS
+@given(cyclic_map())
+def test_cyclic_maps_match_the_gcd_oracle(case):
+    # Z/a -> Z/b, 1 -> c: the image is generated by c, of order b/gcd(b, c)
+    a, b, c = case
+    expected = (b // gcd(b, c) == a, gcd(b, c) == 1)
+    src = PresentedGroup(1, [[a]])
+    dst = PresentedGroup(1, [[b]])
+    assert hom_kernel_cokernel_trivial(src, dst, [[c]]) == expected
+    assert reference_hom_kernel_cokernel_trivial(src, dst, [[c]]) == expected
