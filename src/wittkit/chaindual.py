@@ -60,9 +60,6 @@ class FreeComplex:
                 if not (self.diff(p + 1) * self.diff(p)).is_zero():
                     raise WittKitError(f"d^{p + 1} . d^{p} != 0")
 
-    def total_rank(self):
-        return sum(self.ranks.values())
-
     def __repr__(self):
         parts = " -> ".join(f"{self.rank(p)}@{p}" for p in self.degrees())
         return f"FreeComplex({self.ring}, {parts or 'zero'})"

@@ -15,26 +15,19 @@ from __future__ import annotations
 
 from .errors import (
     CoefficientMismatch,
-    EngineError,
-    IncompatibleTwistData,
     NotACoefficientIso,
     NotInvolutive,
     NotSesquilinear,
     NotStrongDuality,
 )
-from .linalg import Matrix
-from .modules import ActionSpace, FLModule, free_module, hom_space_matrices
+from .linalg import Matrix, matrix_of_map
+from .modules import HomModule, free_module
 
 
 def _map_matrix(module, fn):
     """Scalar matrix of an additive self-map of an FLModule given as a
     callable on module elements."""
-    F = module.F
-    cols = []
-    for i in range(module.sdim):
-        unit = tuple(F.one if j == i else F.zero for j in range(module.sdim))
-        cols.append(module.to_vec(fn(module.from_vec(unit))))
-    return Matrix.from_cols(F, cols) if cols else Matrix(F, [])
+    return matrix_of_map(module.F, module.sdim, lambda u: module.to_vec(fn(module.from_vec(u))))
 
 
 class DualityCoefficient:
@@ -62,16 +55,6 @@ class DualityCoefficient:
     def i(self, x):
         return self.module.from_vec(self.imat.apply(self.module.to_vec(x)))
 
-    def unit_twist(self, u):
-        """Rescale the identification by a unit u; requires sigma(u) u = 1
-        so the rescaled map still squares to the identity."""
-        u = self.ring.el(u)
-        if not u.is_unit():
-            raise IncompatibleTwistData(f"{u!r} is not a unit")
-        if self.rwi.conj(u) * u != self.ring.one:
-            raise IncompatibleTwistData(f"sigma(u) u != 1 for u = {u!r}")
-        return DualityCoefficient(self.rwi, self.module, self.module.action_matrix(u) * self.imat)
-
     def __eq__(self, other):
         return (
             isinstance(other, DualityCoefficient)
@@ -93,7 +76,7 @@ def standard_coefficient(rwi):
     return DualityCoefficient(rwi, I, lambda x: (rwi.conj(x[0]),))
 
 
-class DualModule:
+class DualModule(HomModule):
     """D(M) = Hom_R(sigma_* M, I), decomposed into cyclic factors.
 
     Elements of the abstract module convert to and from concrete hom
@@ -106,66 +89,18 @@ class DualModule:
         self.coef = coef
         self.source = source
         I = coef.module
-        F = source.F
-        self.F = F
-        homs = hom_space_matrices(source, I, twist=coef.rwi.conj)
-        self._flat_basis = [tuple(H.rows[r][c] for r in range(I.sdim) for c in range(source.sdim)) for H in homs]
-        self._isdim, self._msdim = I.sdim, source.sdim
+        # h(a x) = sigma(a) h(x): H . A_g = B_sigma(g) . H on each generator g
+        pairs = ((source.action_matrix(g), I.action_matrix(coef.rwi.conj(g)))
+                 for g in source.ring.algebra_generators())
+        super().__init__(coef.rwi, I.sdim, source.sdim, pairs)
 
-        def act(a, flat):
-            B = I.action_matrix(a)
-            H = self._unflatten(flat)
-            return self._flatten(B * H)
-
-        space = ActionSpace(coef.rwi, self._flat_basis, act)
-        pieces = space.decompose()
-        self.module = FLModule(coef.rwi, [ann for _, ann in pieces])
-        self._gen_flats = [v for v, _ in pieces]
-        self._act = act
-        if self.module.sdim != len(self._flat_basis):
-            raise EngineError("dual decomposition lost dimensions")
-        cols = []
-        for j in range(self.module.sdim):
-            unit = tuple(F.one if k == j else F.zero for k in range(self.module.sdim))
-            cols.append(self._flat_of_element(self.module.from_vec(unit)))
-        self._coords_to_flat = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
-
-    def _flatten(self, H):
-        return tuple(H.rows[r][c] for r in range(self._isdim) for c in range(self._msdim))
-
-    def _unflatten(self, flat):
-        m = self._msdim
-        return Matrix(self.F, [[flat[r * m + c] for c in range(m)] for r in range(self._isdim)])
-
-    def _flat_of_element(self, delem):
-        n = self._isdim * self._msdim
-        out = tuple(self.F.zero for _ in range(n))
-        for rep, gv in zip(delem, self._gen_flats):
-            img = self._act(rep, gv)
-            out = tuple(a + b for a, b in zip(out, img))
-        return out
-
-    def hom_matrix(self, delem):
-        return self._unflatten(self._flat_of_element(delem))
-
-    def element_of_hom(self, H):
-        if isinstance(H, Matrix):
-            flat = self._flatten(H)
-        else:
-            flat = tuple(H)
-        if not flat:
-            return self.module.zero()
-        sol = self._coords_to_flat.solve(flat)
-        if sol is None:
-            raise EngineError("matrix is not a dual element (outside the hom space)")
-        return self.module.from_vec(sol)
+    def _act(self, a, flat):
+        """(a h)(x) = a h(x)."""
+        return self._flatten(self.coef.module.action_matrix(a) * self._unflatten(flat))
 
     def eval(self, delem, x):
         H = self.hom_matrix(delem)
         return self.coef.module.from_vec(H.apply(self.source.to_vec(x)))
-
-    def sdim(self):
-        return self.module.sdim
 
 
 def dual_module(coef, M):
@@ -175,15 +110,12 @@ def dual_module(coef, M):
 def dual_map_matrix(dual_dst, dual_src, fmat):
     """Scalar matrix of D(f): D(N) -> D(M) for f: M -> N given by fmat
     (N.sdim x M.sdim); D(f)(h) = h . f.  dual_dst = D(N), dual_src = D(M)."""
-    F = dual_dst.F
-    cols = []
-    for j in range(dual_dst.module.sdim):
-        unit = tuple(F.one if k == j else F.zero for k in range(dual_dst.module.sdim))
-        H = dual_dst.hom_matrix(dual_dst.module.from_vec(unit))
-        cols.append(dual_src.module.to_vec(dual_src.element_of_hom(H * fmat)))
-    if not cols:
-        return Matrix(F, [[] for _ in range(dual_src.module.sdim)])
-    return Matrix.from_cols(F, cols)
+
+    def column(u):
+        H = dual_dst.hom_matrix(dual_dst.module.from_vec(u))
+        return dual_src.module.to_vec(dual_src.element_of_hom(H * fmat))
+
+    return matrix_of_map(dual_dst.F, dual_dst.module.sdim, column, nrows=dual_src.module.sdim)
 
 
 class DoubleDualComparison:
@@ -196,22 +128,17 @@ class DoubleDualComparison:
         self.dual = dual if dual is not None else DualModule(coef, M)
         self.double = double if double is not None else DualModule(coef, self.dual.module)
         F = M.F
-        cols = []
-        for idx in range(M.sdim):
-            unit = tuple(F.one if k == idx else F.zero for k in range(M.sdim))
-            x = M.from_vec(unit)
-            rows = []
-            for r in range(coef.module.sdim):
-                row = []
-                for j in range(self.dual.module.sdim):
-                    djunit = tuple(F.one if k == j else F.zero for k in range(self.dual.module.sdim))
-                    f = self.dual.module.from_vec(djunit)
-                    val = coef.i(self.dual.eval(f, x))
-                    row.append(coef.module.to_vec(val)[r])
-                rows.append(row)
-            H = Matrix(F, rows) if rows else Matrix(F, [])
-            cols.append(self.double.module.to_vec(self.double.element_of_hom(H)))
-        self.matrix = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
+        I = coef.module
+        D = self.dual.module
+
+        def column(u):
+            x = M.from_vec(u)
+            # column j of H is i(f_j(x)) for the unit vector f_j of D(M)
+            H = matrix_of_map(F, D.sdim, lambda v: I.to_vec(coef.i(self.dual.eval(D.from_vec(v), x))),
+                              nrows=I.sdim)
+            return self.double.module.to_vec(self.double.element_of_hom(H))
+
+        self.matrix = matrix_of_map(F, M.sdim, column)
         self.bijective = (
             self.double.module.sdim == M.sdim and self.matrix.rank() == M.sdim
         )
@@ -235,12 +162,8 @@ def check_coefficient_iso(c1, c2, jmap):
         raise CoefficientMismatch("coefficients live over different involutions")
     J = jmap if isinstance(jmap, Matrix) else None
     if J is None:
-        F = c1.module.F
-        cols = []
-        for i in range(c1.module.sdim):
-            unit = tuple(F.one if k == i else F.zero for k in range(c1.module.sdim))
-            cols.append(c2.module.to_vec(jmap(c1.module.from_vec(unit))))
-        J = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
+        J = matrix_of_map(c1.module.F, c1.module.sdim,
+                          lambda u: c2.module.to_vec(jmap(c1.module.from_vec(u))))
     if J.nrows != c2.module.sdim or J.ncols != c1.module.sdim:
         raise NotACoefficientIso("comparison matrix has the wrong shape")
     if c1.module.sdim != c2.module.sdim or J.rank() != c1.module.sdim:
@@ -251,99 +174,3 @@ def check_coefficient_iso(c1, c2, jmap):
     if J * c1.imat != c2.imat * J:
         raise NotACoefficientIso("comparison map does not intertwine the identifications")
     return J
-
-
-def restrict_scalars_hom(pair, M, Mp, I, Ip, sig_I, sig_Mp):
-    """Transport of hom spaces along a ring isomorphism pair: the map
-    f |-> sig_I . f . sig_Mp from Hom_R(M, I) to Hom_R'(M', I'), where
-    sig_Mp: M' -> M and sig_I: I -> I' are semilinear over the pair.
-
-    Every semilinearity condition is validated on algebra generators
-    before the transport is built; the result is the coordinate matrix
-    with respect to the two hom-space bases together with those bases.
-    Bijectivity is asserted.  All shape or twist violations raise
-    IncompatibleTwistData."""
-    fwd, bwd = pair.fwd, pair.bwd
-    F = M.F
-    if Mp.F != F or I.F != F or Ip.F != F:
-        raise IncompatibleTwistData("modules live over different scalar fields")
-    if sig_Mp.nrows != M.sdim or sig_Mp.ncols != Mp.sdim:
-        raise IncompatibleTwistData(
-            f"sigma_M' must be {M.sdim}x{Mp.sdim}, got {sig_Mp.nrows}x{sig_Mp.ncols}"
-        )
-    if sig_I.nrows != Ip.sdim or sig_I.ncols != I.sdim:
-        raise IncompatibleTwistData(
-            f"sigma_I must be {Ip.sdim}x{I.sdim}, got {sig_I.nrows}x{sig_I.ncols}"
-        )
-    if M.sdim != Mp.sdim or sig_Mp.rank() != Mp.sdim:
-        raise IncompatibleTwistData("sigma_M' is not bijective")
-    if I.sdim != Ip.sdim or sig_I.rank() != I.sdim:
-        raise IncompatibleTwistData("sigma_I is not bijective")
-    for g in Mp.ring.algebra_generators():
-        if sig_Mp * Mp.action_matrix(g) != M.action_matrix(bwd(g)) * sig_Mp:
-            raise IncompatibleTwistData(f"sigma_M' is not semilinear at {g!r}")
-    for g in I.ring.algebra_generators():
-        if sig_I * I.action_matrix(g) != Ip.action_matrix(fwd(g)) * sig_I:
-            raise IncompatibleTwistData(f"sigma_I is not semilinear at {g!r}")
-
-    homs_src = hom_space_matrices(M, I)
-    homs_dst = hom_space_matrices(Mp, Ip)
-    if len(homs_src) != len(homs_dst):
-        raise IncompatibleTwistData("hom spaces have different dimensions")
-    dst_flat = [tuple(H.rows[r][c] for r in range(Ip.sdim) for c in range(Mp.sdim))
-                for H in homs_dst]
-    dst_mat = Matrix.from_cols(F, dst_flat) if dst_flat else Matrix(F, [])
-    cols = []
-    for H in homs_src:
-        img = sig_I * H * sig_Mp
-        flat = tuple(img.rows[r][c] for r in range(Ip.sdim) for c in range(Mp.sdim))
-        if not dst_flat:
-            cols.append(())
-            continue
-        sol = dst_mat.solve(flat)
-        if sol is None:
-            raise EngineError("transported hom left the target hom space")
-        cols.append(sol)
-    eps_mat = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
-    if homs_src and eps_mat.rank() != len(homs_src):
-        raise EngineError("hom transport is not bijective despite valid twist data")
-    # the transport intertwines the module structures through the pair
-    for g in M.ring.algebra_generators():
-        src_act = _hom_flat_action(I, g, homs_src, M.sdim, F)
-        dst_act = _hom_flat_action(Ip, fwd(g), homs_dst, Mp.sdim, F)
-        if eps_mat * src_act != dst_act * eps_mat:
-            raise EngineError("hom transport fails to intertwine the actions")
-    return eps_mat, homs_src, homs_dst
-
-
-def _hom_flat_action(I, a, homs, msdim, F):
-    """Coordinate matrix of (a.f)(m) = a f(m) on the span of homs."""
-    if not homs:
-        return Matrix(F, [])
-    flat = [tuple(H.rows[r][c] for r in range(I.sdim) for c in range(msdim)) for H in homs]
-    base = Matrix.from_cols(F, flat)
-    B = I.action_matrix(a)
-    cols = []
-    for H in homs:
-        img = B * H
-        v = tuple(img.rows[r][c] for r in range(I.sdim) for c in range(msdim))
-        sol = base.solve(v)
-        if sol is None:
-            raise EngineError("action left the hom space")
-        cols.append(sol)
-    return Matrix.from_cols(F, cols)
-
-
-def change_coefficients_on_dual(c1, c2, J, M):
-    """The induced iso D_1(M) -> D_2(M), h |-> j . h, as a scalar matrix
-    together with the two dual modules."""
-    d1 = DualModule(c1, M)
-    d2 = DualModule(c2, M)
-    F = M.F
-    cols = []
-    for j in range(d1.module.sdim):
-        unit = tuple(F.one if k == j else F.zero for k in range(d1.module.sdim))
-        H = d1.hom_matrix(d1.module.from_vec(unit))
-        cols.append(d2.module.to_vec(d2.element_of_hom(J * H)))
-    mat = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
-    return d1, d2, mat

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .forms import coefficient_change
 from .intsnf import hom_kernel_cokernel_trivial
-from .linalg import Matrix, span_basis, svec_matrix_of_additive_map
+from .linalg import span_basis, svec_matrix_of_additive_map
 from .modules import is_nilpotent_quotient
 from .rings import (
     Element,

@@ -63,10 +63,6 @@ class NotACoefficientIso(WittKitError):
     pass
 
 
-class IncompatibleTwistData(WittKitError):
-    pass
-
-
 class EnumerationBoundExceeded(WittKitError):
     pass
 

@@ -233,22 +233,6 @@ def signature(form_or_entries):
     return (p, n)
 
 
-def _squarefree_part(q):
-    n = q.numerator * q.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-        if n % d == 0:
-            out *= d
-            n //= d
-        d += 1
-    return sign * out * n
-
-
 def _finite_is_square(ring, x):
     q = ring.size()
     acc = ring.one

@@ -26,9 +26,8 @@ from .errors import (
     FormMismatch,
     NotEpsilonSymmetric,
     NotSesquilinear,
-    WittKitError,
 )
-from .linalg import Matrix
+from .linalg import Matrix, matrix_of_map, unit_vector
 from .modules import FLModule, free_module, module_from_shape
 
 
@@ -86,8 +85,7 @@ class HermitianForm:
                     )
 
     def _coord_elem(self, c):
-        F = self.module.F
-        return self.module.from_vec(tuple(F.one if k == c else F.zero for k in range(self.module.sdim)))
+        return self.module.from_vec(unit_vector(self.module.F, self.module.sdim, c))
 
     def evaluate(self, x, y):
         I = self.coef.module
@@ -154,17 +152,12 @@ class HermitianForm:
         dual = dual if dual is not None else DualModule(self.coef, self.module)
         F = self.module.F
         d = self.module.sdim
-        cols = []
-        for c in range(d):
-            yv = tuple(F.one if k == c else F.zero for k in range(d))
-            hcols = []
-            for cc in range(d):
-                xv = tuple(F.one if k == cc else F.zero for k in range(d))
-                hcols.append(self.eval_vecs(xv, yv))
-            H = Matrix.from_cols(F, hcols) if hcols else Matrix(F, [])
-            cols.append(dual.module.to_vec(dual.element_of_hom(H)))
-        mat = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
-        return dual, mat
+
+        def phi(yv):
+            H = matrix_of_map(F, d, lambda xv: self.eval_vecs(xv, yv))
+            return dual.module.to_vec(dual.element_of_hom(H))
+
+        return dual, matrix_of_map(F, d, phi)
 
     def is_nondegenerate(self, dual=None):
         dual, mat = self.adjoint(dual)

@@ -273,6 +273,22 @@ def _perm_sign(perm):
     return sign
 
 
+def unit_vector(F, n, i):
+    """The i-th standard basis vector of F^n (F any ring), as a tuple of
+    Elements."""
+    return tuple(F.one if j == i else F.zero for j in range(n))
+
+
+def matrix_of_map(F, n, fn, nrows=0):
+    """The matrix whose column j is fn(e_j), for the unit vectors e_j of
+    F^n.  With n = 0 there is no column to size it, so it has nrows empty
+    rows."""
+    cols = [fn(unit_vector(F, n, j)) for j in range(n)]
+    if not cols:
+        return Matrix(F, [[] for _ in range(nrows)])
+    return Matrix.from_cols(F, cols)
+
+
 def span_contains(basis, vec, ring):
     """vec in span(basis) over a field; basis/vec are Element tuples."""
     if not basis:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import EngineError, EnumerationBoundExceeded, RingMismatch, WittKitError
-from .linalg import Matrix, span_basis
+from .errors import EngineError, EnumerationBoundExceeded, WittKitError
+from .linalg import Matrix, matrix_of_map, span_basis, unit_vector
 from .rings import Element, ProductRing, QuotientRing, RingWithInvolution
 
 
@@ -111,10 +111,6 @@ class CyclicFactor:
         for combo in itertools.product(opts, repeat=self.sdim):
             yield self.from_coords(combo)
 
-    def contains_in_ideal(self, elem):
-        """Is elem in (ann)?  Equivalent: elem reduces to 0."""
-        return self.reduce(elem).is_zero()
-
 
 class FLModule:
     """Direct sum of cyclic factors.  Elements are tuples of canonical
@@ -162,10 +158,8 @@ class FLModule:
         return tuple(f.reduce(self.ring.el(r)) for f, r in zip(self.factors, reps))
 
     def generators(self):
-        out = []
-        for i in range(len(self.factors)):
-            out.append(tuple(self.ring.one if j == i else self.ring.zero for j in range(len(self.factors))))
-        return [self.element(g) for g in out]
+        n = len(self.factors)
+        return [self.element(unit_vector(self.ring, n, i)) for i in range(n)]
 
     def add(self, x, y):
         return tuple(f.reduce(a + b) for f, a, b in zip(self.factors, x, y))
@@ -223,11 +217,7 @@ class FLModule:
         ck = a.data
         if ck in self._action_cache:
             return self._action_cache[ck]
-        cols = []
-        for i in range(self.sdim):
-            unit = tuple(self.F.one if j == i else self.F.zero for j in range(self.sdim))
-            cols.append(self.to_vec(self.scal(a, self.from_vec(unit))))
-        m = Matrix.from_cols(self.F, cols) if cols else Matrix(self.F, [])
+        m = matrix_of_map(self.F, self.sdim, lambda u: self.to_vec(self.scal(a, self.from_vec(u))))
         self._action_cache[ck] = m
         return m
 
@@ -398,23 +388,10 @@ def _split_map(space, target, gen_vec):
     sd, td = space.dim(), target.sdim
     # unknown H: td x sd with H . A_g = B_g . H for algebra generators g,
     # plus H(gen coords) = coords of the generator of target
-    gens = ring.algebra_generators()
-    rows = []
-    rhs = []
-    for g in gens:
-        A = space.internal_action_matrix(g)
-        B = target.action_matrix(g)
-        for i in range(td):
-            for j in range(sd):
-                row = [F.zero] * (td * sd)
-                # (H A)_{ij} = sum_k H_{ik} A_{kj}
-                for k in range(sd):
-                    row[i * sd + k] = row[i * sd + k] + A[k, j]
-                # (B H)_{ij} = sum_k B_{ik} H_{kj}
-                for k in range(td):
-                    row[k * sd + j] = row[k * sd + j] - B[i, k]
-                rows.append(row)
-                rhs.append(F.zero)
+    pairs = ((space.internal_action_matrix(g), target.action_matrix(g))
+             for g in ring.algebra_generators())
+    rows = _hom_rows(F, pairs, td, sd)
+    rhs = [F.zero] * len(rows)
     gcoords = space._to_internal(gen_vec)
     one_vec = target.to_vec(target.element([ring.one]))
     for i in range(td):
@@ -448,44 +425,91 @@ def decompose_submodule(M, elems):
 # hom spaces
 
 
-def hom_space_matrices(M, N, twist=None):
-    """Scalar basis of {additive h: M -> N with h(a x) = rho(a) h(x)} where
-    rho is the twist ring map (identity if None).  For twist = sigma this
-    is Hom_R(sigma_* M, N) since h(a x) = sigma(a) h(x).  Each basis
-    element is a Matrix (N.sdim x M.sdim) over the scalar field.
-    Deterministic order from nullspace computation."""
-    if M.ring != N.ring:
-        raise RingMismatch(f"hom between modules over {M.ring} and {N.ring}")
-    F = M.F
-    md, nd = M.sdim, N.sdim
-    if md == 0 or nd == 0:
-        return []
-    gens = M.ring.algebra_generators()
+def _hom_rows(F, pairs, nrows, ncols):
+    """The linear system H . A - B . H = 0, one row per entry and pair, in
+    the entries of an unknown nrows x ncols matrix H flattened row-major."""
     rows = []
-    for g in gens:
-        A = M.action_matrix(g)
-        rg = twist(g) if twist is not None else g
-        B = N.action_matrix(rg)
-        for i in range(nd):
-            for j in range(md):
-                row = [F.zero] * (nd * md)
-                for k in range(md):
-                    row[i * md + k] = row[i * md + k] + A[k, j]
-                for k in range(nd):
-                    row[k * md + j] = row[k * md + j] - B[i, k]
+    for A, B in pairs:
+        for i in range(nrows):
+            for j in range(ncols):
+                row = [F.zero] * (nrows * ncols)
+                # (H A)_{ij} = sum_k H_{ik} A_{kj}
+                for k in range(ncols):
+                    row[i * ncols + k] = row[i * ncols + k] + A[k, j]
+                # (B H)_{ij} = sum_k B_{ik} H_{kj}
+                for k in range(nrows):
+                    row[k * ncols + j] = row[k * ncols + j] - B[i, k]
                 rows.append(row)
+    return rows
+
+
+def hom_space_basis(F, pairs, nrows, ncols):
+    """Scalar basis of {H (nrows x ncols) : H . A = B . H for every (A, B)
+    in pairs}, each H flattened row-major.  With A and B the actions of the
+    algebra generators on the source and on the target this is a hom space
+    of modules.  pairs is only read when neither size is zero.
+    Deterministic order from the nullspace computation."""
+    if nrows == 0 or ncols == 0:
+        return []
+    rows = _hom_rows(F, pairs, nrows, ncols)
     if not rows:
-        basis = []
-        for idx in range(nd * md):
-            v = [F.zero] * (nd * md)
-            v[idx] = F.one
-            basis.append(tuple(v))
-    else:
-        basis = Matrix(F, rows).nullspace_basis()
-    out = []
-    for v in basis:
-        out.append(Matrix(F, [[v[i * md + j] for j in range(md)] for i in range(nd)]))
-    return out
+        return [unit_vector(F, nrows * ncols, i) for i in range(nrows * ncols)]
+    return Matrix(F, rows).nullspace_basis()
+
+
+class HomModule:
+    """A hom space of scalar matrices (nrows x ncols) with an R-action,
+    decomposed into cyclic factors as self.module.
+
+    The space is cut out by hom_space_basis from pairs; subclasses supply
+    the action as the method _act(a, flat) -> flat on flattened matrices.
+    Every element of self.module converts to the matrix of a map
+    (hom_matrix) and back (element_of_hom), which is what evaluation
+    needs."""
+
+    def __init__(self, rwi, nrows, ncols, pairs):
+        F = rwi.ring.scalar_field()
+        self.F = F
+        self._nrows, self._ncols = nrows, ncols
+        basis = hom_space_basis(F, pairs, nrows, ncols)
+        pieces = ActionSpace(rwi, basis, self._act).decompose()
+        self.module = FLModule(rwi, [ann for _, ann in pieces])
+        self._gen_flats = [v for v, _ in pieces]
+        if self.module.sdim != len(basis):
+            raise EngineError(f"{type(self).__name__} decomposition lost dimensions")
+        self._coords_to_flat = matrix_of_map(
+            F, self.module.sdim, lambda u: self._flat_of_element(self.module.from_vec(u)))
+
+    def _act(self, a, flat):
+        raise NotImplementedError
+
+    def _flatten(self, H):
+        return tuple(H.rows[r][c] for r in range(self._nrows) for c in range(self._ncols))
+
+    def _unflatten(self, flat):
+        m = self._ncols
+        return Matrix(self.F, [[flat[r * m + c] for c in range(m)] for r in range(self._nrows)])
+
+    def _flat_of_element(self, elem):
+        out = tuple(self.F.zero for _ in range(self._nrows * self._ncols))
+        for rep, gv in zip(elem, self._gen_flats):
+            img = self._act(rep, gv)
+            out = tuple(a + b for a, b in zip(out, img))
+        return out
+
+    def hom_matrix(self, elem):
+        return self._unflatten(self._flat_of_element(elem))
+
+    def element_of_hom(self, H):
+        """The element of self.module whose hom matrix is H (a Matrix or
+        its row-major flattening); EngineError if H is outside the space."""
+        flat = self._flatten(H) if isinstance(H, Matrix) else tuple(H)
+        if not flat:
+            return self.module.zero()
+        sol = self._coords_to_flat.solve(flat)
+        if sol is None:
+            raise EngineError(f"matrix is outside the hom space of {type(self).__name__}")
+        return self.module.from_vec(sol)
 
 
 def check_module_axioms(M, rng, samples=25):

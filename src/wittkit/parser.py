@@ -30,7 +30,6 @@ from .rings import (
     QuotientRing,
     Rationals,
     RingMap,
-    RingWithInvolution,
     identity_map,
     involution,
 )
@@ -437,18 +436,6 @@ def parse_sequence(ring, text):
     while p.at_op(","):
         p.next()
         out.append(p._parse_expr(ring))
-    p.expect_eof()
-    return out
-
-
-def parse_shape(text):
-    p = _Parser(text)
-    p.expect_op("[")
-    out = [p.expect_int().value]
-    while p.at_op(","):
-        p.next()
-        out.append(p.expect_int().value)
-    p.expect_op("]")
     p.expect_eof()
     return out
 

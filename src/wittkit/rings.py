@@ -35,7 +35,6 @@ from .errors import (
     DomainMismatch,
     NotAHomomorphism,
     NotAUnit,
-    NotEquivariant,
     NotInvolutive,
     RingMismatch,
     WittKitError,
@@ -550,7 +549,7 @@ def _pgcd(base, a, b):
 
 def _pxgcd(base, a, b):
     """Extended gcd over a field base: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = _ptrim2(base, a), _ptrim2(base, b)
+    r0, r1 = _ptrim(base, a), _ptrim(base, b)
     s0, s1 = (base.one_data(),), ()
     t0, t1 = (), (base.one_data(),)
     while r1:
@@ -568,10 +567,6 @@ def _pxgcd(base, a, b):
 
 def _pneg(base, a):
     return tuple(base.neg(x) for x in a)
-
-
-def _ptrim2(base, a):
-    return _ptrim(base, tuple(a))
 
 
 class QuotientRing(Ring):
@@ -830,14 +825,13 @@ class PolynomialRing(Ring):
         return self.base.generator_names() + list(self.variables)
 
     def generator_data(self):
-        gens = [self.normalize((c,) if not isinstance(c, tuple) else c) for c in ()]
         out = []
         for c in self.base.generator_data():
             out.append(self._freeze({(0,) * self.nv: c}))
         for i in range(self.nv):
             e = tuple(1 if j == i else 0 for j in range(self.nv))
             out.append(self._freeze({e: self.base.one_data()}))
-        return gens + out
+        return out
 
     def total_degree(self, data):
         return max((sum(e) for e, _ in data), default=-1)
@@ -1279,22 +1273,3 @@ def check_equivariant_map(f, sig_src, sig_dst):
         if sig_dst.conj(f(x)) != f(sig_src.conj(x)):
             return False
     return True
-
-
-class RingIsoPair:
-    """A pair of mutually inverse ring isomorphisms (sigma: R -> R',
-    sigma_inv: R' -> R); both composites are checked on generators."""
-
-    def __init__(self, fwd, bwd):
-        if fwd.src != bwd.dst or fwd.dst != bwd.src:
-            raise DomainMismatch("iso pair domains do not match")
-        if not compose_maps(bwd, fwd).is_identity():
-            raise NotInvolutive("backward . forward is not the identity")
-        if not compose_maps(fwd, bwd).is_identity():
-            raise NotInvolutive("forward . backward is not the identity")
-        self.fwd = fwd
-        self.bwd = bwd
-
-    @classmethod
-    def from_involution(cls, rwi):
-        return cls(rwi.sigma, rwi.sigma)

@@ -10,9 +10,9 @@ iterated transfer coefficient with the direct one; gamma is validated
 as a coefficient isomorphism, not assumed.
 
 Everything is linear algebra over the shared scalar field: Hom_R(S, I)
-is cut out of the space of scalar matrices by the R-linearity
-constraints on algebra generators, exactly as the in-ring hom spaces in
-modules.py.
+is a modules.HomModule, cut out of the space of scalar matrices by the
+R-linearity constraints on algebra generators, exactly as the dual module
+D(M) = Hom_R(sigma_* M, I) in coefficients.py.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .errors import (
     NotFinite,
     RingMismatch,
 )
-from .forms import HermitianForm, coefficient_change
-from .linalg import Matrix, span_basis, svec_matrix_of_additive_map
-from .modules import ActionSpace, FLModule
+from .forms import HermitianForm
+from .linalg import matrix_of_map, span_basis, svec_matrix_of_additive_map, unit_vector
+from .modules import ActionSpace, FLModule, HomModule
 from .rings import Element, check_equivariant_map, compose_maps
 
 
@@ -36,7 +36,7 @@ def _mult_matrix(S, b):
     return svec_matrix_of_additive_map(S, S, lambda x: b * x)
 
 
-class TransferCoefficient:
+class TransferCoefficient(HomModule):
     """pi^flat I as a duality coefficient over the target ring.
 
     Alongside the abstract FLModule decomposition this keeps the concrete
@@ -60,7 +60,6 @@ class TransferCoefficient:
         self.rwi_src = coef.rwi
         self.rwi_dst = rwi_dst
         self.source_coef = coef
-        self.F = F
 
         if generators is None:
             generators = [Element(S, d) for d in S.scalar_basis()]
@@ -74,26 +73,9 @@ class TransferCoefficient:
             raise NotFinite("generating set does not span the target as an R-module")
 
         I = coef.module
-        s = S.scalar_dim()
-        self._isdim, self._ssdim = I.sdim, s
-        self._flat_basis = self._solve_hom_space(R, S, I, s, F)
-
-        def act(b, flat):
-            H = self._unflatten(flat)
-            return self._flatten(H * _mult_matrix(S, S.el(b)))
-
-        space = ActionSpace(rwi_dst, self._flat_basis, act)
-        pieces = space.decompose()
-        self.module = FLModule(rwi_dst, [ann for _, ann in pieces])
-        self._gen_flats = [v for v, _ in pieces]
-        self._act = act
-        if self.module.sdim != len(self._flat_basis):
-            raise EngineError("transfer coefficient decomposition lost dimensions")
-        cols = []
-        for j in range(self.module.sdim):
-            unit = tuple(F.one if k == j else F.zero for k in range(self.module.sdim))
-            cols.append(self._flat_of_element(self.module.from_vec(unit)))
-        self._coords_to_flat = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
+        # R-linear h: S -> I: H . A_g = B_g . H with A_g multiplication by pi(g)
+        pairs = ((_mult_matrix(S, pi(g)), I.action_matrix(g)) for g in R.algebra_generators())
+        super().__init__(rwi_dst, I.sdim, S.scalar_dim(), pairs)
 
         sig_S = svec_matrix_of_additive_map(S, S, rwi_dst.conj)
 
@@ -103,58 +85,10 @@ class TransferCoefficient:
         # the coefficient constructor re-verifies semilinearity and i.i = id
         self.coefficient = DualityCoefficient(rwi_dst, self.module, imap)
 
-    def _solve_hom_space(self, R, S, I, s, F):
-        nd = I.sdim
-        if nd == 0 or s == 0:
-            return []
-        rows = []
-        for g in R.algebra_generators():
-            A = _mult_matrix(S, self.pi(g))
-            B = I.action_matrix(g)
-            for i in range(nd):
-                for j in range(s):
-                    row = [F.zero] * (nd * s)
-                    # (H A)_{ij} - (B H)_{ij} = 0
-                    for k in range(s):
-                        row[i * s + k] = row[i * s + k] + A[k, j]
-                    for k in range(nd):
-                        row[k * s + j] = row[k * s + j] - B[i, k]
-                    rows.append(row)
-        if not rows:
-            basis = []
-            for idx in range(nd * s):
-                v = [F.zero] * (nd * s)
-                v[idx] = F.one
-                basis.append(tuple(v))
-            return basis
-        return Matrix(F, rows).nullspace_basis()
-
-    def _flatten(self, H):
-        return tuple(H.rows[r][c] for r in range(self._isdim) for c in range(self._ssdim))
-
-    def _unflatten(self, flat):
-        m = self._ssdim
-        return Matrix(self.F, [[flat[r * m + c] for c in range(m)] for r in range(self._isdim)])
-
-    def _flat_of_element(self, elem):
-        n = self._isdim * self._ssdim
-        out = tuple(self.F.zero for _ in range(n))
-        for rep, gv in zip(elem, self._gen_flats):
-            img = self._act(rep, gv)
-            out = tuple(a + b for a, b in zip(out, img))
-        return out
-
-    def hom_matrix(self, elem):
-        return self._unflatten(self._flat_of_element(elem))
-
-    def element_of_hom(self, H):
-        flat = self._flatten(H) if isinstance(H, Matrix) else tuple(H)
-        if not flat:
-            return self.module.zero()
-        sol = self._coords_to_flat.solve(flat)
-        if sol is None:
-            raise EngineError("matrix is not an element of the transfer coefficient")
-        return self.module.from_vec(sol)
+    def _act(self, b, flat):
+        """(b f)(m) = f(b m)."""
+        S = self.rwi_dst.ring
+        return self._flatten(self._unflatten(flat) * _mult_matrix(S, S.el(b)))
 
     def eval(self, elem, s_elem):
         S = self.rwi_dst.ring
@@ -169,13 +103,8 @@ class TransferCoefficient:
         """Scalar matrix of f |-> f(1_S) from coefficient coordinates to I
         coordinates; for pi = id this realizes the evaluation iso."""
         I = self.source_coef.module
-        cols = []
-        for j in range(self.module.sdim):
-            unit = tuple(self.F.one if k == j else self.F.zero for k in range(self.module.sdim))
-            cols.append(I.to_vec(self.eval_at_one(self.module.from_vec(unit))))
-        if not cols:
-            return Matrix(self.F, [[] for _ in range(I.sdim)])
-        return Matrix.from_cols(self.F, cols)
+        return matrix_of_map(self.F, self.module.sdim,
+                             lambda u: I.to_vec(self.eval_at_one(self.module.from_vec(u))), nrows=I.sdim)
 
     def __repr__(self):
         return f"TransferCoefficient({self.pi!r})"
@@ -198,7 +127,7 @@ class RestrictedModule:
         self.rwi_src = rwi_src
         self.over = M
         F = M.F
-        basis = [tuple(F.one if j == i else F.zero for j in range(M.sdim)) for i in range(M.sdim)]
+        basis = [unit_vector(F, M.sdim, i) for i in range(M.sdim)]
 
         def act(a, vec):
             return M.to_vec(M.scal(pi(a), M.from_vec(vec)))
@@ -209,11 +138,8 @@ class RestrictedModule:
         self._gen_vecs = [v for v, _ in pieces]
         if self.module.sdim != M.sdim:
             raise EngineError("restriction of scalars lost dimensions")
-        cols = []
-        for j in range(self.module.sdim):
-            unit = tuple(F.one if k == j else F.zero for k in range(self.module.sdim))
-            cols.append(M.to_vec(self.from_restricted(self.module.from_vec(unit))))
-        self._coords = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
+        self._coords = matrix_of_map(F, self.module.sdim,
+                                     lambda u: M.to_vec(self.from_restricted(self.module.from_vec(u))))
 
     def from_restricted(self, x):
         M = self.over
@@ -267,27 +193,21 @@ class GammaComparison:
         self.direct = TransferCoefficient(self.pi, rwi_dst, coef)
         F = coef.module.F
         k = rwi_dst.ring
-        cols = []
-        for j in range(self.composite.module.sdim):
-            unit = tuple(F.one if i == j else F.zero for i in range(self.composite.module.sdim))
-            f = self.composite.module.from_vec(unit)
-            H1 = self.composite.hom_matrix(f)  # (p^flat I).sdim x k.sdim
-            gcols = []
-            for a in range(k.scalar_dim()):
-                avec = tuple(F.one if i == a else F.zero for i in range(k.scalar_dim()))
-                mid = self.inner.module.from_vec(H1.apply(avec))
-                gcols.append(coef.module.to_vec(self.inner.eval_at_one(mid)))
-            Hg = Matrix.from_cols(F, gcols) if gcols else Matrix(F, [])
-            cols.append(self.direct.module.to_vec(self.direct.element_of_hom(Hg)))
-        J = Matrix.from_cols(F, cols) if cols else Matrix(F, [])
+
+        def gamma(u):
+            H1 = self.composite.hom_matrix(self.composite.module.from_vec(u))  # (p^flat I).sdim x k.sdim
+
+            def column(a):
+                # gamma(f)(e_a) = f(e_a)(1_T)
+                return coef.module.to_vec(self.inner.eval_at_one(self.inner.module.from_vec(H1.apply(a))))
+
+            Hg = matrix_of_map(F, k.scalar_dim(), column)
+            return self.direct.module.to_vec(self.direct.element_of_hom(Hg))
+
+        J = matrix_of_map(F, self.composite.module.sdim, gamma)
         # raises NotACoefficientIso when the comparison square fails
         self.matrix = check_coefficient_iso(self.composite.coefficient,
                                             self.direct.coefficient, J)
-
-    def change_form(self, form):
-        """Rewrite a k-form valued in q^flat p^flat I as one valued in
-        pi^flat I, through gamma."""
-        return coefficient_change(form, self.direct.coefficient, self.matrix)
 
 
 def compose_flats_gamma(p, q, rwi_mid, rwi_dst, coef):

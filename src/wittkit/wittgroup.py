@@ -69,6 +69,7 @@ class WittEngine:
         self._fps = {}
         self._metabolic = {}
         self._duals = {}
+        self._lookups = {}
 
     # -- invariant caches --------------------------------------------------
     def dual_of(self, module):
@@ -211,10 +212,15 @@ class WittEngine:
 
     def lookup(self, form):
         """The enumerated class isometric to form; EngineError on a miss,
-        which would mean the sum closure missed a class."""
+        which would mean the sum closure missed a class.  The answer is
+        kept per canonical form, so asking again runs no isometry search."""
         form = canonical_order(form)
+        k = _keypair(form)
+        if k in self._lookups:
+            return self._lookups[k]
         for g in self.classes(form.module):
             if self.fingerprint(g) == self.fingerprint(form) and isometric(form, g) is not None:
+                self._lookups[k] = g
                 return g
         raise EngineError(
             f"no enumerated class matches a nondegenerate form on {form.module!r}; "

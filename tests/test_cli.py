@@ -31,11 +31,39 @@ GOLDEN = [
         '{"bound": 1, "epsilon": 1, "isomorphism": true, "source": "Z x Z (unstable)", '
         '"stable": false, "target": "Z x Z (unstable)", "verdict": "ISOMORPHISM (unstable)"}',
     ),
+    (
+        ["transfer", "GF(3) -> GF(9)/GF(3), sigma=frobenius", "[[1]]"],
+        0,
+        '{"epsilon": 1, "factors": ["0", "0"], "gram": [["1", "0"], ["0", "1"]], "nondegenerate": true}',
+    ),
+    (
+        ["transfer", "GF(3)[t]/(t^3) -> GF(3), sigma=id", "[[1,0],[0,-1]]"],
+        0,
+        '{"epsilon": 1, "factors": ["t", "t"], "gram": [["t^2", "0"], ["0", "2*t^2"]], "nondegenerate": true}',
+    ),
+    (
+        ["diagonalize", "QQ(i), sigma=conj", "[[0,1],[1,0]]"],
+        0,
+        '{"entries": ["1", "-1"], "epsilon": 1}',
+    ),
+    (
+        ["diagonalize", "GF(9), sigma=frobenius", "[[0,1],[1,0]]"],
+        0,
+        '{"entries": ["1", "1"], "epsilon": 1}',
+    ),
+    (
+        ["koszul-sign", "QQ[X,Y]", "[X-Y]", "swap"],
+        0,
+        '{"augmentation_square": true, "beta_square": true, "chain_map": true, "u": "-1"}',
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, code, line", GOLDEN, ids=["witt-stable", "witt-unstable", "devissage-iso", "devissage-unstable"]
+    "argv, code, line",
+    GOLDEN,
+    ids=["witt-stable", "witt-unstable", "devissage-iso", "devissage-unstable",
+         "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code

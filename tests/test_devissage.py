@@ -50,6 +50,23 @@ def test_devissage_is_an_isomorphism_over_f3_dual_numbers(sigma, epsilon, group)
     assert rep.source.describe() == rep.target.describe() == f"{group} (stable)"
 
 
+@pytest.mark.parametrize(
+    "ring, sigma, epsilon, group",
+    [
+        # W(F5) = Z/2 x Z/2, since 5 = 1 mod 4
+        ("GF(5)[t]/(t^2)", "id", 1, "Z/2 x Z/2"),
+        # the socle twist turns eps = -1 over R into symmetric forms over F5
+        ("GF(5)[t]/(t^2)", "t->-t", -1, "Z/2 x Z/2"),
+        # ... and eps = +1 into alternating forms over (F9, id), whose Witt group is 0
+        ("GF(9)[t]/(t^2)", "t->-t", 1, "0"),
+    ],
+)
+def test_devissage_is_an_isomorphism_over_f5_and_f9_dual_numbers(ring, sigma, epsilon, group):
+    rep = verify_devissage(rwi(f"{ring}, sigma={sigma}"), epsilon, 2)
+    assert rep.describe() == "ISOMORPHISM (stable)"
+    assert rep.source.describe() == rep.target.describe() == f"{group} (stable)"
+
+
 def test_devissage_over_t_cubed_is_unstable_at_bound_three():
     rep = verify_devissage(rwi("GF(3)[t]/(t^3), sigma=id"), 1, 3)
     assert rep.describe() == "NOT AN ISOMORPHISM (unstable)"

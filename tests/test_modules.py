@@ -1,20 +1,26 @@
 """Finite-length modules, cyclic decomposition, scalar coordinates."""
 
+import itertools
 import random
 
 import pytest
 
+from wittkit.coefficients import DualModule, standard_coefficient
+from wittkit.errors import EngineError
+from wittkit.linalg import unit_vector
 from wittkit.modules import (
     FLModule,
     check_module_axioms,
     decompose_submodule,
     free_module,
+    hom_space_basis,
     indecomposable_factor_anns,
     is_nilpotent_quotient,
     module_from_shape,
     uniformizer,
 )
-from wittkit.rings import GF, PrimeField, ProductRing, QuotientRing, involution
+from wittkit.rings import GF, PrimeField, ProductRing, QuotientRing, RingMap, involution
+from wittkit.transfer import TransferCoefficient
 
 
 def t2_ring():
@@ -119,3 +125,82 @@ def test_conj_vec_is_semilinear_coordinate_map():
     x = M.element([u])
     cv = M.from_vec(M.conj_vec(M.to_vec(x)))
     assert cv == M.element([u ** 3])
+
+
+def _small_modules(rwi):
+    """Every module of scalar dimension <= 2 over GF(3) or GF(3)[t]/(t^2),
+    up to isomorphism, the zero module included."""
+    R = rwi.ring
+    if R.is_field:
+        return [FLModule(rwi, anns) for anns in ([], [R.zero], [R.zero, R.zero])]
+    t = R.gen("t")
+    return [FLModule(rwi, anns) for anns in ([], [t], [R.zero], [t, t])]
+
+
+def _ints(m):
+    return [[e.data for e in row] for row in m.rows]
+
+
+def _intertwines(H, A, B, n, m, p):
+    """H . A == B . H mod p for H (n x m, flat row-major), A (m x m), B (n x n)."""
+    return all(
+        (sum(H[i * m + k] * A[k][j] for k in range(m)) - sum(B[i][k] * H[k * m + j] for k in range(n))) % p == 0
+        for i in range(n) for j in range(m)
+    )
+
+
+@pytest.mark.parametrize("ring, sigma", [
+    (PrimeField(3), "id"),
+    (t2_ring(), "id"),
+    (t2_ring(), {"t": [0, 2]}),
+], ids=["F3-id", "F3[t]/(t^2)-id", "F3[t]/(t^2)-t->-t"])
+def test_hom_space_basis_matches_exhaustive_search(ring, sigma):
+    """Hom_R(sigma_* M, N) from the solver against every N.sdim x M.sdim
+    matrix over GF(3) that intertwines the generator actions."""
+    rwi = involution(ring, sigma)
+    F = ring.scalar_field()
+    mods = _small_modules(rwi)
+    for M, N in itertools.product(mods, mods):
+        n, m = N.sdim, M.sdim
+        acts = [(_ints(M.action_matrix(g)), _ints(N.action_matrix(rwi.conj(g))))
+                for g in ring.algebra_generators()]
+        homs = {H for H in itertools.product(range(3), repeat=n * m)
+                if all(_intertwines(H, A, B, n, m, 3) for A, B in acts)}
+        pairs = ((M.action_matrix(g), N.action_matrix(rwi.conj(g))) for g in ring.algebra_generators())
+        basis = [tuple(c.data for c in v) for v in hom_space_basis(F, pairs, n, m)]
+        assert len(homs) == 3 ** len(basis)
+        assert set(basis) <= homs
+        # independent: the 3^len combinations are pairwise distinct
+        combos = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % 3 for i in range(n * m))
+                  for cs in itertools.product(range(3), repeat=len(basis))}
+        assert len(combos) == 3 ** len(basis)
+
+
+def _dual_of_r_plus_k():
+    R = t2_ring()
+    rwi = involution(R, "id")
+    return DualModule(standard_coefficient(rwi), FLModule(rwi, [R.zero, R.gen("t")]))  # R + R/(t)
+
+
+def _transfer_t_cubed_to_k():
+    F3 = PrimeField(3)
+    R = QuotientRing(F3, [0, 0, 0, 1], "t")
+    return TransferCoefficient(RingMap(R, F3, [F3.zero]), involution(F3, "id"),
+                               standard_coefficient(involution(R, "id")))
+
+
+@pytest.mark.parametrize("build", [_dual_of_r_plus_k, _transfer_t_cubed_to_k], ids=["dual", "transfer"])
+def test_hom_module_elements_round_trip_through_matrices(build):
+    hom = build()
+    flats = set()
+    for x in hom.module.elements():
+        H = hom.hom_matrix(x)
+        assert hom.element_of_hom(H) == x
+        flats.add(tuple(e for row in H.rows for e in row))
+    assert len(flats) == hom.module.size()
+    # a unit matrix outside the hom space has no element
+    F = hom.F
+    size = len(next(iter(flats)))
+    outside = next(u for u in (unit_vector(F, size, i) for i in range(size)) if u not in flats)
+    with pytest.raises(EngineError):
+        hom.element_of_hom(outside)

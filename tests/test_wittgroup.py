@@ -9,6 +9,7 @@ cross-checked by hand via the rank-and-socle filtration.
 
 import pytest
 
+from wittkit import wittgroup
 from wittkit.coefficients import standard_coefficient
 from wittkit.errors import EnumerationBoundExceeded, NotFinite
 from wittkit.forms import diagonal_form, hyperbolic_form
@@ -114,6 +115,27 @@ def test_class_index_respects_the_bound():
     big = diagonal_form(coef, [F3.one, F3.one, F3.one])
     with pytest.raises(EnumerationBoundExceeded):
         res.class_index(big)
+
+
+def test_second_lookup_of_a_form_runs_no_isometry_search(monkeypatch):
+    F3 = PrimeField(3)
+    coef = std(F3)
+    real = wittgroup.isometric
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(wittgroup, "isometric", counting)
+    engine = WittEngine(coef, 1)
+    first = engine.lookup(diagonal_form(coef, [F3.one, F3.el(2)]))
+    assert calls
+    assert real(diagonal_form(coef, [F3.one, F3.el(2)]), first) is not None
+    calls.clear()
+    # an equal form built afresh: the answer is kept by content, not identity
+    assert engine.lookup(diagonal_form(coef, [F3.one, F3.el(2)])) is first
+    assert calls == []
 
 
 def test_engine_refuses_infinite_rings():
