@@ -302,10 +302,12 @@ def hyperbolic_form(coef, N, epsilon=1, dual=None):
 # ---------------------------------------------------------------------------
 # isometry and metabolicity
 #
-# Search runs entirely on integer coordinate vectors mod p: module elements
-# and Gram values are tabulated once per form and cached, and spans are
-# tracked with a small mod-p rref.  Both procedures need the module to be
-# enumerable, so a finite scalar field is a hard requirement.
+# Both searches run on integer coordinate vectors mod p.  The elements of a
+# module are listed once per module; the coordinate Gram tensor and the
+# norm b(x, x) of every element are tabulated once per form; spans are
+# tracked with a small mod-p rref.  Candidates (generator images for
+# isometric, isotropic vectors for is_metabolic) come from the element
+# list, so a finite scalar field is a hard requirement.
 
 
 def _int_elements(module):
@@ -514,7 +516,13 @@ def isometric(f1, f2):
 def is_metabolic(form, dual=None):
     """Search for a Lagrangian: a submodule L totally isotropic with
     |L|^2 = |M| (for a nondegenerate form that forces L = L-perp).
-    Breadth-first over totally isotropic submodules."""
+
+    Depth-first over totally isotropic submodules, each grown from its
+    parent by the R-span of one isotropic vector orthogonal to it; returns
+    at the first Lagrangian.  Over a field, Witt's extension theorem makes
+    every maximal totally isotropic subspace of a nondegenerate form have
+    the same dimension, so the first one reached decides the answer.  Over
+    other rings the search backtracks, and visits each submodule once."""
     M = form.module
     if M.sdim == 0:
         return True
@@ -527,7 +535,8 @@ def is_metabolic(form, dual=None):
     p = F.p
     d = M.sdim
     half = d // 2
-    if M.ring.is_field and half % M.ring.scalar_dim():
+    field = M.ring.is_field
+    if field and half % M.ring.scalar_dim():
         return False  # submodules are vector spaces over the ring itself
     isd = form.coef.module.sdim
     elems = _int_elements(M)
@@ -555,38 +564,44 @@ def is_metabolic(form, dual=None):
     def key_of(rows):
         return tuple((piv, tuple(r)) for piv, r in rows)
 
-    frontier = [([], [])]
     seen = {key_of([])}
-    while frontier:
-        nxt = []
-        for rows, funcs in frontier:
-            for v in iso:
-                if not any(_rref_reduce(rows, v, p)):
-                    continue
-                ok = True
-                for func in funcs:
-                    acc = [0] * isd
-                    for c, a in enumerate(v):
-                        if a:
-                            cell = func[c]
-                            for s in range(isd):
-                                acc[s] += a * cell[s]
-                    if any(x % p for x in acc):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                rows2, _ = _closure_rows(rows, v, actmats, p)
-                if len(rows2) > half:
-                    continue
-                if len(rows2) == half:
-                    # totally isotropic with half the scalar dimension:
-                    # nondegeneracy forces L = L-perp
-                    return True
-                k = key_of(rows2)
-                if k in seen:
-                    continue
-                seen.add(k)
-                nxt.append((rows2, row_funcs(rows2)))
-        frontier = nxt
-    return False
+
+    def extends(rows, funcs):
+        """Whether some Lagrangian contains the span of rows."""
+        for v in iso:
+            if not any(_rref_reduce(rows, v, p)):
+                continue
+            ok = True
+            for func in funcs:
+                acc = [0] * isd
+                for c, a in enumerate(v):
+                    if a:
+                        cell = func[c]
+                        for s in range(isd):
+                            acc[s] += a * cell[s]
+                if any(x % p for x in acc):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            rows2, _ = _closure_rows(rows, v, actmats, p)
+            if len(rows2) > half:
+                continue
+            if len(rows2) == half:
+                # totally isotropic with half the scalar dimension:
+                # nondegeneracy forces L = L-perp
+                return True
+            k = key_of(rows2)
+            if k in seen:
+                continue
+            seen.add(k)
+            if extends(rows2, row_funcs(rows2)):
+                return True
+            if field:
+                # the descent from rows2 ended in a maximal totally
+                # isotropic subspace shorter than half; by Witt's theorem
+                # so is every maximal one
+                return False
+        return False
+
+    return extends([], [])

@@ -256,6 +256,58 @@ class Matrix:
         return total
 
 
+class Solver:
+    """Solves A x = rhs for one matrix A over a field and many right-hand
+    sides, factoring A once, on the first call.
+
+    The rows Q where rref(A^T) has its pivots are a maximal independent
+    set of rows of A, so rref(A_Q) = rref(A); the rref of [A_Q | I] is
+    [R | E] with E A_Q = R, whose pivot columns P are those of A.  Then
+    x = E rhs_Q on P and 0 elsewhere is the one solution supported on P,
+    which is what A.solve(rhs) returns; it exists iff x also satisfies the
+    rows outside Q.  A call costs about rank(A) * nrows multiplications."""
+
+    def __init__(self, matrix):
+        matrix._check_field()
+        self.matrix = matrix
+        self._factor = None
+
+    def _factorize(self):
+        A = self.matrix
+        _, rows = A.transpose().rref()
+        R, pivots = Matrix(A.ring, [A.rows[i] for i in rows]).hstack(
+            Matrix.identity(A.ring, len(rows))).rref()
+        chosen = set(rows)
+        others = [i for i in range(A.nrows) if i not in chosen]
+        return rows, pivots, [r[A.ncols:] for r in R.rows], others
+
+    def solve(self, rhs):
+        """One solution of A x = rhs, or None.  rhs: tuple of Elements."""
+        A = self.matrix
+        if len(rhs) != A.nrows:
+            raise WittKitError(f"right-hand side of length {len(rhs)} for {A.nrows} rows")
+        if self._factor is None:
+            self._factor = self._factorize()
+        rows, pivots, E, others = self._factor
+        zero = A.ring.zero
+        x = [zero] * A.ncols
+        for c, erow in zip(pivots, E):
+            acc = zero
+            for e, i in zip(erow, rows):
+                if not e.is_zero():
+                    acc = acc + e * rhs[i]
+            x[c] = acc
+        for i in others:
+            acc = zero
+            for c in pivots:
+                a = A.rows[i][c]
+                if not a.is_zero():
+                    acc = acc + a * x[c]
+            if acc != rhs[i]:
+                return None
+        return tuple(x)
+
+
 def _perm_sign(perm):
     sign = 1
     seen = [False] * len(perm)

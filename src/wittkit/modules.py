@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import EngineError, EnumerationBoundExceeded, WittKitError
-from .linalg import Matrix, matrix_of_map, span_basis, unit_vector
+from .linalg import Matrix, Solver, matrix_of_map, span_basis, unit_vector
 from .rings import Element, ProductRing, QuotientRing, RingWithInvolution
 
 
@@ -280,6 +280,7 @@ class ActionSpace:
         self.F = rwi.ring.scalar_field()
         self.basis = [tuple(v) for v in basis]
         self._act = act
+        self._solver = Solver(Matrix.from_cols(self.F, self.basis)) if self.basis else None
 
     def dim(self):
         return len(self.basis)
@@ -287,8 +288,7 @@ class ActionSpace:
     def _to_internal(self, vec):
         if not self.basis:
             return ()
-        m = Matrix.from_cols(self.F, self.basis)
-        sol = m.solve(tuple(vec))
+        sol = self._solver.solve(tuple(vec))
         if sol is None:
             raise EngineError("vector outside the action space")
         return sol
@@ -339,12 +339,11 @@ class ActionSpace:
         ring = self.ring
         t = uniformizer(ring)
         out = []
-        basis = list(self.basis)
-        while basis:
-            space = ActionSpace(self.rwi, basis, self._act)
+        space = self
+        while space.basis:
             # maximal t-order vector in the current space
             best, best_ord = None, -1
-            for b in basis:
+            for b in space.basis:
                 o, v = 0, tuple(b)
                 while any(not c.is_zero() for c in v):
                     o += 1
@@ -361,7 +360,7 @@ class ActionSpace:
                 rows.append([psi[j][i] for i in range(space.dim())])
             kmat = Matrix(self.F, rows) if rows else Matrix(self.F, [[]])
             kernel = kmat.nullspace_basis()
-            basis = [space._from_internal(k) for k in kernel]
+            space = ActionSpace(self.rwi, [space._from_internal(k) for k in kernel], self._act)
         out.sort(key=lambda p: _ann_sort_key(self.ring, p[1]), )
         return out
 
@@ -477,8 +476,9 @@ class HomModule:
         self._gen_flats = [v for v, _ in pieces]
         if self.module.sdim != len(basis):
             raise EngineError(f"{type(self).__name__} decomposition lost dimensions")
-        self._coords_to_flat = matrix_of_map(
-            F, self.module.sdim, lambda u: self._flat_of_element(self.module.from_vec(u)))
+        self._coords_to_flat = Solver(matrix_of_map(
+            F, self.module.sdim, lambda u: self._flat_of_element(self.module.from_vec(u)),
+            nrows=nrows * ncols))
 
     def _act(self, a, flat):
         raise NotImplementedError

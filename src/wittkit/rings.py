@@ -484,6 +484,16 @@ class QuadraticField(Ring):
 # ---------------------------------------------------------------------------
 # dense univariate polynomial helpers over a base ring (tuples of base data)
 
+def _times_monomial(cstr, mono):
+    """The term cstr*mono, with a coefficient that is a sum parenthesized
+    so that the string parses back to the same element."""
+    if cstr == "1":
+        return mono
+    if " + " in cstr or " - " in cstr:
+        cstr = f"({cstr})"
+    return f"{cstr}*{mono}"
+
+
 def _ptrim(base, cs):
     n = len(cs)
     z = base.zero_data()
@@ -623,8 +633,7 @@ class QuotientRing(Ring):
             if i == 0:
                 terms.append(cstr)
             else:
-                pw = self.var if i == 1 else f"{self.var}^{i}"
-                terms.append(pw if cstr == "1" else f"{cstr}*{pw}")
+                terms.append(_times_monomial(cstr, self.var if i == 1 else f"{self.var}^{i}"))
         return " + ".join(terms) if terms else "0"
 
     def normalize(self, x):
@@ -819,7 +828,7 @@ class PolynomialRing(Ring):
     def inv(self, a):
         if not self.is_unit(a):
             raise NotAUnit(f"{self.format_element(a)} in {self}")
-        return self.normalize(self.base.inv(a[0][1]))
+        return self._freeze({(0,) * self.nv: self.base.inv(a[0][1])})
 
     def generator_names(self):
         return self.base.generator_names() + list(self.variables)
@@ -869,12 +878,7 @@ class PolynomialRing(Ring):
                 for v, k in zip(self.variables, e) if k
             )
             cstr = self.base.format_element(c)
-            if not vs:
-                terms.append(cstr)
-            elif cstr == "1":
-                terms.append(vs)
-            else:
-                terms.append(f"{cstr}*{vs}")
+            terms.append(_times_monomial(cstr, vs) if vs else cstr)
         return " + ".join(terms)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     RingMismatch,
 )
 from .forms import HermitianForm
-from .linalg import matrix_of_map, span_basis, svec_matrix_of_additive_map, unit_vector
+from .linalg import Solver, matrix_of_map, span_basis, svec_matrix_of_additive_map, unit_vector
 from .modules import ActionSpace, FLModule, HomModule
 from .rings import Element, check_equivariant_map, compose_maps
 
@@ -138,8 +138,9 @@ class RestrictedModule:
         self._gen_vecs = [v for v, _ in pieces]
         if self.module.sdim != M.sdim:
             raise EngineError("restriction of scalars lost dimensions")
-        self._coords = matrix_of_map(F, self.module.sdim,
-                                     lambda u: M.to_vec(self.from_restricted(self.module.from_vec(u))))
+        self._coords = Solver(matrix_of_map(
+            F, self.module.sdim, lambda u: M.to_vec(self.from_restricted(self.module.from_vec(u))),
+            nrows=M.sdim))
 
     def from_restricted(self, x):
         M = self.over

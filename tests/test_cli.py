@@ -56,6 +56,18 @@ GOLDEN = [
         0,
         '{"augmentation_square": true, "beta_square": true, "chain_map": true, "u": "-1"}',
     ),
+    (
+        # the bound+1 check decides metabolicity for forms of rank 6 over
+        # GF(5), most of them not metabolic
+        ["witt", "GF(5), sigma=id", "+1", "5"],
+        0,
+        '{"bound": 5, "classes": 10, "epsilon": 1, "factors": [2, 2], "group": "Z/2 x Z/2", "stable": true}',
+    ),
+    (
+        ["witt", "GF(3), sigma=id", "-1", "6"],
+        0,
+        '{"bound": 6, "classes": 3, "epsilon": -1, "factors": [], "group": "0", "stable": true}',
+    ),
 ]
 
 
@@ -63,7 +75,8 @@ GOLDEN = [
     "argv, code, line",
     GOLDEN,
     ids=["witt-stable", "witt-unstable", "devissage-iso", "devissage-unstable",
-         "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign"],
+         "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign",
+         "witt-f5-bound-5", "witt-f3-skew-bound-6"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code

@@ -22,6 +22,7 @@ from wittkit.errors import (
     IdealNotInvariant,
     ImproperIdeal,
     InvalidBound,
+    MaxIdealNotInvariant,
     NotGorenstein,
     WittKitError,
 )
@@ -65,6 +66,13 @@ def test_devissage_is_an_isomorphism_over_f5_and_f9_dual_numbers(ring, sigma, ep
     rep = verify_devissage(rwi(f"{ring}, sigma={sigma}"), epsilon, 2)
     assert rep.describe() == "ISOMORPHISM (stable)"
     assert rep.source.describe() == rep.target.describe() == f"{group} (stable)"
+
+
+def test_devissage_over_t_cubed_is_an_isomorphism_at_bound_four():
+    rep = verify_devissage(rwi("GF(3)[t]/(t^3), sigma=id"), 1, 4)
+    assert rep.describe() == "ISOMORPHISM (stable)"
+    assert rep.well_defined and rep.kernel_trivial and rep.cokernel_trivial
+    assert rep.source.describe() == rep.target.describe() == "Z/4 (stable)"
 
 
 def test_devissage_over_t_cubed_is_unstable_at_bound_three():
@@ -137,6 +145,14 @@ def test_non_gorenstein_ring_is_rejected():
     # the socle is checked before the involution is read
     with pytest.raises(NotGorenstein):
         DevissageData(SimpleNamespace(ring=SquareZeroPlane()))
+
+
+def test_sigma_moving_the_maximal_ideal_is_rejected():
+    # a ring map of k[t]/(t^n) sends t into (t), since t is nilpotent, so
+    # only a stand-in sigma (here x -> x + 1) can move (t)
+    ring = rwi("GF(3)[t]/(t^3), sigma=id").ring
+    with pytest.raises(MaxIdealNotInvariant, match="out of the maximal ideal"):
+        DevissageData(SimpleNamespace(ring=ring, conj=lambda x: x + ring.one))
 
 
 def test_non_local_ring_is_rejected():

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.errors import WittKitError
-from wittkit.linalg import Matrix, span_basis, span_contains
+from wittkit.linalg import Matrix, Solver, span_basis, span_contains
 from wittkit.rings import GF, PrimeField, QuadraticField, QuotientRing, Rationals
 
 
@@ -138,3 +140,53 @@ def test_matrix_times_non_scalar_is_rejected():
     assert (m * i)[(0, 0)] == i and (m * i)[(0, 1)] == K.zero
     Q = Rationals()
     assert (Matrix.identity(Q, 1) * Fraction(1, 3))[(0, 0)] == Q.el(Fraction(1, 3))
+
+
+FIELDS = [PrimeField(3), GF(9), Rationals()]
+
+
+@st.composite
+def system(draw):
+    """A field, an m x n matrix (m, n in 0..4) and right-hand sides: each
+    either A x for a drawn x, so solvable, or drawn freely, so for a matrix
+    of rank below m often not solvable."""
+    F = draw(st.sampled_from(FIELDS))
+    if F.is_finite:
+        entry = st.sampled_from(list(F.elements()))
+    else:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(F.el)
+    m = draw(st.integers(min_value=0, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=4)) if m else 0
+    A = Matrix(F, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+    rhs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            rhs.append(A.apply(tuple(draw(st.lists(entry, min_size=n, max_size=n)))))
+        else:
+            rhs.append(tuple(draw(st.lists(entry, min_size=m, max_size=m))))
+    return A, rhs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(system())
+def test_solver_agrees_with_solve(case):
+    A, rhs = case
+    solver = Solver(A)
+    for b in rhs:
+        assert solver.solve(b) == A.solve(b)
+
+
+def test_solver_factors_its_matrix_once(monkeypatch):
+    F = F3()
+    A = Matrix(F, [[1, 1, 0], [2, 2, 0], [0, 1, 1]])
+    solver = Solver(A)
+    assert solver.solve((F.el(1), F.el(2), F.el(0))) == (F.el(1), F.zero, F.zero)
+    calls = []
+    rref = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or rref(self))
+    assert solver.solve((F.el(0), F.el(1), F.el(0))) is None
+    assert solver.solve((F.zero,) * 3) == (F.zero,) * 3
+    assert solver.solve((F.el(2), F.el(1), F.el(1))) == (F.el(1), F.el(1), F.zero)
+    assert not calls
+    with pytest.raises(WittKitError, match="length 2 for 3 rows"):
+        solver.solve((F.zero,) * 2)

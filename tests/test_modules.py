@@ -7,8 +7,9 @@ import pytest
 
 from wittkit.coefficients import DualModule, standard_coefficient
 from wittkit.errors import EngineError
-from wittkit.linalg import unit_vector
+from wittkit.linalg import Matrix, unit_vector
 from wittkit.modules import (
+    ActionSpace,
     FLModule,
     check_module_axioms,
     decompose_submodule,
@@ -204,3 +205,35 @@ def test_hom_module_elements_round_trip_through_matrices(build):
     outside = next(u for u in (unit_vector(F, size, i) for i in range(size)) if u not in flats)
     with pytest.raises(EngineError):
         hom.element_of_hom(outside)
+
+
+def _count_rref(monkeypatch):
+    calls = []
+    rref = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or rref(self))
+    return calls
+
+
+@pytest.mark.parametrize("build", [_dual_of_r_plus_k, _transfer_t_cubed_to_k], ids=["dual", "transfer"])
+def test_hom_module_factors_its_coordinates_once(build, monkeypatch):
+    hom = build()
+    elements = list(hom.module.elements())
+    hom.element_of_hom(hom.hom_matrix(elements[0]))
+    calls = _count_rref(monkeypatch)
+    for x in elements:
+        hom.element_of_hom(hom.hom_matrix(x))
+    assert not calls
+
+
+def test_action_space_factors_its_basis_once(monkeypatch):
+    R = QuotientRing(PrimeField(3), [0, 0, 0, 1], "t")
+    rwi = involution(R, "id")
+    M = FLModule(rwi, [R.zero, R.gen("t")])
+    basis = [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)]
+    space = ActionSpace(rwi, basis, lambda a, v: M.to_vec(M.scal(a, M.from_vec(v))))
+    t = R.gen("t")
+    assert space.internal_action_matrix(t) == M.action_matrix(t)
+    calls = _count_rref(monkeypatch)
+    for a in [t ** 2, R.one, t + R.one]:
+        assert space.internal_action_matrix(a) == M.action_matrix(a)
+    assert not calls
