@@ -48,6 +48,12 @@ class HermitianForm:
         I = coef.module
         self.gram = [[self._coerce(I, e) for e in row] for row in gram]
         self._ctensor = None
+        self._fp = None
+        # (summands, order) on a form built by orthogonal_sum or
+        # canonical_order: its factor a is factor order[a] of the summands'
+        # factors taken one summand after another, and its tables are
+        # composed from theirs; None on every other form
+        self._parts = None
         if check:
             self._validate()
 
@@ -118,17 +124,24 @@ class HermitianForm:
     # -- coordinate tensor: b is scalar-bilinear since sigma fixes the
     # -- scalar field pointwise
     def _coord_tensor(self):
+        """I-coordinates of b(e_c1, e_c2) for every pair of scalar basis
+        vectors.  A composed form takes the block diagonal of its
+        summands' tensors, permuted as its factors are."""
         if self._ctensor is None:
+            I = self.coef.module
             d = self.module.sdim
-            tab = []
-            for c1 in range(d):
-                x = self._coord_elem(c1)
-                row = []
-                for c2 in range(d):
-                    y = self._coord_elem(c2)
-                    row.append(self.coef.module.to_vec(self.evaluate(x, y)))
-                tab.append(row)
-            self._ctensor = tab
+            if self._parts is not None:
+                whole = [[I.to_vec(I.zero())] * d for _ in range(d)]
+                off = 0
+                for f in self._parts[0]:
+                    for c1, row in enumerate(f._coord_tensor()):
+                        whole[off + c1][off:off + len(row)] = row
+                    off += f.module.sdim
+                perm = _coord_order(self)
+                self._ctensor = [[whole[a][b] for b in perm] for a in perm]
+            else:
+                units = [self._coord_elem(c) for c in range(d)]
+                self._ctensor = [[I.to_vec(self.evaluate(x, y)) for y in units] for x in units]
         return self._ctensor
 
     def eval_vecs(self, xv, yv):
@@ -203,50 +216,59 @@ class HermitianForm:
 
     # -- invariants --------------------------------------------------------
     def norm_fingerprint(self):
-        """Multiset of b(x,x) over all of M, as a sorted count table; an
-        isometry invariant used for fast separation."""
-        I = self.coef.module
-        if self.module.F.is_finite:
-            return tuple(sorted(Counter(_norm_table(self)).items()))
-        counts = Counter()
-        for x in self.module.elements():
-            counts[I.to_ints(self.evaluate(x, x))] += 1
-        return tuple(sorted(counts.items()))
+        """Multiset of b(x,x) over all of M, as a sorted table of (value,
+        count); an isometry invariant used for fast separation.  Kept on
+        the form.  On a composed form it is the convolution of the
+        summands' tables over the additive group of I, since
+        b(x+y, x+y) = b(x,x) + b(y,y) when x is orthogonal to y; a
+        permutation of factors leaves it unchanged.  Otherwise it counts
+        _norm_table, which needs a finite scalar field."""
+        return _fingerprint(self)
+
+
+def _canonical_permutation(factors):
+    return sorted(range(len(factors)), key=lambda k: (factors[k].key, k))
+
+
+def _permuted_sum(summands, order):
+    """The orthogonal sum of the summands with its cyclic factors taken in
+    the given order (indices into the summands' factors, one summand
+    after another).  The result carries the summands, so its tables are
+    composed from theirs."""
+    first = summands[0]
+    I = first.coef.module
+    slots = [(s, i) for s, f in enumerate(summands) for i in range(len(f.module.factors))]
+    picked = [slots[k] for k in order]
+    module = FLModule(first.coef.rwi, [summands[s].module.factors[i].ann for s, i in picked])
+    gram = [[summands[s].gram[i][j] if s == t else I.zero() for t, j in picked]
+            for s, i in picked]
+    form = HermitianForm(first.coef, module, gram, first.epsilon, check=False)
+    form._parts = (tuple(summands), tuple(order))
+    return form
 
 
 def orthogonal_sum(f1, f2):
+    """f1 + f2 on the direct sum of their modules, its cyclic factors in
+    canonical (key-sorted) order.  The sum carries its two summands and
+    that factor order: its norm fingerprint, norm table and coordinate
+    tensor are then composed from the summands' tables, never computed
+    from its own elements."""
     if f1.coef != f2.coef:
         raise CoefficientMismatch("orthogonal sum needs a common coefficient")
     if f1.epsilon != f2.epsilon:
         raise FormMismatch(f"cannot add eps={f1.epsilon:+d} and eps={f2.epsilon:+d} forms")
-    anns = [f.ann for f in f1.module.factors] + [f.ann for f in f2.module.factors]
-    keys = [f.key for f in f1.module.factors] + [f.key for f in f2.module.factors]
-    order = sorted(range(len(anns)), key=lambda k: (keys[k], k))
-    module = FLModule(f1.coef.rwi, [anns[k] for k in order])
-    I = f1.coef.module
-    n1 = len(f1.module.factors)
-
-    def entry(i, j):
-        if i < n1 and j < n1:
-            return f1.gram[i][j]
-        if i >= n1 and j >= n1:
-            return f2.gram[i - n1][j - n1]
-        return I.zero()
-
-    gram = [[entry(order[a], order[b]) for b in range(len(order))] for a in range(len(order))]
-    return HermitianForm(f1.coef, module, gram, f1.epsilon, check=False)
+    return _permuted_sum((f1, f2), _canonical_permutation(f1.module.factors + f2.module.factors))
 
 
 def canonical_order(f):
     """The same form with its cyclic factors permuted into the canonical
-    (key-sorted) order used when comparing shapes."""
-    factors = f.module.factors
-    order = sorted(range(len(factors)), key=lambda k: (factors[k].key, k))
-    if order == list(range(len(factors))):
+    (key-sorted) order used when comparing shapes; f itself if they are in
+    that order already.  A permuted copy carries f as its one summand, so
+    its tables are f's, reindexed."""
+    order = _canonical_permutation(f.module.factors)
+    if order == list(range(len(order))):
         return f
-    module = FLModule(f.module.rwi, [factors[k].ann for k in order])
-    gram = [[f.gram[order[a]][order[b]] for b in range(len(order))] for a in range(len(order))]
-    return HermitianForm(f.coef, module, gram, f.epsilon, check=False)
+    return _permuted_sum((f,), order)
 
 
 def coefficient_change(form, new_coef, alpha):
@@ -308,6 +330,21 @@ def hyperbolic_form(coef, N, epsilon=1, dual=None):
 # tracked with a small mod-p rref.  Candidates (generator images for
 # isometric, isotropic vectors for is_metabolic) come from the element
 # list, so a finite scalar field is a hard requirement.
+#
+# A form built by orthogonal_sum or canonical_order carries its summands
+# and its factor order (_parts).  Its tables are composed from the
+# summands' tables, which are built once and kept on the summands:
+#   - norm_fingerprint: the convolution of the summands' count tables;
+#   - _norm_table: the outer sum [a + b for a in T_f for b in T_g], which
+#     is already in _int_elements order when the factor order is the
+#     summands' own (always so over a field), and is otherwise reindexed
+#     by the coordinate permutation;
+#   - _coord_tensor: the block diagonal of the summands' tensors, permuted
+#     the same way.
+# Every other form (a block, a hyperbolic form, a form built from a Gram
+# table, a transfer) computes its tables from its own elements: the tensor
+# with evaluate on each pair of scalar basis vectors, the norm table by
+# prefix recursion over that tensor, the fingerprint by counting the table.
 
 
 def _int_elements(module):
@@ -341,15 +378,66 @@ def _mat_vec(mat, vec, p):
     return tuple(sum(r[i] * vec[i] for i in range(len(vec))) % p for r in mat)
 
 
+def _coord_order(form):
+    """The scalar coordinate permutation of a composed form: its
+    coordinate a is coordinate perm[a] of the summands' coordinates taken
+    one summand after another."""
+    summands, order = form._parts
+    spans = []
+    off = 0
+    for f in summands:
+        for fac in f.module.factors:
+            spans.append(range(off, off + fac.sdim))
+            off += fac.sdim
+    return [c for k in order for c in spans[k]]
+
+
+def _outer_sum(ta, tb, p):
+    """[a + b for a in ta for b in tb], coordinates mod p: the norm table
+    of f + g from those of f and g, in _int_elements order.  One row is
+    built per distinct value of ta."""
+    rows = {}
+    out = []
+    for a in ta:
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = [tuple((x + y) % p for x, y in zip(a, b)) for b in tb]
+        out.extend(row)
+    return out
+
+
+def _reindexed(table, perm, p):
+    """A per-element table moved to permuted coordinates: entry k of the
+    result is the entry of table at the element x with x[perm[a]] = y[a]
+    for every a, where y is element k (both in _int_elements order)."""
+    d = len(perm)
+    idx = [0]
+    for c in perm:
+        steps = [v * p ** (d - 1 - c) for v in range(p)]
+        idx = [i + s for i in idx for s in steps]
+    return [table[i] for i in idx]
+
+
 def _norm_table(form):
     """b(x,x) as an I-coordinate int tuple for every x in M, in the order
-    of _int_elements.  Built by prefix recursion: O(p^d) with small
+    of _int_elements.  A composed form sums and reindexes its summands'
+    tables; any other form is built by prefix recursion: O(p^d) with small
     per-node cost instead of O(p^d d^2)."""
     if getattr(form, "_ntab", None) is not None:
         return form._ntab
     M = form.module
     p = M.F.p
     d = M.sdim
+    if form._parts is not None:
+        summands = form._parts[0]
+        out = _norm_table(summands[0])
+        for f in summands[1:]:
+            out = _outer_sum(out, _norm_table(f), p)
+        perm = _coord_order(form)
+        if perm != list(range(d)):
+            out = _reindexed(out, perm, p)
+        form._ntab = out
+        return out
     isd = form.coef.module.sdim
     bt = _int_btensor(form)
     out = []
@@ -372,6 +460,29 @@ def _norm_table(form):
     # the itertools.product order used by _int_elements
     form._ntab = out
     return out
+
+
+def _fingerprint(form):
+    """norm_fingerprint, memoized on the form; the summands of a composed
+    form are read through here too."""
+    if form._fp is None:
+        if not form.module.F.is_finite:
+            raise EnumerationBoundExceeded(f"{form.ring} modules are not enumerable")
+        if form._parts is None:
+            form._fp = tuple(sorted(Counter(_norm_table(form)).items()))
+        else:
+            p = form.module.F.p
+            summands = form._parts[0]
+            counts = dict(_fingerprint(summands[0]))
+            for f in summands[1:]:
+                table = _fingerprint(f)
+                conv = Counter()
+                for a, m in counts.items():
+                    for b, n in table:
+                        conv[tuple((x + y) % p for x, y in zip(a, b))] += m * n
+                counts = conv
+            form._fp = tuple(sorted(counts.items()))
+    return form._fp
 
 
 def _norm_index(form):

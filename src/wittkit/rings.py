@@ -602,6 +602,7 @@ class QuotientRing(Ring):
         self.var = var
         self.char = base.char
         self.is_field = base.is_finite and self._modulus_irreducible()
+        self._default_field = None  # whether GF(q) builds this ring; see describe
         super().__init__()
 
     def _modulus_irreducible(self):
@@ -620,7 +621,13 @@ class QuotientRing(Ring):
         return ("quot", self.base._key, self.modulus, self.var)
 
     def describe(self):
-        if self.is_field and self.base.is_finite:
+        """GF(q)/GF(p) for the field GF(q) builds; the base, the variable
+        and the modulus otherwise, so that the text parses back to this
+        ring."""
+        if self._default_field is None:
+            self._default_field = (self.is_field and isinstance(self.base, PrimeField)
+                                   and self == GF(self.size()))
+        if self._default_field:
             return f"GF({self.size()})/GF({self.char})"
         return f"{self.base.describe()}[{self.var}]/({self._format_poly(self.modulus)})"
 
@@ -728,20 +735,15 @@ def GF(q, var="u"):
     """The finite field with q = p^k elements (odd p).  For k > 1 the
     modulus is the first monic irreducible polynomial of degree k in
     enumeration order, so the construction is deterministic."""
-    p, k = None, None
-    for cand in range(3, q + 1, 2):
-        if _is_prime(cand):
-            m, e = q, 0
-            while m % cand == 0:
-                m //= cand
-                e += 1
-            if m == 1:
-                p, k = cand, e
-                break
-    if q % 2 == 0:
-        raise CharacteristicTwo("finite fields of characteristic 2 are not supported")
-    if p is None:
+    p = next((c for c in range(2, q + 1) if q % c == 0), None)  # least prime factor
+    m, k = q, 0
+    while p is not None and m % p == 0:
+        m //= p
+        k += 1
+    if p is None or m != 1:
         raise WittKitError(f"{q} is not a prime power")
+    if p == 2:
+        raise CharacteristicTwo("finite fields of characteristic 2 are not supported")
     F = PrimeField(p)
     if k == 1:
         return F
@@ -1241,7 +1243,7 @@ def involution(ring, spec):
         return RingWithInvolution(ring, RingMap(ring, ring, [-g]))
     if spec == "frobenius":
         if not (isinstance(ring, QuotientRing) and ring.is_field and ring.is_finite):
-            raise WittKitError("frobenius needs a finite field extension")
+            raise WittKitError("frobenius needs a finite field extension" + _frobenius_hint(ring))
         k = ring.n
         if k % 2 != 0:
             raise NotInvolutive(f"|{ring}| is not a square, no order-2 frobenius")
@@ -1259,6 +1261,18 @@ def involution(ring, spec):
         imgs = [ring.el(spec[n]) for n in names]
         return RingWithInvolution(ring, RingMap(ring, ring, imgs))
     raise WittKitError(f"unknown involution spec {spec!r}")
+
+
+def _frobenius_hint(ring):
+    """For k[t]/(f) over a field extension k of even degree, where the name
+    frobenius is refused: how to write the coefficient Frobenius as
+    generator images instead.  Empty for every other ring."""
+    if not (isinstance(ring, QuotientRing) and isinstance(ring.base, QuotientRing)
+            and ring.base.is_finite and ring.base.n % 2 == 0):
+        return ""
+    e = ring.char ** (ring.base.n // 2)
+    images = [f"{g}->{g}^{e}" for g in ring.base.generator_names()] + [f"{ring.var}->{ring.var}"]
+    return f"; on {ring} give the generator images instead, as in sigma={', '.join(images)}"
 
 
 def check_equivariant_map(f, sig_src, sig_dst):

@@ -68,6 +68,17 @@ GOLDEN = [
         0,
         '{"bound": 6, "classes": 3, "epsilon": -1, "factors": [], "group": "0", "stable": true}',
     ),
+    (
+        # every class past rank 1 is an orthogonal sum with composed tables
+        ["witt", "GF(9), sigma=id", "+1", "4"],
+        0,
+        '{"bound": 4, "classes": 8, "epsilon": 1, "factors": [2, 2], "group": "Z/2 x Z/2", "stable": true}',
+    ),
+    (
+        ["witt", "GF(7), sigma=id", "+1", "5"],
+        0,
+        '{"bound": 5, "classes": 10, "epsilon": 1, "factors": [4], "group": "Z/4", "stable": true}',
+    ),
 ]
 
 
@@ -76,7 +87,7 @@ GOLDEN = [
     GOLDEN,
     ids=["witt-stable", "witt-unstable", "devissage-iso", "devissage-unstable",
          "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign",
-         "witt-f5-bound-5", "witt-f3-skew-bound-6"],
+         "witt-f5-bound-5", "witt-f3-skew-bound-6", "witt-f9-bound-4", "witt-f7-bound-5"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code

@@ -1,0 +1,128 @@
+"""Composed tables of orthogonal sums against a from-scratch oracle.
+
+A form built by orthogonal_sum or canonical_order composes its norm
+fingerprint, norm table and coordinate tensor from its summands' tables.
+The oracle below computes each of them from the form alone: the tensor
+with evaluate on every pair of scalar basis vectors, as the library does
+for blocks and parsed forms, and b(x, x) of every element by bilinearity
+from that tensor.  Both must agree
+on every class the engine enumerates, on every sum of two classes (the
+forms _presentation_at looks up), and on permuted copies of parsed forms."""
+
+from collections import Counter
+
+import pytest
+
+from wittkit.coefficients import standard_coefficient
+from wittkit.forms import (
+    _int_elements,
+    _norm_table,
+    canonical_order,
+    diagonal_form,
+    orthogonal_sum,
+)
+from wittkit.linalg import unit_vector
+from wittkit.parser import parse_ring_with_involution
+from wittkit.wittgroup import WittEngine
+
+
+def scratch_coord_tensor(form):
+    M = form.module
+    I = form.coef.module
+    units = [M.from_vec(unit_vector(M.F, M.sdim, c)) for c in range(M.sdim)]
+    return [[I.to_vec(form.evaluate(x, y)) for y in units] for x in units]
+
+
+def scratch_norm_table(form):
+    p = form.module.F.p
+    tensor = [[tuple(c.data for c in cell) for cell in row] for row in scratch_coord_tensor(form)]
+    isd = form.coef.module.sdim
+    out = []
+    for x in _int_elements(form.module):
+        acc = [0] * isd
+        for a, xa in enumerate(x):
+            for b, xb in enumerate(x):
+                for s in range(isd):
+                    acc[s] += xa * xb * tensor[a][b][s]
+        out.append(tuple(v % p for v in acc))
+    return out
+
+
+def scratch_fingerprint(form):
+    return tuple(sorted(Counter(scratch_norm_table(form)).items()))
+
+
+def assert_tables_match(form):
+    assert form.norm_fingerprint() == scratch_fingerprint(form)
+    assert _norm_table(form) == scratch_norm_table(form)
+    assert form._coord_tensor() == scratch_coord_tensor(form)
+
+
+def is_permuted(f, g, s):
+    """Whether the sum s = f + g lists its factors in another order than
+    f's followed by g's."""
+    return [x.key for x in s.module.factors] != [x.key for x in f.module.factors + g.module.factors]
+
+
+CASES = [
+    # (ring with involution, epsilon, bound, whether some sum is permuted)
+    ("GF(3), sigma=id", 1, 6, False),
+    ("GF(3), sigma=id", -1, 6, False),
+    ("GF(5), sigma=id", 1, 4, False),
+    ("GF(9), sigma=id", 1, 3, False),
+    ("GF(9), sigma=frobenius", 1, 3, False),
+    ("GF(9), sigma=frobenius", -1, 3, False),
+    ("GF(3)[t]/(t^2), sigma=id", 1, 5, True),
+    ("GF(3)[t]/(t^2), sigma=t->-t", 1, 4, False),
+    ("GF(3)[t]/(t^2), sigma=t->-t", -1, 5, True),
+    ("GF(3)[t]/(t^3), sigma=id", 1, 4, True),
+    ("GF(3)xGF(3), sigma=swap", 1, 4, True),
+    ("GF(3)xGF(3), sigma=swap", -1, 4, True),
+]
+
+
+@pytest.mark.parametrize("text, epsilon, bound, permutes", CASES,
+                         ids=[f"{c[0]} {c[1]:+d} {c[2]}" for c in CASES])
+def test_composed_tables_match_the_oracle(text, epsilon, bound, permutes):
+    rwi = parse_ring_with_involution(text)
+    engine = WittEngine(standard_coefficient(rwi), epsilon)
+    classes = []
+    for m in engine.shapes_up_to(bound):
+        classes.extend(engine.classes(m))
+    for f in classes:
+        assert_tables_match(f)
+    seen_permuted = False
+    for i, f in enumerate(classes):
+        for g in classes[i:]:
+            if f.module.length + g.module.length > bound:
+                continue
+            # fresh sums: their tables are composed here, not taken from
+            # the engine's caches
+            s = orthogonal_sum(f, g)
+            assert_tables_match(s)
+            seen_permuted |= is_permuted(f, g, s)
+    assert seen_permuted == permutes
+
+
+@pytest.mark.parametrize("text, shape, entries", [
+    ("GF(3)[t]/(t^2), sigma=id", [1, 2, 1], [1, -1, 1]),
+    ("GF(3)[t]/(t^3), sigma=id", [1, 3, 2], [1, 1, -1]),
+    ("GF(3)[t]/(t^3), sigma=t->-t", [1, 3], [-1, 1]),
+])
+def test_canonical_order_reindexes_a_parsed_form(text, shape, entries):
+    rwi = parse_ring_with_involution(text)
+    t = rwi.ring.gen("t")
+    coef = standard_coefficient(rwi)
+    # a diagonal entry of R/(t^k) must lie in t^(n-k)R, so scale each by
+    # the socle-side power of t
+    n = rwi.ring.n
+    scaled = [e * t ** (n - k) for e, k in zip(entries, shape)]
+    f = diagonal_form(coef, scaled, shape=shape)
+    g = canonical_order(f)
+    assert g is not f
+    assert [x.length for x in g.module.factors] == sorted(shape, reverse=True)
+    assert_tables_match(g)
+    # a sum whose summand is itself a permuted copy: the two permutations
+    # compose
+    h = diagonal_form(coef, [t ** (n - 1)], shape=[1])
+    assert_tables_match(orthogonal_sum(h, g))

@@ -188,3 +188,13 @@ def test_bounds_below_one_are_rejected(bound):
         verify_devissage(R, 1, bound)
     with pytest.raises(InvalidBound):
         verify_localcase_factorization(R, R.ring.gen("t") ** 2, 1, bound)
+
+
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_hermitian_devissage_over_f9_dual_numbers(epsilon):
+    # sigma is the Frobenius u -> u^3 on the coefficients and fixes t, so
+    # the residue field carries the hermitian involution of F9/F3, whose
+    # Witt group is Z/2 for both signs
+    rep = verify_devissage(rwi("GF(9)[t]/(t^2), sigma=u->u^3, t->t"), epsilon, 2)
+    assert rep.describe() == "ISOMORPHISM (stable)"
+    assert rep.source.describe() == rep.target.describe() == "Z/2 (stable)"

@@ -17,6 +17,8 @@ RINGS = [
     "QQ[X,Y]",
     "QQ(i)[X,Y]",
     "GF(3)xGF(3)",
+    # a field quotient with another modulus than GF(25)'s prints it
+    "GF(5)[t]/(2 + t^2)",
 ]
 
 
@@ -25,6 +27,28 @@ def test_ring_descriptors_round_trip(text):
     ring = parse_ring(text)
     assert str(ring) == text
     assert parse_ring(str(ring)) == ring
+
+
+@pytest.mark.parametrize("text", ["GF(5)[t]/(t^2+2)", "GF(3)[u]/(u^2+u+2)", "GF(3)[u]/(u^2+1)"])
+def test_field_quotients_describe_their_modulus(text):
+    # GF(9) is GF(3)[u]/(u^2+1), so only that ring prints as GF(9)/GF(3)
+    ring = parse_ring(text)
+    assert parse_ring(str(ring)) == ring
+    assert str(ring).startswith("GF(9)/") == (ring == parse_ring("GF(9)"))
+
+
+def test_frobenius_on_a_non_field_names_the_assignment_spelling():
+    text = "GF(9)[t]/(t^2), sigma=frobenius"
+    with pytest.raises(ParseError) as info:
+        parse_ring_with_involution(text)
+    hint = "sigma=u->u^3, t->t"
+    assert str(info.value) == (
+        "frobenius needs a finite field extension; on GF(9)/GF(3)[t]/(t^2) give the "
+        f"generator images instead, as in {hint} (line 1, column 23)"
+    )
+    rwi = parse_ring_with_involution("GF(9)[t]/(t^2), " + hint)
+    u = rwi.ring.gen("u")
+    assert rwi.conj(u) == u ** 3
 
 
 @pytest.mark.parametrize("text", ["GF(9)/GF(3)", "GF(3)[t]/(t^3)", "GF(9)/GF(3)[t]/(t^2)"])

@@ -49,6 +49,22 @@ def test_prime_field_char_two_rejected():
         PrimeField(2)
 
 
+@pytest.mark.parametrize("q", [6, 10, 12, 1])
+def test_gf_of_a_non_prime_power_says_so(q):
+    # an even q that is not a power of 2 is not a field at all, which is
+    # the fault to name, not the characteristic
+    with pytest.raises(WittKitError) as info:
+        GF(q)
+    assert not isinstance(info.value, CharacteristicTwo)
+    assert str(info.value) == f"{q} is not a prime power"
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_gf_of_a_power_of_two_is_characteristic_two(q):
+    with pytest.raises(CharacteristicTwo):
+        GF(q)
+
+
 def test_rationals_exact():
     Q = Rationals()
     x = Q.el(Fraction(1, 3))
