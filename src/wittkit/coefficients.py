@@ -32,7 +32,12 @@ def _map_matrix(module, fn):
 
 class DualityCoefficient:
     """(I, i) with i semilinear and i . i = id, both verified on scalar
-    coordinates at construction."""
+    coordinates at construction.
+
+    The coefficient owns the dual modules taken against it: dual(M) builds
+    D(M) once per module key and hands the same DualModule to every later
+    caller (forms, hyperbolic forms, double-dual comparisons and every
+    WittEngine on this coefficient)."""
 
     def __init__(self, rwi, module, imap):
         if module.rwi != rwi:
@@ -51,6 +56,17 @@ class DualityCoefficient:
                 raise NotSesquilinear(f"i(a x) != sigma(a) i(x) for a = {g!r}")
         if self.imat * self.imat != Matrix.identity(F, module.sdim):
             raise NotInvolutive("i . i is not the identity on the coefficient module")
+        self._duals = {}
+
+    def dual(self, module):
+        """D(module), built on first request.  The key of a module leaves
+        out sigma, so the involution is compared before the lookup."""
+        if module.rwi != self.rwi:
+            raise CoefficientMismatch("module and coefficient use different involutions")
+        d = self._duals.get(module.key)
+        if d is None:
+            d = self._duals[module.key] = DualModule(self, module)
+        return d
 
     def i(self, x):
         return self.module.from_vec(self.imat.apply(self.module.to_vec(x)))
@@ -104,7 +120,7 @@ class DualModule(HomModule):
 
 
 def dual_module(coef, M):
-    return DualModule(coef, M)
+    return coef.dual(M)
 
 
 def dual_map_matrix(dual_dst, dual_src, fmat):
@@ -125,8 +141,8 @@ class DoubleDualComparison:
     def __init__(self, coef, M, dual=None, double=None):
         self.coef = coef
         self.M = M
-        self.dual = dual if dual is not None else DualModule(coef, M)
-        self.double = double if double is not None else DualModule(coef, self.dual.module)
+        self.dual = dual if dual is not None else coef.dual(M)
+        self.double = double if double is not None else coef.dual(self.dual.module)
         F = M.F
         I = coef.module
         D = self.dual.module

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .coefficients import DualModule, check_coefficient_iso
+from .coefficients import check_coefficient_iso
 from .errors import (
     CoefficientMismatch,
     Degenerate,
@@ -49,6 +49,7 @@ class HermitianForm:
         self.gram = [[self._coerce(I, e) for e in row] for row in gram]
         self._ctensor = None
         self._fp = None
+        self._nondeg = None
         # (summands, order) on a form built by orthogonal_sum or
         # canonical_order: its factor a is factor order[a] of the summands'
         # factors taken one summand after another, and its tables are
@@ -162,7 +163,7 @@ class HermitianForm:
     # -- structure ---------------------------------------------------------
     def adjoint(self, dual=None):
         """phi: M -> D(M), phi(y) = b(., y), as (DualModule, scalar matrix)."""
-        dual = dual if dual is not None else DualModule(self.coef, self.module)
+        dual = dual if dual is not None else self.coef.dual(self.module)
         F = self.module.F
         d = self.module.sdim
 
@@ -173,10 +174,18 @@ class HermitianForm:
         return dual, matrix_of_map(F, d, phi)
 
     def is_nondegenerate(self, dual=None):
-        dual, mat = self.adjoint(dual)
-        return dual.module.sdim == self.module.sdim and (
-            self.module.sdim == 0 or mat.rank() == self.module.sdim
-        )
+        """Whether the adjoint M -> D(M) is bijective.  Kept on the form.
+        A composed form is nondegenerate exactly when its summands are,
+        since its adjoint is theirs, block by block."""
+        if self._nondeg is None:
+            if self._parts is not None:
+                self._nondeg = all(f.is_nondegenerate() for f in self._parts[0])
+            else:
+                dual, mat = self.adjoint(dual)
+                self._nondeg = dual.module.sdim == self.module.sdim and (
+                    self.module.sdim == 0 or mat.rank() == self.module.sdim
+                )
+        return self._nondeg
 
     def require_nondegenerate(self, dual=None):
         if not self.is_nondegenerate(dual):
@@ -252,7 +261,8 @@ def orthogonal_sum(f1, f2):
     canonical (key-sorted) order.  The sum carries its two summands and
     that factor order: its norm fingerprint, norm table and coordinate
     tensor are then composed from the summands' tables, never computed
-    from its own elements."""
+    from its own elements, and it is nondegenerate when both summands
+    are."""
     if f1.coef != f2.coef:
         raise CoefficientMismatch("orthogonal sum needs a common coefficient")
     if f1.epsilon != f2.epsilon:
@@ -296,7 +306,7 @@ def diagonal_form(coef, entries, epsilon=1, shape=None):
 
 def hyperbolic_form(coef, N, epsilon=1, dual=None):
     """H(N) on N + D(N): b((x,f),(y,g)) = g(x) + epsilon i(f(y))."""
-    dual = dual if dual is not None else DualModule(coef, N)
+    dual = dual if dual is not None else coef.dual(N)
     DN = dual.module
     rwi = coef.rwi
     module = FLModule(rwi, [f.ann for f in N.factors] + [f.ann for f in DN.factors])
@@ -340,7 +350,8 @@ def hyperbolic_form(coef, N, epsilon=1, dual=None):
 #     summands' own (always so over a field), and is otherwise reindexed
 #     by the coordinate permutation;
 #   - _coord_tensor: the block diagonal of the summands' tensors, permuted
-#     the same way.
+#     the same way;
+#   - is_nondegenerate: whether every summand is nondegenerate.
 # Every other form (a block, a hyperbolic form, a form built from a Gram
 # table, a transfer) computes its tables from its own elements: the tensor
 # with evaluate on each pair of scalar basis vectors, the norm table by

@@ -12,6 +12,14 @@ The tower of constructors:
 Elements are immutable, hashable and carry their ring; arithmetic is exact
 (Python ints / fractions).  Characteristic 2 is rejected at construction.
 
+Finite rings remember what they compute.  A finite QuotientRing keeps the
+product of every pair of data tuples it has multiplied, and a RingMap out
+of a finite ring (every involution sigma among them) keeps the image of
+every element it has mapped.  Sharing these results is safe: element data
+are immutable tuples and ints, and no Element is ever mutated, so a
+remembered product or image is the value a fresh computation returns.
+Infinite rings compute afresh every time.
+
 An involution is a verified ring map sigma with sigma . sigma = id:
 
 >>> R = QuotientRing(PrimeField(3), [0, 0, 1], "t")   # GF(3)[t]/(t^2)
@@ -154,7 +162,7 @@ class Ring:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self._key == other._key
+        return self is other or (isinstance(other, Ring) and self._key == other._key)
 
     def __hash__(self):
         return self._hash
@@ -603,6 +611,8 @@ class QuotientRing(Ring):
         self.char = base.char
         self.is_field = base.is_finite and self._modulus_irreducible()
         self._default_field = None  # whether GF(q) builds this ring; see describe
+        # (a, b) -> a * b for data tuples of a finite ring, filled on first use
+        self._mul_memo = {} if self.is_finite else None
         super().__init__()
 
     def _modulus_irreducible(self):
@@ -670,10 +680,18 @@ class QuotientRing(Ring):
         return tuple(self.base.neg(x) for x in a)
 
     def mul(self, a, b):
+        memo = self._mul_memo
+        if memo is not None:
+            out = memo.get((a, b))
+            if out is not None:
+                return out
         prod = _pmul(self.base, _ptrim(self.base, a), _ptrim(self.base, b))
         _, r = _pdivmod(self.base, prod, self.modulus)
         z = self.base.zero_data()
-        return tuple(r) + (z,) * (self.n - len(r))
+        out = tuple(r) + (z,) * (self.n - len(r))
+        if memo is not None:
+            memo[(a, b)] = memo[(b, a)] = out  # these rings are commutative
+        return out
 
     def is_unit(self, a):
         g = _pgcd(self.base, _ptrim(self.base, a), self.modulus)
@@ -989,7 +1007,8 @@ class ProductRing(Ring):
 
 class RingMap:
     """A homomorphism given by generator images; the defining relations of
-    the source are checked at construction."""
+    the source are checked at construction.  A map out of a finite ring
+    keeps the image of every element it has mapped."""
 
     def __init__(self, src, dst, images=(), verify=True):
         if isinstance(src, ProductRing) and not isinstance(self, ProductRingMap):
@@ -1001,12 +1020,19 @@ class RingMap:
             raise WittKitError(
                 f"{src} needs {len(src.generator_names())} generator images, got {len(self.images)}"
             )
+        self._memo = {} if src.is_finite else None  # source data -> image
         if verify:
             self.verify()
 
     def __call__(self, x):
         x = self.src.el(x)
-        return self._apply(self.src, x.data, list(self.images))
+        memo = self._memo
+        if memo is None:
+            return self._apply(self.src, x.data, list(self.images))
+        out = memo.get(x.data)
+        if out is None:
+            out = memo[x.data] = self._apply(self.src, x.data, list(self.images))
+        return out
 
     def _apply(self, ring, data, images):
         if isinstance(ring, PrimeField):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .coefficients import DoubleDualComparison, DualModule
+from .coefficients import DoubleDualComparison
 from .errors import (
     CoefficientMismatch,
     EngineError,
@@ -68,14 +68,11 @@ class WittEngine:
         self._classes = {}
         self._fps = {}
         self._metabolic = {}
-        self._duals = {}
         self._lookups = {}
 
     # -- invariant caches --------------------------------------------------
     def dual_of(self, module):
-        if module.key not in self._duals:
-            self._duals[module.key] = DualModule(self.coef, module)
-        return self._duals[module.key]
+        return self.coef.dual(module)
 
     def fingerprint(self, form):
         k = (form.module.key, form.gram_key())

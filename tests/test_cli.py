@@ -79,6 +79,19 @@ GOLDEN = [
         0,
         '{"bound": 5, "classes": 10, "epsilon": 1, "factors": [4], "group": "Z/4", "stable": true}',
     ),
+    (
+        # a ring over GF(9): its products and sigma images are built from GF(9)'s
+        ["devissage-check", "GF(9)[t]/(t^2), sigma=t->-t", "+1", "3"],
+        0,
+        '{"bound": 3, "epsilon": 1, "isomorphism": true, "source": "0 (stable)", '
+        '"stable": true, "target": "0 (stable)", "verdict": "ISOMORPHISM (stable)"}',
+    ),
+    (
+        ["devissage-check", "GF(3)[t]/(t^4), sigma=t->-t", "-1", "4"],
+        0,
+        '{"bound": 4, "epsilon": -1, "isomorphism": true, "source": "Z/4 (stable)", '
+        '"stable": true, "target": "Z/4 (stable)", "verdict": "ISOMORPHISM (stable)"}',
+    ),
 ]
 
 
@@ -87,7 +100,8 @@ GOLDEN = [
     GOLDEN,
     ids=["witt-stable", "witt-unstable", "devissage-iso", "devissage-unstable",
          "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign",
-         "witt-f5-bound-5", "witt-f3-skew-bound-6", "witt-f9-bound-4", "witt-f7-bound-5"],
+         "witt-f5-bound-5", "witt-f3-skew-bound-6", "witt-f9-bound-4", "witt-f7-bound-5",
+         "devissage-f9-t-squared", "devissage-t-fourth-skew"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code

@@ -1,19 +1,25 @@
 """Duality coefficients, dual modules, and the double-dual comparison."""
 
+from collections import Counter
+
 import pytest
 
 from wittkit.coefficients import (
     DoubleDualComparison,
     DualityCoefficient,
+    DualModule,
     check_coefficient_iso,
     dual_map_matrix,
     dual_module,
     standard_coefficient,
 )
-from wittkit.errors import NotACoefficientIso, NotStrongDuality
+from wittkit.devissage import DevissageData
+from wittkit.errors import CoefficientMismatch, NotACoefficientIso, NotStrongDuality
 from wittkit.linalg import Matrix
 from wittkit.modules import FLModule, free_module
 from wittkit.rings import GF, PrimeField, QuotientRing, involution
+from wittkit.transfer import transfer_form
+from wittkit.wittgroup import WittEngine
 
 
 def t2_setup(spec="id"):
@@ -120,3 +126,39 @@ def test_frobenius_dual_pairing_dimensions():
     D = dual_module(coef, M)
     assert D.module.sdim == M.sdim
     DoubleDualComparison(coef, M).require_strong()
+
+
+def test_engines_on_one_coefficient_build_each_dual_once(monkeypatch):
+    builds = Counter()
+    init = DualModule.__init__
+
+    def counted(self, coef, source):
+        builds[(id(coef), source.key)] += 1
+        init(self, coef, source)
+
+    monkeypatch.setattr(DualModule, "__init__", counted)
+    data = DevissageData(t2_setup())
+    kcoef = data.tc.coefficient
+    engines = [WittEngine(kcoef, 1), WittEngine(kcoef, -1)]
+    for engine in engines:
+        for m in engine.shapes_up_to(2):
+            for f in engine.classes(m):
+                transfer_form(data.tc, f)
+    # duals against the k-side coefficient (engines) and against R (the
+    # nondegeneracy check of every transfer)
+    assert {c for c, _ in builds} == {id(kcoef), id(data.coef)}
+    assert set(builds.values()) == {1}
+
+
+def test_dual_refuses_a_module_over_another_involution():
+    rwi = t2_setup()
+    coef = standard_coefficient(rwi)
+    M = free_module(rwi, 1)
+    assert coef.dual(M) is coef.dual(M)
+    assert dual_module(coef, M) is coef.dual(M)
+    # the module key leaves sigma out, so the cached dual of M must not
+    # answer for a module over t -> -t
+    twisted = free_module(t2_setup("twist"), 1)
+    assert twisted.key == M.key
+    with pytest.raises(CoefficientMismatch):
+        coef.dual(twisted)

@@ -1,19 +1,21 @@
 """Composed tables of orthogonal sums against a from-scratch oracle.
 
 A form built by orthogonal_sum or canonical_order composes its norm
-fingerprint, norm table and coordinate tensor from its summands' tables.
-The oracle below computes each of them from the form alone: the tensor
-with evaluate on every pair of scalar basis vectors, as the library does
-for blocks and parsed forms, and b(x, x) of every element by bilinearity
-from that tensor.  Both must agree
-on every class the engine enumerates, on every sum of two classes (the
-forms _presentation_at looks up), and on permuted copies of parsed forms."""
+fingerprint, norm table and coordinate tensor from its summands' tables,
+and answers is_nondegenerate from its summands' answers.  The oracle below
+computes each of them from the form alone: the tensor with evaluate on
+every pair of scalar basis vectors, as the library does for blocks and
+parsed forms, b(x, x) of every element by bilinearity from that tensor,
+and nondegeneracy as the rank of the adjoint into a freshly built dual.
+Both must agree on every class the engine enumerates, on every sum of two
+classes (the forms _presentation_at looks up), on permuted copies of
+parsed forms, and on sums with a degenerate summand."""
 
 from collections import Counter
 
 import pytest
 
-from wittkit.coefficients import standard_coefficient
+from wittkit.coefficients import DualModule, standard_coefficient
 from wittkit.forms import (
     _int_elements,
     _norm_table,
@@ -21,7 +23,7 @@ from wittkit.forms import (
     diagonal_form,
     orthogonal_sum,
 )
-from wittkit.linalg import unit_vector
+from wittkit.linalg import Matrix, unit_vector
 from wittkit.parser import parse_ring_with_involution
 from wittkit.wittgroup import WittEngine
 
@@ -52,10 +54,30 @@ def scratch_fingerprint(form):
     return tuple(sorted(Counter(scratch_norm_table(form)).items()))
 
 
+def scratch_nondegenerate(form):
+    """Whether y -> b(., y) is a bijection onto a dual module built here,
+    with b read off the scratch tensor."""
+    M = form.module
+    I = form.coef.module
+    dual = DualModule(form.coef, M)
+    d = M.sdim
+    if dual.module.sdim != d:
+        return False
+    if d == 0:
+        return True
+    tensor = scratch_coord_tensor(form)
+    cols = []
+    for c2 in range(d):
+        H = Matrix(M.F, [[tensor[c1][c2][s] for c1 in range(d)] for s in range(I.sdim)])
+        cols.append(dual.module.to_vec(dual.element_of_hom(H)))
+    return Matrix.from_cols(M.F, cols).rank() == d
+
+
 def assert_tables_match(form):
     assert form.norm_fingerprint() == scratch_fingerprint(form)
     assert _norm_table(form) == scratch_norm_table(form)
     assert form._coord_tensor() == scratch_coord_tensor(form)
+    assert form.is_nondegenerate() == scratch_nondegenerate(form)
 
 
 def is_permuted(f, g, s):
@@ -126,3 +148,22 @@ def test_canonical_order_reindexes_a_parsed_form(text, shape, entries):
     # compose
     h = diagonal_form(coef, [t ** (n - 1)], shape=[1])
     assert_tables_match(orthogonal_sum(h, g))
+
+
+@pytest.mark.parametrize("text, epsilon, bound", [
+    ("GF(3), sigma=id", 1, 3),
+    ("GF(9), sigma=frobenius", 1, 2),
+    ("GF(3)[t]/(t^2), sigma=id", 1, 3),
+    ("GF(3)[t]/(t^3), sigma=id", 1, 3),
+])
+def test_a_degenerate_summand_makes_the_sum_degenerate(text, epsilon, bound):
+    rwi = parse_ring_with_involution(text)
+    coef = standard_coefficient(rwi)
+    engine = WittEngine(coef, epsilon)
+    zero = diagonal_form(coef, [0], epsilon)
+    assert not zero.is_nondegenerate()
+    for m in engine.shapes_up_to(bound - 1):
+        for f in engine.classes(m):
+            for s in (orthogonal_sum(zero, f), orthogonal_sum(f, zero)):
+                assert not s.is_nondegenerate()
+                assert_tables_match(s)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittkit import rings
 from wittkit.errors import (
     CharacteristicTwo,
     NotAHomomorphism,
@@ -12,6 +13,7 @@ from wittkit.errors import (
     RingMismatch,
     WittKitError,
 )
+from wittkit.parser import parse_involution, parse_ring
 from wittkit.rings import (
     GF,
     Element,
@@ -239,3 +241,73 @@ def test_finite_enumeration_counts():
     P = ProductRing(F3, F3)
     assert len(list(P.elements())) == 9
     assert not Rationals().is_finite
+
+
+# -- memoized products and ring maps against fresh arithmetic ---------------
+#
+# GF(25) and GF(5)[t]/(t^2+2) have data of one shape (pairs of ints mod 5)
+# but different moduli, and GF(9) shares that shape for small entries, so a
+# memo shared between rings would hand one ring another's products.
+
+MEMO_RINGS = ["GF(9)", "GF(3)[t]/(t^3)", "GF(9)[t]/(t^2)", "GF(25)", "GF(5)[t]/(t^2+2)"]
+
+_PDIVMOD = rings._pdivmod
+
+
+def fresh_product(ring, a, b):
+    """a * b in base[t]/(f) by polynomial multiplication and division with
+    remainder, past the ring's memo."""
+    base = ring.base
+    prod = rings._pmul(base, rings._ptrim(base, a), rings._ptrim(base, b))
+    _, r = _PDIVMOD(base, prod, ring.modulus)
+    return tuple(r) + (base.zero_data(),) * (ring.n - len(r))
+
+
+def test_remembered_products_match_fresh_arithmetic(monkeypatch):
+    divisions = []
+
+    def counted(*args):
+        divisions.append(args)
+        return _PDIVMOD(*args)
+
+    built = [parse_ring(text) for text in MEMO_RINGS]
+    for ring in built:
+        elems = [e.data for e in ring.elements()]
+        # cold: a * b is new and b * a was just remembered under both
+        # orders; warm: every pair again
+        for warm in (False, True):
+            for a in elems:
+                for b in elems:
+                    assert ring.mul(a, b) == fresh_product(ring, a, b), (ring, a, b, warm)
+    monkeypatch.setattr(rings, "_pdivmod", counted)
+    for ring in built:
+        elems = [e.data for e in ring.elements()]
+        for a in elems:
+            for b in elems:
+                ring.mul(a, b)
+    assert divisions == []
+    # an infinite quotient ring remembers nothing
+    assert QuotientRing(Rationals(), [1, 0, 1], "t")._mul_memo is None
+
+
+MEMO_MAPS = {
+    "GF(9)": ["id", "frobenius"],
+    "GF(3)[t]/(t^3)": ["id", "t->-t"],
+    "GF(9)[t]/(t^2)": ["id", "t->-t", "u->u^3, t->t"],
+    "GF(25)": ["id", "frobenius"],
+    "GF(5)[t]/(t^2+2)": ["id", "frobenius"],
+}
+
+
+@pytest.mark.parametrize("text", MEMO_RINGS)
+def test_remembered_involutions_match_fresh_images(text):
+    # every involution of one ring object is built before the checks, so a
+    # memo shared between two maps of the ring would show
+    R = parse_ring(text)
+    sigmas = [parse_involution(R, spec).sigma for spec in MEMO_MAPS[text]]
+    for sigma in sigmas:
+        for x in R.elements():
+            fresh = sigma._apply(R, x.data, list(sigma.images))
+            for _ in ("cold", "warm"):
+                assert sigma(x) == fresh, (sigma, x)
+            assert sigma(sigma(x)) == x

@@ -1,17 +1,23 @@
 """Pushforward of duality coefficients and forms along finite ring maps."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittkit.coefficients import standard_coefficient
+from wittkit.devissage import DevissageData
 from wittkit.errors import (
     CoefficientMismatch,
     DomainMismatch,
     NotEquivariant,
     NotFinite,
 )
-from wittkit.forms import HermitianForm, diagonal_form, orthogonal_sum
+from wittkit.forms import HermitianForm, canonical_order, diagonal_form, isometric, orthogonal_sum
 from wittkit.linalg import Matrix
-from wittkit.modules import FLModule
+from wittkit.modules import FLModule, free_module
+from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import (
     GF,
     PrimeField,
@@ -27,6 +33,7 @@ from wittkit.transfer import (
     restrict_scalars,
     transfer_form,
 )
+from wittkit.wittgroup import sample_gram_tables
 
 
 def f9_over_f3():
@@ -152,3 +159,48 @@ def test_restrict_scalars_roundtrip():
     x = M.element([dst.ring.gen("u")])
     back = res.from_restricted(res.to_restricted(x))
     assert back == x
+
+
+# -- the devissage transfer on seeded k-forms --------------------------------
+
+DEVISSAGE_CASES = [
+    ("GF(3)[t]/(t^3), sigma=id", 1),
+    ("GF(3)[t]/(t^3), sigma=id", -1),
+    ("GF(3)[t]/(t^2), sigma=t->-t", -1),
+    ("GF(9)[t]/(t^2), sigma=t->-t", 1),
+    ("GF(9)[t]/(t^2), sigma=t->-t", -1),
+]
+
+_DEVISSAGE = {}
+
+
+def devissage_data(text):
+    if text not in _DEVISSAGE:
+        _DEVISSAGE[text] = DevissageData(parse_ring_with_involution(text))
+    return _DEVISSAGE[text]
+
+
+@pytest.mark.parametrize("text, epsilon", DEVISSAGE_CASES,
+                         ids=[f"{t} {e:+d}" for t, e in DEVISSAGE_CASES])
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(data=st.data())
+def test_devissage_transfer_keeps_nondegeneracy_and_sums(text, epsilon, data):
+    dd = devissage_data(text)
+    forms = []
+    for name in ("f", "g"):
+        rank = data.draw(st.integers(1, 2), label=f"rank of {name}")
+        seed = data.draw(st.integers(0, 10 ** 6), label=f"seed of {name}")
+        module = free_module(dd.rwi_k, rank)
+        forms.append(next(sample_gram_tables(dd.tc.coefficient, module, epsilon, 1, random.Random(seed))))
+    f, g = forms
+    tf, tg = (transfer_form(dd.tc, h) for h in forms)
+    # nondegenerate forms go to nondegenerate forms, and a radical to a
+    # radical
+    for h, th in ((f, tf), (g, tg)):
+        assert th.is_nondegenerate() == h.is_nondegenerate()
+    # the isometry search backtracks through the radical of a degenerate
+    # form, so sums are compared on nondegenerate summands, the forms the
+    # devissage transfers
+    if f.is_nondegenerate() and g.is_nondegenerate():
+        both = transfer_form(dd.tc, orthogonal_sum(f, g))
+        assert isometric(canonical_order(both), orthogonal_sum(tf, tg)) is not None
