@@ -69,10 +69,6 @@ def ring_in_degree(ring, degree=0, rank=1):
     return FreeComplex(ring, {degree: rank})
 
 
-def _sigma_entries(conj, m):
-    return Matrix(m.ring, [[conj(e) for e in row] for row in m.rows])
-
-
 class DualityData:
     """Coefficient complex with involution.
 
@@ -108,7 +104,7 @@ class DualityData:
     def involutive_defect(self):
         for p in self.coefficient.degrees():
             s = self.sigma(p)
-            m = s * _sigma_entries(self.rwi.conj, s)
+            m = s * s.map_entries(self.rwi.conj)
             d = _first_defect(m, Matrix.identity(self.rwi.ring, s.nrows))
             if d is not None:
                 return (p,) + d
@@ -120,7 +116,7 @@ class DualityData:
             if cx.rank(p + 1) == 0:
                 continue
             lhs = cx.diff(p) * self.sigma(p)
-            rhs = self.sigma(p + 1) * _sigma_entries(self.rwi.conj, cx.diff(p))
+            rhs = self.sigma(p + 1) * cx.diff(p).map_entries(self.rwi.conj)
             d = _first_defect(lhs, rhs)
             if d is not None:
                 return (p,) + d
@@ -200,7 +196,7 @@ def _hom_general(E, I, conj):
                         doff, dr, ds = dst[i - 1]
                         dE = E.diff(i - 1)
                         if conj is not None:
-                            dE = _sigma_entries(conj, dE)
+                            dE = dE.map_entries(conj)
                         for a2 in range(dr):
                             col[doff + a2 * ds + b] = col[doff + a2 * ds + b] - eps_n * dE.rows[a][a2]
                     cols.append(col)
@@ -239,7 +235,7 @@ def dual_chain_map(D, E, F, umats):
         cols = []
         for (i, foff, fr, s) in flay[n]:
             u = umats.get(i)
-            su = _sigma_entries(rwi.conj, u) if u is not None else None
+            su = u.map_entries(rwi.conj) if u is not None else None
             for a in range(fr):
                 for b in range(s):
                     col = [ring.zero] * rows_total

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .forms import HermitianForm
-from .linalg import Matrix, svec_matrix_of_additive_map
+from .linalg import Matrix, span_basis, svec_matrix_of_additive_map
 from .rings import Element, QuadraticField, Rationals
 
 
@@ -58,25 +58,6 @@ def _pivot_schedule(rwi):
     if w is not None:
         out.extend([w, -w, w + w])
     return out
-
-
-def _independent_subset(ring, vecs):
-    """Greedy echelon filter keeping the first vectors that grow the rank."""
-    rows = []
-    kept = []
-    for v in vecs:
-        r = list(v)
-        for piv, row in rows:
-            c = r[piv]
-            if not c.is_zero():
-                r = [a - c * b for a, b in zip(r, row)]
-        piv = next((k for k, c in enumerate(r) if not c.is_zero()), None)
-        if piv is None:
-            continue
-        inv = r[piv].inverse()
-        rows.append((piv, [c * inv for c in r]))
-        kept.append(v)
-    return kept
 
 
 def _norm_schedule(rwi):
@@ -186,7 +167,7 @@ def diagonalize(form):
         entries.append(lam)
         inv = lam.inverse()
         projected = [M.sub(w, M.scal(val(v, w) * inv, v)) for w in rem]
-        rem = _independent_subset(ring, projected)
+        rem = span_basis(projected, ring)
     order = sorted(range(len(entries)), key=lambda k: (_entry_key(ring, entries[k]), k))
     entries = [entries[k] for k in order]
     basis = [basis[k] for k in order]

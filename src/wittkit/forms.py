@@ -27,7 +27,7 @@ from .errors import (
     NotEpsilonSymmetric,
     NotSesquilinear,
 )
-from .linalg import Matrix, matrix_of_map, unit_vector
+from .linalg import Echelon, Matrix, matrix_of_map, unit_vector
 from .modules import FLModule, free_module, module_from_shape
 
 
@@ -50,6 +50,7 @@ class HermitianForm:
         self._ctensor = None
         self._fp = None
         self._nondeg = None
+        self._gkey = None
         # (summands, order) on a form built by orthogonal_sum or
         # canonical_order: its factor a is factor order[a] of the summands'
         # factors taken one summand after another, and its tables are
@@ -204,9 +205,12 @@ class HermitianForm:
         return HermitianForm(self.coef, self.module, g, self.epsilon, check=False)
 
     def gram_key(self):
-        I = self.coef.module
-        return tuple(tuple(I.to_ints(e) if I.F.is_finite else tuple(c.data for c in I.to_vec(e))
-                           for e in row) for row in self.gram)
+        """The Gram table as nested tuples of raw coordinates; kept on the
+        form, since nothing changes the table after construction."""
+        if self._gkey is None:
+            I = self.coef.module
+            self._gkey = tuple(tuple(I.to_ints(e) for e in row) for row in self.gram)
+        return self._gkey
 
     def __eq__(self, other):
         return (
@@ -337,9 +341,10 @@ def hyperbolic_form(coef, N, epsilon=1, dual=None):
 # Both searches run on integer coordinate vectors mod p.  The elements of a
 # module are listed once per module; the coordinate Gram tensor and the
 # norm b(x, x) of every element are tabulated once per form; spans are
-# tracked with a small mod-p rref.  Candidates (generator images for
-# isometric, isotropic vectors for is_metabolic) come from the element
-# list, so a finite scalar field is a hard requirement.
+# tracked in a linalg.Echelon over the prime field, on those same ints.
+# Candidates (generator images for isometric, isotropic vectors for
+# is_metabolic) come from the element list, so a finite scalar field is a
+# hard requirement.
 #
 # A form built by orthogonal_sum or canonical_order carries its summands
 # and its factor order (_parts).  Its tables are composed from the
@@ -505,40 +510,13 @@ def _norm_index(form):
     return form._nidx
 
 
-def _rref_reduce(rows, vec, p):
-    v = list(vec)
-    for piv, row in rows:
-        c = v[piv]
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    return v
-
-
-def _rref_insert(rows, vec, p):
-    """Insert vec into the fully reduced row list; returns False if vec was
-    already in the span."""
-    v = _rref_reduce(rows, vec, p)
-    piv = next((k for k, c in enumerate(v) if c), None)
-    if piv is None:
-        return False
-    inv = pow(v[piv], p - 2, p)
-    v = [(c * inv) % p for c in v]
-    for n, (q, row) in enumerate(rows):
-        c = row[piv]
-        if c:
-            rows[n] = (q, [(a - c * b) % p for a, b in zip(row, v)])
-    rows.append((piv, v))
-    rows.sort(key=lambda r: r[0])
-    return True
-
-
 def _closure_rows(rows, vec, actmats, p):
-    """New rref rows spanning the old span plus R.vec; also the number of
-    dimensions gained."""
-    new_rows = list(rows)
+    """A copy of the Echelon rows grown by the R-span of vec; also the
+    number of dimensions gained."""
+    new_rows = rows.copy()
     added = 0
     for m in actmats:
-        if _rref_insert(new_rows, _mat_vec(m, vec, p), p):
+        if new_rows.insert(_mat_vec(m, vec, p)):
             added += 1
     return new_rows, added
 
@@ -630,7 +608,7 @@ def isometric(f1, f2):
             funcs.pop()
         return False
 
-    if extend(0, []):
+    if extend(0, Echelon(F)):
         return [M2.from_ints(v) for v in placed]
     return None
 
@@ -670,7 +648,7 @@ def is_metabolic(form, dual=None):
 
     def row_funcs(rows):
         out = []
-        for _, r in rows:
+        for _, r in rows.rows:
             func = []
             for c in range(d):
                 acc = [0] * isd
@@ -684,14 +662,15 @@ def is_metabolic(form, dual=None):
         return out
 
     def key_of(rows):
-        return tuple((piv, tuple(r)) for piv, r in rows)
+        return tuple((piv, tuple(r)) for piv, r in rows.rows)
 
-    seen = {key_of([])}
+    start = Echelon(F)
+    seen = {key_of(start)}
 
     def extends(rows, funcs):
         """Whether some Lagrangian contains the span of rows."""
         for v in iso:
-            if not any(_rref_reduce(rows, v, p)):
+            if rows.contains(v):
                 continue
             ok = True
             for func in funcs:
@@ -707,9 +686,9 @@ def is_metabolic(form, dual=None):
             if not ok:
                 continue
             rows2, _ = _closure_rows(rows, v, actmats, p)
-            if len(rows2) > half:
+            if len(rows2.rows) > half:
                 continue
-            if len(rows2) == half:
+            if len(rows2.rows) == half:
                 # totally isotropic with half the scalar dimension:
                 # nondegeneracy forces L = L-perp
                 return True
@@ -726,4 +705,4 @@ def is_metabolic(form, dual=None):
                 return False
         return False
 
-    return extends([], [])
+    return extends(start, [])

@@ -206,10 +206,6 @@ def sequence_combination(data, targets):
     return rows
 
 
-def _conj_entries(rwi, m):
-    return Matrix(m.ring, [[rwi.conj(e) for e in row] for row in m.rows])
-
-
 def _compound(ring, A, i):
     """i-th compound matrix (minors det A[S', S]); the matrix of the i-th
     exterior power in wedge-basis order."""
@@ -263,7 +259,7 @@ def involution_transport(data, rwi):
     ok, witness = True, None
     for i in range(1, d + 1):
         D = K.diff(-i)
-        left = _compound(ring, A, i - 1) * _conj_entries(rwi, D)
+        left = _compound(ring, A, i - 1) * D.map_entries(rwi.conj)
         right = D * _compound(ring, A, i)
         for r in range(left.nrows):
             for c in range(left.ncols):

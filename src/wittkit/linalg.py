@@ -3,6 +3,14 @@
 Entries are Elements.  Elimination-based routines (rank, solve, inverse,
 nullspace) require the ring to be a field; everything else works over any
 commutative ring.  Sizes here are desk-scale, no attempt at asymptotics.
+
+Echelon is the one elimination: the reduced row echelon form of a growing
+span, kept on raw field data (Element.data), with Ring.sub_mul as its only
+row operation.  Matrix.rref, the span helpers, the canonical
+representatives of module factors and the subspace searches of forms all
+run on it; values are wrapped in Elements only where a Matrix or a vector
+of Elements is handed back.  Matrix.det keeps its own elimination, since it
+tracks a determinant rather than a span.
 """
 
 from __future__ import annotations
@@ -152,29 +160,13 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
         self._check_field()
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pr = None
-            for i in range(r, self.nrows):
-                if not rows[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [inv * a for a in rows[r]]
-            for i in range(self.nrows):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Matrix(self.ring, rows), pivots
+        F = self.ring
+        ech = Echelon(F)
+        for row in self.rows:
+            ech.insert([a.data for a in row])
+        rows = [[Element(F, c) for c in row] for _, row in ech.rows]
+        rows += [[F.zero] * self.ncols for _ in range(self.nrows - len(rows))]
+        return Matrix(F, rows), ech.pivots()
 
     def rank(self):
         return len(self.rref()[1])
@@ -254,6 +246,61 @@ class Matrix:
                 term = term * self.rows[i][perm[i]]
             total = total + term if sign > 0 else total - term
         return total
+
+
+class Echelon:
+    """The reduced row echelon form of a growing span in F^n, F a field, on
+    raw field data: an int mod p, a Fraction, or a tuple of those.
+
+    rows is a list of (pivot, row) pairs sorted by pivot; each row is a
+    list with row[pivot] = 1 and 0 at every other pivot.  The reduced form
+    of a span is unique, so the rows do not depend on the order in which
+    vectors were inserted.  Rows are replaced, never changed in place, so
+    a copy shares them safely."""
+
+    __slots__ = ("F", "rows", "_zero")
+
+    def __init__(self, F, rows=()):
+        self.F = F
+        self.rows = list(rows)
+        self._zero = F.zero_data()
+
+    def reduce(self, vec):
+        """vec minus its component along the span: zero on every pivot,
+        and all zero exactly when vec lies in the span."""
+        sub_mul, z = self.F.sub_mul, self._zero
+        for piv, row in self.rows:
+            c = vec[piv]
+            if c != z:
+                vec = sub_mul(vec, c, row)
+        return vec
+
+    def contains(self, vec):
+        v = self.reduce(vec)
+        return v.count(self._zero) == len(v)
+
+    def insert(self, vec):
+        """Add vec to the span; False if it was in the span already."""
+        F, z = self.F, self._zero
+        v = self.reduce(vec)
+        piv = next((k for k, c in enumerate(v) if c != z), None)
+        if piv is None:
+            return False
+        inv = F.inv(v[piv])
+        v = [F.mul(inv, c) for c in v]
+        for n, (q, row) in enumerate(self.rows):
+            c = row[piv]
+            if c != z:
+                self.rows[n] = (q, F.sub_mul(row, c, v))
+        self.rows.append((piv, v))
+        self.rows.sort(key=lambda r: r[0])
+        return True
+
+    def pivots(self):
+        return [piv for piv, _ in self.rows]
+
+    def copy(self):
+        return Echelon(self.F, self.rows)
 
 
 class Solver:
@@ -343,19 +390,16 @@ def matrix_of_map(F, n, fn, nrows=0):
 
 def span_contains(basis, vec, ring):
     """vec in span(basis) over a field; basis/vec are Element tuples."""
-    if not basis:
-        return all(v.is_zero() for v in vec)
-    m = Matrix.from_cols(ring, list(basis))
-    return m.solve(vec) is not None
+    ech = Echelon(ring)
+    for b in basis:
+        ech.insert([c.data for c in b])
+    return ech.contains([c.data for c in vec])
 
 
 def span_basis(vectors, ring):
     """Deterministic basis of the span (first independent vectors kept)."""
-    basis = []
-    for v in vectors:
-        if not span_contains(basis, v, ring):
-            basis.append(tuple(v))
-    return basis
+    ech = Echelon(ring)
+    return [tuple(v) for v in vectors if ech.insert([c.data for c in v])]
 
 
 def svec_matrix_of_additive_map(src_ring, dst_ring, fn):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import EngineError, EnumerationBoundExceeded, WittKitError
-from .linalg import Matrix, Solver, matrix_of_map, span_basis, unit_vector
+from .linalg import Echelon, Matrix, Solver, matrix_of_map, span_basis, unit_vector
 from .rings import Element, ProductRing, QuotientRing, RingWithInvolution
 
 
@@ -71,29 +71,23 @@ class CyclicFactor:
         self.ann = ring.el(ann)
         F = ring.scalar_field()
         d = ring.scalar_dim()
-        span_vecs = []
+        self._ideal = Echelon(F)
         for bdata in ring.scalar_basis():
-            prod = self.ann * Element(ring, bdata)
-            span_vecs.append(tuple(F.el(c) for c in ring.to_svec(prod.data)))
-        mat = Matrix(F, [list(v) for v in span_vecs]) if span_vecs else Matrix(F, [])
-        rref, pivots = mat.rref()
-        self._rref_rows = [tuple(rref.rows[i]) for i in range(len(pivots))]
-        self.pivots = pivots
+            self._ideal.insert(ring.to_svec(ring.mul(self.ann.data, bdata)))
+        pivots = self._ideal.pivots()
         self.free_coords = [c for c in range(d) if c not in pivots]
         self.sdim = len(self.free_coords)
         self.F = F
         self.length = self.sdim // simple_scalar_dim(ring) if self.sdim else 0
         if self.sdim % simple_scalar_dim(ring) != 0:
             raise EngineError("factor dimension not a multiple of the simple dimension")
-        self.key = (-self.sdim, tuple(sorted(tuple(F.sort_key(x.data) for x in row) for row in self._rref_rows)))
+        self.key = (-self.sdim, tuple(sorted(tuple(F.sort_key(x) for x in row)
+                                             for _, row in self._ideal.rows)))
 
     def reduce(self, elem):
-        vec = [self.F.el(c) for c in self.ring.to_svec(self.ring.el(elem).data)]
-        for row, p in zip(self._rref_rows, self.pivots):
-            c = vec[p]
-            if not c.is_zero():
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return Element(self.ring, self.ring.from_svec(tuple(v.data for v in vec)))
+        ring = self.ring
+        vec = self._ideal.reduce(ring.to_svec(ring.el(elem).data))
+        return Element(ring, ring.from_svec(tuple(vec)))
 
     def coords(self, rep):
         vec = self.ring.to_svec(rep.data)
@@ -324,15 +318,13 @@ class ActionSpace:
     def _decompose_field(self, comp_basis, ann):
         ring = self.ring
         out = []
-        taken = []
+        taken = Echelon(self.F)
         for b in comp_basis:
-            if _in_span(taken, b, self.F):
+            if taken.contains([c.data for c in b]):
                 continue
             out.append((tuple(b), ann))
             for bd in ring.scalar_basis():
-                v = self._act(Element(ring, bd), b)
-                if not _in_span(taken, v, self.F):
-                    taken.append(tuple(v))
+                taken.insert([c.data for c in self._act(Element(ring, bd), b)])
         return out
 
     def _decompose_local(self):
@@ -369,12 +361,6 @@ def _ann_sort_key(ring, ann):
     # free factors (ann = 0) first, then decreasing factor size
     f = CyclicFactor(ring, ann)
     return f.key
-
-
-def _in_span(vecs, v, F):
-    if not vecs:
-        return all(c.is_zero() for c in v)
-    return Matrix.from_cols(F, vecs).solve(tuple(v)) is not None
 
 
 def _split_map(space, target, gen_vec):

@@ -245,6 +245,11 @@ class Ring:
         (used to cut Hom spaces down by semilinearity constraints)."""
         return [Element(self, d) for d in self.generator_data()]
 
+    def sub_mul(self, x, c, y):
+        """x - c.y for raw data vectors x, y and a raw scalar c, as a list:
+        the one row operation of linalg.Echelon."""
+        return [self.add(a, self.neg(self.mul(c, b))) for a, b in zip(x, y)]
+
     # -- misc --------------------------------------------------------------
     def random_element(self, rng):
         raise NotImplementedError
@@ -305,6 +310,10 @@ class PrimeField(Ring):
         if a % self.p == 0:
             raise NotAUnit(f"0 in {self}")
         return pow(a, self.p - 2, self.p)
+
+    def sub_mul(self, x, c, y):
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(x, y)]
 
     def elements(self):
         return (Element(self, i) for i in range(self.p))

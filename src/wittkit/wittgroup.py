@@ -66,7 +66,6 @@ class WittEngine:
             DoubleDualComparison(coef, M).require_strong()
         self._blocks = None
         self._classes = {}
-        self._fps = {}
         self._metabolic = {}
         self._lookups = {}
 
@@ -75,10 +74,7 @@ class WittEngine:
         return self.coef.dual(module)
 
     def fingerprint(self, form):
-        k = (form.module.key, form.gram_key())
-        if k not in self._fps:
-            self._fps[k] = form.norm_fingerprint()
-        return self._fps[k]
+        return form.norm_fingerprint()
 
     def metabolic(self, form):
         k = (form.module.key, form.gram_key())

@@ -1,6 +1,10 @@
 """Diagonalization, signatures and classical invariants over field models."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wittkit.coefficients import standard_coefficient
 from wittkit.errors import (
@@ -145,3 +149,53 @@ def test_invariants_over_gaussian_conjugation_use_signature():
     M = free_module(coef.rwi, 2)
     split = HermitianForm(coef, M, [[K.zero, K.one], [K.one, K.zero]], 1)
     assert witt_invariants(split)["witt_trivial"]
+
+
+# (field, sigma, epsilon): every model diagonalize supports except the
+# alternating ones, where it refuses by design
+DIAGONALIZABLE = [
+    (PrimeField(3), "id", 1),
+    (PrimeField(5), "id", 1),
+    (GF(9), "frobenius", 1),
+    (GF(9), "frobenius", -1),
+    (QuadraticField(-1), "conj", 1),
+    (QuadraticField(-1), "conj", -1),
+]
+
+
+@st.composite
+def nondegenerate_forms(draw, ring, spec, eps):
+    """An eps-hermitian Gram table of rank 1..3 on a free module; over
+    QQ(i) the entries have integer parts in -2..2.  A diagonal entry is the
+    eps-symmetric part (a + eps sigma(a)) / 2 of a drawn a, which reaches
+    every allowed value."""
+    coef = std(ring, spec)
+    conj = coef.rwi.conj
+    if ring.is_finite:
+        entry = st.sampled_from(list(ring.elements()))
+    else:
+        entry = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(ring.el)
+    half = ring.el(Fraction(1, 2)) if not ring.is_finite else ring.el(2).inverse()
+    n = draw(st.integers(min_value=1, max_value=3))
+    gram = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        a = draw(entry)
+        gram[i][i] = (a + ring.el(eps) * conj(a)) * half
+        for j in range(i + 1, n):
+            gram[i][j] = draw(entry)
+            gram[j][i] = ring.el(eps) * conj(gram[i][j])
+    form = HermitianForm(coef, free_module(coef.rwi, n), gram, eps)
+    assume(form.is_nondegenerate())
+    return form
+
+
+@pytest.mark.parametrize("ring, spec, eps", DIAGONALIZABLE,
+                         ids=[f"{r}-{s}-{e:+d}" for r, s, e in DIAGONALIZABLE])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_diagonalize_is_a_congruence_to_a_nondegenerate_diagonal(ring, spec, eps, data):
+    form = data.draw(nondegenerate_forms(ring, spec, eps))
+    entries, cob = diagonalize(form)
+    assert len(entries) == form.rank()
+    assert all(not e.is_zero() for e in entries)
+    assert congruent_diagonal(form, entries, cob)

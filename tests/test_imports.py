@@ -1,7 +1,9 @@
-"""Every module-level import in the library is used.
+"""Every module-level import in the library is used, and every private
+module-level helper is referenced from somewhere else in the library.
 
 Checked with the standard library's ast, since no linter is a dependency.
-__init__.py is left out: its imports are the package's re-exports."""
+__init__.py is left out of the import check: its imports are the
+package's re-exports."""
 
 import ast
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 
 import wittkit
 
-SOURCES = sorted(p for p in Path(wittkit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(wittkit.__file__).parent.glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -35,3 +38,39 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_helpers(sources):
+    """Module-level functions and classes named _x, in a dict of module
+    name -> source, that no Name, attribute or import anywhere in the
+    sources refers to, apart from the helper's own body."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            inner = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    inner.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    inner.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    inner.update(a.name for a in sub.names)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined.append((module, node.name, node.lineno))
+                inner.discard(node.name)
+            used |= inner
+    return [f"{module}.{name} (line {line})" for module, name, line in defined if name not in used]
+
+
+def test_the_check_sees_a_dead_private_helper():
+    sources = {
+        "a": "def _dead(n):\n    return _dead(n - 1)\n\ndef _used():\n    pass\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _used\n_used()\n",
+    }
+    assert dead_private_helpers(sources) == ["a._dead (line 1)", "a._Gone (line 7)"]
+
+
+def test_every_private_helper_is_referenced():
+    assert dead_private_helpers({p.stem: p.read_text() for p in PACKAGE}) == []

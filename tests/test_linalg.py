@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wittkit.errors import WittKitError
-from wittkit.linalg import Matrix, Solver, span_basis, span_contains
+from wittkit.linalg import Echelon, Matrix, Solver, span_basis, span_contains
 from wittkit.rings import GF, PrimeField, QuadraticField, QuotientRing, Rationals
 
 
@@ -190,3 +190,133 @@ def test_solver_factors_its_matrix_once(monkeypatch):
     assert not calls
     with pytest.raises(WittKitError, match="length 2 for 3 rows"):
         solver.solve((F.zero,) * 2)
+
+
+# -- Echelon against the eliminations it replaced ----------------------------
+
+
+def gauss_jordan_rref(m):
+    """Matrix.rref as it was before Echelon: Gauss-Jordan on Elements, one
+    pivot column at a time, zero rows left at the bottom."""
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pr = next((i for i in range(r, m.nrows) if not rows[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * a for a in rows[r]]
+        for i in range(m.nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return Matrix(m.ring, rows), pivots
+
+
+def solve_span_basis(vectors, F):
+    """span_basis as it was defined before Echelon: keep v when the matrix
+    of the vectors kept so far finds no solution for it."""
+    basis = []
+    for v in vectors:
+        if not basis:
+            inside = all(c.is_zero() for c in v)
+        else:
+            inside = Matrix.from_cols(F, basis).solve(v) is not None
+        if not inside:
+            basis.append(tuple(v))
+    return basis
+
+
+def data(vec):
+    return [c.data for c in vec]
+
+
+@st.composite
+def vectors(draw):
+    """A field, a length n in 1..4 and up to six vectors of F^n; a vector
+    is drawn freely or as a combination of two earlier ones, so spans of
+    every rank (and repeated vectors) come up."""
+    F = draw(st.sampled_from(FIELDS))
+    if F.is_finite:
+        entry = st.sampled_from(list(F.elements()))
+    else:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(F.el)
+    n = draw(st.integers(min_value=1, max_value=4))
+    vecs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        if len(vecs) >= 2 and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(vecs) - 1)), draw(st.integers(0, len(vecs) - 1))
+            a, b = draw(entry), draw(entry)
+            vecs.append(tuple(a * x + b * y for x, y in zip(vecs[i], vecs[j])))
+        else:
+            vecs.append(tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+    probe = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    return F, n, vecs, probe
+
+
+ECHELON_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+# back-substitution here takes 0 - 1 * 1, which only a reduction mod 3 keeps
+# in 0..2
+BACK_SUBSTITUTION = (PrimeField(3), 3, [tuple(PrimeField(3).el(c) for c in v)
+                                        for v in ([1, 1, 0], [0, 1, 1])], None)
+
+
+@ECHELON_SETTINGS
+@given(vectors())
+@example(BACK_SUBSTITUTION)
+def test_rref_equals_gauss_jordan(case):
+    F, n, vecs, _ = case
+    m = Matrix(F, [list(v) for v in vecs]) if vecs else Matrix.zeros(F, 0, n)
+    assert m.rref() == gauss_jordan_rref(m)
+
+
+@ECHELON_SETTINGS
+@given(vectors(), st.randoms(use_true_random=False))
+def test_echelon_rows_do_not_depend_on_insertion_order(case, rng):
+    F, n, vecs, _ = case
+    shuffled = list(vecs)
+    rng.shuffle(shuffled)
+    a, b = Echelon(F), Echelon(F)
+    for v in vecs:
+        a.insert(data(v))
+    for v in shuffled:
+        b.insert(data(v))
+    assert a.rows == b.rows
+    assert a.pivots() == sorted(a.pivots())
+
+
+@ECHELON_SETTINGS
+@given(vectors())
+def test_span_basis_equals_the_solve_definition(case):
+    F, n, vecs, _ = case
+    assert span_basis(vecs, F) == solve_span_basis(vecs, F)
+
+
+@ECHELON_SETTINGS
+@given(vectors())
+def test_contains_agrees_with_solve(case):
+    F, n, vecs, probe = case
+    ech = Echelon(F)
+    for v in vecs:
+        ech.insert(data(v))
+    copy = ech.copy()
+    for v in vecs + [probe]:
+        inside = Matrix.from_cols(F, vecs).solve(v) is not None if vecs else not any(v)
+        assert ech.contains(data(v)) == inside == span_contains(vecs, v, F)
+        # reduce leaves zero on every pivot, and nothing exactly inside
+        reduced = ech.reduce(data(v))
+        assert all(reduced[p] == F.zero.data for p in ech.pivots())
+        assert (not any(c != F.zero.data for c in reduced)) == inside
+    # growing a copy leaves the original alone
+    before = [(p, list(r)) for p, r in ech.rows]
+    copy.insert(data(probe))
+    copy.insert([F.one.data] * n)
+    assert ech.rows == before

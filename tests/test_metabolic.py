@@ -17,10 +17,10 @@ from wittkit.forms import (
     _int_btensor,
     _int_elements,
     _norm_table,
-    _rref_reduce,
     _scalar_action_ints,
     is_metabolic,
 )
+from wittkit.linalg import Echelon
 from wittkit.modules import module_from_shape
 from wittkit.parser import parse_ring_with_involution
 from wittkit.wittgroup import WittEngine, enumerate_gram_tables, sample_gram_tables
@@ -49,7 +49,7 @@ def bfs_is_metabolic(form):
 
     def row_funcs(rows):
         out = []
-        for _, r in rows:
+        for _, r in rows.rows:
             func = []
             for c in range(d):
                 acc = [0] * isd
@@ -62,23 +62,23 @@ def bfs_is_metabolic(form):
         return out
 
     def key_of(rows):
-        return tuple((piv, tuple(r)) for piv, r in rows)
+        return tuple((piv, tuple(r)) for piv, r in rows.rows)
 
-    frontier = [([], [])]
-    seen = {key_of([])}
+    frontier = [(Echelon(M.F), [])]
+    seen = {key_of(frontier[0][0])}
     while frontier:
         nxt = []
         for rows, funcs in frontier:
             for v in iso:
-                if not any(_rref_reduce(rows, v, p)):
+                if rows.contains(v):
                     continue
                 if any(any(sum(a * func[c][s] for c, a in enumerate(v)) % p for s in range(isd))
                        for func in funcs):
                     continue
                 rows2, _ = _closure_rows(rows, v, actmats, p)
-                if len(rows2) > half:
+                if len(rows2.rows) > half:
                     continue
-                if len(rows2) == half:
+                if len(rows2.rows) == half:
                     return True
                 k = key_of(rows2)
                 if k in seen:

@@ -10,6 +10,7 @@ from wittkit.errors import EngineError
 from wittkit.linalg import Matrix, unit_vector
 from wittkit.modules import (
     ActionSpace,
+    CyclicFactor,
     FLModule,
     check_module_axioms,
     decompose_submodule,
@@ -20,7 +21,7 @@ from wittkit.modules import (
     module_from_shape,
     uniformizer,
 )
-from wittkit.rings import GF, PrimeField, ProductRing, QuotientRing, RingMap, involution
+from wittkit.rings import GF, Element, PrimeField, ProductRing, QuotientRing, RingMap, involution
 from wittkit.transfer import TransferCoefficient
 
 
@@ -237,3 +238,45 @@ def test_action_space_factors_its_basis_once(monkeypatch):
     for a in [t ** 2, R.one, t + R.one]:
         assert space.internal_action_matrix(a) == M.action_matrix(a)
     assert not calls
+
+
+def head_reduce(ring, ann):
+    """CyclicFactor.reduce as it was before Echelon: the ideal span is row
+    reduced as a Matrix of Elements (Matrix.rref is checked against
+    Gauss-Jordan in test_linalg) and each coordinate is wrapped in F.el."""
+    F = ring.scalar_field()
+    span = [[F.el(c) for c in ring.to_svec((ann * Element(ring, b)).data)]
+            for b in ring.scalar_basis()]
+    rref, pivots = Matrix(F, span).rref()
+    rows = [tuple(rref.rows[i]) for i in range(len(pivots))]
+
+    def reduce(elem):
+        vec = [F.el(c) for c in ring.to_svec(ring.el(elem).data)]
+        for row, p in zip(rows, pivots):
+            c = vec[p]
+            if not c.is_zero():
+                vec = [a - c * b for a, b in zip(vec, row)]
+        return Element(ring, ring.from_svec(tuple(v.data for v in vec)))
+
+    return reduce
+
+
+@pytest.mark.parametrize("ring", [
+    QuotientRing(PrimeField(3), [0, 0, 0, 1], "t"),
+    QuotientRing(GF(9), [0, 0, 1], "t"),
+    ProductRing(PrimeField(3), PrimeField(3)),
+], ids=["t-cubed", "gf9-t-squared", "f3xf3"])
+def test_factor_reduce_equals_the_matrix_reduce(ring):
+    elements = list(ring.elements())
+    for ann in indecomposable_factor_anns(ring):
+        factor = CyclicFactor(ring, ann)
+        oracle = head_reduce(ring, ann)
+        ideal = {(ann * x).data for x in elements}
+        reps = set()
+        for x in elements:
+            rep = factor.reduce(x)
+            assert rep == oracle(x)
+            assert (x - rep).data in ideal
+            reps.add(rep.data)
+        # one representative per coset of the ideal
+        assert len(reps) * len(ideal) == len(elements)
