@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import mul
 
 from .coefficients import check_coefficient_iso
 from .errors import (
@@ -339,12 +340,28 @@ def hyperbolic_form(coef, N, epsilon=1, dual=None):
 # isometry and metabolicity
 #
 # Both searches run on integer coordinate vectors mod p.  The elements of a
-# module are listed once per module; the coordinate Gram tensor and the
-# norm b(x, x) of every element are tabulated once per form; spans are
-# tracked in a linalg.Echelon over the prime field, on those same ints.
-# Candidates (generator images for isometric, isotropic vectors for
-# is_metabolic) come from the element list, so a finite scalar field is a
-# hard requirement.
+# module are listed once per module, in itertools.product order; the
+# coordinate Gram tensor and the norm b(x, x) of every element are
+# tabulated once per form; spans are tracked in a linalg.Echelon over the
+# prime field, on those same ints.  Candidates (generator images for
+# isometric, isotropic vectors for is_metabolic) come from the element
+# list, so a finite scalar field is a hard requirement.
+#
+# isometric reads its candidates and targets from tables.  The pool of
+# generator i holds element-list indices: for a free factor it is the
+# norm-index bucket of f1's Gram entry (i, i), shared rather than copied;
+# for a factor with annihilator a it is the kernel of a on f2's module
+# (enumerated once per module and a from a basis of the kernel of its
+# action, then sorted) cut down to that norm.  Both are ascending, so the
+# candidates come in element-list order whatever the factor.  The targets
+# are f1's Gram table itself: the generators are unit vectors and Gram
+# entries are stored reduced, so b1(g_j, g_i) is entry (j, i).
+#
+# Both searches test a linear condition on a candidate x through
+# _functional(y): the values b(y, e_c) on the scalar basis, as one column
+# per coordinate of I, so that each coordinate of b(y, x) is one
+# sum(map(mul, x, col)) mod p.  isometric keeps the columns of each placed
+# image, is_metabolic those of each row of its isotropic span.
 #
 # A form built by orthogonal_sum or canonical_order carries its summands
 # and its factor order (_parts).  Its tables are composed from the
@@ -510,6 +527,32 @@ def _norm_index(form):
     return form._nidx
 
 
+def _ann_kernel(module, ann):
+    """The ascending _int_elements indices of the elements of module killed
+    by ann, enumerated from a basis of the kernel of its action; kept on
+    the module per ann."""
+    memo = getattr(module, "_annker", None)
+    if memo is None:
+        memo = module._annker = {}
+    if ann.data not in memo:
+        p = module.F.p
+        d = module.sdim
+        vecs = [(0,) * d]
+        for b in [[c.data for c in v] for v in module.action_matrix(ann).nullspace_basis()]:
+            vecs = [tuple((x + c * y) % p for x, y in zip(v, b)) for c in range(p) for v in vecs]
+        weights = [p ** (d - 1 - c) for c in range(d)]
+        memo[ann.data] = sorted(sum(map(mul, v, weights)) for v in vecs)
+    return memo[ann.data]
+
+
+def _functional(bt, vec, d, isd, p):
+    """b(vec, e_c) for every scalar basis vector e_c, as isd int columns
+    mod p: entry c of column s is coordinate s of b(vec, e_c)."""
+    rows = [(a, bt[i]) for i, a in enumerate(vec) if a]
+    return [tuple(sum(a * row[c][s] for a, row in rows) % p for c in range(d))
+            for s in range(isd)]
+
+
 def _closure_rows(rows, vec, actmats, p):
     """A copy of the Echelon rows grown by the R-span of vec; also the
     number of dimensions gained."""
@@ -525,9 +568,11 @@ def isometric(f1, f2):
     """An isometry f1 -> f2 as a list of generator images (elements of
     f2.module), or None.
 
-    Backtracking over images of the cyclic generators of f1.module,
-    constrained by annihilators, Gram values against already-placed
-    generators, and injectivity of the partial map."""
+    Backtracking over images of the cyclic generators of f1.module.  Image
+    i is drawn, in element-list order, from the elements killed by the
+    annihilator of factor i with norm f1's Gram entry (i, i); it must
+    match the Gram entries against the images already placed and keep the
+    partial map injective."""
     if f1.coef != f2.coef or f1.epsilon != f2.epsilon:
         return None
     if f1.module.key != f2.module.key:
@@ -539,69 +584,43 @@ def isometric(f1, f2):
     if not F.is_finite:
         raise EnumerationBoundExceeded("isometry search needs a finite scalar field")
     p = F.p
-    I = f1.coef.module
-    isd = I.sdim
+    isd = f1.coef.module.sdim
     d = M2.sdim
-    gens1 = M1.generators()
-    n = len(gens1)
-    diag_t = [I.to_ints(f1.evaluate(g, g)) for g in gens1]
-    cross_t = [[I.to_ints(f1.evaluate(gens1[j], gens1[i])) for i in range(n)] for j in range(n)]
+    n = len(M1.factors)
+    # the generators are unit vectors, so b1(g_j, g_i) is Gram entry (j, i)
+    cross_t = f1.gram_key()
+    diag_t = [cross_t[i][i] for i in range(n)]
     elems = _int_elements(M2)
-    nidx = _norm_index(f2)
-    annmats = [None if fac.ann.is_zero() else _int_matrix(M2.action_matrix(fac.ann))
-               for fac in M1.factors]
-    actmats = _scalar_action_ints(M2)
+    norms = _norm_table(f2)
     pools = []
     for i, fac in enumerate(M1.factors):
-        pool = []
-        for k in nidx.get(diag_t[i], []):
-            v = elems[k]
-            if annmats[i] is not None and any(_mat_vec(annmats[i], v, p)):
-                continue
-            pool.append(v)
+        if fac.ann.is_zero():
+            pool = _norm_index(f2).get(diag_t[i], [])
+        else:
+            pool = [k for k in _ann_kernel(M2, fac.ann) if norms[k] == diag_t[i]]
         if not pool:
             return None
         pools.append(pool)
     bt = _int_btensor(f2)
+    actmats = _scalar_action_ints(M2)
     sdims = [fac.sdim for fac in M1.factors]
     placed = []
-    funcs = []  # per placed image: tuple over coords c of the I-value b2(img, e_c)
-
-    def functional(img):
-        out = []
-        for c in range(d):
-            acc = [0] * isd
-            for i1, a in enumerate(img):
-                if a:
-                    cell = bt[i1][c]
-                    for s in range(isd):
-                        acc[s] += a * cell[s]
-            out.append(tuple(x % p for x in acc))
-        return out
+    funcs = []  # per placed image: the columns of b2(img, -)
 
     def extend(i, rows):
         if i == n:
             return True
-        for cand in pools[i]:
-            ok = True
-            for j in range(len(placed)):
-                fj = funcs[j]
-                acc = [0] * isd
-                for c, a in enumerate(cand):
-                    if a:
-                        cell = fj[c]
-                        for s in range(isd):
-                            acc[s] += a * cell[s]
-                if tuple(x % p for x in acc) != cross_t[j][i]:
-                    ok = False
-                    break
-            if not ok:
+        for k in pools[i]:
+            cand = elems[k]
+            if any(sum(map(mul, cand, col)) % p != t
+                   for j, cols in enumerate(funcs)
+                   for col, t in zip(cols, cross_t[j][i])):
                 continue
             new_rows, added = _closure_rows(rows, cand, actmats, p)
             if added != sdims[i]:
                 continue  # partial map would not be injective
             placed.append(cand)
-            funcs.append(functional(cand))
+            funcs.append(_functional(bt, cand, d, isd, p))
             if extend(i + 1, new_rows):
                 return True
             placed.pop()
@@ -646,44 +665,19 @@ def is_metabolic(form, dual=None):
     bt = _int_btensor(form)
     actmats = _scalar_action_ints(M)
 
-    def row_funcs(rows):
-        out = []
-        for _, r in rows.rows:
-            func = []
-            for c in range(d):
-                acc = [0] * isd
-                for i1, a in enumerate(r):
-                    if a:
-                        cell = bt[i1][c]
-                        for s in range(isd):
-                            acc[s] += a * cell[s]
-                func.append(tuple(x % p for x in acc))
-            out.append(func)
-        return out
-
     def key_of(rows):
         return tuple((piv, tuple(r)) for piv, r in rows.rows)
 
     start = Echelon(F)
     seen = {key_of(start)}
 
-    def extends(rows, funcs):
-        """Whether some Lagrangian contains the span of rows."""
+    def extends(rows, cols):
+        """Whether some Lagrangian contains the span of rows; cols are the
+        columns of b(r, -) for every row r."""
         for v in iso:
             if rows.contains(v):
                 continue
-            ok = True
-            for func in funcs:
-                acc = [0] * isd
-                for c, a in enumerate(v):
-                    if a:
-                        cell = func[c]
-                        for s in range(isd):
-                            acc[s] += a * cell[s]
-                if any(x % p for x in acc):
-                    ok = False
-                    break
-            if not ok:
+            if any(sum(map(mul, v, col)) % p for col in cols):
                 continue
             rows2, _ = _closure_rows(rows, v, actmats, p)
             if len(rows2.rows) > half:
@@ -696,7 +690,8 @@ def is_metabolic(form, dual=None):
             if k in seen:
                 continue
             seen.add(k)
-            if extends(rows2, row_funcs(rows2)):
+            cols2 = [col for _, r in rows2.rows for col in _functional(bt, r, d, isd, p)]
+            if extends(rows2, cols2):
                 return True
             if field:
                 # the descent from rows2 ended in a maximal totally

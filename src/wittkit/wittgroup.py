@@ -205,19 +205,27 @@ class WittEngine:
 
     def lookup(self, form):
         """The enumerated class isometric to form; EngineError on a miss,
-        which would mean the sum closure missed a class.  The answer is
-        kept per canonical form, so asking again runs no isometry search."""
+        which would mean the sum closure missed a class.  The error names
+        the shape, the form's fingerprint and how many classes of that
+        shape shared it (each of those was searched).  The answer is kept
+        per canonical form, so asking again runs no isometry search."""
         form = canonical_order(form)
         k = _keypair(form)
         if k in self._lookups:
             return self._lookups[k]
+        fp = self.fingerprint(form)
+        searched = 0
         for g in self.classes(form.module):
-            if self.fingerprint(g) == self.fingerprint(form) and isometric(form, g) is not None:
-                self._lookups[k] = g
-                return g
+            if self.fingerprint(g) == fp:
+                searched += 1
+                if isometric(form, g) is not None:
+                    self._lookups[k] = g
+                    return g
         raise EngineError(
             f"no enumerated class matches a nondegenerate form on {form.module!r}; "
-            "the orthogonal-sum closure is incomplete for this ring"
+            "the orthogonal-sum closure is incomplete for this ring "
+            f"(shape {list(form.shape())}, fingerprint {fp}; {searched} enumerated "
+            "classes shared that fingerprint and were searched)"
         )
 
 

@@ -92,6 +92,13 @@ GOLDEN = [
         '{"bound": 4, "epsilon": -1, "isomorphism": true, "source": "Z/4 (stable)", '
         '"stable": true, "target": "Z/4 (stable)", "verdict": "ISOMORPHISM (stable)"}',
     ),
+    (
+        # rank-10 hyperbolic forms over a product ring: the isometry
+        # candidates come from the annihilator kernels, not the whole module
+        ["witt", "GF(3)xGF(3), sigma=swap", "+1", "10"],
+        0,
+        '{"bound": 10, "classes": 5, "epsilon": 1, "factors": [], "group": "0", "stable": true}',
+    ),
 ]
 
 
@@ -101,7 +108,7 @@ GOLDEN = [
     ids=["witt-stable", "witt-unstable", "devissage-iso", "devissage-unstable",
          "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign",
          "witt-f5-bound-5", "witt-f3-skew-bound-6", "witt-f9-bound-4", "witt-f7-bound-5",
-         "devissage-f9-t-squared", "devissage-t-fourth-skew"],
+         "devissage-f9-t-squared", "devissage-t-fourth-skew", "witt-swap-bound-10"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code

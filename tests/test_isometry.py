@@ -1,20 +1,39 @@
-"""Isometry witnesses are congruences.
+"""Isometry witnesses are congruences, and match the reference search's.
 
 isometric(f1, f2) returns images of the cyclic generators of f1's module.
 On seeded Gram tables of length <= 4 each list it returns must define an
 R-linear map (image i killed by the annihilator of factor i) that preserves
 every Gram entry under evaluate and whose R-span is all of f2's module.
 The targets are the engine's class representatives, which are orthogonal
-sums with composed tables, and other sampled tables on the same shape."""
+sums with composed tables, and other sampled tables on the same shape.
+
+The search draws its candidates from tables: annihilator kernels kept on
+the module, the norm table and Gram table of the forms.  reference_isometric
+below is the search as it was before, which filtered every norm-matching
+element through the annihilator action and took its targets from evaluate;
+both must return the same witness list, or both None, on every pair."""
 
 import random
+from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wittkit.coefficients import standard_coefficient
-from wittkit.forms import isometric
-from wittkit.linalg import Matrix
+from wittkit.forms import (
+    _ann_kernel,
+    _closure_rows,
+    _functional,
+    _int_btensor,
+    _int_elements,
+    _int_matrix,
+    _mat_vec,
+    _norm_index,
+    _scalar_action_ints,
+    isometric,
+)
+from wittkit.linalg import Echelon, Matrix
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import Element
 from wittkit.wittgroup import WittEngine, sample_gram_tables
@@ -82,3 +101,147 @@ def test_isometry_witnesses_are_congruences(case, data):
         images = isometric(forms[0], forms[1])
         if images is not None:
             assert_congruence(forms[0], forms[1], images)
+
+
+def reference_isometric(f1, f2):
+    """The candidate side as it was: every element of the norm bucket is
+    filtered through the annihilator action, the targets come from
+    evaluate on the generators, and every functional and constraint is
+    accumulated one coordinate at a time."""
+    if f1.coef != f2.coef or f1.epsilon != f2.epsilon:
+        return None
+    if f1.module.key != f2.module.key:
+        return None
+    M1, M2 = f1.module, f2.module
+    if M1.sdim == 0:
+        return []
+    F = M1.F
+    p = F.p
+    I = f1.coef.module
+    isd = I.sdim
+    d = M2.sdim
+    gens1 = M1.generators()
+    n = len(gens1)
+    diag_t = [I.to_ints(f1.evaluate(g, g)) for g in gens1]
+    cross_t = [[I.to_ints(f1.evaluate(gens1[j], gens1[i])) for i in range(n)] for j in range(n)]
+    elems = _int_elements(M2)
+    nidx = _norm_index(f2)
+    annmats = [None if fac.ann.is_zero() else _int_matrix(M2.action_matrix(fac.ann))
+               for fac in M1.factors]
+    actmats = _scalar_action_ints(M2)
+    pools = []
+    for i in range(n):
+        pool = [elems[k] for k in nidx.get(diag_t[i], [])
+                if annmats[i] is None or not any(_mat_vec(annmats[i], elems[k], p))]
+        if not pool:
+            return None
+        pools.append(pool)
+    bt = _int_btensor(f2)
+    sdims = [fac.sdim for fac in M1.factors]
+    placed = []
+    funcs = []
+
+    def functional(img):
+        out = []
+        for c in range(d):
+            acc = [0] * isd
+            for i1, a in enumerate(img):
+                if a:
+                    for s in range(isd):
+                        acc[s] += a * bt[i1][c][s]
+            out.append(tuple(x % p for x in acc))
+        return out
+
+    def extend(i, rows):
+        if i == n:
+            return True
+        for cand in pools[i]:
+            ok = True
+            for j, fj in enumerate(funcs):
+                acc = [0] * isd
+                for c, a in enumerate(cand):
+                    if a:
+                        for s in range(isd):
+                            acc[s] += a * fj[c][s]
+                if tuple(x % p for x in acc) != cross_t[j][i]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            new_rows, added = _closure_rows(rows, cand, actmats, p)
+            if added != sdims[i]:
+                continue
+            placed.append(cand)
+            funcs.append(functional(cand))
+            if extend(i + 1, new_rows):
+                return True
+            placed.pop()
+            funcs.pop()
+        return False
+
+    if extend(0, Echelon(F)):
+        return [M2.from_ints(v) for v in placed]
+    return None
+
+
+# (case, largest length): the cases above at length <= 4, except where a
+# search that answers None exhausts a large field's elements (GF(5) at
+# length 4 takes about 30 s, GF(9) with sigma=id at length 3 about 2 s)
+REFERENCE_CASES = [(case, 3 if case == ("GF(5), sigma=id", 1) else 4) for case in CASES] + [
+    (("GF(9), sigma=id", 1), 2),
+    (("GF(3)xGF(3), sigma=swap", -1), 4),
+]
+
+
+@pytest.mark.parametrize("case, length", REFERENCE_CASES,
+                         ids=[f"{text} {eps:+d} {n}" for (text, eps), n in REFERENCE_CASES])
+def test_search_returns_the_reference_witnesses(case, length):
+    engine = engine_for(case)
+    rng = random.Random(7)
+    answers = {True: 0, False: 0}
+    for module in engine.shapes_up_to(length):
+        dual = engine.dual_of(module)
+        for f in sample_gram_tables(engine.coef, module, engine.epsilon, 2, rng):
+            if not f.is_nondegenerate(dual):
+                continue
+            for g in engine.classes(module):
+                for a, b in ((f, g), (g, f)):
+                    got = isometric(a, b)
+                    assert got == reference_isometric(a, b), (a.gram_key(), b.gram_key())
+                    answers[got is not None] += 1
+    assert answers[True]
+
+
+KERNEL_RINGS = sorted({text for text, _ in CASES} | {"GF(9), sigma=id"})
+
+
+@pytest.mark.parametrize("text", KERNEL_RINGS)
+def test_ann_kernel_lists_exactly_the_killed_elements(text):
+    engine = engine_for((text, 1))
+    for module in engine.shapes_up_to(4):
+        p = module.F.p
+        elems = _int_elements(module)
+        for ann in engine._anns:
+            act = _int_matrix(module.action_matrix(ann))
+            brute = [k for k, v in enumerate(elems) if not any(_mat_vec(act, v, p))]
+            assert _ann_kernel(module, ann) == brute, (module, ann)
+
+
+FUNCTIONAL_CASES = [("GF(3)[t]/(t^2), sigma=t->-t", -1), ("GF(9), sigma=frobenius", 1),
+                    ("GF(3)xGF(3), sigma=swap", 1)]
+
+
+@pytest.mark.parametrize("case", FUNCTIONAL_CASES, ids=[f"{t} {e:+d}" for t, e in FUNCTIONAL_CASES])
+def test_functional_is_the_reduced_pairing_with_each_basis_vector(case):
+    engine = engine_for(case)
+    for form in engine.classes(engine.shapes_up_to(2)[-1]):
+        M = form.module
+        F = M.F
+        bt = _int_btensor(form)
+        isd = form.coef.module.sdim
+        units = [tuple(F.one if c == a else F.zero for c in range(M.sdim)) for a in range(M.sdim)]
+        for vec in product(range(F.p), repeat=M.sdim):
+            cols = _functional(bt, vec, M.sdim, isd, F.p)
+            xv = tuple(F.el(a) for a in vec)
+            want = [tuple(x.data for x in form.eval_vecs(xv, u)) for u in units]
+            assert cols == [tuple(w[s] for w in want) for s in range(isd)]

@@ -7,13 +7,16 @@ group of a quadratic extension is Z/2).  The quotient-ring values were
 cross-checked by hand via the rank-and-socle filtration.
 """
 
+import random
+
 import pytest
 
 from wittkit import wittgroup
 from wittkit.coefficients import standard_coefficient
-from wittkit.errors import EnumerationBoundExceeded, NotFinite
+from wittkit.errors import EngineError, EnumerationBoundExceeded, NotFinite
 from wittkit.forms import diagonal_form, hyperbolic_form
 from wittkit.modules import FLModule, free_module
+from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import (
     GF,
     PrimeField,
@@ -167,3 +170,69 @@ def test_cross_validation_on_small_shapes():
     engine = WittEngine(coef, 1)
     M = free_module(coef.rwi, 2)
     assert cross_validate_classes(engine, M) > 0
+
+
+# (ring, epsilon, lengths): every shape of those lengths gets a seeded
+# sample of Gram tables, and each nondegenerate one must match a class
+DEEP_SAMPLES = [
+    ("GF(3), sigma=id", 1, (5, 6)),
+    ("GF(3), sigma=id", -1, (5, 6)),
+    ("GF(3)[t]/(t^2), sigma=id", 1, (5, 6)),
+    ("GF(5), sigma=id", 1, (5,)),
+    ("GF(3)[t]/(t^2), sigma=t->-t", -1, (5,)),
+    ("GF(3)[t]/(t^3), sigma=id", 1, (5, 6)),
+    ("GF(3)xGF(3), sigma=swap", 1, (6,)),
+]
+
+
+@pytest.mark.parametrize("text, epsilon, lengths", DEEP_SAMPLES,
+                         ids=[f"{t} {e:+d} {'-'.join(map(str, n))}" for t, e, n in DEEP_SAMPLES])
+def test_lookup_matches_sampled_forms_of_length_five_and_six(text, epsilon, lengths):
+    engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
+    shapes = [m for m in engine.shapes_up_to(max(lengths)) if m.length in lengths]
+    assert shapes
+    checked = sum(cross_validate_classes(engine, m, sample=3, rng=random.Random(seed))
+                  for seed, m in enumerate(shapes))
+    assert checked
+
+
+class DroppingEngine(WittEngine):
+    """An engine whose class list for one shape leaves out a given class."""
+
+    def __init__(self, coef, epsilon, dropped):
+        super().__init__(coef, epsilon)
+        self.dropped = dropped
+
+    def classes(self, module):
+        found = super().classes(module)
+        if module.key != self.dropped.module.key:
+            return found
+        return [g for g in found if g.gram_key() != self.dropped.gram_key()]
+
+
+def test_a_lookup_miss_names_the_shape_the_fingerprint_and_the_search():
+    F3 = PrimeField(3)
+    coef = std(F3)
+    form = diagonal_form(coef, [F3.one, F3.one])
+    rep = WittEngine(coef, 1).lookup(form)
+    with pytest.raises(EngineError) as exc:
+        DroppingEngine(coef, 1, rep).lookup(form)
+    msg = str(exc.value)
+    assert msg.startswith("no enumerated class matches a nondegenerate form on ")
+    assert "the orthogonal-sum closure is incomplete for this ring" in msg
+    assert "shape [1, 1]" in msg
+    assert f"fingerprint {form.norm_fingerprint()}" in msg
+    assert "0 enumerated classes shared that fingerprint and were searched" in msg
+
+
+def test_a_lookup_miss_counts_the_classes_it_searched(monkeypatch):
+    F3 = PrimeField(3)
+    coef = std(F3)
+    form = diagonal_form(coef, [F3.one, F3.el(2)])
+    engine = WittEngine(coef, 1)
+    assert len(engine.classes(form.module)) == 2
+    # the class list is built; from here on every search answers None
+    monkeypatch.setattr(wittgroup, "isometric", lambda f, g: None)
+    with pytest.raises(EngineError) as exc:
+        engine.lookup(form)
+    assert "1 enumerated classes shared that fingerprint and were searched" in str(exc.value)
