@@ -81,14 +81,10 @@ class HermitianForm:
                     raise NotSesquilinear(
                         f"entry ({i},{j}) not killed by ann of factor {j}"
                     )
-        F = self.module.F
+        tab = self._coord_tensor()
         for c1 in range(self.module.sdim):
-            x = self._coord_elem(c1)
             for c2 in range(self.module.sdim):
-                y = self._coord_elem(c2)
-                lhs = self.evaluate(y, x)
-                rhs = I.scal(self.eps_el, self.coef.i(self.evaluate(x, y)))
-                if lhs != rhs:
+                if tab[c2][c1] != I.to_vec(I.scal(self.eps_el, self.coef.i(I.from_vec(tab[c1][c2])))):
                     raise NotEpsilonSymmetric(
                         f"b(y,x) != epsilon i(b(x,y)) at coordinate pair ({c1},{c2})"
                     )

@@ -6,10 +6,10 @@ commutative ring.  Sizes here are desk-scale, no attempt at asymptotics.
 
 Echelon is the one elimination: the reduced row echelon form of a growing
 span, kept on raw field data (Element.data), with Ring.sub_mul as its only
-row operation.  Matrix.rref, the span helpers, the canonical
-representatives of module factors and the subspace searches of forms all
-run on it; values are wrapped in Elements only where a Matrix or a vector
-of Elements is handed back.  Matrix.det keeps its own elimination, since it
+row operation.  Matrix.rref, span_basis, the canonical representatives
+of module factors and the subspace searches of forms all run on it;
+values are wrapped in Elements only where a Matrix or a vector of
+Elements is handed back.  Matrix.det keeps its own elimination, since it
 tracks a determinant rather than a span.
 """
 
@@ -386,14 +386,6 @@ def matrix_of_map(F, n, fn, nrows=0):
     if not cols:
         return Matrix(F, [[] for _ in range(nrows)])
     return Matrix.from_cols(F, cols)
-
-
-def span_contains(basis, vec, ring):
-    """vec in span(basis) over a field; basis/vec are Element tuples."""
-    ech = Echelon(ring)
-    for b in basis:
-        ech.insert([c.data for c in b])
-    return ech.contains([c.data for c in vec])
 
 
 def span_basis(vectors, ring):

@@ -265,7 +265,8 @@ class ActionSpace:
     """An R-module structure on a scalar subspace: a basis (in ambient
     coordinates of some FLModule or hom space) plus internal action
     matrices for the algebra generators.  decompose() peels off cyclic
-    summands with exact annihilators."""
+    summands with exact annihilators; Decomposition turns the pieces into
+    an FLModule."""
 
     def __init__(self, rwi, basis, act):
         """act(a: Element, ambient_vec) -> ambient_vec."""
@@ -391,6 +392,43 @@ def _split_map(space, target, gen_vec):
     return [[sol[i * sd + j] for j in range(sd)] for i in range(td)]
 
 
+class Decomposition:
+    """An R-stable subspace of F^n as an FLModule.  basis spans the
+    subspace, act(a: Element, vec) -> vec is the action on F^n, and the
+    ActionSpace decomposition gives self.module with the generator vectors
+    self.gens.  to_ambient and of_ambient convert between elements of
+    self.module and vectors of F^n."""
+
+    def __init__(self, rwi, basis, act, n):
+        self.F = rwi.ring.scalar_field()
+        self.act = act
+        self._n = n
+        pieces = ActionSpace(rwi, basis, act).decompose()
+        self.module = FLModule(rwi, [ann for _, ann in pieces])
+        self.gens = [v for v, _ in pieces]
+        if self.module.sdim != len(basis):
+            raise EngineError(f"{type(self).__name__} decomposition lost dimensions")
+        self._solver = Solver(matrix_of_map(
+            self.F, self.module.sdim, lambda u: self.to_ambient(self.module.from_vec(u)), nrows=n))
+
+    def to_ambient(self, elem):
+        """The vector sum of act(rep_i, g_i) over the components of elem."""
+        out = (self.F.zero,) * self._n
+        for rep, gv in zip(elem, self.gens):
+            out = tuple(a + b for a, b in zip(out, self.act(rep, gv)))
+        return out
+
+    def of_ambient(self, vec):
+        """The element of self.module whose ambient vector is vec;
+        EngineError if vec is outside the subspace."""
+        if not vec:
+            return self.module.zero()
+        sol = self._solver.solve(tuple(vec))
+        if sol is None:
+            raise EngineError(f"vector is outside the subspace of {type(self).__name__}")
+        return self.module.from_vec(sol)
+
+
 def decompose_submodule(M, elems):
     """Cyclic decomposition of the submodule of M generated by elems.
     Returns (FLModule, [generator elements of M], ActionSpace basis)."""
@@ -399,11 +437,8 @@ def decompose_submodule(M, elems):
     def act(a, vec):
         return M.to_vec(M.scal(a, M.from_vec(vec)))
 
-    space = ActionSpace(M.rwi, basis, act)
-    pieces = space.decompose()
-    gens = [M.from_vec(v) for v, _ in pieces]
-    mod = FLModule(M.rwi, [ann for _, ann in pieces])
-    return mod, gens, basis
+    dec = Decomposition(M.rwi, basis, act, M.sdim)
+    return dec.module, [M.from_vec(v) for v in dec.gens], basis
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +477,9 @@ def hom_space_basis(F, pairs, nrows, ncols):
     return Matrix(F, rows).nullspace_basis()
 
 
-class HomModule:
-    """A hom space of scalar matrices (nrows x ncols) with an R-action,
-    decomposed into cyclic factors as self.module.
+class HomModule(Decomposition):
+    """A hom space of scalar matrices (nrows x ncols) with an R-action, as
+    the Decomposition of its row-major flattenings.
 
     The space is cut out by hom_space_basis from pairs; subclasses supply
     the action as the method _act(a, flat) -> flat on flattened matrices.
@@ -453,18 +488,9 @@ class HomModule:
     needs."""
 
     def __init__(self, rwi, nrows, ncols, pairs):
-        F = rwi.ring.scalar_field()
-        self.F = F
         self._nrows, self._ncols = nrows, ncols
-        basis = hom_space_basis(F, pairs, nrows, ncols)
-        pieces = ActionSpace(rwi, basis, self._act).decompose()
-        self.module = FLModule(rwi, [ann for _, ann in pieces])
-        self._gen_flats = [v for v, _ in pieces]
-        if self.module.sdim != len(basis):
-            raise EngineError(f"{type(self).__name__} decomposition lost dimensions")
-        self._coords_to_flat = Solver(matrix_of_map(
-            F, self.module.sdim, lambda u: self._flat_of_element(self.module.from_vec(u)),
-            nrows=nrows * ncols))
+        basis = hom_space_basis(rwi.ring.scalar_field(), pairs, nrows, ncols)
+        super().__init__(rwi, basis, self._act, nrows * ncols)
 
     def _act(self, a, flat):
         raise NotImplementedError
@@ -476,26 +502,13 @@ class HomModule:
         m = self._ncols
         return Matrix(self.F, [[flat[r * m + c] for c in range(m)] for r in range(self._nrows)])
 
-    def _flat_of_element(self, elem):
-        out = tuple(self.F.zero for _ in range(self._nrows * self._ncols))
-        for rep, gv in zip(elem, self._gen_flats):
-            img = self._act(rep, gv)
-            out = tuple(a + b for a, b in zip(out, img))
-        return out
-
     def hom_matrix(self, elem):
-        return self._unflatten(self._flat_of_element(elem))
+        return self._unflatten(self.to_ambient(elem))
 
     def element_of_hom(self, H):
         """The element of self.module whose hom matrix is H (a Matrix or
         its row-major flattening); EngineError if H is outside the space."""
-        flat = self._flatten(H) if isinstance(H, Matrix) else tuple(H)
-        if not flat:
-            return self.module.zero()
-        sol = self._coords_to_flat.solve(flat)
-        if sol is None:
-            raise EngineError(f"matrix is outside the hom space of {type(self).__name__}")
-        return self.module.from_vec(sol)
+        return self.of_ambient(self._flatten(H) if isinstance(H, Matrix) else H)
 
 
 def check_module_axioms(M, rng, samples=25):

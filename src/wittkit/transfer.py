@@ -12,7 +12,10 @@ as a coefficient isomorphism, not assumed.
 Everything is linear algebra over the shared scalar field: Hom_R(S, I)
 is a modules.HomModule, cut out of the space of scalar matrices by the
 R-linearity constraints on algebra generators, exactly as the dual module
-D(M) = Hom_R(sigma_* M, I) in coefficients.py.
+D(M) = Hom_R(sigma_* M, I) in coefficients.py.  The restriction of an
+S-module to R (RestrictedModule) is a modules.Decomposition too, of the
+whole scalar space of the module: the dual, pi^flat I and every
+restriction are split into cyclic factors by the same code.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .errors import (
     RingMismatch,
 )
 from .forms import HermitianForm
-from .linalg import Solver, matrix_of_map, span_basis, svec_matrix_of_additive_map, unit_vector
-from .modules import ActionSpace, FLModule, HomModule
+from .linalg import matrix_of_map, span_basis, svec_matrix_of_additive_map, unit_vector
+from .modules import Decomposition, HomModule
 from .rings import Element, check_equivariant_map, compose_maps
 
 
@@ -114,9 +117,10 @@ def flat_coefficient(pi, rwi_dst, coef, generators=None):
     return TransferCoefficient(pi, rwi_dst, coef, generators)
 
 
-class RestrictedModule:
-    """An FLModule over S viewed as an R-module through pi, decomposed
-    into cyclic R-factors with conversion both ways."""
+class RestrictedModule(Decomposition):
+    """An FLModule over S viewed as an R-module through pi: the
+    Decomposition of all of F^(M.sdim) under a . v = pi(a) v, with
+    conversion both ways."""
 
     def __init__(self, pi, rwi_src, M):
         if pi.dst != M.ring:
@@ -126,37 +130,17 @@ class RestrictedModule:
         self.pi = pi
         self.rwi_src = rwi_src
         self.over = M
-        F = M.F
-        basis = [unit_vector(F, M.sdim, i) for i in range(M.sdim)]
 
         def act(a, vec):
             return M.to_vec(M.scal(pi(a), M.from_vec(vec)))
 
-        space = ActionSpace(rwi_src, basis, act)
-        pieces = space.decompose()
-        self.module = FLModule(rwi_src, [ann for _, ann in pieces])
-        self._gen_vecs = [v for v, _ in pieces]
-        if self.module.sdim != M.sdim:
-            raise EngineError("restriction of scalars lost dimensions")
-        self._coords = Solver(matrix_of_map(
-            F, self.module.sdim, lambda u: M.to_vec(self.from_restricted(self.module.from_vec(u))),
-            nrows=M.sdim))
+        super().__init__(rwi_src, [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)], act, M.sdim)
 
     def from_restricted(self, x):
-        M = self.over
-        out = M.zero()
-        for rep, gv in zip(x, self._gen_vecs):
-            out = M.add(out, M.scal(self.pi(rep), M.from_vec(gv)))
-        return out
+        return self.over.from_vec(self.to_ambient(x))
 
     def to_restricted(self, m):
-        vec = self.over.to_vec(m)
-        if not vec:
-            return self.module.zero()
-        sol = self._coords.solve(tuple(vec))
-        if sol is None:
-            raise EngineError("element escaped the restricted module")
-        return self.module.from_vec(sol)
+        return self.of_ambient(self.over.to_vec(m))
 
 
 def restrict_scalars(pi, rwi_src, M):

@@ -21,6 +21,7 @@ an isomorphism (the presentation is then bound-stable)."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .coefficients import DoubleDualComparison
 from .errors import (
@@ -84,32 +85,22 @@ class WittEngine:
 
     # -- building blocks ---------------------------------------------------
     def one_factor_classes(self, ann):
-        """Exhaustive classification on R/(ann): the Gram entry ranges over
-        the subspace of the coefficient module cut out by both annihilator
-        conditions and epsilon-self-adjointness."""
+        """Exhaustive classification on R/(ann): the nondegenerate forms
+        among every Gram table on the module, one per isometry class."""
         module = FLModule(self.rwi, [ann])
-        I = self.coef.module
-        F = I.F
-        sig_ann = self.rwi.conj(self.ring.el(ann))
-        conds = I.action_matrix(sig_ann).vstack(I.action_matrix(ann)).vstack(
-            Matrix.identity(F, I.sdim) - I.action_matrix(self.ring.el(self.epsilon)) * self.coef.imat
-        )
-        sol = conds.nullspace_basis()
-        found = []
-        opts = list(F.elements())
         dual = self.dual_of(module)
-        for combo in itertools.product(opts, repeat=len(sol)):
-            vec = [F.zero] * I.sdim
-            for c, b in zip(combo, sol):
-                vec = [x + c * y for x, y in zip(vec, b)]
-            entry = I.from_vec(tuple(vec))
-            form = HermitianForm(self.coef, module, [[entry]], self.epsilon, check=False)
-            if not form.is_nondegenerate(dual):
+        tables = enumerate_gram_tables(self.coef, module, self.epsilon, limit=self.max_size)
+        return self._distinct(f for f in tables if f.is_nondegenerate(dual))
+
+    def _distinct(self, forms):
+        """One form per isometry class among forms, the first met of each,
+        sorted by fingerprint and Gram key."""
+        found = []
+        for s in forms:
+            fp = self.fingerprint(s)
+            if any(self.fingerprint(g) == fp and isometric(s, g) is not None for g in found):
                 continue
-            fp = self.fingerprint(form)
-            if any(self.fingerprint(g) == fp and isometric(form, g) is not None for g in found):
-                continue
-            found.append(form)
+            found.append(s)
         found.sort(key=lambda f: (self.fingerprint(f), f.gram_key()))
         return found
 
@@ -178,10 +169,14 @@ class WittEngine:
             empty = HermitianForm(self.coef, module, [], self.epsilon, check=False)
             self._classes[module.key] = [empty]
             return self._classes[module.key]
+        self._classes[module.key] = self._distinct(self._block_sums(module))
+        return self._classes[module.key]
+
+    def _block_sums(self, module):
+        """Every block of blocks() that holds the first factor of module,
+        summed with each class of the rest of module."""
         pivot = module.factors[0].key
-        from collections import Counter
         skeys = Counter(f.key for f in module.factors)
-        found = []
         for blk in self.blocks():
             bkeys = Counter(f.key for f in blk.module.factors)
             if pivot not in bkeys or (bkeys - skeys):
@@ -190,18 +185,11 @@ class WittEngine:
             rest_anns = []
             for k, mult in sorted(rest.items()):
                 rest_anns.extend([self._ann_by_key[k]] * mult)
-            rest_mod = FLModule(self.rwi, rest_anns)
-            for c in self.classes(rest_mod):
+            for c in self.classes(FLModule(self.rwi, rest_anns)):
                 s = orthogonal_sum(c, blk) if c.module.factors else blk
                 if s.module.key != module.key:
                     raise EngineError("orthogonal sum landed on the wrong shape")
-                fp = self.fingerprint(s)
-                if any(self.fingerprint(g) == fp and isometric(s, g) is not None for g in found):
-                    continue
-                found.append(s)
-        found.sort(key=lambda f: (self.fingerprint(f), f.gram_key()))
-        self._classes[module.key] = found
-        return found
+                yield s
 
     def lookup(self, form):
         """The enumerated class isometric to form; EngineError on a miss,

@@ -99,6 +99,13 @@ GOLDEN = [
         0,
         '{"bound": 10, "classes": 5, "epsilon": 1, "factors": [], "group": "0", "stable": true}',
     ),
+    (
+        # restriction along GF(3)[t]/(t^3) -> GF(3)[t]/(t^2), where t acts
+        # nontrivially on the restricted module
+        ["transfer", "GF(3)[t]/(t^3) -> GF(3)[t]/(t^2), sigma=id", "[[1,t],[t,2]]"],
+        0,
+        '{"epsilon": 1, "factors": ["t^2", "t^2"], "gram": [["t", "t^2"], ["t^2", "2*t"]], "nondegenerate": true}',
+    ),
 ]
 
 
@@ -108,7 +115,8 @@ GOLDEN = [
     ids=["witt-stable", "witt-unstable", "devissage-iso", "devissage-unstable",
          "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign",
          "witt-f5-bound-5", "witt-f3-skew-bound-6", "witt-f9-bound-4", "witt-f7-bound-5",
-         "devissage-f9-t-squared", "devissage-t-fourth-skew", "witt-swap-bound-10"],
+         "devissage-f9-t-squared", "devissage-t-fourth-skew", "witt-swap-bound-10",
+         "transfer-t-cubed-to-t-squared"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code
@@ -122,6 +130,14 @@ def test_parse_error_exits_2(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: expected ')', found ',' (line 1, column 5)\n"
+
+
+def test_a_form_that_is_not_epsilon_symmetric_exits_1(capsys):
+    argv = ["transfer", "GF(3)[t]/(t^3) -> GF(3)[t]/(t^2), sigma=id", "[[0,1],[1,0]]", "-1", "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: b(y,x) != epsilon i(b(x,y)) at coordinate pair (0,2)\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

@@ -1,11 +1,13 @@
 """Every module-level import in the library is used, and every private
-module-level helper is referenced from somewhere else in the library.
+module-level helper and private method is referenced from somewhere else
+in the library.
 
 Checked with the standard library's ast, since no linter is a dependency.
 __init__.py is left out of the import check: its imports are the
 package's re-exports."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,28 +42,42 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _reads(node):
+    """Every Name, attribute and from-import name under node, with
+    repeats."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(a.name for a in sub.names)
+    return out
+
+
 def dead_private_helpers(sources):
-    """Module-level functions and classes named _x, in a dict of module
-    name -> source, that no Name, attribute or import anywhere in the
-    sources refers to, apart from the helper's own body."""
+    """Module-level functions and classes named _x, and methods named _x
+    of module-level classes, in a dict of module name -> source, that no
+    Name, attribute or import anywhere in the sources refers to, apart
+    from the helper's own body."""
     defined = []
-    used = set()
+    reads = Counter()
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            inner = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    inner.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    inner.add(sub.attr)
-                elif isinstance(sub, ast.ImportFrom):
-                    inner.update(a.name for a in sub.names)
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined.append((module, node.name, node.lineno))
-                inner.discard(node.name)
-            used |= inner
-    return [f"{module}.{name} (line {line})" for module, name, line in defined if name not in used]
+        tree = ast.parse(source)
+        reads += _reads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+                defined.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and _is_private(item.name)]
+    return [f"{label} (line {node.lineno})" for label, node in defined
+            if reads[node.name] == _reads(node)[node.name]]
 
 
 def test_the_check_sees_a_dead_private_helper():
@@ -70,6 +86,22 @@ def test_the_check_sees_a_dead_private_helper():
         "b": "from .a import _used\n_used()\n",
     }
     assert dead_private_helpers(sources) == ["a._dead (line 1)", "a._Gone (line 7)"]
+
+
+def test_the_check_sees_a_dead_private_method():
+    sources = {
+        "a": ("class K:\n"
+              "    def __init__(self):\n"
+              "        self._used()\n"
+              "    def _used(self):\n"
+              "        pass\n"
+              "    def _dead(self, n):\n"
+              "        return self._dead(n - 1)\n"
+              "    def _called_elsewhere(self):\n"
+              "        pass\n"),
+        "b": "from .a import K\nK()._called_elsewhere()\n",
+    }
+    assert dead_private_helpers(sources) == ["a.K._dead (line 6)"]
 
 
 def test_every_private_helper_is_referenced():

@@ -7,10 +7,11 @@ import pytest
 
 from wittkit.coefficients import DualModule, standard_coefficient
 from wittkit.errors import EngineError
-from wittkit.linalg import Matrix, unit_vector
+from wittkit.linalg import Matrix, Solver, matrix_of_map, unit_vector
 from wittkit.modules import (
     ActionSpace,
     CyclicFactor,
+    Decomposition,
     FLModule,
     check_module_axioms,
     decompose_submodule,
@@ -22,7 +23,7 @@ from wittkit.modules import (
     uniformizer,
 )
 from wittkit.rings import GF, Element, PrimeField, ProductRing, QuotientRing, RingMap, involution
-from wittkit.transfer import TransferCoefficient
+from wittkit.transfer import RestrictedModule, TransferCoefficient, _mult_matrix
 
 
 def t2_ring():
@@ -280,3 +281,148 @@ def test_factor_reduce_equals_the_matrix_reduce(ring):
             reps.add(rep.data)
         # one representative per coset of the ideal
         assert len(reps) * len(ideal) == len(elements)
+
+
+# -- one decomposition path ---------------------------------------------------
+#
+# HomModule, RestrictedModule and decompose_submodule all build through
+# Decomposition.  The oracles below are those classes as they were before
+# it: each ran ActionSpace.decompose itself and converted elements with its
+# own loop and solver.
+
+
+def head_hom(hom, pairs):
+    """HomModule's module, generator flattenings and _flat_of_element
+    before Decomposition."""
+    basis = hom_space_basis(hom.F, pairs, hom._nrows, hom._ncols)
+    pieces = ActionSpace(hom.module.rwi, basis, hom._act).decompose()
+    module = FLModule(hom.module.rwi, [ann for _, ann in pieces])
+    gen_flats = [v for v, _ in pieces]
+
+    def flat_of_element(elem):
+        out = tuple(hom.F.zero for _ in range(hom._nrows * hom._ncols))
+        for rep, gv in zip(elem, gen_flats):
+            out = tuple(a + b for a, b in zip(out, hom._act(rep, gv)))
+        return out
+
+    return module, gen_flats, flat_of_element
+
+
+class HeadRestrictedModule:
+    """RestrictedModule before Decomposition: images summed with M.add and
+    M.scal, coordinates from its own solver."""
+
+    def __init__(self, pi, rwi_src, M):
+        self.pi = pi
+        self.over = M
+        basis = [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)]
+        pieces = ActionSpace(rwi_src, basis, lambda a, v: M.to_vec(M.scal(pi(a), M.from_vec(v)))).decompose()
+        self.module = FLModule(rwi_src, [ann for _, ann in pieces])
+        self.gen_vecs = [v for v, _ in pieces]
+        self._coords = Solver(matrix_of_map(
+            M.F, self.module.sdim, lambda u: M.to_vec(self.from_restricted(self.module.from_vec(u))),
+            nrows=M.sdim))
+
+    def from_restricted(self, x):
+        M = self.over
+        out = M.zero()
+        for rep, gv in zip(x, self.gen_vecs):
+            out = M.add(out, M.scal(self.pi(rep), M.from_vec(gv)))
+        return out
+
+    def to_restricted(self, m):
+        vec = self.over.to_vec(m)
+        if not vec:
+            return self.module.zero()
+        sol = self._coords.solve(tuple(vec))
+        assert sol is not None
+        return self.module.from_vec(sol)
+
+
+def _dual_pairs(hom):
+    I, rwi = hom.coef.module, hom.coef.rwi
+    return [(hom.source.action_matrix(g), I.action_matrix(rwi.conj(g)))
+            for g in hom.source.ring.algebra_generators()]
+
+
+def _transfer_pairs(hom):
+    S, I = hom.rwi_dst.ring, hom.source_coef.module
+    return [(_mult_matrix(S, hom.pi(g)), I.action_matrix(g)) for g in hom.pi.src.algebra_generators()]
+
+
+def _transfer_f3_to_f9():
+    F3 = PrimeField(3)
+    return TransferCoefficient(RingMap(F3, GF(9), []), involution(GF(9), "frobenius"),
+                               standard_coefficient(involution(F3, "id")))
+
+
+@pytest.mark.parametrize("build, pairs", [
+    (_dual_of_r_plus_k, _dual_pairs),
+    (_transfer_t_cubed_to_k, _transfer_pairs),
+    (_transfer_f3_to_f9, _transfer_pairs),
+], ids=["dual", "transfer-t-cubed", "transfer-f9"])
+def test_hom_module_decomposes_as_before(build, pairs):
+    hom = build()
+    module, gen_flats, flat_of_element = head_hom(hom, pairs(hom))
+    assert hom.module.key == module.key
+    assert hom.gens == gen_flats
+    for x in hom.module.elements():
+        flat = hom.to_ambient(x)
+        assert flat == flat_of_element(x)
+        assert hom.of_ambient(flat) == x
+
+
+def _t_cubed_to_t_squared():
+    F3 = PrimeField(3)
+    R = QuotientRing(F3, [0, 0, 0, 1], "t")
+    S = QuotientRing(F3, [0, 0, 1], "t")
+    return RingMap(R, S, [S.gen("t")]), involution(R, "id"), involution(S, "id")
+
+
+def _f9_over_f3():
+    F3, F9 = PrimeField(3), GF(9)
+    return RingMap(F3, F9, []), involution(F3, "id"), involution(F9, "frobenius")
+
+
+@pytest.mark.parametrize("tower, shape", [
+    (_t_cubed_to_t_squared, [2]),
+    (_t_cubed_to_t_squared, [2, 1]),
+    (_f9_over_f3, [1]),
+], ids=["t-cubed-to-t-squared-[2]", "t-cubed-to-t-squared-[2,1]", "f9-over-f3"])
+def test_restricted_module_decomposes_as_before(tower, shape):
+    pi, src, dst = tower()
+    M = module_from_shape(dst, shape)
+    rm = RestrictedModule(pi, src, M)
+    head = HeadRestrictedModule(pi, src, M)
+    assert rm.module.key == head.module.key
+    assert rm.gens == head.gen_vecs
+    for x in rm.module.elements():
+        m = rm.from_restricted(x)
+        assert m == head.from_restricted(x)
+        assert rm.to_ambient(x) == M.to_vec(m)
+        assert rm.of_ambient(rm.to_ambient(x)) == x
+    for m in M.elements():
+        assert rm.to_restricted(m) == head.to_restricted(m)
+
+
+def test_submodule_decomposition_inverts_exactly_on_its_span():
+    """Every vector of F^n is either the ambient vector of one element of
+    a decomposed proper submodule or refused with EngineError."""
+    R = QuotientRing(PrimeField(3), [0, 0, 0, 1], "t")
+    rwi = involution(R, "id")
+    t = R.gen("t")
+    M = FLModule(rwi, [R.zero, t ** 2])
+    sub, gens, basis = decompose_submodule(M, [M.element([t, R.zero]), M.element([t ** 2, R.one])])
+    dec = Decomposition(rwi, basis, lambda a, v: M.to_vec(M.scal(a, M.from_vec(v))), M.sdim)
+    assert len(basis) < M.sdim
+    assert dec.module.key == sub.key
+    assert [M.from_vec(v) for v in dec.gens] == gens
+    inside = set()
+    for vec in itertools.product(list(M.F.elements()), repeat=M.sdim):
+        try:
+            x = dec.of_ambient(vec)
+        except EngineError:
+            continue
+        assert dec.to_ambient(x) == vec
+        inside.add(x)
+    assert len(inside) == sub.size() == M.F.size() ** len(basis)

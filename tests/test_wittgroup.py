@@ -7,6 +7,7 @@ group of a quadratic extension is Z/2).  The quotient-ring values were
 cross-checked by hand via the rank-and-socle filtration.
 """
 
+import itertools
 import random
 
 import pytest
@@ -14,8 +15,9 @@ import pytest
 from wittkit import wittgroup
 from wittkit.coefficients import standard_coefficient
 from wittkit.errors import EngineError, EnumerationBoundExceeded, NotFinite
-from wittkit.forms import diagonal_form, hyperbolic_form
-from wittkit.modules import FLModule, free_module
+from wittkit.forms import HermitianForm, diagonal_form, hyperbolic_form, isometric
+from wittkit.linalg import Matrix
+from wittkit.modules import FLModule, free_module, indecomposable_factor_anns
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import (
     GF,
@@ -236,3 +238,58 @@ def test_a_lookup_miss_counts_the_classes_it_searched(monkeypatch):
     with pytest.raises(EngineError) as exc:
         engine.lookup(form)
     assert "1 enumerated classes shared that fingerprint and were searched" in str(exc.value)
+
+
+def head_one_factor_classes(engine, ann):
+    """WittEngine.one_factor_classes before it read enumerate_gram_tables:
+    its own nullspace of the entry conditions and its own dedup loop."""
+    module = FLModule(engine.rwi, [ann])
+    I = engine.coef.module
+    F = I.F
+    sig_ann = engine.rwi.conj(engine.ring.el(ann))
+    conds = I.action_matrix(sig_ann).vstack(I.action_matrix(ann)).vstack(
+        Matrix.identity(F, I.sdim) - I.action_matrix(engine.ring.el(engine.epsilon)) * engine.coef.imat
+    )
+    sol = conds.nullspace_basis()
+    found = []
+    dual = engine.dual_of(module)
+    for combo in itertools.product(list(F.elements()), repeat=len(sol)):
+        vec = [F.zero] * I.sdim
+        for c, b in zip(combo, sol):
+            vec = [x + c * y for x, y in zip(vec, b)]
+        form = HermitianForm(engine.coef, module, [[I.from_vec(tuple(vec))]], engine.epsilon, check=False)
+        if not form.is_nondegenerate(dual):
+            continue
+        fp = engine.fingerprint(form)
+        if any(engine.fingerprint(g) == fp and isometric(form, g) is not None for g in found):
+            continue
+        found.append(form)
+    found.sort(key=lambda f: (engine.fingerprint(f), f.gram_key()))
+    return found
+
+
+ONE_FACTOR_RINGS = [
+    "GF(3), sigma=id",
+    "GF(5), sigma=id",
+    "GF(9), sigma=frobenius",
+    "GF(3)xGF(3), sigma=swap",
+    "GF(3)[t]/(t^2), sigma=id",
+    "GF(3)[t]/(t^2), sigma=t->-t",
+    "GF(3)[t]/(t^3), sigma=id",
+]
+
+
+@pytest.mark.parametrize("epsilon", [1, -1], ids=["+1", "-1"])
+@pytest.mark.parametrize("text", ONE_FACTOR_RINGS)
+def test_one_factor_classes_equal_the_own_enumeration(text, epsilon):
+    engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
+    for ann in indecomposable_factor_anns(engine.ring):
+        keys = [f.gram_key() for f in engine.one_factor_classes(ann)]
+        assert keys == [f.gram_key() for f in head_one_factor_classes(engine, ann)]
+
+
+def test_one_factor_classes_keep_to_the_engine_limit():
+    F9 = GF(9)
+    engine = WittEngine(std(F9), 1, max_size=8)
+    with pytest.raises(EnumerationBoundExceeded):
+        engine.one_factor_classes(F9.zero)
