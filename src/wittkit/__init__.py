@@ -8,9 +8,9 @@ re-exported here; the submodules group the machinery:
     modules       finite-length modules and cyclic decomposition
     coefficients  duality coefficients, dual modules, double duals
     forms         epsilon-hermitian forms, isometry, metabolicity
-    chaindual     free complexes, duality functors, double-dual axioms
     transfer      pushforward of coefficients and forms along finite maps
-    koszul        Koszul complexes of regular sequences, conormal sign
+    koszul        free complexes, Koszul complexes of regular sequences,
+                  conormal sign
     fieldwitt     diagonalization and classical invariants over fields
     wittgroup     Witt class enumeration and group presentation
     devissage     residue-field comparison and its two-step factorization
@@ -18,16 +18,6 @@ re-exported here; the submodules group the machinery:
     cli           deterministic command line front end
 """
 
-from .chaindual import (
-    DualityData,
-    FreeComplex,
-    can_map,
-    dual_chain_map,
-    duality_functor,
-    hom_complex,
-    trivial_duality,
-    verify_duality_axioms,
-)
 from .coefficients import (
     DoubleDualComparison,
     DualityCoefficient,
@@ -41,7 +31,6 @@ from .devissage import (
     ComparisonReport,
     DevissageData,
     LocalcaseReport,
-    devissage_map,
     socle_dimension,
     verify_devissage,
     verify_localcase_factorization,
@@ -71,6 +60,7 @@ from .forms import (
     orthogonal_sum,
 )
 from .koszul import (
+    FreeComplex,
     RegularSequenceData,
     beta_tilde,
     conormal_sign,
@@ -121,7 +111,6 @@ __all__ = [
     "DoubleDualComparison",
     "DualModule",
     "DualityCoefficient",
-    "DualityData",
     "Element",
     "EngineError",
     "EnumerationBoundExceeded",
@@ -151,23 +140,18 @@ __all__ = [
     "WittGroupResult",
     "WittKitError",
     "beta_tilde",
-    "can_map",
     "check_coefficient_iso",
     "coefficient_change",
     "compose_flats_gamma",
     "compose_maps",
     "conormal_sign",
     "decompose_submodule",
-    "devissage_map",
     "diagonal_form",
     "diagonalize",
-    "dual_chain_map",
     "dual_map_matrix",
     "dual_module",
-    "duality_functor",
     "flat_coefficient",
     "free_module",
-    "hom_complex",
     "hyperbolic_form",
     "identity_map",
     "involution",
@@ -189,9 +173,7 @@ __all__ = [
     "socle_dimension",
     "standard_coefficient",
     "transfer_form",
-    "trivial_duality",
     "verify_devissage",
-    "verify_duality_axioms",
     "verify_localcase_factorization",
     "witt_group",
     "witt_invariants",

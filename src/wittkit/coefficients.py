@@ -20,14 +20,8 @@ from .errors import (
     NotSesquilinear,
     NotStrongDuality,
 )
-from .linalg import Matrix, matrix_of_map
-from .modules import HomModule, free_module
-
-
-def _map_matrix(module, fn):
-    """Scalar matrix of an additive self-map of an FLModule given as a
-    callable on module elements."""
-    return matrix_of_map(module.F, module.sdim, lambda u: module.to_vec(fn(module.from_vec(u))))
+from .linalg import Matrix
+from .modules import HomModule, free_module, map_matrix
 
 
 class DualityCoefficient:
@@ -45,7 +39,7 @@ class DualityCoefficient:
         self.rwi = rwi
         self.ring = rwi.ring
         self.module = module
-        self.imat = imap if isinstance(imap, Matrix) else _map_matrix(module, imap)
+        self.imat = imap if isinstance(imap, Matrix) else map_matrix(module, module, imap)
         F = module.F
         if self.imat.nrows != module.sdim or self.imat.ncols != module.sdim:
             raise CoefficientMismatch("identification matrix has the wrong size")
@@ -126,12 +120,8 @@ def dual_module(coef, M):
 def dual_map_matrix(dual_dst, dual_src, fmat):
     """Scalar matrix of D(f): D(N) -> D(M) for f: M -> N given by fmat
     (N.sdim x M.sdim); D(f)(h) = h . f.  dual_dst = D(N), dual_src = D(M)."""
-
-    def column(u):
-        H = dual_dst.hom_matrix(dual_dst.module.from_vec(u))
-        return dual_src.module.to_vec(dual_src.element_of_hom(H * fmat))
-
-    return matrix_of_map(dual_dst.F, dual_dst.module.sdim, column, nrows=dual_src.module.sdim)
+    return map_matrix(dual_dst.module, dual_src.module,
+                      lambda h: dual_src.element_of_hom(dual_dst.hom_matrix(h) * fmat))
 
 
 class DoubleDualComparison:
@@ -143,18 +133,13 @@ class DoubleDualComparison:
         self.M = M
         self.dual = dual if dual is not None else coef.dual(M)
         self.double = double if double is not None else coef.dual(self.dual.module)
-        F = M.F
-        I = coef.module
-        D = self.dual.module
 
-        def column(u):
-            x = M.from_vec(u)
+        def evaluation(x):
             # column j of H is i(f_j(x)) for the unit vector f_j of D(M)
-            H = matrix_of_map(F, D.sdim, lambda v: I.to_vec(coef.i(self.dual.eval(D.from_vec(v), x))),
-                              nrows=I.sdim)
-            return self.double.module.to_vec(self.double.element_of_hom(H))
+            H = map_matrix(self.dual.module, coef.module, lambda f: coef.i(self.dual.eval(f, x)))
+            return self.double.element_of_hom(H)
 
-        self.matrix = matrix_of_map(F, M.sdim, column)
+        self.matrix = map_matrix(M, self.double.module, evaluation)
         self.bijective = (
             self.double.module.sdim == M.sdim and self.matrix.rank() == M.sdim
         )
@@ -176,10 +161,7 @@ def check_coefficient_iso(c1, c2, jmap):
     returns the scalar matrix.  Raises NotACoefficientIso otherwise."""
     if c1.rwi != c2.rwi:
         raise CoefficientMismatch("coefficients live over different involutions")
-    J = jmap if isinstance(jmap, Matrix) else None
-    if J is None:
-        J = matrix_of_map(c1.module.F, c1.module.sdim,
-                          lambda u: c2.module.to_vec(jmap(c1.module.from_vec(u))))
+    J = jmap if isinstance(jmap, Matrix) else map_matrix(c1.module, c2.module, jmap)
     if J.nrows != c2.module.sdim or J.ncols != c1.module.sdim:
         raise NotACoefficientIso("comparison matrix has the wrong shape")
     if c1.module.sdim != c2.module.sdim or J.rank() != c1.module.sdim:

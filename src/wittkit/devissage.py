@@ -30,7 +30,6 @@ from .rings import (
     Element,
     QuotientRing,
     RingMap,
-    RingWithInvolution,
     identity_map,
     involution,
 )
@@ -115,14 +114,6 @@ class DevissageData:
             raise WittKitError(f"no residue tower for {ring}")
         self.coef = standard_coefficient(rwi)
         self.tc = flat_coefficient(self.pi, self.rwi_k, self.coef)
-
-
-def devissage_map(data, form):
-    """Transfer a k-form valued in pi^flat E to a finite-length form over
-    R.  Accepts a RingWithInvolution for one-shot use."""
-    if isinstance(data, RingWithInvolution):
-        data = DevissageData(data)
-    return transfer_form(data.tc, form)
 
 
 def _class_map(src, dst, push):

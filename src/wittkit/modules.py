@@ -211,7 +211,7 @@ class FLModule:
         ck = a.data
         if ck in self._action_cache:
             return self._action_cache[ck]
-        m = matrix_of_map(self.F, self.sdim, lambda u: self.to_vec(self.scal(a, self.from_vec(u))))
+        m = map_matrix(self, self, lambda x: self.scal(a, x))
         self._action_cache[ck] = m
         return m
 
@@ -222,6 +222,12 @@ class FLModule:
         x = self.from_vec(vec)
         y = tuple(f.reduce(self.rwi.conj(r)) for f, r in zip(self.factors, x))
         return self.to_vec(y)
+
+
+def map_matrix(M, N, fn):
+    """Scalar matrix of an additive map M -> N of FLModules, given as a
+    callable on module elements."""
+    return matrix_of_map(M.F, M.sdim, lambda u: N.to_vec(fn(M.from_vec(u))), nrows=N.sdim)
 
 
 def module_from_shape(rwi, shape):

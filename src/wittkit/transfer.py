@@ -31,7 +31,7 @@ from .errors import (
 )
 from .forms import HermitianForm
 from .linalg import matrix_of_map, span_basis, svec_matrix_of_additive_map, unit_vector
-from .modules import Decomposition, HomModule
+from .modules import Decomposition, HomModule, map_matrix
 from .rings import Element, check_equivariant_map, compose_maps
 
 
@@ -105,9 +105,7 @@ class TransferCoefficient(HomModule):
     def evaluation_matrix(self):
         """Scalar matrix of f |-> f(1_S) from coefficient coordinates to I
         coordinates; for pi = id this realizes the evaluation iso."""
-        I = self.source_coef.module
-        return matrix_of_map(self.F, self.module.sdim,
-                             lambda u: I.to_vec(self.eval_at_one(self.module.from_vec(u))), nrows=I.sdim)
+        return map_matrix(self.module, self.source_coef.module, self.eval_at_one)
 
     def __repr__(self):
         return f"TransferCoefficient({self.pi!r})"
@@ -179,17 +177,16 @@ class GammaComparison:
         F = coef.module.F
         k = rwi_dst.ring
 
-        def gamma(u):
-            H1 = self.composite.hom_matrix(self.composite.module.from_vec(u))  # (p^flat I).sdim x k.sdim
+        def gamma(f):
+            H1 = self.composite.hom_matrix(f)  # (p^flat I).sdim x k.sdim
 
             def column(a):
                 # gamma(f)(e_a) = f(e_a)(1_T)
                 return coef.module.to_vec(self.inner.eval_at_one(self.inner.module.from_vec(H1.apply(a))))
 
-            Hg = matrix_of_map(F, k.scalar_dim(), column)
-            return self.direct.module.to_vec(self.direct.element_of_hom(Hg))
+            return self.direct.element_of_hom(matrix_of_map(F, k.scalar_dim(), column))
 
-        J = matrix_of_map(F, self.composite.module.sdim, gamma)
+        J = map_matrix(self.composite.module, self.direct.module, gamma)
         # raises NotACoefficientIso when the comparison square fails
         self.matrix = check_coefficient_iso(self.composite.coefficient,
                                             self.direct.coefficient, J)

@@ -80,7 +80,7 @@ class WittEngine:
     def metabolic(self, form):
         k = (form.module.key, form.gram_key())
         if k not in self._metabolic:
-            self._metabolic[k] = is_metabolic(form, dual=self.dual_of(form.module))
+            self._metabolic[k] = is_metabolic(form)
         return self._metabolic[k]
 
     # -- building blocks ---------------------------------------------------

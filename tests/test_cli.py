@@ -106,6 +106,12 @@ GOLDEN = [
         0,
         '{"epsilon": 1, "factors": ["t^2", "t^2"], "gram": [["t", "t^2"], ["t^2", "2*t"]], "nondegenerate": true}',
     ),
+    (
+        # a univariate generator of degree 2: t^2 - 1 is fixed by t -> -t
+        ["koszul-sign", "QQ[t]", "[t^2-1]", "t -> -t"],
+        0,
+        '{"augmentation_square": true, "beta_square": true, "chain_map": true, "u": "+1"}',
+    ),
 ]
 
 
@@ -116,13 +122,27 @@ GOLDEN = [
          "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign",
          "witt-f5-bound-5", "witt-f3-skew-bound-6", "witt-f9-bound-4", "witt-f7-bound-5",
          "devissage-f9-t-squared", "devissage-t-fourth-skew", "witt-swap-bound-10",
-         "transfer-t-cubed-to-t-squared"],
+         "transfer-t-cubed-to-t-squared", "koszul-sign-univariate"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code
     out, err = capsys.readouterr()
     assert out == line + "\n"
     assert err == ""
+
+
+def test_koszul_sign_human_output(capsys):
+    assert main(["koszul-sign", "QQ[X,Y]", "[X-Y]", "swap"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "augmentation square: pass\nchain map: pass\nbeta square: pass\nu=-1\n"
+    assert err == ""
+
+
+def test_koszul_sign_on_a_non_invariant_ideal_exits_1(capsys):
+    assert main(["koszul-sign", "QQ[X,Y]", "[X]", "swap", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sigma of the sequence is not a constant combination of it\n"
 
 
 def test_parse_error_exits_2(capsys):

@@ -97,6 +97,18 @@ def test_check_coefficient_iso_identity():
     assert out == J["matrix"]
 
 
+def test_check_coefficient_iso_from_a_callable():
+    rwi = involution(GF(9), "frobenius")
+    coef = standard_coefficient(rwi)
+    F = coef.module.F
+    assert check_coefficient_iso(coef, coef, lambda x: x) == Matrix.identity(F, coef.module.sdim)
+    zero = DualityCoefficient(rwi, free_module(rwi, 0), lambda x: x)
+    assert check_coefficient_iso(zero, zero, lambda x: x) == Matrix(F, [])
+    for c1, c2 in ((zero, coef), (coef, zero)):
+        with pytest.raises(NotACoefficientIso):
+            check_coefficient_iso(c1, c2, lambda x, c2=c2: c2.module.from_vec((F.zero,) * c2.module.sdim))
+
+
 def test_check_coefficient_iso_rejects_nonequivariant():
     rwi = involution(GF(9), "frobenius")
     coef = standard_coefficient(rwi)

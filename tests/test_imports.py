@@ -1,6 +1,7 @@
-"""Every module-level import in the library is used, and every private
+"""Every module-level import in the library is used, every private
 module-level helper and private method is referenced from somewhere else
-in the library.
+in the library, and wittkit.__all__ lists exactly the package's
+re-exports.
 
 Checked with the standard library's ast, since no linter is a dependency.
 __init__.py is left out of the import check: its imports are the
@@ -106,3 +107,13 @@ def test_the_check_sees_a_dead_private_method():
 
 def test_every_private_helper_is_referenced():
     assert dead_private_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_all_lists_exactly_the_reexports():
+    tree = ast.parse((Path(wittkit.__file__).parent / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names}
+    assert [n for n, c in Counter(wittkit.__all__).items() if c > 1] == []
+    assert [n for n in wittkit.__all__ if not hasattr(wittkit, n)] == []
+    assert set(wittkit.__all__) == imported

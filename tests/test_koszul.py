@@ -4,6 +4,7 @@ import pytest
 
 from wittkit.errors import EngineError, IdealNotInvariant, ImproperIdeal, WittKitError
 from wittkit.koszul import (
+    FreeComplex,
     RegularSequenceData,
     beta_tilde,
     conormal_sign,
@@ -23,6 +24,13 @@ def qt():
 def qxy():
     R = PolynomialRing(Rationals(), ["X", "Y"])
     return R, R.gen("X"), R.gen("Y")
+
+
+def test_d_squared_enforced():
+    F3 = PrimeField(3)
+    one = F3.one
+    with pytest.raises(WittKitError):
+        FreeComplex(F3, {0: 1, 1: 1, 2: 1}, {0: Matrix(F3, [[one]]), 1: Matrix(F3, [[one]])})
 
 
 def test_single_variable_complex():
