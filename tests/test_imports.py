@@ -117,3 +117,17 @@ def test_all_lists_exactly_the_reexports():
     assert [n for n, c in Counter(wittkit.__all__).items() if c > 1] == []
     assert [n for n in wittkit.__all__ if not hasattr(wittkit, n)] == []
     assert set(wittkit.__all__) == imported
+
+
+def test_the_chain_level_duality_is_gone():
+    import inspect
+
+    from wittkit import devissage, koszul
+
+    removed = ["DualityData", "trivial_duality", "hom_complex", "duality_functor",
+               "dual_chain_map", "can_map", "verify_duality_axioms", "devissage_map"]
+    assert [n for n in removed if hasattr(wittkit, n)] == []
+    assert not hasattr(devissage, "devissage_map")
+    assert not (Path(wittkit.__file__).parent / "chaindual.py").exists()
+    assert wittkit.FreeComplex is koszul.FreeComplex
+    assert list(inspect.signature(koszul.FreeComplex).parameters) == ["ring", "ranks", "diffs"]

@@ -33,6 +33,25 @@ def test_d_squared_enforced():
         FreeComplex(F3, {0: 1, 1: 1, 2: 1}, {0: Matrix(F3, [[one]]), 1: Matrix(F3, [[one]])})
 
 
+def test_misshapen_differential_rejected():
+    F3 = PrimeField(3)
+    one = F3.one
+    with pytest.raises(WittKitError, match="d\\^0 must be 1x2, got 1x1"):
+        FreeComplex(F3, {0: 2, 1: 1}, {0: Matrix(F3, [[one]])})
+
+
+def test_free_complex_keeps_nonzero_ranks_and_fills_zero_differentials():
+    F3 = PrimeField(3)
+    one = F3.one
+    E = FreeComplex(F3, {-1: 0, 0: 2, 1: 1}, {-1: Matrix(F3, [[one], [one]])})
+    assert E.degrees() == [0, 1]
+    assert (E.rank(-1), E.rank(0), E.rank(1), E.rank(2)) == (0, 2, 1, 0)
+    assert E.diffs == {}
+    assert E.diff(0) == Matrix.zeros(F3, 1, 2)
+    assert repr(E) == "FreeComplex(GF(3), 2@0 -> 1@1)"
+    assert repr(FreeComplex(F3, {})) == "FreeComplex(GF(3), zero)"
+
+
 def test_single_variable_complex():
     R, t = qt()
     data = RegularSequenceData(R, [t])
@@ -164,3 +183,17 @@ def test_beta_composite_vanishes():
         d = K.diff(top) if top in K.degrees() and K.rank(top + 1) else None
         # the guard inside beta_tilde already asserts the composite
         assert bt.nrows == 1
+
+
+def test_beta_square_names_the_first_generator_whose_image_escapes():
+    R, X, Y = qxy()
+    swap = involution(R, {"X": Y, "Y": X})
+    data = RegularSequenceData(R, [X - Y])
+    assert involution_transport(data, swap)["beta_square"] == (True, None)
+    # an ideal test that refuses sigma(X - Y) = Y - X: the square fails there
+    data.in_ideal = lambda e: e != Y - X
+    report = involution_transport(data, swap)
+    assert report["beta_square"] == (False, X - Y)
+    assert report["augmentation_square"] == (True, None)
+    assert report["chain_map"] == (True, None)
+    assert not report["all_pass"]

@@ -19,6 +19,7 @@ from wittkit.modules import (
     hom_space_basis,
     indecomposable_factor_anns,
     is_nilpotent_quotient,
+    map_matrix,
     module_from_shape,
     uniformizer,
 )
@@ -91,6 +92,24 @@ def test_vec_roundtrip_and_action_matrix():
     one = M.element([R.one])
     assert M.from_vec(A.apply(M.to_vec(one))) == M.element([t])
     assert (A * A).is_zero()
+
+
+def test_map_matrix_is_the_coordinate_matrix_of_the_map():
+    R = t2_ring()
+    rwi = involution(R, "id")
+    t = R.gen("t")
+    M = module_from_shape(rwi, [2, 1])
+    N = module_from_shape(rwi, [2])
+    assert map_matrix(M, M, lambda x: M.scal(t, x)) == M.action_matrix(t)
+    assert map_matrix(M, M, lambda x: x) == Matrix.identity(M.F, M.sdim)
+    # project onto the R factor: x -> its first coordinate, in N
+    proj = map_matrix(M, N, lambda x: N.element([x[0]]))
+    assert (proj.nrows, proj.ncols) == (N.sdim, M.sdim)
+    for x in M.elements():
+        assert N.from_vec(proj.apply(M.to_vec(x))) == N.element([x[0]])
+    Z = free_module(rwi, 0)
+    into = map_matrix(Z, N, lambda x: N.zero())
+    assert (into.nrows, into.ncols) == (N.sdim, 0)
 
 
 def test_module_from_shape():

@@ -12,10 +12,10 @@ import random
 
 import pytest
 
-from wittkit import wittgroup
+from wittkit import coefficients, wittgroup
 from wittkit.coefficients import standard_coefficient
 from wittkit.errors import EngineError, EnumerationBoundExceeded, NotFinite
-from wittkit.forms import HermitianForm, diagonal_form, hyperbolic_form, isometric
+from wittkit.forms import HermitianForm, diagonal_form, hyperbolic_form, is_metabolic, isometric
 from wittkit.linalg import Matrix
 from wittkit.modules import FLModule, free_module, indecomposable_factor_anns
 from wittkit.parser import parse_ring_with_involution
@@ -141,6 +141,47 @@ def test_second_lookup_of_a_form_runs_no_isometry_search(monkeypatch):
     # an equal form built afresh: the answer is kept by content, not identity
     assert engine.lookup(diagonal_form(coef, [F3.one, F3.el(2)])) is first
     assert calls == []
+
+
+def _counting_duals(monkeypatch):
+    built = []
+    real = coefficients.DualModule
+
+    def counting(coef, source):
+        built.append(source.key)
+        return real(coef, source)
+
+    monkeypatch.setattr(coefficients, "DualModule", counting)
+    return built
+
+
+def test_metabolic_builds_no_dual_the_form_does_not_need(monkeypatch):
+    F3 = PrimeField(3)
+    coef = std(F3)
+    engine = WittEngine(coef, 1)
+    built = _counting_duals(monkeypatch)
+    split = diagonal_form(coef, [F3.one, F3.el(2)])
+    aniso = diagonal_form(coef, [F3.one, F3.one])
+    # nondegeneracy already settled on the form: no dual is built
+    own = coefficients.DualModule(coef, split.module)
+    assert split.is_nondegenerate(own) and aniso.is_nondegenerate(own)
+    built.clear()
+    assert engine.metabolic(split) is True
+    assert engine.metabolic(aniso) is False
+    assert built == []
+
+
+def test_metabolic_builds_the_cached_dual_once_when_asked(monkeypatch):
+    F3 = PrimeField(3)
+    coef = std(F3)
+    engine = WittEngine(coef, 1)
+    built = _counting_duals(monkeypatch)
+    forms = [diagonal_form(coef, [F3.el(a), F3.el(b)]) for a in (1, 2) for b in (1, 2)]
+    answers = [engine.metabolic(f) for f in forms]
+    assert built == [forms[0].module.key]
+    assert coef.dual(forms[0].module) is coef.dual(forms[3].module)
+    assert answers == [is_metabolic(f, coef.dual(f.module)) for f in forms]
+    assert answers == [False, True, True, False]
 
 
 def test_engine_refuses_infinite_rings():
