@@ -22,7 +22,7 @@ from .errors import EnumerationBoundExceeded, ParseError, WittKitError
 from .fieldwitt import diagonalize
 from .forms import HermitianForm
 from .koszul import RegularSequenceData, involution_transport, conormal_sign
-from .modules import FLModule
+from .modules import free_module
 from .parser import (
     parse_gram,
     parse_involution,
@@ -69,7 +69,7 @@ def _fmt_coefficient_value(v):
 
 
 def _free_form(rwi, rows, epsilon):
-    module = FLModule(rwi, [rwi.ring.zero] * len(rows))
+    module = free_module(rwi, len(rows))
     return HermitianForm(standard_coefficient(rwi), module, rows, epsilon)
 
 
@@ -157,7 +157,7 @@ def cmd_transfer(args):
     src, dst, pi = parse_tower(args.tower)
     tc = flat_coefficient(pi, dst, standard_coefficient(src))
     rows = parse_gram(dst.ring, args.gram)
-    module = FLModule(dst, [dst.ring.zero] * len(rows))
+    module = free_module(dst, len(rows))
     form = HermitianForm(tc.coefficient, module, rows, args.epsilon)
     out = transfer_form(tc, form)
     gram = [[_fmt_coefficient_value(e) for e in row] for row in out.gram]

@@ -161,6 +161,10 @@ def check_coefficient_iso(c1, c2, jmap):
     returns the scalar matrix.  Raises NotACoefficientIso otherwise."""
     if c1.rwi != c2.rwi:
         raise CoefficientMismatch("coefficients live over different involutions")
+    if not isinstance(jmap, Matrix) and c1.module.sdim != c2.module.sdim:
+        # no map between modules of different sizes is bijective; into a
+        # zero module the matrix of a map would have no row to size it
+        raise NotACoefficientIso("comparison map is not bijective")
     J = jmap if isinstance(jmap, Matrix) else map_matrix(c1.module, c2.module, jmap)
     if J.nrows != c2.module.sdim or J.ncols != c1.module.sdim:
         raise NotACoefficientIso("comparison matrix has the wrong shape")

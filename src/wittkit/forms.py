@@ -11,6 +11,16 @@ the quotients), epsilon-symmetry holds on every pair of scalar basis
 vectors, and epsilon is +1 or -1.  Nondegeneracy is a separate predicate
 (the adjoint into the dual module being bijective), since degenerate forms
 are legitimate objects to build and then reject.
+
+Tables live where they are decided, and each is built on first read.  Per
+shape, on the module (one FLModule per annihilator tuple, from
+RingWithInvolution.module): the element list (_int_elements), the integer
+action matrices of the scalar basis (_scalar_action_ints) and the kernel
+of each annihilator (_ann_kernel).  Per form, on the form: the Gram key,
+the coordinate tensor, the norm table and its index, the fingerprint and
+nondegeneracy.  Per module key, on the coefficient: the dual module.  An
+orthogonal sum takes its summands' reduced Gram entries as they are and
+composes its per-form tables from theirs.
 """
 
 from __future__ import annotations
@@ -29,43 +39,43 @@ from .errors import (
     NotSesquilinear,
 )
 from .linalg import Echelon, Matrix, matrix_of_map, unit_vector
-from .modules import FLModule, free_module, module_from_shape
+from .modules import free_module, module_from_shape
 
 
 class HermitianForm:
     def __init__(self, coef, module, gram, epsilon, check=True):
         if module.rwi != coef.rwi:
             raise CoefficientMismatch("form module and coefficient disagree on the involution")
-        self.coef = coef
-        self.module = module
-        self.ring = module.ring
         if epsilon not in (1, -1):
             raise FormMismatch(f"epsilon must be +1 or -1, got {epsilon!r}")
-        self.epsilon = epsilon
-        self.eps_el = self.ring.el(epsilon)
         n = len(module.factors)
         if len(gram) != n or any(len(row) != n for row in gram):
             raise FormMismatch("Gram table size does not match the number of cyclic factors")
         I = coef.module
-        self.gram = [[self._coerce(I, e) for e in row] for row in gram]
+        self._setup(coef, module, [[_coerce(I, e) for e in row] for row in gram], epsilon)
+        if check:
+            self._validate()
+
+    def _setup(self, coef, module, gram, epsilon, parts=None):
+        """Every form is set up here, from Gram entries that are already
+        reduced elements of coef.module: __init__ coerces its entries
+        first, _permuted_sum hands over its summands' entries as they are.
+
+        parts is (summands, order) on a form built by orthogonal_sum or
+        canonical_order: its factor a is factor order[a] of the summands'
+        factors taken one summand after another, and its tables are
+        composed from theirs; None on every other form."""
+        self.coef = coef
+        self.module = module
+        self.ring = module.ring
+        self.epsilon = epsilon
+        self.eps_el = self.ring.el(epsilon)
+        self.gram = gram
         self._ctensor = None
         self._fp = None
         self._nondeg = None
         self._gkey = None
-        # (summands, order) on a form built by orthogonal_sum or
-        # canonical_order: its factor a is factor order[a] of the summands'
-        # factors taken one summand after another, and its tables are
-        # composed from theirs; None on every other form
-        self._parts = None
-        if check:
-            self._validate()
-
-    def _coerce(self, I, entry):
-        if isinstance(entry, tuple) and len(entry) == len(I.factors):
-            return I.element(entry)
-        if len(I.factors) == 1:
-            return I.element([self.ring.el(entry)])
-        raise FormMismatch("Gram entry is not a coefficient-module element")
+        self._parts = parts
 
     def _validate(self):
         I = self.coef.module
@@ -203,10 +213,18 @@ class HermitianForm:
 
     def gram_key(self):
         """The Gram table as nested tuples of raw coordinates; kept on the
-        form, since nothing changes the table after construction."""
+        form, since nothing changes the table after construction.  A
+        composed form takes its entries from its summands' keys."""
         if self._gkey is None:
             I = self.coef.module
-            self._gkey = tuple(tuple(I.to_ints(e) for e in row) for row in self.gram)
+            if self._parts is not None:
+                picked = _picked(*self._parts)
+                keys = [f.gram_key() for f in self._parts[0]]
+                zero = I.to_ints(I.zero())
+                self._gkey = tuple(tuple(keys[s][i][j] if s == t else zero for t, j in picked)
+                                   for s, i in picked)
+            else:
+                self._gkey = tuple(tuple(I.to_ints(e) for e in row) for row in self.gram)
         return self._gkey
 
     def __eq__(self, other):
@@ -236,24 +254,40 @@ class HermitianForm:
         return _fingerprint(self)
 
 
+def _coerce(I, entry):
+    """A Gram entry as a reduced element of the coefficient module I."""
+    if isinstance(entry, tuple) and len(entry) == len(I.factors):
+        return I.element(entry)
+    if len(I.factors) == 1:
+        return I.element([I.ring.el(entry)])
+    raise FormMismatch("Gram entry is not a coefficient-module element")
+
+
 def _canonical_permutation(factors):
     return sorted(range(len(factors)), key=lambda k: (factors[k].key, k))
+
+
+def _picked(summands, order):
+    """(summand, factor index) of each factor of the permuted sum."""
+    slots = [(s, i) for s, f in enumerate(summands) for i in range(len(f.module.factors))]
+    return [slots[k] for k in order]
 
 
 def _permuted_sum(summands, order):
     """The orthogonal sum of the summands with its cyclic factors taken in
     the given order (indices into the summands' factors, one summand
     after another).  The result carries the summands, so its tables are
-    composed from theirs."""
+    composed from theirs, and takes their Gram entries, which are reduced
+    already, without coercing them again."""
     first = summands[0]
     I = first.coef.module
-    slots = [(s, i) for s, f in enumerate(summands) for i in range(len(f.module.factors))]
-    picked = [slots[k] for k in order]
-    module = FLModule(first.coef.rwi, [summands[s].module.factors[i].ann for s, i in picked])
-    gram = [[summands[s].gram[i][j] if s == t else I.zero() for t, j in picked]
+    picked = _picked(summands, order)
+    module = first.coef.rwi.module([summands[s].module.factors[i].ann for s, i in picked])
+    zero = I.zero()
+    gram = [[summands[s].gram[i][j] if s == t else zero for t, j in picked]
             for s, i in picked]
-    form = HermitianForm(first.coef, module, gram, first.epsilon, check=False)
-    form._parts = (tuple(summands), tuple(order))
+    form = object.__new__(HermitianForm)
+    form._setup(first.coef, module, gram, first.epsilon, (tuple(summands), tuple(order)))
     return form
 
 
@@ -310,7 +344,7 @@ def hyperbolic_form(coef, N, epsilon=1, dual=None):
     dual = dual if dual is not None else coef.dual(N)
     DN = dual.module
     rwi = coef.rwi
-    module = FLModule(rwi, [f.ann for f in N.factors] + [f.ann for f in DN.factors])
+    module = rwi.module([f.ann for f in N.factors] + [f.ann for f in DN.factors])
     I = coef.module
     n = len(N.factors)
     ngens = N.generators()
@@ -369,7 +403,9 @@ def hyperbolic_form(coef, N, epsilon=1, dual=None):
 #     by the coordinate permutation;
 #   - _coord_tensor: the block diagonal of the summands' tensors, permuted
 #     the same way;
-#   - is_nondegenerate: whether every summand is nondegenerate.
+#   - is_nondegenerate: whether every summand is nondegenerate;
+#   - the Gram table and gram_key: the summands' entries and keys, zero
+#     off the diagonal blocks, never coerced again.
 # Every other form (a block, a hyperbolic form, a form built from a Gram
 # table, a transfer) computes its tables from its own elements: the tensor
 # with evaluate on each pair of scalar basis vectors, the norm table by

@@ -53,12 +53,6 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def col(self, j):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def __add__(self, other):
         self._match(other)
         return Matrix(self.ring, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])

@@ -8,6 +8,15 @@ which is also what makes semilinear maps tractable: they are scalar-linear.
 
 Supported base rings for module theory: fields from the tower, nilpotent
 univariate quotients k[t]/(t^n), and products of two equal fields.
+
+Every module the library builds comes from RingWithInvolution.module,
+which keeps one FLModule per annihilator tuple on the ring with
+involution.  Whatever is kept on a module is therefore built once per
+shape, and only when first read: its cyclic factors (with the echelon of
+each ideal) at construction, the action_matrix of each ring element, and
+the search tables of forms.py (_int_elements, _scalar_action_ints and
+_ann_kernel).  A Decomposition factors its coordinate solver on the first
+of_ambient call.
 """
 
 from __future__ import annotations
@@ -246,11 +255,11 @@ def module_from_shape(rwi, shape):
             anns.append(uniformizer(ring) ** a)
         else:
             raise WittKitError(f"module_from_shape does not support {ring}; pass annihilators")
-    return FLModule(rwi, anns)
+    return rwi.module(anns)
 
 
 def free_module(rwi, rank):
-    return FLModule(rwi, [rwi.ring.zero] * rank)
+    return rwi.module([rwi.ring.zero] * rank)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +290,7 @@ class ActionSpace:
         self.F = rwi.ring.scalar_field()
         self.basis = [tuple(v) for v in basis]
         self._act = act
-        self._solver = Solver(Matrix.from_cols(self.F, self.basis)) if self.basis else None
+        self._solver = None  # factored on the first _to_internal call
 
     def dim(self):
         return len(self.basis)
@@ -289,6 +298,8 @@ class ActionSpace:
     def _to_internal(self, vec):
         if not self.basis:
             return ()
+        if self._solver is None:
+            self._solver = Solver(Matrix.from_cols(self.F, self.basis))
         sol = self._solver.solve(tuple(vec))
         if sol is None:
             raise EngineError("vector outside the action space")
@@ -350,7 +361,7 @@ class ActionSpace:
                 if o > best_ord:
                     best, best_ord = tuple(b), o
             a = best_ord
-            target = FLModule(self.rwi, [t ** a])
+            target = self.rwi.module([t ** a])
             psi = _split_map(space, target, best)
             out.append((best, t ** a))
             # new space: kernel of psi inside the old one
@@ -403,19 +414,19 @@ class Decomposition:
     subspace, act(a: Element, vec) -> vec is the action on F^n, and the
     ActionSpace decomposition gives self.module with the generator vectors
     self.gens.  to_ambient and of_ambient convert between elements of
-    self.module and vectors of F^n."""
+    self.module and vectors of F^n; the solver behind of_ambient is
+    factored on its first call."""
 
     def __init__(self, rwi, basis, act, n):
         self.F = rwi.ring.scalar_field()
         self.act = act
         self._n = n
         pieces = ActionSpace(rwi, basis, act).decompose()
-        self.module = FLModule(rwi, [ann for _, ann in pieces])
+        self.module = rwi.module([ann for _, ann in pieces])
         self.gens = [v for v, _ in pieces]
         if self.module.sdim != len(basis):
             raise EngineError(f"{type(self).__name__} decomposition lost dimensions")
-        self._solver = Solver(matrix_of_map(
-            self.F, self.module.sdim, lambda u: self.to_ambient(self.module.from_vec(u)), nrows=n))
+        self._solver = None
 
     def to_ambient(self, elem):
         """The vector sum of act(rep_i, g_i) over the components of elem."""
@@ -429,6 +440,10 @@ class Decomposition:
         EngineError if vec is outside the subspace."""
         if not vec:
             return self.module.zero()
+        if self._solver is None:
+            self._solver = Solver(matrix_of_map(
+                self.F, self.module.sdim, lambda u: self.to_ambient(self.module.from_vec(u)),
+                nrows=self._n))
         sol = self._solver.solve(tuple(vec))
         if sol is None:
             raise EngineError(f"vector is outside the subspace of {type(self).__name__}")

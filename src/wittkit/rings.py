@@ -20,6 +20,10 @@ are immutable tuples and ints, and no Element is ever mutated, so a
 remembered product or image is the value a fresh computation returns.
 Infinite rings compute afresh every time.
 
+A RingWithInvolution keeps one FLModule per annihilator tuple
+(RingWithInvolution.module), so every table a module keeps on itself is
+built once per shape over that involution.
+
 An involution is a verified ring map sigma with sigma . sigma = id:
 
 >>> R = QuotientRing(PrimeField(3), [0, 0, 1], "t")   # GF(3)[t]/(t^2)
@@ -1228,9 +1232,25 @@ class RingWithInvolution:
             raise NotInvolutive(f"sigma^2 is not the identity on {ring}")
         self.ring = ring
         self.sigma = sigma
+        # exact annihilator data tuple -> FLModule, filled by module()
+        self._modules = {}
 
     def conj(self, x):
         return self.sigma(x)
+
+    def module(self, anns):
+        """The modules.FLModule over self with these cyclic annihilators,
+        built on first request and handed to every later caller.  The
+        table is keyed on the exact annihilator data, not on the module
+        key, so the module returned is the one a fresh FLModule(self,
+        anns) would be, down to the annihilator of each factor."""
+        from .modules import FLModule
+        anns = [self.ring.el(a) for a in anns]
+        key = tuple(a.data for a in anns)
+        M = self._modules.get(key)
+        if M is None:
+            M = self._modules[key] = FLModule(self, anns)
+        return M
 
     def is_trivial(self):
         return self.sigma.is_identity()

@@ -16,6 +16,12 @@ D(M) = Hom_R(sigma_* M, I) in coefficients.py.  The restriction of an
 S-module to R (RestrictedModule) is a modules.Decomposition too, of the
 whole scalar space of the module: the dual, pi^flat I and every
 restriction are split into cyclic factors by the same code.
+
+A TransferCoefficient keeps the restrictions it transfers along:
+restriction(M) builds one RestrictedModule per module key and involution
+on first request, and transfer_form reads it from there.  Its module
+comes from RingWithInvolution.module like every other, and its
+coordinate solver is only factored if to_restricted is called.
 """
 
 from __future__ import annotations
@@ -87,6 +93,17 @@ class TransferCoefficient(HomModule):
 
         # the coefficient constructor re-verifies semilinearity and i.i = id
         self.coefficient = DualityCoefficient(rwi_dst, self.module, imap)
+        self._restrictions = {}
+
+    def restriction(self, M):
+        """M restricted to the source ring along pi, as a RestrictedModule
+        built on first request.  The module key leaves out sigma, so the
+        involution of M is part of the key."""
+        key = (M.rwi, M.key)
+        rm = self._restrictions.get(key)
+        if rm is None:
+            rm = self._restrictions[key] = RestrictedModule(self.pi, self.rwi_src, M)
+        return rm
 
     def _act(self, b, flat):
         """(b f)(m) = f(b m)."""
@@ -150,7 +167,7 @@ def transfer_form(tc, form):
     one.  Nondegeneracy is preserved and asserted."""
     if form.coef != tc.coefficient:
         raise CoefficientMismatch("form is not valued in this transfer coefficient")
-    rm = RestrictedModule(tc.pi, tc.rwi_src, form.module)
+    rm = tc.restriction(form.module)
     gens = [rm.from_restricted(g) for g in rm.module.generators()]
     gram = [[tc.eval_at_one(form.evaluate(x, y)) for y in gens] for x in gens]
     out = HermitianForm(tc.source_coef, rm.module, gram, form.epsilon)

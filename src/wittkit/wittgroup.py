@@ -42,7 +42,7 @@ from .forms import (
 )
 from .intsnf import PresentedGroup, hom_kernel_cokernel_trivial
 from .linalg import Matrix
-from .modules import CyclicFactor, FLModule, indecomposable_factor_anns
+from .modules import CyclicFactor, indecomposable_factor_anns
 
 
 class WittEngine:
@@ -63,7 +63,7 @@ class WittEngine:
         self._facts = [CyclicFactor(ring, a) for a in self._anns]
         self._ann_by_key = {f.key: a for f, a in zip(self._facts, self._anns)}
         for a in self._anns:
-            M = FLModule(self.rwi, [a])
+            M = self.rwi.module([a])
             DoubleDualComparison(coef, M).require_strong()
         self._blocks = None
         self._classes = {}
@@ -87,7 +87,7 @@ class WittEngine:
     def one_factor_classes(self, ann):
         """Exhaustive classification on R/(ann): the nondegenerate forms
         among every Gram table on the module, one per isometry class."""
-        module = FLModule(self.rwi, [ann])
+        module = self.rwi.module([ann])
         dual = self.dual_of(module)
         tables = enumerate_gram_tables(self.coef, module, self.epsilon, limit=self.max_size)
         return self._distinct(f for f in tables if f.is_nondegenerate(dual))
@@ -112,7 +112,7 @@ class WittEngine:
             for a in self._anns:
                 out.extend(self.one_factor_classes(a))
             for a in self._anns:
-                N = FLModule(self.rwi, [a])
+                N = self.rwi.module([a])
                 h = canonical_order(hyperbolic_form(self.coef, N, epsilon=self.epsilon))
                 out.append(h.require_nondegenerate(self.dual_of(h.module)))
             self._blocks = out
@@ -133,7 +133,7 @@ class WittEngine:
                     cur.pop()
 
         rec(0, bound, [])
-        mods = [FLModule(self.rwi, s) for s in shapes]
+        mods = [self.rwi.module(s) for s in shapes]
         mods.sort(key=lambda m: (m.length, m.key))
         return mods
 
@@ -158,7 +158,7 @@ class WittEngine:
     def classes(self, module):
         order = sorted(range(len(module.factors)), key=lambda k: (module.factors[k].key, k))
         if order != list(range(len(module.factors))):
-            module = FLModule(self.rwi, [module.factors[k].ann for k in order])
+            module = self.rwi.module([module.factors[k].ann for k in order])
         if module.key in self._classes:
             return self._classes[module.key]
         if module.size() > self.max_size:
@@ -185,7 +185,7 @@ class WittEngine:
             rest_anns = []
             for k, mult in sorted(rest.items()):
                 rest_anns.extend([self._ann_by_key[k]] * mult)
-            for c in self.classes(FLModule(self.rwi, rest_anns)):
+            for c in self.classes(self.rwi.module(rest_anns)):
                 s = orthogonal_sum(c, blk) if c.module.factors else blk
                 if s.module.key != module.key:
                     raise EngineError("orthogonal sum landed on the wrong shape")

@@ -1,9 +1,14 @@
 """The command-line contract: golden --json lines and exit codes."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import wittkit
 from wittkit.cli import main
 
 GOLDEN = [
@@ -129,6 +134,18 @@ def test_golden_json_and_exit_code(argv, code, line, capsys):
     out, err = capsys.readouterr()
     assert out == line + "\n"
     assert err == ""
+
+
+def test_python_dash_m_wittkit_runs_the_cli(capsys):
+    argv, code, line = GOLDEN[0]
+    src = str(Path(wittkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-m", "wittkit", *argv, "--json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert main(argv + ["--json"]) == done.returncode == code
+    out, _ = capsys.readouterr()
+    assert done.stdout == out == line + "\n"
+    assert done.stderr == ""
 
 
 def test_koszul_sign_human_output(capsys):

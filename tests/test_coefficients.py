@@ -109,6 +109,22 @@ def test_check_coefficient_iso_from_a_callable():
             check_coefficient_iso(c1, c2, lambda x, c2=c2: c2.module.from_vec((F.zero,) * c2.module.sdim))
 
 
+def test_check_coefficient_iso_calls_a_size_mismatch_not_bijective():
+    rwi = involution(GF(9), "frobenius")
+    coef = standard_coefficient(rwi)
+    F = coef.module.F
+    zero = DualityCoefficient(rwi, free_module(rwi, 0), lambda x: x)
+    # a callable into or out of the zero coefficient
+    for c1, c2 in ((coef, zero), (zero, coef)):
+        with pytest.raises(NotACoefficientIso, match="^comparison map is not bijective$"):
+            check_coefficient_iso(c1, c2, lambda x, c2=c2: c2.module.zero())
+    # a matrix of the wrong shape is still named as one
+    for c1, c2, J in ((coef, zero, Matrix(F, [])), (coef, coef, Matrix.identity(F, 1)),
+                      (zero, coef, Matrix(F, [[F.one]]))):
+        with pytest.raises(NotACoefficientIso, match="^comparison matrix has the wrong shape$"):
+            check_coefficient_iso(c1, c2, J)
+
+
 def test_check_coefficient_iso_rejects_nonequivariant():
     rwi = involution(GF(9), "frobenius")
     coef = standard_coefficient(rwi)

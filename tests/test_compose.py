@@ -1,9 +1,10 @@
 """Composed tables of orthogonal sums against a from-scratch oracle.
 
-A form built by orthogonal_sum or canonical_order composes its norm
-fingerprint, norm table and coordinate tensor from its summands' tables,
-and answers is_nondegenerate from its summands' answers.  The oracle below
-computes each of them from the form alone: the tensor with evaluate on
+A form built by orthogonal_sum or canonical_order takes its Gram entries
+and Gram key from its summands, composes its norm fingerprint, norm table
+and coordinate tensor from their tables, and answers is_nondegenerate
+from their answers.  The oracle below computes each of them from the form
+alone: the entries coerced again, the tensor with evaluate on
 every pair of scalar basis vectors, as the library does for blocks and
 parsed forms, b(x, x) of every element by bilinearity from that tensor,
 and nondegeneracy as the rank of the adjoint into a freshly built dual.
@@ -17,6 +18,7 @@ import pytest
 
 from wittkit.coefficients import DualModule, standard_coefficient
 from wittkit.forms import (
+    HermitianForm,
     _int_elements,
     _norm_table,
     canonical_order,
@@ -74,6 +76,11 @@ def scratch_nondegenerate(form):
 
 
 def assert_tables_match(form):
+    # the Gram entries and key a sum takes from its summands, against
+    # entries coerced through FLModule.element and a key read off them
+    coerced = HermitianForm(form.coef, form.module, form.gram, form.epsilon, check=False)
+    assert form.gram == coerced.gram
+    assert form.gram_key() == coerced.gram_key()
     assert form.norm_fingerprint() == scratch_fingerprint(form)
     assert _norm_table(form) == scratch_norm_table(form)
     assert form._coord_tensor() == scratch_coord_tensor(form)
