@@ -251,11 +251,3 @@ def main(argv=None):
     except WittKitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-def entry():
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

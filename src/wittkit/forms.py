@@ -206,11 +206,6 @@ class HermitianForm:
     def shape(self):
         return self.module.shape()
 
-    def neg(self):
-        I = self.coef.module
-        g = [[I.neg(e) for e in row] for row in self.gram]
-        return HermitianForm(self.coef, self.module, g, self.epsilon, check=False)
-
     def gram_key(self):
         """The Gram table as nested tuples of raw coordinates; kept on the
         form, since nothing changes the table after construction.  A

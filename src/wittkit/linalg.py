@@ -6,11 +6,11 @@ commutative ring.  Sizes here are desk-scale, no attempt at asymptotics.
 
 Echelon is the one elimination: the reduced row echelon form of a growing
 span, kept on raw field data (Element.data), with Ring.sub_mul as its only
-row operation.  Matrix.rref, span_basis, the canonical representatives
-of module factors and the subspace searches of forms all run on it;
-values are wrapped in Elements only where a Matrix or a vector of
-Elements is handed back.  Matrix.det keeps its own elimination, since it
-tracks a determinant rather than a span.
+row operation.  Matrix.rref, span_basis, the coordinates of a Basis, the
+canonical representatives of module factors and the subspace searches of
+forms all run on it; values are wrapped in Elements only where a Matrix
+or a vector of Elements is handed back.  Matrix.det keeps its own
+elimination, since it tracks a determinant rather than a span.
 """
 
 from __future__ import annotations
@@ -297,56 +297,46 @@ class Echelon:
         return Echelon(self.F, self.rows)
 
 
-class Solver:
-    """Solves A x = rhs for one matrix A over a field and many right-hand
-    sides, factoring A once, on the first call.
+class Basis:
+    """An independent list of vectors of F^n, F a field, as tuples of
+    Elements: combine(x) is the vector sum x_j b_j, and coords(v) the x
+    with combine(x) = v.
 
-    The rows Q where rref(A^T) has its pivots are a maximal independent
-    set of rows of A, so rref(A_Q) = rref(A); the rref of [A_Q | I] is
-    [R | E] with E A_Q = R, whose pivot columns P are those of A.  Then
-    x = E rhs_Q on P and 0 elsewhere is the one solution supported on P,
-    which is what A.solve(rhs) returns; it exists iff x also satisfies the
-    rows outside Q.  A call costs about rank(A) * nrows multiplications."""
+    coords reduces [v | 0] against one Echelon of the rows [b_j | e_j],
+    built on its first call.  The b_j are independent, so every pivot
+    lies in the first n columns and v = sum x_j b_j reduces to [0 | -x];
+    a vector outside the span keeps a nonzero part in those columns."""
 
-    def __init__(self, matrix):
-        matrix._check_field()
-        self.matrix = matrix
-        self._factor = None
+    def __init__(self, F, vectors, n):
+        self.F = F
+        self.vectors = [tuple(v) for v in vectors]
+        self.n = n
+        self._echelon = None
 
-    def _factorize(self):
-        A = self.matrix
-        _, rows = A.transpose().rref()
-        R, pivots = Matrix(A.ring, [A.rows[i] for i in rows]).hstack(
-            Matrix.identity(A.ring, len(rows))).rref()
-        chosen = set(rows)
-        others = [i for i in range(A.nrows) if i not in chosen]
-        return rows, pivots, [r[A.ncols:] for r in R.rows], others
+    def combine(self, x):
+        out = [self.F.zero] * self.n
+        for c, b in zip(x, self.vectors):
+            if not c.is_zero():
+                out = [a + c * y for a, y in zip(out, b)]
+        return tuple(out)
 
-    def solve(self, rhs):
-        """One solution of A x = rhs, or None.  rhs: tuple of Elements."""
-        A = self.matrix
-        if len(rhs) != A.nrows:
-            raise WittKitError(f"right-hand side of length {len(rhs)} for {A.nrows} rows")
-        if self._factor is None:
-            self._factor = self._factorize()
-        rows, pivots, E, others = self._factor
-        zero = A.ring.zero
-        x = [zero] * A.ncols
-        for c, erow in zip(pivots, E):
-            acc = zero
-            for e, i in zip(erow, rows):
-                if not e.is_zero():
-                    acc = acc + e * rhs[i]
-            x[c] = acc
-        for i in others:
-            acc = zero
-            for c in pivots:
-                a = A.rows[i][c]
-                if not a.is_zero():
-                    acc = acc + a * x[c]
-            if acc != rhs[i]:
-                return None
-        return tuple(x)
+    def coords(self, vec):
+        """The coordinates of vec in the basis, or None if vec is outside
+        the span."""
+        F, n, k = self.F, self.n, len(self.vectors)
+        if len(vec) != n:
+            raise WittKitError(f"vector of length {len(vec)} in F^{n}")
+        z = F.zero_data()
+        if self._echelon is None:
+            self._echelon = Echelon(F)
+            for j, b in enumerate(self.vectors):
+                tag = [z] * k
+                tag[j] = F.one_data()
+                self._echelon.insert([c.data for c in b] + tag)
+        red = self._echelon.reduce([c.data for c in vec] + [z] * k)
+        if red[:n].count(z) != n:
+            return None
+        return tuple(Element(F, F.neg(c)) for c in red[n:])
 
 
 def _perm_sign(perm):

@@ -15,8 +15,8 @@ involution.  Whatever is kept on a module is therefore built once per
 shape, and only when first read: its cyclic factors (with the echelon of
 each ideal) at construction, the action_matrix of each ring element, and
 the search tables of forms.py (_int_elements, _scalar_action_ints and
-_ann_kernel).  A Decomposition factors its coordinate solver on the first
-of_ambient call.
+_ann_kernel).  A Decomposition builds the Basis behind its conversions
+on the first one, and that Basis its Echelon on the first of_ambient.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import EngineError, EnumerationBoundExceeded, WittKitError
-from .linalg import Echelon, Matrix, Solver, matrix_of_map, span_basis, unit_vector
+from .linalg import Basis, Echelon, Matrix, matrix_of_map, span_basis, unit_vector
 from .rings import Element, ProductRing, QuotientRing, RingWithInvolution
 
 
@@ -276,183 +276,130 @@ def submodule_span(M, elems):
     return span_basis(vecs, M.F)
 
 
-class ActionSpace:
-    """An R-module structure on a scalar subspace: a basis (in ambient
-    coordinates of some FLModule or hom space) plus internal action
-    matrices for the algebra generators.  decompose() peels off cyclic
-    summands with exact annihilators; Decomposition turns the pieces into
-    an FLModule."""
-
-    def __init__(self, rwi, basis, act):
-        """act(a: Element, ambient_vec) -> ambient_vec."""
-        self.rwi = rwi
-        self.ring = rwi.ring
-        self.F = rwi.ring.scalar_field()
-        self.basis = [tuple(v) for v in basis]
-        self._act = act
-        self._solver = None  # factored on the first _to_internal call
-
-    def dim(self):
-        return len(self.basis)
-
-    def _to_internal(self, vec):
-        if not self.basis:
-            return ()
-        if self._solver is None:
-            self._solver = Solver(Matrix.from_cols(self.F, self.basis))
-        sol = self._solver.solve(tuple(vec))
-        if sol is None:
-            raise EngineError("vector outside the action space")
-        return sol
-
-    def _from_internal(self, coords):
-        n = len(self.basis[0]) if self.basis else 0
-        out = [self.F.zero] * n
-        for c, b in zip(coords, self.basis):
-            out = [x + c * y for x, y in zip(out, b)]
-        return tuple(out)
-
-    def internal_action_matrix(self, a):
-        cols = [self._to_internal(self._act(a, b)) for b in self.basis]
-        return Matrix.from_cols(self.F, cols) if cols else Matrix(self.F, [])
-
-    def decompose(self):
-        """[(ambient generator vector, annihilator Element)], canonical
-        order (largest cyclic factors first, then discovery order)."""
-        ring = self.ring
-        if ring.is_field:
-            return self._decompose_field(self.basis, ann=ring.zero)
-        if isinstance(ring, ProductRing):
-            e1, e2 = ring.idempotents()
-            out = []
-            for e, co in ((e1, e2), (e2, e1)):
-                comp = span_basis([self._act(e, b) for b in self.basis], self.F)
-                out.extend(self._decompose_field(comp, ann=co))
-            return out
-        if is_nilpotent_quotient(ring):
-            return self._decompose_local()
-        raise WittKitError(f"decompose does not support {ring}")
-
-    def _decompose_field(self, comp_basis, ann):
-        ring = self.ring
-        out = []
-        taken = Echelon(self.F)
-        for b in comp_basis:
-            if taken.contains([c.data for c in b]):
-                continue
-            out.append((tuple(b), ann))
-            for bd in ring.scalar_basis():
-                taken.insert([c.data for c in self._act(Element(ring, bd), b)])
-        return out
-
-    def _decompose_local(self):
-        ring = self.ring
-        t = uniformizer(ring)
-        out = []
-        space = self
-        while space.basis:
-            # maximal t-order vector in the current space
-            best, best_ord = None, -1
-            for b in space.basis:
-                o, v = 0, tuple(b)
-                while any(not c.is_zero() for c in v):
-                    o += 1
-                    v = self._act(t, v)
-                if o > best_ord:
-                    best, best_ord = tuple(b), o
-            a = best_ord
-            target = self.rwi.module([t ** a])
-            psi = _split_map(space, target, best)
-            out.append((best, t ** a))
-            # new space: kernel of psi inside the old one
-            rows = []
-            for j in range(target.sdim):
-                rows.append([psi[j][i] for i in range(space.dim())])
-            kmat = Matrix(self.F, rows) if rows else Matrix(self.F, [[]])
-            kernel = kmat.nullspace_basis()
-            space = ActionSpace(self.rwi, [space._from_internal(k) for k in kernel], self._act)
-        out.sort(key=lambda p: _ann_sort_key(self.ring, p[1]), )
-        return out
+def _split(rwi, basis, act, n):
+    """[(generator vector, annihilator Element)] of the R-stable span of
+    basis in F^n, act(a: Element, vec) -> vec being the action: largest
+    cyclic factors first, then discovery order."""
+    ring = rwi.ring
+    if ring.is_field:
+        return _split_field(ring, basis, act, ring.zero)
+    if isinstance(ring, ProductRing):
+        e1, e2 = ring.idempotents()
+        F = ring.scalar_field()
+        return [piece for e, co in ((e1, e2), (e2, e1))
+                for piece in _split_field(ring, span_basis([act(e, b) for b in basis], F), act, co)]
+    if is_nilpotent_quotient(ring):
+        return _split_local(rwi, basis, act, n)
+    raise WittKitError(f"decompose does not support {ring}")
 
 
-def _ann_sort_key(ring, ann):
-    # free factors (ann = 0) first, then decreasing factor size
-    f = CyclicFactor(ring, ann)
-    return f.key
+def _split_field(ring, basis, act, ann):
+    """Each basis vector outside the span of the ones taken so far
+    generates a summand with annihilator ann."""
+    out = []
+    taken = Echelon(ring.scalar_field())
+    for b in basis:
+        if taken.contains([c.data for c in b]):
+            continue
+        out.append((tuple(b), ann))
+        for bd in ring.scalar_basis():
+            taken.insert([c.data for c in act(Element(ring, bd), b)])
+    return out
 
 
-def _split_map(space, target, gen_vec):
-    """An R-linear map space -> target (an FLModule with one factor)
-    sending gen_vec to the generator 1; returned as a matrix over the
-    scalar field (target.sdim x space.dim()).  Existence is guaranteed for
-    a maximal-order generator over k[t]/(t^n); failure is an engine bug."""
-    F = space.F
-    ring = space.ring
-    sd, td = space.dim(), target.sdim
-    # unknown H: td x sd with H . A_g = B_g . H for algebra generators g,
-    # plus H(gen coords) = coords of the generator of target
-    pairs = ((space.internal_action_matrix(g), target.action_matrix(g))
-             for g in ring.algebra_generators())
-    rows = _hom_rows(F, pairs, td, sd)
-    rhs = [F.zero] * len(rows)
-    gcoords = space._to_internal(gen_vec)
-    one_vec = target.to_vec(target.element([ring.one]))
-    for i in range(td):
-        row = [F.zero] * (td * sd)
-        for j in range(sd):
-            row[i * sd + j] = gcoords[j]
-        rows.append(row)
-        rhs.append(one_vec[i])
-    sol = Matrix(F, rows).solve(tuple(rhs))
+def _split_local(rwi, basis, act, n):
+    """Over k[t]/(t^n): split off the cyclic summand of a basis vector of
+    maximal t-order a through a map onto R/(t^a), and go on with its
+    kernel.  The orders found never grow, since the kernel is a summand."""
+    ring = rwi.ring
+    t = uniformizer(ring)
+    out = []
+    level = Basis(ring.scalar_field(), basis, n)
+    while level.vectors:
+        orders = []
+        for b in level.vectors:
+            o, v = 0, b
+            while any(not c.is_zero() for c in v):
+                o += 1
+                v = act(t, v)
+            orders.append(o)
+        a = max(orders)
+        j = orders.index(a)
+        psi = _split_map(level, act, rwi.module([t ** a]), j)
+        out.append((level.vectors[j], t ** a))
+        level = Basis(level.F, [level.combine(k) for k in psi.nullspace_basis()], n)
+    return out
+
+
+def _split_map(level, act, target, j):
+    """An R-linear map from the span of level onto target (an FLModule
+    with one factor) sending level.vectors[j] to the generator 1, as a
+    target.sdim x len(level.vectors) Matrix on level coordinates.
+
+    level.vectors[j] has coordinates e_j, so the value of a map H at it
+    is column j of H: the map is the combination of the hom space basis
+    whose columns j sum to the generator.  Existence is guaranteed for a
+    maximal-order vector over k[t]/(t^n); failure is an engine bug."""
+    F = level.F
+    sd, td = len(level.vectors), target.sdim
+    pairs = []
+    for g in target.ring.algebra_generators():
+        cols = [level.coords(act(g, b)) for b in level.vectors]
+        if None in cols:
+            raise EngineError("the span to split is not R-stable")
+        pairs.append((Matrix.from_cols(F, cols), target.action_matrix(g)))
+    homs = hom_space_basis(F, pairs, td, sd)
+    at_j = Matrix.from_cols(F, [[h[i * sd + j] for i in range(td)] for h in homs])
+    sol = at_j.solve(target.to_vec(target.element([target.ring.one]))) if homs else None
     if sol is None:
         raise EngineError("no splitting map found; decomposition invariant violated")
-    return [[sol[i * sd + j] for j in range(sd)] for i in range(td)]
+    flat = Basis(F, homs, td * sd).combine(sol)
+    return Matrix(F, [flat[i * sd:(i + 1) * sd] for i in range(td)])
 
 
 class Decomposition:
     """An R-stable subspace of F^n as an FLModule.  basis spans the
     subspace, act(a: Element, vec) -> vec is the action on F^n, and the
-    ActionSpace decomposition gives self.module with the generator vectors
-    self.gens.  to_ambient and of_ambient convert between elements of
-    self.module and vectors of F^n; the solver behind of_ambient is
-    factored on its first call."""
+    cyclic splitting gives self.module with the generator vectors
+    self.gens.  to_ambient and of_ambient are combine and coords of one
+    Basis, the ambient vectors of self.module's scalar basis; it is built
+    on the first conversion, and its Echelon on the first of_ambient."""
 
     def __init__(self, rwi, basis, act, n):
         self.F = rwi.ring.scalar_field()
         self.act = act
         self._n = n
-        pieces = ActionSpace(rwi, basis, act).decompose()
+        pieces = _split(rwi, basis, act, n)
         self.module = rwi.module([ann for _, ann in pieces])
         self.gens = [v for v, _ in pieces]
         if self.module.sdim != len(basis):
             raise EngineError(f"{type(self).__name__} decomposition lost dimensions")
-        self._solver = None
+        self._basis = None
+
+    def _ambient_basis(self):
+        if self._basis is None:
+            vecs = [self.act(f.from_coords(unit_vector(self.F, f.sdim, i)), g)
+                    for f, g in zip(self.module.factors, self.gens) for i in range(f.sdim)]
+            self._basis = Basis(self.F, vecs, self._n)
+        return self._basis
 
     def to_ambient(self, elem):
         """The vector sum of act(rep_i, g_i) over the components of elem."""
-        out = (self.F.zero,) * self._n
-        for rep, gv in zip(elem, self.gens):
-            out = tuple(a + b for a, b in zip(out, self.act(rep, gv)))
-        return out
+        return self._ambient_basis().combine(self.module.to_vec(elem))
 
     def of_ambient(self, vec):
         """The element of self.module whose ambient vector is vec;
         EngineError if vec is outside the subspace."""
-        if not vec:
-            return self.module.zero()
-        if self._solver is None:
-            self._solver = Solver(matrix_of_map(
-                self.F, self.module.sdim, lambda u: self.to_ambient(self.module.from_vec(u)),
-                nrows=self._n))
-        sol = self._solver.solve(tuple(vec))
-        if sol is None:
+        x = self._ambient_basis().coords(vec)
+        if x is None:
             raise EngineError(f"vector is outside the subspace of {type(self).__name__}")
-        return self.module.from_vec(sol)
+        return self.module.from_vec(x)
 
 
 def decompose_submodule(M, elems):
     """Cyclic decomposition of the submodule of M generated by elems.
-    Returns (FLModule, [generator elements of M], ActionSpace basis)."""
+    Returns (FLModule, [generator elements of M], scalar basis of the
+    submodule)."""
     basis = submodule_span(M, elems)
 
     def act(a, vec):
@@ -466,24 +413,6 @@ def decompose_submodule(M, elems):
 # hom spaces
 
 
-def _hom_rows(F, pairs, nrows, ncols):
-    """The linear system H . A - B . H = 0, one row per entry and pair, in
-    the entries of an unknown nrows x ncols matrix H flattened row-major."""
-    rows = []
-    for A, B in pairs:
-        for i in range(nrows):
-            for j in range(ncols):
-                row = [F.zero] * (nrows * ncols)
-                # (H A)_{ij} = sum_k H_{ik} A_{kj}
-                for k in range(ncols):
-                    row[i * ncols + k] = row[i * ncols + k] + A[k, j]
-                # (B H)_{ij} = sum_k B_{ik} H_{kj}
-                for k in range(nrows):
-                    row[k * ncols + j] = row[k * ncols + j] - B[i, k]
-                rows.append(row)
-    return rows
-
-
 def hom_space_basis(F, pairs, nrows, ncols):
     """Scalar basis of {H (nrows x ncols) : H . A = B . H for every (A, B)
     in pairs}, each H flattened row-major.  With A and B the actions of the
@@ -492,7 +421,17 @@ def hom_space_basis(F, pairs, nrows, ncols):
     Deterministic order from the nullspace computation."""
     if nrows == 0 or ncols == 0:
         return []
-    rows = _hom_rows(F, pairs, nrows, ncols)
+    # one row per entry (i, j) of H . A - B . H and pair
+    rows = []
+    for A, B in pairs:
+        for i in range(nrows):
+            for j in range(ncols):
+                row = [F.zero] * (nrows * ncols)
+                for k in range(ncols):
+                    row[i * ncols + k] = row[i * ncols + k] + A[k, j]
+                for k in range(nrows):
+                    row[k * ncols + j] = row[k * ncols + j] - B[i, k]
+                rows.append(row)
     if not rows:
         return [unit_vector(F, nrows * ncols, i) for i in range(nrows * ncols)]
     return Matrix(F, rows).nullspace_basis()

@@ -20,8 +20,8 @@ restriction are split into cyclic factors by the same code.
 A TransferCoefficient keeps the restrictions it transfers along:
 restriction(M) builds one RestrictedModule per module key and involution
 on first request, and transfer_form reads it from there.  Its module
-comes from RingWithInvolution.module like every other, and its
-coordinate solver is only factored if to_restricted is called.
+comes from RingWithInvolution.module like every other, and the Echelon
+behind its coordinates is only built if to_restricted is called.
 """
 
 from __future__ import annotations

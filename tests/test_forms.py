@@ -1,5 +1,7 @@
 """Epsilon-hermitian forms: evaluation, nondegeneracy, isometry, metabolicity."""
 
+import random
+
 import pytest
 
 from wittkit.coefficients import DualityCoefficient, standard_coefficient
@@ -15,8 +17,11 @@ from wittkit.forms import (
     orthogonal_sum,
 )
 from wittkit.linalg import Matrix
-from wittkit.modules import FLModule, free_module
-from wittkit.rings import GF, PrimeField, QuotientRing, involution
+from wittkit.modules import FLModule, free_module, module_from_shape
+from wittkit.parser import parse_ring_with_involution
+from wittkit.rings import GF, PrimeField, QuotientRing, RingMap, involution
+from wittkit.transfer import GammaComparison
+from wittkit.wittgroup import sample_gram_tables
 
 
 def coef_over(p):
@@ -152,6 +157,49 @@ def test_coefficient_change_identity():
     J = Matrix.identity(c3.module.F, c3.module.sdim)
     g = coefficient_change(f, c3, J)
     assert g.gram_key() == f.gram_key()
+
+
+@pytest.mark.parametrize("text, shape, unit", [
+    ("GF(3)[t]/(t^2), sigma=id", [2, 1], lambda R: R.el(2) + R.gen("t")),
+    ("GF(9)[t]/(t^2), sigma=t->-t", [2], lambda R: R.gen("u")),
+    ("GF(9)[t]/(t^2), sigma=t->-t", [1, 1], lambda R: R.gen("u") + R.one),
+], ids=["f3-t-squared", "f9-t-squared-free", "f9-t-squared-residue"])
+def test_coefficient_change_along_a_unit_and_back_round_trips(text, shape, unit):
+    """J, the action of a sigma-fixed unit u on I = R, is a coefficient
+    isomorphism of (R, sigma): changing along J scales every Gram entry by
+    u, and changing back along J^-1 gives the form it started from."""
+    rwi = parse_ring_with_involution(text)
+    coef = standard_coefficient(rwi)
+    I = coef.module
+    u = unit(rwi.ring)
+    assert u.is_unit() and rwi.conj(u) == u
+    J = I.action_matrix(u)
+    forms = list(sample_gram_tables(coef, module_from_shape(rwi, shape), 1, 6, random.Random(3)))
+    assert any(f.gram_key() != coefficient_change(f, coef, J).gram_key() for f in forms)
+    for f in forms:
+        g = coefficient_change(f, coef, J)
+        assert g.gram == [[I.scal(u, e) for e in row] for row in f.gram]
+        assert coefficient_change(g, coef, J.inverse()).gram_key() == f.gram_key()
+
+
+def test_coefficient_change_along_gamma_and_back_round_trips():
+    """gamma.matrix identifies the iterated transfer coefficient with the
+    direct one for GF(9)[t]/(t^3) -> GF(9)[t]/(t^2) -> GF(9); its inverse
+    carries a k-form over, and gamma.matrix carries it back."""
+    rwi_R = parse_ring_with_involution("GF(9)[t]/(t^3), sigma=t->-t")
+    rwi_T = parse_ring_with_involution("GF(9)[t]/(t^2), sigma=t->-t")
+    rwi_k = parse_ring_with_involution("GF(9), sigma=id")
+    T, k = rwi_T.ring, rwi_k.ring
+    p = RingMap(rwi_R.ring, T, [T.gen("u"), T.gen("t")])
+    q = RingMap(T, k, [k.gen("u"), k.zero])
+    gamma = GammaComparison(p, q, rwi_T, rwi_k, standard_coefficient(rwi_R))
+    assert gamma.matrix != Matrix.identity(gamma.direct.F, gamma.matrix.nrows)
+    direct, composite = gamma.direct.coefficient, gamma.composite.coefficient
+    forms = list(sample_gram_tables(direct, free_module(rwi_k, 2), 1, 4, random.Random(5)))
+    for f in forms:
+        fq = coefficient_change(f, composite, gamma.matrix.inverse())
+        assert fq.coef == composite
+        assert coefficient_change(fq, direct, gamma.matrix).gram_key() == f.gram_key()
 
 
 def test_orthogonal_sum_requires_matching_data():

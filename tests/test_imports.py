@@ -131,3 +131,12 @@ def test_the_chain_level_duality_is_gone():
     assert not (Path(wittkit.__file__).parent / "chaindual.py").exists()
     assert wittkit.FreeComplex is koszul.FreeComplex
     assert list(inspect.signature(koszul.FreeComplex).parameters) == ["ring", "ranks", "diffs"]
+
+
+def test_one_coordinate_basis_per_subspace():
+    from wittkit import cli, forms, linalg, modules
+
+    assert not hasattr(linalg, "Solver")
+    assert [n for n in ("ActionSpace", "_ann_sort_key", "_hom_rows") if hasattr(modules, n)] == []
+    assert not hasattr(cli, "entry")
+    assert not hasattr(forms.HermitianForm, "neg")

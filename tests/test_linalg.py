@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wittkit import linalg
 from wittkit.errors import WittKitError
-from wittkit.linalg import Echelon, Matrix, Solver, span_basis
+from wittkit.linalg import Basis, Echelon, Matrix, span_basis
 from wittkit.rings import GF, PrimeField, QuadraticField, QuotientRing, Rationals
 
 
@@ -144,50 +145,77 @@ FIELDS = [PrimeField(3), GF(9), Rationals()]
 
 
 @st.composite
-def system(draw):
-    """A field, an m x n matrix (m, n in 0..4) and right-hand sides: each
-    either A x for a drawn x, so solvable, or drawn freely, so for a matrix
-    of rank below m often not solvable."""
-    F = draw(st.sampled_from(FIELDS))
+def independent_list(draw):
+    """A field, an independent list of vectors of F^n (n in 0..4, the
+    first independent ones among up to four drawn) and probe vectors:
+    each either a combination of the list, so inside its span, or drawn
+    freely, so often outside it."""
+    F = draw(st.sampled_from([PrimeField(3), PrimeField(5), Rationals()]))
     if F.is_finite:
         entry = st.sampled_from(list(F.elements()))
     else:
         entry = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(F.el)
-    m = draw(st.integers(min_value=0, max_value=4))
-    n = draw(st.integers(min_value=0, max_value=4)) if m else 0
-    A = Matrix(F, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
-    rhs = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    n = draw(st.integers(min_value=0, max_value=4))
+    vector = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    vectors = span_basis(draw(st.lists(vector, max_size=4)), F)
+    probes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
         if draw(st.booleans()):
-            rhs.append(A.apply(tuple(draw(st.lists(entry, min_size=n, max_size=n)))))
+            x = draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+            probes.append(Basis(F, vectors, n).combine(x))
         else:
-            rhs.append(tuple(draw(st.lists(entry, min_size=m, max_size=m))))
-    return A, rhs
+            probes.append(draw(vector))
+    return F, n, vectors, probes
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(system())
-def test_solver_agrees_with_solve(case):
-    A, rhs = case
-    solver = Solver(A)
-    for b in rhs:
-        assert solver.solve(b) == A.solve(b)
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(independent_list())
+def test_basis_coords_agree_with_solve(case):
+    F, n, vectors, probes = case
+    basis = Basis(F, vectors, n)
+    for v in probes:
+        x = basis.coords(v)
+        if vectors:
+            assert x == Matrix.from_cols(F, vectors).solve(v)
+        else:
+            assert x == (() if all(c.is_zero() for c in v) else None)
+        if x is not None:
+            assert basis.combine(x) == v
 
 
-def test_solver_factors_its_matrix_once(monkeypatch):
+def test_basis_coords_refuse_vectors_outside_the_span():
     F = F3()
-    A = Matrix(F, [[1, 1, 0], [2, 2, 0], [0, 1, 1]])
-    solver = Solver(A)
-    assert solver.solve((F.el(1), F.el(2), F.el(0))) == (F.el(1), F.zero, F.zero)
-    calls = []
-    rref = Matrix.rref
-    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or rref(self))
-    assert solver.solve((F.el(0), F.el(1), F.el(0))) is None
-    assert solver.solve((F.zero,) * 3) == (F.zero,) * 3
-    assert solver.solve((F.el(2), F.el(1), F.el(1))) == (F.el(1), F.el(1), F.zero)
-    assert not calls
-    with pytest.raises(WittKitError, match="length 2 for 3 rows"):
-        solver.solve((F.zero,) * 2)
+    basis = Basis(F, [(F.el(1), F.el(1), F.zero), (F.zero, F.el(1), F.el(2))], 3)
+    assert basis.coords((F.el(2), F.el(1), F.el(1))) == (F.el(2), F.el(2))
+    assert basis.coords((F.zero, F.zero, F.el(1))) is None
+    assert basis.coords((F.el(1), F.zero, F.zero)) is None
+    assert basis.coords((F.zero,) * 3) == (F.zero, F.zero)
+    empty = Basis(F, [], 2)
+    assert empty.combine(()) == (F.zero, F.zero)
+    assert empty.coords((F.zero, F.zero)) == ()
+    assert empty.coords((F.el(1), F.zero)) is None
+    with pytest.raises(WittKitError, match=r"length 2 in F\^3"):
+        basis.coords((F.zero,) * 2)
+
+
+def test_basis_builds_its_echelon_once(monkeypatch):
+    built = []
+
+    class CountedEchelon(Echelon):
+        def __init__(self, F, rows=()):
+            built.append(1)
+            super().__init__(F, rows)
+
+    monkeypatch.setattr(linalg, "Echelon", CountedEchelon)
+    Q = Rationals()
+    half = Q.el(Fraction(1, 2))
+    basis = Basis(Q, [(Q.one, half, Q.zero), (Q.zero, Q.one, Q.one)], 3)
+    assert basis.combine((Q.el(2), Q.el(-1))) == (Q.el(2), Q.zero, Q.el(-1))
+    assert not built
+    assert basis.coords((Q.el(2), Q.zero, Q.el(-1))) == (Q.el(2), Q.el(-1))
+    assert basis.coords((Q.one, Q.zero, Q.zero)) is None
+    assert basis.coords((Q.zero, half, half)) == (Q.zero, half)
+    assert len(built) == 1
 
 
 # -- Echelon against the eliminations it replaced ----------------------------

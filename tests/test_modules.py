@@ -7,9 +7,8 @@ import pytest
 
 from wittkit.coefficients import DualModule, standard_coefficient
 from wittkit.errors import EngineError
-from wittkit.linalg import Matrix, Solver, matrix_of_map, unit_vector
+from wittkit.linalg import Echelon, Matrix, matrix_of_map, span_basis, unit_vector
 from wittkit.modules import (
-    ActionSpace,
     CyclicFactor,
     Decomposition,
     FLModule,
@@ -23,6 +22,7 @@ from wittkit.modules import (
     module_from_shape,
     uniformizer,
 )
+from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import GF, Element, PrimeField, ProductRing, QuotientRing, RingMap, involution
 from wittkit.transfer import RestrictedModule, TransferCoefficient, _mult_matrix
 
@@ -228,10 +228,11 @@ def test_hom_module_elements_round_trip_through_matrices(build):
         hom.element_of_hom(outside)
 
 
-def _count_rref(monkeypatch):
+def _count_eliminations(monkeypatch):
+    """Every elimination, Matrix.rref included, starts an Echelon."""
     calls = []
-    rref = Matrix.rref
-    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(1) or rref(self))
+    init = Echelon.__init__
+    monkeypatch.setattr(Echelon, "__init__", lambda self, *args: calls.append(1) or init(self, *args))
     return calls
 
 
@@ -240,23 +241,9 @@ def test_hom_module_factors_its_coordinates_once(build, monkeypatch):
     hom = build()
     elements = list(hom.module.elements())
     hom.element_of_hom(hom.hom_matrix(elements[0]))
-    calls = _count_rref(monkeypatch)
+    calls = _count_eliminations(monkeypatch)
     for x in elements:
         hom.element_of_hom(hom.hom_matrix(x))
-    assert not calls
-
-
-def test_action_space_factors_its_basis_once(monkeypatch):
-    R = QuotientRing(PrimeField(3), [0, 0, 0, 1], "t")
-    rwi = involution(R, "id")
-    M = FLModule(rwi, [R.zero, R.gen("t")])
-    basis = [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)]
-    space = ActionSpace(rwi, basis, lambda a, v: M.to_vec(M.scal(a, M.from_vec(v))))
-    t = R.gen("t")
-    assert space.internal_action_matrix(t) == M.action_matrix(t)
-    calls = _count_rref(monkeypatch)
-    for a in [t ** 2, R.one, t + R.one]:
-        assert space.internal_action_matrix(a) == M.action_matrix(a)
     assert not calls
 
 
@@ -305,16 +292,137 @@ def test_factor_reduce_equals_the_matrix_reduce(ring):
 # -- one decomposition path ---------------------------------------------------
 #
 # HomModule, RestrictedModule and decompose_submodule all build through
-# Decomposition.  The oracles below are those classes as they were before
-# it: each ran ActionSpace.decompose itself and converted elements with its
-# own loop and solver.
+# Decomposition, which splits its subspace with module-level functions and
+# converts elements through one Basis.  The oracles below are the code
+# before that: an ActionSpace kept basis coordinates of its own, its
+# _split_map solved an H . A = B . H system of its own (_hom_rows plus one
+# row block for the generator), and each class converted elements with its
+# own loop and solver.  Matrix.solve stands in for the solver they used,
+# which gave the same answer on independent columns.
+
+
+def head_hom_rows(F, pairs, nrows, ncols):
+    """The linear system H . A - B . H = 0 in the entries of H, row-major."""
+    rows = []
+    for A, B in pairs:
+        for i in range(nrows):
+            for j in range(ncols):
+                row = [F.zero] * (nrows * ncols)
+                for k in range(ncols):
+                    row[i * ncols + k] = row[i * ncols + k] + A[k, j]
+                for k in range(nrows):
+                    row[k * ncols + j] = row[k * ncols + j] - B[i, k]
+                rows.append(row)
+    return rows
+
+
+def head_hom_space_basis(F, pairs, nrows, ncols):
+    rows = head_hom_rows(F, list(pairs), nrows, ncols)
+    if not rows:
+        return [unit_vector(F, nrows * ncols, i) for i in range(nrows * ncols)]
+    return Matrix(F, rows).nullspace_basis()
+
+
+class HeadActionSpace:
+    """ActionSpace: an R-stable subspace with its own basis coordinates,
+    split into (generator vector, annihilator) pieces by decompose()."""
+
+    def __init__(self, rwi, basis, act):
+        self.rwi = rwi
+        self.ring = rwi.ring
+        self.F = rwi.ring.scalar_field()
+        self.basis = [tuple(v) for v in basis]
+        self._act = act
+
+    def dim(self):
+        return len(self.basis)
+
+    def _to_internal(self, vec):
+        sol = Matrix.from_cols(self.F, self.basis).solve(tuple(vec))
+        assert sol is not None
+        return sol
+
+    def _from_internal(self, coords):
+        out = [self.F.zero] * len(self.basis[0])
+        for c, b in zip(coords, self.basis):
+            out = [x + c * y for x, y in zip(out, b)]
+        return tuple(out)
+
+    def internal_action_matrix(self, a):
+        return Matrix.from_cols(self.F, [self._to_internal(self._act(a, b)) for b in self.basis])
+
+    def decompose(self):
+        ring = self.ring
+        if ring.is_field:
+            return self._decompose_field(self.basis, ring.zero)
+        if isinstance(ring, ProductRing):
+            e1, e2 = ring.idempotents()
+            out = []
+            for e, co in ((e1, e2), (e2, e1)):
+                comp = span_basis([self._act(e, b) for b in self.basis], self.F)
+                out.extend(self._decompose_field(comp, co))
+            return out
+        return self._decompose_local()
+
+    def _decompose_field(self, comp_basis, ann):
+        out = []
+        taken = []
+        for b in comp_basis:
+            if taken and Matrix.from_cols(self.F, taken).solve(b) is not None:
+                continue
+            out.append((tuple(b), ann))
+            for bd in self.ring.scalar_basis():
+                taken.append(self._act(Element(self.ring, bd), b))
+        return out
+
+    def _decompose_local(self):
+        t = uniformizer(self.ring)
+        out = []
+        space = self
+        while space.basis:
+            best, best_ord = None, -1
+            for b in space.basis:
+                o, v = 0, tuple(b)
+                while any(not c.is_zero() for c in v):
+                    o += 1
+                    v = self._act(t, v)
+                if o > best_ord:
+                    best, best_ord = tuple(b), o
+            target = self.rwi.module([t ** best_ord])
+            psi = head_split_map(space, target, best)
+            out.append((best, t ** best_ord))
+            kernel = Matrix(self.F, psi).nullspace_basis()
+            space = HeadActionSpace(self.rwi, [space._from_internal(k) for k in kernel], self._act)
+        out.sort(key=lambda p: CyclicFactor(self.ring, p[1]).key)
+        return out
+
+
+def head_split_map(space, target, gen_vec):
+    """The map space -> target sending gen_vec to the generator 1: the
+    solution of the hom rows plus H(gen_vec) = 1, in internal coordinates."""
+    F, ring = space.F, space.ring
+    sd, td = space.dim(), target.sdim
+    pairs = [(space.internal_action_matrix(g), target.action_matrix(g)) for g in ring.algebra_generators()]
+    rows = head_hom_rows(F, pairs, td, sd)
+    rhs = [F.zero] * len(rows)
+    gcoords = space._to_internal(gen_vec)
+    one_vec = target.to_vec(target.element([ring.one]))
+    for i in range(td):
+        row = [F.zero] * (td * sd)
+        for j in range(sd):
+            row[i * sd + j] = gcoords[j]
+        rows.append(row)
+        rhs.append(one_vec[i])
+    sol = Matrix(F, rows).solve(tuple(rhs))
+    assert sol is not None
+    return [[sol[i * sd + j] for j in range(sd)] for i in range(td)]
 
 
 def head_hom(hom, pairs):
     """HomModule's module, generator flattenings and _flat_of_element
     before Decomposition."""
-    basis = hom_space_basis(hom.F, pairs, hom._nrows, hom._ncols)
-    pieces = ActionSpace(hom.module.rwi, basis, hom._act).decompose()
+    basis = head_hom_space_basis(hom.F, pairs, hom._nrows, hom._ncols)
+    pieces = HeadActionSpace(hom.module.rwi, basis, hom._act).decompose()
     module = FLModule(hom.module.rwi, [ann for _, ann in pieces])
     gen_flats = [v for v, _ in pieces]
 
@@ -329,18 +437,18 @@ def head_hom(hom, pairs):
 
 class HeadRestrictedModule:
     """RestrictedModule before Decomposition: images summed with M.add and
-    M.scal, coordinates from its own solver."""
+    M.scal, coordinates solved against a matrix of its own."""
 
     def __init__(self, pi, rwi_src, M):
         self.pi = pi
         self.over = M
         basis = [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)]
-        pieces = ActionSpace(rwi_src, basis, lambda a, v: M.to_vec(M.scal(pi(a), M.from_vec(v)))).decompose()
+        pieces = HeadActionSpace(rwi_src, basis, lambda a, v: M.to_vec(M.scal(pi(a), M.from_vec(v)))).decompose()
         self.module = FLModule(rwi_src, [ann for _, ann in pieces])
         self.gen_vecs = [v for v, _ in pieces]
-        self._coords = Solver(matrix_of_map(
+        self._coords = matrix_of_map(
             M.F, self.module.sdim, lambda u: M.to_vec(self.from_restricted(self.module.from_vec(u))),
-            nrows=M.sdim))
+            nrows=M.sdim)
 
     def from_restricted(self, x):
         M = self.over
@@ -422,6 +530,58 @@ def test_restricted_module_decomposes_as_before(tower, shape):
         assert rm.of_ambient(rm.to_ambient(x)) == x
     for m in M.elements():
         assert rm.to_restricted(m) == head.to_restricted(m)
+
+
+def shapes_up_to(rwi, bound):
+    """Every annihilator tuple of length at most bound, in canonical order."""
+    anns = indecomposable_factor_anns(rwi.ring)
+    length = {a.data: rwi.module([a]).length for a in anns}
+    return [list(combo) for k in range(1, bound + 1)
+            for combo in itertools.combinations_with_replacement(anns, k)
+            if sum(length[a.data] for a in combo) <= bound]
+
+
+def assert_split_as_before(dec, pieces):
+    assert dec.gens == [v for v, _ in pieces]
+    assert [f.ann for f in dec.module.factors] == [ann for _, ann in pieces]
+
+
+@pytest.mark.parametrize("text", [
+    "GF(3)[t]/(t^3), sigma=id",
+    "GF(3)[t]/(t^4), sigma=t->-t",
+    "GF(9)[t]/(t^2), sigma=t->-t",
+    "GF(3)xGF(3), sigma=swap",
+    "GF(9), sigma=frobenius",
+])
+def test_every_small_dual_splits_as_before(text):
+    rwi = parse_ring_with_involution(text)
+    coef = standard_coefficient(rwi)
+    shapes = shapes_up_to(rwi, 4)
+    assert len(shapes) >= 4
+    for anns in shapes:
+        dual = DualModule(coef, rwi.module(anns))
+        pairs = _dual_pairs(dual)
+        basis = head_hom_space_basis(dual.F, pairs, dual._nrows, dual._ncols)
+        assert hom_space_basis(dual.F, pairs, dual._nrows, dual._ncols) == basis
+        assert_split_as_before(dual, HeadActionSpace(rwi, basis, dual._act).decompose())
+
+
+@pytest.mark.parametrize("src, dst, t_image", [
+    ("GF(3)[t]/(t^3), sigma=id", "GF(3), sigma=id", lambda S: S.zero),
+    ("GF(3)[t]/(t^3), sigma=id", "GF(3)[t]/(t^2), sigma=id", lambda S: S.gen("t")),
+    ("GF(3)[t]/(t^4), sigma=t->-t", "GF(3)[t]/(t^2), sigma=t->-t", lambda S: S.gen("t")),
+], ids=["t^3-to-k", "t^3-to-t^2", "t^4-to-t^2"])
+def test_every_small_restriction_and_transfer_splits_as_before(src, dst, t_image):
+    rwi_src, rwi_dst = parse_ring_with_involution(src), parse_ring_with_involution(dst)
+    pi = RingMap(rwi_src.ring, rwi_dst.ring, [t_image(rwi_dst.ring)])
+    for anns in shapes_up_to(rwi_dst, 3):
+        M = rwi_dst.module(anns)
+        rm = RestrictedModule(pi, rwi_src, M)
+        basis = [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)]
+        assert_split_as_before(rm, HeadActionSpace(rwi_src, basis, rm.act).decompose())
+    tc = TransferCoefficient(pi, rwi_dst, standard_coefficient(rwi_src))
+    basis = head_hom_space_basis(tc.F, _transfer_pairs(tc), tc._nrows, tc._ncols)
+    assert_split_as_before(tc, HeadActionSpace(rwi_dst, basis, tc._act).decompose())
 
 
 def test_submodule_decomposition_inverts_exactly_on_its_span():

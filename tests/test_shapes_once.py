@@ -1,11 +1,11 @@
-"""Each module, restriction and coordinate solver is built once per shape.
+"""Each module, restriction and coordinate Echelon is built once per shape.
 
 A RingWithInvolution keeps one FLModule per exact annihilator tuple, a
 TransferCoefficient one RestrictedModule per module key and involution,
-and a Decomposition factors its solver on the first of_ambient call.
-The oracles below are the code without that sharing: a fresh FLModule
-per request, a fresh RestrictedModule per transfer and a solver factored
-up front.  Each must agree with what the shared objects give.  The Gram
+and a Decomposition builds the Echelon behind its coordinates on the
+first of_ambient call.  The oracles below are the code without that
+sharing: a fresh FLModule per request, a fresh RestrictedModule per
+transfer and a coordinate matrix solved from scratch.  Each must agree with what the shared objects give.  The Gram
 entries a sum takes from its summands are checked in test_compose.py."""
 
 import itertools
@@ -13,7 +13,6 @@ from collections import Counter
 
 import pytest
 
-from wittkit import modules
 from wittkit.cli import main
 from wittkit.coefficients import DualModule, standard_coefficient
 from wittkit.devissage import DevissageData
@@ -24,7 +23,7 @@ from wittkit.forms import (
     _int_elements,
     _scalar_action_ints,
 )
-from wittkit.linalg import Solver, matrix_of_map
+from wittkit.linalg import matrix_of_map
 from wittkit.modules import (
     FLModule,
     free_module,
@@ -147,8 +146,8 @@ def test_transfer_form_matches_a_fresh_restriction(text, bound, monkeypatch):
             assert out.is_nondegenerate() == ref.is_nondegenerate()
             rm = tc.restriction(f.module)
             assert rm is tc.restriction(f.module)
-            # the transfer converts one way only, so no solver is factored
-            assert rm._solver is None
+            # the transfer converts one way only, so no Echelon is built
+            assert rm._basis._echelon is None
     assert set(builds.values()) == {1}
     assert set(builds) == {(f.module.rwi, f.module.key) for f in classes}
 
@@ -172,24 +171,17 @@ def test_restrictions_are_kept_per_involution():
     ("GF(3)[t]/(t^3), sigma=id", lambda R: [R.gen("t") ** 2]),
     ("GF(3)xGF(3), sigma=swap", lambda R: list(R.idempotents())),
 ])
-def test_decomposition_factors_its_solver_on_first_use(text, anns, monkeypatch):
-    factored = []
-
-    class CountedSolver(Solver):
-        def __init__(self, m):
-            factored.append(m)
-            super().__init__(m)
-
-    monkeypatch.setattr(modules, "Solver", CountedSolver)
+def test_decomposition_builds_its_echelon_on_first_use(text, anns):
     rwi = parse_ring_with_involution(text)
     dual = DualModule(standard_coefficient(rwi), rwi.module(anns(rwi.ring)))
-    assert dual._solver is None
-    before = len(factored)
-    # the solver __init__ factored before it was deferred
-    eager = Solver(matrix_of_map(
+    assert dual._basis is None
+    dual.to_ambient(dual.module.zero())
+    assert dual._basis._echelon is None
+    # the coordinate matrix of the subspace, solved from scratch per vector
+    eager = matrix_of_map(
         dual.F, dual.module.sdim, lambda u: dual.to_ambient(dual.module.from_vec(u)),
-        nrows=dual._n))
-    inside = 0
+        nrows=dual._n)
+    inside, echelons = 0, set()
     for vec in itertools.product(list(dual.F.elements()), repeat=dual._n):
         sol = eager.solve(vec)
         if sol is None:
@@ -198,8 +190,9 @@ def test_decomposition_factors_its_solver_on_first_use(text, anns, monkeypatch):
         else:
             assert dual.of_ambient(vec) == dual.module.from_vec(sol)
             inside += 1
+        echelons.add(id(dual._basis._echelon))
     assert inside == dual.module.size()
-    assert len(factored) == before + 1
+    assert len(echelons) == 1
 
 
 def test_witt_builds_one_module_per_annihilator_tuple(monkeypatch, capsys):
