@@ -21,7 +21,7 @@ from .errors import (
     NotStrongDuality,
 )
 from .linalg import Matrix
-from .modules import HomModule, free_module, map_matrix
+from .modules import HomModule, free_module, indecomposable_factor_anns, map_matrix
 
 
 class DualityCoefficient:
@@ -31,7 +31,9 @@ class DualityCoefficient:
     The coefficient owns the dual modules taken against it: dual(M) builds
     D(M) once per module key and hands the same DualModule to every later
     caller (forms, hyperbolic forms, double-dual comparisons and every
-    WittEngine on this coefficient)."""
+    WittEngine on this coefficient).  require_strong() checks once per
+    coefficient that it is a strong duality on every indecomposable
+    module."""
 
     def __init__(self, rwi, module, imap):
         if module.rwi != rwi:
@@ -51,6 +53,7 @@ class DualityCoefficient:
         if self.imat * self.imat != Matrix.identity(F, module.sdim):
             raise NotInvolutive("i . i is not the identity on the coefficient module")
         self._duals = {}
+        self._strong = False
 
     def dual(self, module):
         """D(module), built on first request.  The key of a module leaves
@@ -61,6 +64,16 @@ class DualityCoefficient:
         if d is None:
             d = self._duals[module.key] = DualModule(self, module)
         return d
+
+    def require_strong(self):
+        """Raise NotStrongDuality unless the double-dual comparison is
+        bijective on every indecomposable cyclic module; a success is kept
+        on the coefficient, so the comparisons are built once."""
+        if not self._strong:
+            for a in indecomposable_factor_anns(self.ring):
+                DoubleDualComparison(self, self.rwi.module([a])).require_strong()
+            self._strong = True
+        return self
 
     def i(self, x):
         return self.module.from_vec(self.imat.apply(self.module.to_vec(x)))
@@ -161,10 +174,6 @@ def check_coefficient_iso(c1, c2, jmap):
     returns the scalar matrix.  Raises NotACoefficientIso otherwise."""
     if c1.rwi != c2.rwi:
         raise CoefficientMismatch("coefficients live over different involutions")
-    if not isinstance(jmap, Matrix) and c1.module.sdim != c2.module.sdim:
-        # no map between modules of different sizes is bijective; into a
-        # zero module the matrix of a map would have no row to size it
-        raise NotACoefficientIso("comparison map is not bijective")
     J = jmap if isinstance(jmap, Matrix) else map_matrix(c1.module, c2.module, jmap)
     if J.nrows != c2.module.sdim or J.ncols != c1.module.sdim:
         raise NotACoefficientIso("comparison matrix has the wrong shape")

@@ -171,7 +171,7 @@ def diagonalize(form):
     order = sorted(range(len(entries)), key=lambda k: (_entry_key(ring, entries[k]), k))
     entries = [entries[k] for k in order]
     basis = [basis[k] for k in order]
-    cob = Matrix.from_cols(ring, [list(v) for v in basis]) if basis else Matrix(ring, [])
+    cob = Matrix.from_cols(ring, basis)
     return entries, cob
 
 

@@ -364,6 +364,10 @@ def hyperbolic_form(coef, N, epsilon=1, dual=None):
 # ---------------------------------------------------------------------------
 # isometry and metabolicity
 #
+# isometric backtracks over generator images; is_metabolic makes one
+# forward pass over the isotropic vectors, which decides on every ring
+# once the coefficient is a strong duality (see its docstring).
+#
 # Both searches run on integer coordinate vectors mod p.  The elements of a
 # module are listed once per module, in itertools.product order; the
 # coordinate Gram tensor and the norm b(x, x) of every element are
@@ -659,72 +663,55 @@ def isometric(f1, f2):
     return None
 
 
-def is_metabolic(form, dual=None):
-    """Search for a Lagrangian: a submodule L totally isotropic with
+def is_metabolic(form):
+    """Whether form has a Lagrangian: a submodule L totally isotropic with
     |L|^2 = |M| (for a nondegenerate form that forces L = L-perp).
 
-    Depth-first over totally isotropic submodules, each grown from its
-    parent by the R-span of one isotropic vector orthogonal to it; returns
-    at the first Lagrangian.  Over a field, Witt's extension theorem makes
-    every maximal totally isotropic subspace of a nondegenerate form have
-    the same dimension, so the first one reached decides the answer.  Over
-    other rings the search backtracks, and visits each submodule once."""
+    One forward pass builds a maximal totally isotropic submodule L.  It
+    starts from 0 and takes the isotropic vectors in element-list order;
+    a vector outside L and orthogonal to it grows L by its R-span.  A
+    vector passed over stays so as L grows (it stays in L, or stays not
+    orthogonal to it), so at the end L-perp/L has no nonzero isotropic
+    vector.  By the sublagrangian lemma, L-perp/L is metabolic whenever M
+    is (Quebbemann, Scharlau and Schulte, J. Algebra 59 (1979); Balmer,
+    "Witt groups", Handbook of K-theory (2005), section 1); a metabolic
+    form with no nonzero isotropic vector is 0.  So M is metabolic
+    exactly when L = L-perp, that is when L reaches half the scalar
+    dimension.  Over a field this is Witt's theorem.
+
+    The lemma needs an exact, reflexive duality.  The guard is
+    coef.require_strong(), which raises NotStrongDuality unless the
+    coefficient is reflexive on every indecomposable.  On the rings with a
+    module theory a strong coefficient is also exact: fields and k x k
+    are semisimple; over k[t]/(t^n), reflexivity on k gives I a simple
+    socle, so I embeds in the injective hull E(k), and reflexivity on R
+    gives length End(I) = length R = length E(k), so I = E(k)."""
     M = form.module
     if M.sdim == 0:
         return True
     if M.sdim % 2 == 1:
         return False
-    form.require_nondegenerate(dual)
+    form.require_nondegenerate()
     F = M.F
     if not F.is_finite:
         raise EnumerationBoundExceeded("metabolicity search needs a finite scalar field")
+    form.coef.require_strong()
     p = F.p
     d = M.sdim
     half = d // 2
-    field = M.ring.is_field
-    if field and half % M.ring.scalar_dim():
+    if M.ring.is_field and half % M.ring.scalar_dim():
         return False  # submodules are vector spaces over the ring itself
     isd = form.coef.module.sdim
-    elems = _int_elements(M)
-    norms = _norm_table(form)
     zero = (0,) * isd
-    iso = [elems[k] for k, v in enumerate(norms) if v == zero and any(elems[k])]
     bt = _int_btensor(form)
     actmats = _scalar_action_ints(M)
-
-    def key_of(rows):
-        return tuple((piv, tuple(r)) for piv, r in rows.rows)
-
-    start = Echelon(F)
-    seen = {key_of(start)}
-
-    def extends(rows, cols):
-        """Whether some Lagrangian contains the span of rows; cols are the
-        columns of b(r, -) for every row r."""
-        for v in iso:
-            if rows.contains(v):
-                continue
-            if any(sum(map(mul, v, col)) % p for col in cols):
-                continue
-            rows2, _ = _closure_rows(rows, v, actmats, p)
-            if len(rows2.rows) > half:
-                continue
-            if len(rows2.rows) == half:
-                # totally isotropic with half the scalar dimension:
-                # nondegeneracy forces L = L-perp
-                return True
-            k = key_of(rows2)
-            if k in seen:
-                continue
-            seen.add(k)
-            cols2 = [col for _, r in rows2.rows for col in _functional(bt, r, d, isd, p)]
-            if extends(rows2, cols2):
-                return True
-            if field:
-                # the descent from rows2 ended in a maximal totally
-                # isotropic subspace shorter than half; by Witt's theorem
-                # so is every maximal one
-                return False
-        return False
-
-    return extends(start, [])
+    rows = Echelon(F)
+    cols = []  # the columns of b(r, -) for every row r of L
+    for x, v in zip(_int_elements(M), _norm_table(form)):
+        if v != zero or rows.contains(x) or any(sum(map(mul, x, col)) % p for col in cols):
+            continue
+        rows, _ = _closure_rows(rows, x, actmats, p)
+        if len(rows.rows) == half:
+            return True
+        cols = [col for _, r in rows.rows for col in _functional(bt, r, d, isd, p)]
+    return False

@@ -25,29 +25,32 @@ from .rings import Element
 class Matrix:
     __slots__ = ("ring", "rows", "nrows", "ncols")
 
-    def __init__(self, ring, rows):
+    def __init__(self, ring, rows, ncols=None):
+        """ncols sizes a matrix with no row; otherwise it is read off the
+        rows, and a given ncols must match them."""
         self.ring = ring
         self.rows = [[ring.el(x) for x in row] for row in rows]
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        if ncols is None:
+            ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = ncols
         for row in self.rows:
             if len(row) != self.ncols:
                 raise WittKitError("ragged matrix")
 
     @classmethod
     def zeros(cls, ring, m, n):
-        return cls(ring, [[ring.zero] * n for _ in range(m)])
+        return cls(ring, [[ring.zero] * n for _ in range(m)], n)
 
     @classmethod
     def identity(cls, ring, n):
         return cls(ring, [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_cols(cls, ring, cols):
-        if not cols:
-            return cls(ring, [])
-        n = len(cols[0])
-        return cls(ring, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+    def from_cols(cls, ring, cols, nrows=0):
+        """The matrix with these columns; nrows sizes one with no column."""
+        n = len(cols[0]) if cols else nrows
+        return cls(ring, [[col[i] for col in cols] for i in range(n)], len(cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -55,14 +58,16 @@ class Matrix:
 
     def __add__(self, other):
         self._match(other)
-        return Matrix(self.ring, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        rows = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix(self.ring, rows, self.ncols)
 
     def __sub__(self, other):
         self._match(other)
-        return Matrix(self.ring, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        rows = [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return Matrix(self.ring, rows, self.ncols)
 
     def __neg__(self):
-        return Matrix(self.ring, [[-a for a in r] for r in self.rows])
+        return Matrix(self.ring, [[-a for a in r] for r in self.rows], self.ncols)
 
     def _match(self, other):
         if self.ring != other.ring or self.nrows != other.nrows or self.ncols != other.ncols:
@@ -84,14 +89,14 @@ class Matrix:
                         acc = acc + self.rows[i][k] * other.rows[k][j]
                     row.append(acc)
                 out.append(row)
-            return Matrix(self.ring, out)
+            return Matrix(self.ring, out, other.ncols)
         if not isinstance(other, (Element, int, Fraction)):
             raise WittKitError(
                 f"cannot multiply a matrix by a {type(other).__name__}: "
                 "expected a Matrix, an Element, an int or a Fraction"
             )
         c = self.ring.el(other)
-        return Matrix(self.ring, [[c * a for a in r] for r in self.rows])
+        return Matrix(self.ring, [[c * a for a in r] for r in self.rows], self.ncols)
 
     __rmul__ = __mul__
 
@@ -109,21 +114,21 @@ class Matrix:
         return tuple(out)
 
     def transpose(self):
-        return Matrix(self.ring, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
+        return Matrix.from_cols(self.ring, self.rows, self.ncols)
 
     def map_entries(self, fn, ring=None):
         ring = ring or self.ring
-        return Matrix(ring, [[fn(a) for a in r] for r in self.rows])
+        return Matrix(ring, [[fn(a) for a in r] for r in self.rows], self.ncols)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise WittKitError("hstack row mismatch")
-        return Matrix(self.ring, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix(self.ring, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise WittKitError("vstack column mismatch")
-        return Matrix(self.ring, self.rows + other.rows)
+        return Matrix(self.ring, self.rows + other.rows, self.ncols)
 
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
@@ -160,7 +165,7 @@ class Matrix:
             ech.insert([a.data for a in row])
         rows = [[Element(F, c) for c in row] for _, row in ech.rows]
         rows += [[F.zero] * self.ncols for _ in range(self.nrows - len(rows))]
-        return Matrix(F, rows), ech.pivots()
+        return Matrix(F, rows, self.ncols), ech.pivots()
 
     def rank(self):
         return len(self.rref()[1])
@@ -366,10 +371,7 @@ def matrix_of_map(F, n, fn, nrows=0):
     """The matrix whose column j is fn(e_j), for the unit vectors e_j of
     F^n.  With n = 0 there is no column to size it, so it has nrows empty
     rows."""
-    cols = [fn(unit_vector(F, n, j)) for j in range(n)]
-    if not cols:
-        return Matrix(F, [[] for _ in range(nrows)])
-    return Matrix.from_cols(F, cols)
+    return Matrix.from_cols(F, [fn(unit_vector(F, n, j)) for j in range(n)], nrows)
 
 
 def span_basis(vectors, ring):
@@ -389,6 +391,4 @@ def svec_matrix_of_additive_map(src_ring, dst_ring, fn):
     for bdata in src_ring.scalar_basis():
         img = fn(Element(src_ring, bdata))
         cols.append(tuple(F.el(c) for c in dst_ring.to_svec(img.data)))
-    if not cols:
-        return Matrix(F, [[] for _ in range(dst_ring.scalar_dim())])
-    return Matrix.from_cols(F, cols)
+    return Matrix.from_cols(F, cols, dst_ring.scalar_dim())

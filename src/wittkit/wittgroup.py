@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .coefficients import DoubleDualComparison
 from .errors import (
     CoefficientMismatch,
     EngineError,
@@ -62,9 +61,7 @@ class WittEngine:
         self._anns = anns
         self._facts = [CyclicFactor(ring, a) for a in self._anns]
         self._ann_by_key = {f.key: a for f, a in zip(self._facts, self._anns)}
-        for a in self._anns:
-            M = self.rwi.module([a])
-            DoubleDualComparison(coef, M).require_strong()
+        coef.require_strong()
         self._blocks = None
         self._classes = {}
         self._metabolic = {}

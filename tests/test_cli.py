@@ -117,6 +117,12 @@ GOLDEN = [
         0,
         '{"augmentation_square": true, "beta_square": true, "chain_map": true, "u": "+1"}',
     ),
+    (
+        # every metabolicity answer over a non-field ring at length 6
+        ["witt", "GF(3)[t]/(t^2), sigma=id", "+1", "6"],
+        0,
+        '{"bound": 6, "classes": 42, "epsilon": 1, "factors": [4], "group": "Z/4", "stable": true}',
+    ),
 ]
 
 
@@ -127,7 +133,7 @@ GOLDEN = [
          "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign",
          "witt-f5-bound-5", "witt-f3-skew-bound-6", "witt-f9-bound-4", "witt-f7-bound-5",
          "devissage-f9-t-squared", "devissage-t-fourth-skew", "witt-swap-bound-10",
-         "transfer-t-cubed-to-t-squared", "koszul-sign-univariate"],
+         "transfer-t-cubed-to-t-squared", "koszul-sign-univariate", "witt-t-squared-bound-6"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code

@@ -16,7 +16,8 @@ from wittkit.coefficients import (
 from wittkit.devissage import DevissageData
 from wittkit.errors import CoefficientMismatch, NotACoefficientIso, NotStrongDuality
 from wittkit.linalg import Matrix
-from wittkit.modules import FLModule, free_module
+from wittkit.modules import FLModule, free_module, indecomposable_factor_anns
+from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import GF, PrimeField, QuotientRing, involution
 from wittkit.transfer import transfer_form
 from wittkit.wittgroup import WittEngine
@@ -176,6 +177,37 @@ def test_engines_on_one_coefficient_build_each_dual_once(monkeypatch):
     # nondegeneracy check of every transfer)
     assert {c for c, _ in builds} == {id(kcoef), id(data.coef)}
     assert set(builds.values()) == {1}
+
+
+def test_engines_on_one_coefficient_check_strong_duality_once(monkeypatch):
+    builds = Counter()
+    init = DoubleDualComparison.__init__
+
+    def counted(self, coef, M, *args):
+        builds[M.key] += 1
+        init(self, coef, M, *args)
+
+    monkeypatch.setattr(DoubleDualComparison, "__init__", counted)
+    rwi = parse_ring_with_involution("GF(3)[t]/(t^3), sigma=id")
+    coef = standard_coefficient(rwi)
+    engines = [WittEngine(coef, 1), WittEngine(coef, -1)]
+    for engine in engines:
+        for m in engine.shapes_up_to(2):
+            for f in engine.classes(m):
+                engine.metabolic(f)
+    assert sorted(builds) == sorted(rwi.module([a]).key for a in indecomposable_factor_anns(rwi.ring))
+    assert set(builds.values()) == {1}
+
+
+def test_coefficient_refuses_a_module_that_is_not_reflexive():
+    rwi = t2_setup()
+    t = rwi.ring.gen("t")
+    coef = DualityCoefficient(rwi, FLModule(rwi, [t]), lambda x: (rwi.conj(x[0]),))
+    with pytest.raises(NotStrongDuality):
+        coef.require_strong()
+    with pytest.raises(NotStrongDuality):
+        WittEngine(coef, 1)
+    assert standard_coefficient(rwi).require_strong()
 
 
 def test_dual_refuses_a_module_over_another_involution():

@@ -89,6 +89,24 @@ def test_hstack_vstack_shapes():
     assert v.nrows == 3 and v.ncols == 2
 
 
+def test_matrices_with_no_row_keep_their_columns():
+    F = F3()
+    z = Matrix.zeros(F, 0, 3)
+    assert (z.nrows, z.ncols) == (0, 3)
+    assert z != Matrix.zeros(F, 0, 2)
+    t = z.transpose()
+    assert (t.nrows, t.ncols) == (3, 0)
+    assert (t * z) == Matrix.zeros(F, 3, 3)
+    assert ((z * Matrix.zeros(F, 3, 2)).nrows, (z * Matrix.zeros(F, 3, 2)).ncols) == (0, 2)
+    assert z.hstack(Matrix.zeros(F, 0, 1)).ncols == 4
+    assert z.rref() == (z, [])
+    assert len(z.nullspace_basis()) == 3
+    assert Matrix.from_cols(F, [(), ()]).ncols == 2
+    assert Matrix.from_cols(F, [], 2) == Matrix.zeros(F, 2, 0)
+    with pytest.raises(WittKitError):
+        Matrix(F, [[F.one]], 2)
+
+
 def test_from_cols_roundtrip():
     F = F3()
     cols = [[F.el(1), F.el(0)], [F.el(2), F.el(1)]]
@@ -242,7 +260,7 @@ def gauss_jordan_rref(m):
         r += 1
         if r == m.nrows:
             break
-    return Matrix(m.ring, rows), pivots
+    return Matrix(m.ring, rows, m.ncols), pivots
 
 
 def solve_span_basis(vectors, F):

@@ -1,18 +1,21 @@
 """is_metabolic against an exhaustive breadth-first reference.
 
 The reference lists every totally isotropic submodule, one dimension at a
-time, before it answers False; the library's depth-first search stops at
-the first Lagrangian, and over a field at the first maximal totally
-isotropic subspace.  Both must agree on every nondegenerate Gram table of
-the small shapes below, and on a seeded sample for a few larger ones."""
+time, before it answers False; the library grows one maximal totally
+isotropic submodule in a single forward pass, over every ring, and
+answers whether it reached half the scalar dimension.  Both must agree on
+every nondegenerate Gram table of the small shapes below, and on a seeded
+sample for larger ones, over fields and over non-field rings up to
+length 6."""
 
 import random
 
 import pytest
 
-from wittkit.coefficients import DualModule, standard_coefficient
-from wittkit.errors import Degenerate
+from wittkit.coefficients import DualityCoefficient, standard_coefficient
+from wittkit.errors import Degenerate, NotStrongDuality
 from wittkit.forms import (
+    HermitianForm,
     _closure_rows,
     _int_btensor,
     _int_elements,
@@ -103,14 +106,13 @@ CASES = [
 ]
 
 
-def agree_on(coef, module, epsilon, forms):
+def agree_on(forms):
     """Compare both searches on every nondegenerate form; returns how many
     answered True and how many False."""
     answers = {True: 0, False: 0}
-    dual = DualModule(coef, module)
     for form in forms:
         try:
-            got = is_metabolic(form, dual)
+            got = is_metabolic(form)
         except Degenerate:
             continue
         assert got == bfs_is_metabolic(form), form.gram
@@ -124,7 +126,7 @@ def test_depth_first_search_agrees_with_breadth_first_reference(text, epsilon, l
     checked = 0
     for module in WittEngine(coef, epsilon).shapes_up_to(length):
         if module.sdim % 2 == 0:  # odd ones get False before any search
-            answers = agree_on(coef, module, epsilon, enumerate_gram_tables(coef, module, epsilon))
+            answers = agree_on(enumerate_gram_tables(coef, module, epsilon))
             checked += sum(answers.values())
     assert checked
 
@@ -145,5 +147,39 @@ def test_depth_first_search_agrees_on_sampled_length_four_forms(text, epsilon, s
     coef = standard_coefficient(parse_ring_with_involution(text))
     module = module_from_shape(coef.rwi, shape)
     forms = sample_gram_tables(coef, module, epsilon, 80, random.Random(1))
-    answers = agree_on(coef, module, epsilon, forms)
+    answers = agree_on(forms)
     assert answers[True] and answers[False]
+
+
+# length 6 over non-field rings: shapes whose maximal totally isotropic
+# submodules are reached along several chains of cyclic spans
+SAMPLED_LENGTH_SIX = [
+    ("GF(3)[t]/(t^2), sigma=id", 1, [2, 2, 1, 1]),
+    ("GF(3)[t]/(t^2), sigma=t->-t", -1, [2, 2, 1, 1]),
+    ("GF(3)[t]/(t^3), sigma=id", 1, [3, 3]),
+    ("GF(3)[t]/(t^3), sigma=id", 1, [3, 2, 1]),
+]
+
+
+@pytest.mark.parametrize("text, epsilon, shape", SAMPLED_LENGTH_SIX)
+def test_first_maximal_submodule_decides_on_sampled_length_six_forms(text, epsilon, shape):
+    coef = standard_coefficient(parse_ring_with_involution(text))
+    module = module_from_shape(coef.rwi, shape)
+    forms = sample_gram_tables(coef, module, epsilon, 30, random.Random(1))
+    answers = agree_on(forms)
+    assert answers[True] and answers[False]
+
+
+def test_search_refuses_a_coefficient_that_is_not_strong():
+    # I = R/(t) over R = GF(3)[t]/(t^2): reflexive on k, not on R, so the
+    # sublagrangian lemma does not apply to forms with values in I
+    rwi = parse_ring_with_involution("GF(3)[t]/(t^2), sigma=id")
+    R = rwi.ring
+    I = rwi.module([R.gen("t")])
+    coef = DualityCoefficient(rwi, I, lambda x: x)
+    k2 = rwi.module([R.gen("t")] * 2)
+    one = I.element([R.one])
+    form = HermitianForm(coef, k2, [[one, I.zero()], [I.zero(), one]], 1)
+    assert form.is_nondegenerate()
+    with pytest.raises(NotStrongDuality):
+        is_metabolic(form)

@@ -112,6 +112,17 @@ def test_map_matrix_is_the_coordinate_matrix_of_the_map():
     assert (into.nrows, into.ncols) == (N.sdim, 0)
 
 
+def test_map_matrix_into_a_zero_module_has_a_column_per_source_coordinate():
+    R = t2_ring()
+    rwi = involution(R, "id")
+    N = module_from_shape(rwi, [2, 1])
+    Z = free_module(rwi, 0)
+    out = map_matrix(N, Z, lambda x: Z.zero())
+    assert (out.nrows, out.ncols) == (0, N.sdim)
+    assert out.rank() == 0
+    assert out * N.action_matrix(R.gen("t")) == out
+
+
 def test_module_from_shape():
     rwi = involution(t2_ring(), "id")
     M = module_from_shape(rwi, [2, 1])  # R + R/(t)

@@ -180,7 +180,7 @@ def test_metabolic_builds_the_cached_dual_once_when_asked(monkeypatch):
     answers = [engine.metabolic(f) for f in forms]
     assert built == [forms[0].module.key]
     assert coef.dual(forms[0].module) is coef.dual(forms[3].module)
-    assert answers == [is_metabolic(f, coef.dual(f.module)) for f in forms]
+    assert answers == [is_metabolic(f) for f in forms]
     assert answers == [False, True, True, False]
 
 
