@@ -46,7 +46,6 @@ from .errors import (
     InvalidBound,
     NotGorenstein,
     ParseError,
-    UnstableBound,
     WittKitError,
 )
 from .fieldwitt import diagonalize, signature, witt_invariants
@@ -135,7 +134,6 @@ __all__ = [
     "RingMap",
     "RingWithInvolution",
     "TransferCoefficient",
-    "UnstableBound",
     "WittEngine",
     "WittGroupResult",
     "WittKitError",

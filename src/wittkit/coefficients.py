@@ -26,7 +26,8 @@ from .modules import HomModule, free_module, indecomposable_factor_anns, map_mat
 
 class DualityCoefficient:
     """(I, i) with i semilinear and i . i = id, both verified on scalar
-    coordinates at construction.
+    coordinates at construction; imap is i as a callable on elements of
+    the module I.
 
     The coefficient owns the dual modules taken against it: dual(M) builds
     D(M) once per module key and hands the same DualModule to every later
@@ -41,7 +42,7 @@ class DualityCoefficient:
         self.rwi = rwi
         self.ring = rwi.ring
         self.module = module
-        self.imat = imap if isinstance(imap, Matrix) else map_matrix(module, module, imap)
+        self.imat = map_matrix(module, module, imap)
         F = module.F
         if self.imat.nrows != module.sdim or self.imat.ncols != module.sdim:
             raise CoefficientMismatch("identification matrix has the wrong size")
@@ -141,11 +142,11 @@ class DoubleDualComparison:
     """can: M -> D(D(M)), x |-> (f |-> i(f(x))).  Bijectivity decides
     whether (I, i) is a strong duality for M."""
 
-    def __init__(self, coef, M, dual=None, double=None):
+    def __init__(self, coef, M):
         self.coef = coef
         self.M = M
-        self.dual = dual if dual is not None else coef.dual(M)
-        self.double = double if double is not None else coef.dual(self.dual.module)
+        self.dual = coef.dual(M)
+        self.double = coef.dual(self.dual.module)
 
         def evaluation(x):
             # column j of H is i(f_j(x)) for the unit vector f_j of D(M)

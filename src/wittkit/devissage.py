@@ -19,7 +19,6 @@ from .errors import (
     MaxIdealNotInvariant,
     NotGorenstein,
     NotGorensteinQuotient,
-    UnstableBound,
     WittKitError,
 )
 from .forms import coefficient_change
@@ -151,7 +150,7 @@ class ComparisonReport:
         self.kernel_trivial = kernel_trivial
         self.cokernel_trivial = cokernel_trivial
         self.iso = well_defined and kernel_trivial and cokernel_trivial
-        self.stable = bool(source.stable) and bool(target.stable)
+        self.stable = source.stable and target.stable
 
     def describe(self):
         verdict = "ISOMORPHISM" if self.iso else "NOT AN ISOMORPHISM"
@@ -163,21 +162,15 @@ class ComparisonReport:
                 f"{self.source.describe()} -> {self.target.describe()})")
 
 
-def verify_devissage(rwi, epsilon, bound, require_stable=False, max_size=400000):
+def verify_devissage(rwi, epsilon, bound):
     """W(k, pi^flat E) -> W(finite-length R-modules, E) through the
     transfer, compared at the same length bound (at least 1) on both
     sides."""
     require_valid_bound(bound)
     data = rwi if isinstance(rwi, DevissageData) else DevissageData(rwi)
-    Wk = witt_group(data.tc.coefficient, epsilon, bound, max_size=max_size)
-    WR = witt_group(data.coef, epsilon, bound, max_size=max_size)
-    rep = ComparisonReport(Wk, WR, *_class_map(Wk, WR, lambda f: transfer_form(data.tc, f)))
-    if require_stable and not rep.stable:
-        raise UnstableBound(
-            f"presentations not stable at bound {bound}: "
-            f"{Wk.describe()} -> {WR.describe()}"
-        )
-    return rep
+    Wk = witt_group(data.tc.coefficient, epsilon, bound)
+    WR = witt_group(data.coef, epsilon, bound)
+    return ComparisonReport(Wk, WR, *_class_map(Wk, WR, lambda f: transfer_form(data.tc, f)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +207,7 @@ class LocalcaseReport:
         return f"LocalcaseReport({self.describe()})"
 
 
-def verify_localcase_factorization(rwi, J, epsilon, bound, require_stable=False,
-                                   max_size=400000):
+def verify_localcase_factorization(rwi, J, epsilon, bound):
     """Tower R -> R/J -> k: checks that transferring directly and through
     R/J give the same class for every enumerated k-form (after moving
     coefficients along gamma), and that p_* is an isomorphism of the two
@@ -259,9 +251,9 @@ def verify_localcase_factorization(rwi, J, epsilon, bound, require_stable=False,
         )
 
     gamma = compose_flats_gamma(p, q, rwi_T, data.rwi_k, data.coef)
-    Wk = witt_group(gamma.direct.coefficient, epsilon, bound, max_size=max_size)
-    WT = witt_group(gamma.inner.coefficient, epsilon, bound, max_size=max_size)
-    WR = witt_group(data.coef, epsilon, bound, max_size=max_size)
+    Wk = witt_group(gamma.direct.coefficient, epsilon, bound)
+    WT = witt_group(gamma.inner.coefficient, epsilon, bound)
+    WR = witt_group(data.coef, epsilon, bound)
 
     ginv = gamma.matrix.inverse()
     failures = []
@@ -276,9 +268,4 @@ def verify_localcase_factorization(rwi, J, epsilon, bound, require_stable=False,
     checked = sum(1 for f in Wk.classes if f.module.factors)
 
     p_star = ComparisonReport(WT, WR, *_class_map(WT, WR, lambda h: transfer_form(gamma.inner, h)))
-    if require_stable and not p_star.stable:
-        raise UnstableBound(
-            f"presentations not stable at bound {bound}: "
-            f"{WT.describe()} -> {WR.describe()}"
-        )
     return LocalcaseReport(gamma, Wk, checked, failures, p_star)

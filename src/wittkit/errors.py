@@ -107,11 +107,6 @@ class NotGorenstein(WittKitError):
     pass
 
 
-class UnstableBound(WittKitError):
-    """A comparison was requested with stability required, but raising the
-    length bound by one changed a Witt presentation."""
-
-
 class MaxIdealNotInvariant(WittKitError):
     pass
 

@@ -222,15 +222,13 @@ def _finite_is_square(ring, x):
     return acc == ring.one
 
 
-def _finite_canonical_unit(ring, x, conj=None):
-    """First element in enumeration order of the orbit x . {mu^2}
-    (conj None) or x . {mu . conj(mu)}."""
+def _finite_canonical_unit(ring, x):
+    """First element in enumeration order of the orbit x . {mu^2}."""
     orbit = set()
     for e in ring.elements():
         if e.is_zero():
             continue
-        scale = e * e if conj is None else e * conj(e)
-        orbit.add((x * scale).data)
+        orbit.add((x * (e * e)).data)
     for e in ring.elements():
         if e.data in orbit:
             return e
@@ -260,7 +258,7 @@ def witt_invariants(form):
         sdet = -sdet
     if ring.is_finite:
         if rwi.is_trivial():
-            rec["discriminant"] = _finite_canonical_unit(ring, sdet, None)
+            rec["discriminant"] = _finite_canonical_unit(ring, sdet)
             rec["witt_trivial"] = m % 2 == 0 and _finite_is_square(ring, sdet)
         else:
             # every fixed-field unit is a norm, so the class carries nothing

@@ -38,7 +38,7 @@ from .errors import (
     NotEpsilonSymmetric,
     NotSesquilinear,
 )
-from .linalg import Echelon, Matrix, matrix_of_map, unit_vector
+from .linalg import Echelon, Matrix, unit_vector
 from .modules import free_module, module_from_shape
 
 
@@ -169,19 +169,22 @@ class HermitianForm:
         return tuple(out)
 
     # -- structure ---------------------------------------------------------
-    def adjoint(self, dual=None):
-        """phi: M -> D(M), phi(y) = b(., y), as (DualModule, scalar matrix)."""
-        dual = dual if dual is not None else self.coef.dual(self.module)
-        F = self.module.F
-        d = self.module.sdim
+    def adjoint(self):
+        """phi: M -> D(M), phi(y) = b(., y), as (DualModule, scalar matrix).
+        Column c is the element of D(M) whose hom matrix has column c1
+        equal to b(e_c1, e_c), read from the coordinate tensor."""
+        dual = self.coef.dual(self.module)
+        tab = self._coord_tensor()
+        d, n = self.module.sdim, self.coef.module.sdim
 
-        def phi(yv):
-            H = matrix_of_map(F, d, lambda xv: self.eval_vecs(xv, yv))
-            return dual.module.to_vec(dual.element_of_hom(H))
+        def column(c):
+            # the hom matrix flattened row-major: row r, then column c1
+            flat = tuple(tab[c1][c][r] for r in range(n) for c1 in range(d))
+            return dual.module.to_vec(dual.element_of_hom(flat))
 
-        return dual, matrix_of_map(F, d, phi)
+        return dual, Matrix.from_cols(self.module.F, [column(c) for c in range(d)])
 
-    def is_nondegenerate(self, dual=None):
+    def is_nondegenerate(self):
         """Whether the adjoint M -> D(M) is bijective.  Kept on the form.
         A composed form is nondegenerate exactly when its summands are,
         since its adjoint is theirs, block by block."""
@@ -189,14 +192,14 @@ class HermitianForm:
             if self._parts is not None:
                 self._nondeg = all(f.is_nondegenerate() for f in self._parts[0])
             else:
-                dual, mat = self.adjoint(dual)
+                dual, mat = self.adjoint()
                 self._nondeg = dual.module.sdim == self.module.sdim and (
                     self.module.sdim == 0 or mat.rank() == self.module.sdim
                 )
         return self._nondeg
 
-    def require_nondegenerate(self, dual=None):
-        if not self.is_nondegenerate(dual):
+    def require_nondegenerate(self):
+        if not self.is_nondegenerate():
             raise Degenerate(f"form on {self.module!r} has a radical")
         return self
 
@@ -334,9 +337,9 @@ def diagonal_form(coef, entries, epsilon=1, shape=None):
     return HermitianForm(coef, module, gram, epsilon)
 
 
-def hyperbolic_form(coef, N, epsilon=1, dual=None):
+def hyperbolic_form(coef, N, epsilon=1):
     """H(N) on N + D(N): b((x,f),(y,g)) = g(x) + epsilon i(f(y))."""
-    dual = dual if dual is not None else coef.dual(N)
+    dual = coef.dual(N)
     DN = dual.module
     rwi = coef.rwi
     module = rwi.module([f.ann for f in N.factors] + [f.ann for f in DN.factors])

@@ -116,9 +116,8 @@ class Matrix:
     def transpose(self):
         return Matrix.from_cols(self.ring, self.rows, self.ncols)
 
-    def map_entries(self, fn, ring=None):
-        ring = ring or self.ring
-        return Matrix(ring, [[fn(a) for a in r] for r in self.rows], self.ncols)
+    def map_entries(self, fn):
+        return Matrix(self.ring, [[fn(a) for a in r] for r in self.rows], self.ncols)
 
     def hstack(self, other):
         if self.nrows != other.nrows:

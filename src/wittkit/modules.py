@@ -180,10 +180,7 @@ class FLModule:
     def is_zero(self, x):
         return all(r.is_zero() for r in x)
 
-    def elements(self, limit=None):
-        count = self.size()
-        if limit is not None and count > limit:
-            raise EnumerationBoundExceeded(f"|M| = {count} exceeds limit {limit}")
+    def elements(self):
         for combo in itertools.product(*[list(f.elements()) for f in self.factors]):
             yield tuple(combo)
 
@@ -223,14 +220,6 @@ class FLModule:
         m = map_matrix(self, self, lambda x: self.scal(a, x))
         self._action_cache[ck] = m
         return m
-
-    def conj_vec(self, vec):
-        """Coordinate action of sigma on representatives: componentwise
-        sigma on factor reps (well defined only when each ideal (ann) is
-        sigma-invariant; callers that need it check that)."""
-        x = self.from_vec(vec)
-        y = tuple(f.reduce(self.rwi.conj(r)) for f, r in zip(self.factors, x))
-        return self.to_vec(y)
 
 
 def map_matrix(M, N, fn):

@@ -1023,7 +1023,7 @@ class RingMap:
     the source are checked at construction.  A map out of a finite ring
     keeps the image of every element it has mapped."""
 
-    def __init__(self, src, dst, images=(), verify=True):
+    def __init__(self, src, dst, images=()):
         if isinstance(src, ProductRing) and not isinstance(self, ProductRingMap):
             raise WittKitError("use ProductRingMap for maps out of products")
         self.src = src
@@ -1034,8 +1034,7 @@ class RingMap:
                 f"{src} needs {len(src.generator_names())} generator images, got {len(self.images)}"
             )
         self._memo = {} if src.is_finite else None  # source data -> image
-        if verify:
-            self.verify()
+        self.verify()
 
     def __call__(self, x):
         x = self.src.el(x)
@@ -1165,9 +1164,6 @@ class ProductRingMap(RingMap):
         return Element(self.dst, (self.f1(Element(self.src.r1, a)).data,
                                   self.f2(Element(self.src.r2, b)).data))
 
-    def verify(self):
-        pass  # components were verified at their own construction
-
     def __eq__(self, other):
         return (
             isinstance(other, ProductRingMap)
@@ -1254,13 +1250,6 @@ class RingWithInvolution:
 
     def is_trivial(self):
         return self.sigma.is_identity()
-
-    def fixed_scalar_subspace(self):
-        """Scalar-coordinate basis of {x : sigma(x) = x} (finite-dimensional
-        rings only).  Used to parametrize diagonal Gram entries."""
-        from .linalg import Matrix, svec_matrix_of_additive_map
-        m = svec_matrix_of_additive_map(self.ring, self.ring, self.conj)
-        return (m - Matrix.identity(self.ring.scalar_field(), m.nrows)).nullspace_basis()
 
     def __eq__(self, other):
         return (

@@ -32,17 +32,12 @@ from .errors import (
     DomainMismatch,
     EngineError,
     NotEquivariant,
-    NotFinite,
     RingMismatch,
 )
 from .forms import HermitianForm
-from .linalg import matrix_of_map, span_basis, svec_matrix_of_additive_map, unit_vector
+from .linalg import matrix_of_map, unit_vector
 from .modules import Decomposition, HomModule, map_matrix
-from .rings import Element, check_equivariant_map, compose_maps
-
-
-def _mult_matrix(S, b):
-    return svec_matrix_of_additive_map(S, S, lambda x: b * x)
+from .rings import check_equivariant_map, compose_maps
 
 
 class TransferCoefficient(HomModule):
@@ -53,7 +48,7 @@ class TransferCoefficient(HomModule):
     R-linear map S -> I (hom_matrix / element_of_hom), which is what
     evaluation needs."""
 
-    def __init__(self, pi, rwi_dst, coef, generators=None):
+    def __init__(self, pi, rwi_dst, coef):
         R = coef.rwi.ring
         S = rwi_dst.ring
         if pi.src != R:
@@ -69,24 +64,15 @@ class TransferCoefficient(HomModule):
         self.rwi_src = coef.rwi
         self.rwi_dst = rwi_dst
         self.source_coef = coef
-
-        if generators is None:
-            generators = [Element(S, d) for d in S.scalar_basis()]
-        span = []
-        for g in generators:
-            g = S.el(g)
-            for bdata in R.scalar_basis():
-                prod = pi(Element(R, bdata)) * g
-                span.append(tuple(F.el(c) for c in S.to_svec(prod.data)))
-        if len(span_basis(span, F)) != S.scalar_dim():
-            raise NotFinite("generating set does not span the target as an R-module")
+        # S as a free module over itself, on the scalar coordinates of S
+        S1 = self._s_module = rwi_dst.module([S.zero])
 
         I = coef.module
         # R-linear h: S -> I: H . A_g = B_g . H with A_g multiplication by pi(g)
-        pairs = ((_mult_matrix(S, pi(g)), I.action_matrix(g)) for g in R.algebra_generators())
+        pairs = ((S1.action_matrix(pi(g)), I.action_matrix(g)) for g in R.algebra_generators())
         super().__init__(rwi_dst, I.sdim, S.scalar_dim(), pairs)
 
-        sig_S = svec_matrix_of_additive_map(S, S, rwi_dst.conj)
+        sig_S = map_matrix(S1, S1, lambda x: (rwi_dst.conj(x[0]),))
 
         def imap(x):
             return self.element_of_hom(coef.imat * self.hom_matrix(x) * sig_S)
@@ -107,8 +93,7 @@ class TransferCoefficient(HomModule):
 
     def _act(self, b, flat):
         """(b f)(m) = f(b m)."""
-        S = self.rwi_dst.ring
-        return self._flatten(self._unflatten(flat) * _mult_matrix(S, S.el(b)))
+        return self._flatten(self._unflatten(flat) * self._s_module.action_matrix(b))
 
     def eval(self, elem, s_elem):
         S = self.rwi_dst.ring
@@ -128,8 +113,8 @@ class TransferCoefficient(HomModule):
         return f"TransferCoefficient({self.pi!r})"
 
 
-def flat_coefficient(pi, rwi_dst, coef, generators=None):
-    return TransferCoefficient(pi, rwi_dst, coef, generators)
+def flat_coefficient(pi, rwi_dst, coef):
+    return TransferCoefficient(pi, rwi_dst, coef)
 
 
 class RestrictedModule(Decomposition):

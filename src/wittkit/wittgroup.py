@@ -85,9 +85,8 @@ class WittEngine:
         """Exhaustive classification on R/(ann): the nondegenerate forms
         among every Gram table on the module, one per isometry class."""
         module = self.rwi.module([ann])
-        dual = self.dual_of(module)
         tables = enumerate_gram_tables(self.coef, module, self.epsilon, limit=self.max_size)
-        return self._distinct(f for f in tables if f.is_nondegenerate(dual))
+        return self._distinct(f for f in tables if f.is_nondegenerate())
 
     def _distinct(self, forms):
         """One form per isometry class among forms, the first met of each,
@@ -111,7 +110,7 @@ class WittEngine:
             for a in self._anns:
                 N = self.rwi.module([a])
                 h = canonical_order(hyperbolic_form(self.coef, N, epsilon=self.epsilon))
-                out.append(h.require_nondegenerate(self.dual_of(h.module)))
+                out.append(h.require_nondegenerate())
             self._blocks = out
         return self._blocks
 
@@ -240,7 +239,7 @@ class WittGroupResult:
             raise CoefficientMismatch("form uses a different duality coefficient")
         if form.epsilon != self.epsilon:
             raise FormMismatch("form has the wrong symmetry sign")
-        form.require_nondegenerate(self.engine.dual_of(form.module))
+        form.require_nondegenerate()
         if form.module.length > self.bound:
             raise EnumerationBoundExceeded(
                 f"form length {form.module.length} exceeds the bound {self.bound}"
@@ -254,7 +253,7 @@ class WittGroupResult:
 
     def describe(self):
         name = group_name(self.factors)
-        tag = "stable" if self.stable else ("unstable" if self.stable is not None else "unchecked")
+        tag = "stable" if self.stable else "unstable"
         return f"{name} ({tag})"
 
     def __repr__(self):
@@ -300,28 +299,25 @@ def require_valid_bound(bound):
         raise InvalidBound(f"the length bound must be at least 1, not {bound}")
 
 
-def witt_group(coef, epsilon, bound, check_stability=True, max_size=400000, engine=None):
+def witt_group(coef, epsilon, bound, max_size=400000):
     """The presented Witt group at the given length bound (at least 1).
 
-    check_stability also computes the bound+1 presentation and records
+    The bound+1 presentation is computed too, and the result records
     whether the induced map is an isomorphism.  Every shape either
-    presentation needs is checked against the engine's max_size before
-    any class is enumerated."""
+    presentation needs is checked against max_size before any class is
+    enumerated."""
     require_valid_bound(bound)
-    engine = engine if engine is not None else WittEngine(coef, epsilon, max_size=max_size)
-    engine.require_shapes_fit(bound + 1 if check_stability else bound)
+    engine = WittEngine(coef, epsilon, max_size=max_size)
+    engine.require_shapes_fit(bound + 1)
     pres, classes, _ = _presentation_at(engine, bound)
-    stable = None
-    if check_stability:
-        pres1, classes1, idx1 = _presentation_at(engine, bound + 1)
-        images = []
-        for f in classes:
-            col = [0] * len(classes1)
-            col[idx1[_keypair(f)]] = 1
-            images.append(col)
-        ker, coker = hom_kernel_cokernel_trivial(pres, pres1, images)
-        stable = ker and coker
-    return WittGroupResult(coef, epsilon, bound, classes, pres, stable, engine)
+    pres1, classes1, idx1 = _presentation_at(engine, bound + 1)
+    images = []
+    for f in classes:
+        col = [0] * len(classes1)
+        col[idx1[_keypair(f)]] = 1
+        images.append(col)
+    ker, coker = hom_kernel_cokernel_trivial(pres, pres1, images)
+    return WittGroupResult(coef, epsilon, bound, classes, pres, ker and coker, engine)
 
 
 # ---------------------------------------------------------------------------

@@ -191,9 +191,10 @@ def test_bound_below_one_exits_1(bound, capsys):
     assert err == f"error: the length bound must be at least 1, not {bound}\n"
 
 
-def test_oversized_bound_exits_3_before_enumerating(capsys):
+@pytest.mark.parametrize("command", ["witt", "devissage-check"])
+def test_oversized_bound_exits_3_before_enumerating(command, capsys):
     start = time.perf_counter()
-    assert main(["witt", "GF(3)[t]/(t^2), sigma=id", "+1", "99", "--json"]) == 3
+    assert main([command, "GF(3)[t]/(t^2), sigma=id", "+1", "99", "--json"]) == 3
     assert time.perf_counter() - start < 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -19,6 +19,7 @@ from wittkit.devissage import (
     verify_localcase_factorization,
 )
 from wittkit.errors import (
+    EnumerationBoundExceeded,
     IdealNotInvariant,
     ImproperIdeal,
     InvalidBound,
@@ -188,6 +189,12 @@ def test_bounds_below_one_are_rejected(bound):
         verify_devissage(R, 1, bound)
     with pytest.raises(InvalidBound):
         verify_localcase_factorization(R, R.ring.gen("t") ** 2, 1, bound)
+
+
+def test_localcase_keeps_the_engine_size_limit():
+    R = rwi("GF(3)[t]/(t^3), sigma=id")
+    with pytest.raises(EnumerationBoundExceeded, match="exceeds the engine limit 400000"):
+        verify_localcase_factorization(R, R.ring.gen("t") ** 2, 1, 99)
 
 
 @pytest.mark.parametrize("epsilon", [1, -1])

@@ -1,7 +1,7 @@
 """Every module-level import in the library is used, every private
 module-level helper and private method is referenced from somewhere else
-in the library, and wittkit.__all__ lists exactly the package's
-re-exports.
+in the library, every error class is raised or caught by another library
+module, and wittkit.__all__ lists exactly the package's re-exports.
 
 Checked with the standard library's ast, since no linter is a dependency.
 __init__.py is left out of the import check: its imports are the
@@ -107,6 +107,52 @@ def test_the_check_sees_a_dead_private_method():
 
 def test_every_private_helper_is_referenced():
     assert dead_private_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def _exception_names(node):
+    """The class names a raise or except clause names: X, X(...),
+    errors.X and tuples of them."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Tuple):
+        return [n for e in node.elts for n in _exception_names(e)]
+    return []
+
+
+def unraised_errors(sources):
+    """Classes of sources["errors"] that no raise statement or except
+    clause of another module in the dict of module name -> source names."""
+    named = set()
+    for module, source in sources.items():
+        if module == "errors":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                named.update(_exception_names(node.exc))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named.update(_exception_names(node.type))
+    return [node.name for node in ast.parse(sources["errors"]).body
+            if isinstance(node, ast.ClassDef) and node.name not in named]
+
+
+def test_the_check_sees_an_unraised_error():
+    sources = {
+        "errors": ("class Base(Exception):\n    pass\n\nclass Raised(Base):\n    pass\n\n"
+                   "class Caught(Base):\n    pass\n\nclass Unused(Base):\n    pass\n"),
+        "a": ("from . import errors\nfrom .errors import Caught, Raised\n\n"
+              "def f():\n    try:\n        raise errors.Base('x')\n"
+              "    except (Caught, KeyError):\n        raise Raised\n"),
+        "b": "from .errors import Unused\n",
+    }
+    assert unraised_errors(sources) == ["Unused"]
+
+
+def test_every_error_class_is_raised_or_caught():
+    assert unraised_errors({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def test_all_lists_exactly_the_reexports():

@@ -7,7 +7,14 @@ import pytest
 
 from wittkit.coefficients import DualModule, standard_coefficient
 from wittkit.errors import EngineError
-from wittkit.linalg import Echelon, Matrix, matrix_of_map, span_basis, unit_vector
+from wittkit.linalg import (
+    Echelon,
+    Matrix,
+    matrix_of_map,
+    span_basis,
+    svec_matrix_of_additive_map,
+    unit_vector,
+)
 from wittkit.modules import (
     CyclicFactor,
     Decomposition,
@@ -24,7 +31,7 @@ from wittkit.modules import (
 )
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import GF, Element, PrimeField, ProductRing, QuotientRing, RingMap, involution
-from wittkit.transfer import RestrictedModule, TransferCoefficient, _mult_matrix
+from wittkit.transfer import RestrictedModule, TransferCoefficient
 
 
 def t2_ring():
@@ -148,16 +155,6 @@ def test_module_axioms_seeded():
     for rwi in (involution(R, "id"), involution(R, {"t": [0, 2]})):
         M = FLModule(rwi, [R.zero, R.gen("t")])
         check_module_axioms(M, rng)
-
-
-def test_conj_vec_is_semilinear_coordinate_map():
-    F9 = GF(9)
-    rwi = involution(F9, "frobenius")
-    M = free_module(rwi, 1)
-    u = F9.gen("u")
-    x = M.element([u])
-    cv = M.from_vec(M.conj_vec(M.to_vec(x)))
-    assert cv == M.element([u ** 3])
 
 
 def _small_modules(rwi):
@@ -485,7 +482,8 @@ def _dual_pairs(hom):
 
 def _transfer_pairs(hom):
     S, I = hom.rwi_dst.ring, hom.source_coef.module
-    return [(_mult_matrix(S, hom.pi(g)), I.action_matrix(g)) for g in hom.pi.src.algebra_generators()]
+    return [(svec_matrix_of_additive_map(S, S, lambda x, b=hom.pi(g): b * x), I.action_matrix(g))
+            for g in hom.pi.src.algebra_generators()]
 
 
 def _transfer_f3_to_f9():

@@ -226,14 +226,6 @@ def test_rwi_structural_equality():
     assert hash(a) == hash(b)
 
 
-def test_fixed_scalar_subspace_of_frobenius():
-    F9 = GF(9)
-    sigma = involution(F9, "frobenius")
-    fixed = sigma.fixed_scalar_subspace()
-    # F_3 inside F_9 is one scalar dimension out of two
-    assert len(fixed) == 1
-
-
 def test_finite_enumeration_counts():
     F3 = PrimeField(3)
     R = QuotientRing(F3, [0, 0, 1], "t")

@@ -12,7 +12,6 @@ from wittkit.errors import (
     CoefficientMismatch,
     DomainMismatch,
     NotEquivariant,
-    NotFinite,
 )
 from wittkit.forms import HermitianForm, canonical_order, diagonal_form, isometric, orthogonal_sum
 from wittkit.linalg import Matrix
@@ -141,14 +140,11 @@ def test_transfer_error_taxonomy():
     F9 = GF(9)
     pi = RingMap(F3, F9, [])
     dst = involution(F9, "frobenius")
-    src = involution(F3, "id")
     with pytest.raises(DomainMismatch):
         flat_coefficient(pi, dst, standard_coefficient(dst))
     ident = identity_map(F9)
     with pytest.raises(NotEquivariant):
         flat_coefficient(ident, dst, standard_coefficient(involution(F9, "id")))
-    with pytest.raises(NotFinite):
-        flat_coefficient(pi, dst, standard_coefficient(src), generators=[F9.one])
 
 
 def test_restrict_scalars_roundtrip():

@@ -159,16 +159,15 @@ def test_metabolic_builds_no_dual_the_form_does_not_need(monkeypatch):
     F3 = PrimeField(3)
     coef = std(F3)
     engine = WittEngine(coef, 1)
-    built = _counting_duals(monkeypatch)
     split = diagonal_form(coef, [F3.one, F3.el(2)])
     aniso = diagonal_form(coef, [F3.one, F3.one])
-    # nondegeneracy already settled on the form: no dual is built
-    own = coefficients.DualModule(coef, split.module)
-    assert split.is_nondegenerate(own) and aniso.is_nondegenerate(own)
-    built.clear()
+    # nondegeneracy already settled on the form: no dual is asked for
+    assert split.is_nondegenerate() and aniso.is_nondegenerate()
+    asked = []
+    monkeypatch.setattr(coef, "dual", lambda module: asked.append(module.key))
     assert engine.metabolic(split) is True
     assert engine.metabolic(aniso) is False
-    assert built == []
+    assert asked == []
 
 
 def test_metabolic_builds_the_cached_dual_once_when_asked(monkeypatch):
@@ -293,13 +292,12 @@ def head_one_factor_classes(engine, ann):
     )
     sol = conds.nullspace_basis()
     found = []
-    dual = engine.dual_of(module)
     for combo in itertools.product(list(F.elements()), repeat=len(sol)):
         vec = [F.zero] * I.sdim
         for c, b in zip(combo, sol):
             vec = [x + c * y for x, y in zip(vec, b)]
         form = HermitianForm(engine.coef, module, [[I.from_vec(tuple(vec))]], engine.epsilon, check=False)
-        if not form.is_nondegenerate(dual):
+        if not form.is_nondegenerate():
             continue
         fp = engine.fingerprint(form)
         if any(engine.fingerprint(g) == fp and isometric(form, g) is not None for g in found):
