@@ -11,7 +11,7 @@ re-exported here; the submodules group the machinery:
     transfer      pushforward of coefficients and forms along finite maps
     koszul        free complexes, Koszul complexes of regular sequences,
                   conormal sign
-    fieldwitt     diagonalization and classical invariants over fields
+    fieldwitt     diagonalization over fields
     wittgroup     Witt class enumeration and group presentation
     devissage     residue-field comparison and its two-step factorization
     parser        text descriptors for rings, involutions, forms, towers
@@ -23,8 +23,6 @@ from .coefficients import (
     DualityCoefficient,
     DualModule,
     check_coefficient_iso,
-    dual_map_matrix,
-    dual_module,
     standard_coefficient,
 )
 from .devissage import (
@@ -48,7 +46,7 @@ from .errors import (
     ParseError,
     WittKitError,
 )
-from .fieldwitt import diagonalize, signature, witt_invariants
+from .fieldwitt import diagonalize
 from .forms import (
     HermitianForm,
     coefficient_change,
@@ -61,12 +59,11 @@ from .forms import (
 from .koszul import (
     FreeComplex,
     RegularSequenceData,
-    beta_tilde,
     conormal_sign,
     involution_transport,
     koszul_complex,
 )
-from .modules import FLModule, decompose_submodule, free_module, module_from_shape
+from .modules import FLModule, free_module, module_from_shape
 from .parser import (
     parse_element,
     parse_gram,
@@ -96,7 +93,6 @@ from .transfer import (
     TransferCoefficient,
     compose_flats_gamma,
     flat_coefficient,
-    restrict_scalars,
     transfer_form,
 )
 from .wittgroup import WittEngine, WittGroupResult, witt_group
@@ -137,17 +133,13 @@ __all__ = [
     "WittEngine",
     "WittGroupResult",
     "WittKitError",
-    "beta_tilde",
     "check_coefficient_iso",
     "coefficient_change",
     "compose_flats_gamma",
     "compose_maps",
     "conormal_sign",
-    "decompose_submodule",
     "diagonal_form",
     "diagonalize",
-    "dual_map_matrix",
-    "dual_module",
     "flat_coefficient",
     "free_module",
     "hyperbolic_form",
@@ -166,13 +158,10 @@ __all__ = [
     "parse_ring_with_involution",
     "parse_sequence",
     "parse_tower",
-    "restrict_scalars",
-    "signature",
     "socle_dimension",
     "standard_coefficient",
     "transfer_form",
     "verify_devissage",
     "verify_localcase_factorization",
     "witt_group",
-    "witt_invariants",
 ]

@@ -127,17 +127,6 @@ class DualModule(HomModule):
         return self.coef.module.from_vec(H.apply(self.source.to_vec(x)))
 
 
-def dual_module(coef, M):
-    return coef.dual(M)
-
-
-def dual_map_matrix(dual_dst, dual_src, fmat):
-    """Scalar matrix of D(f): D(N) -> D(M) for f: M -> N given by fmat
-    (N.sdim x M.sdim); D(f)(h) = h . f.  dual_dst = D(N), dual_src = D(M)."""
-    return map_matrix(dual_dst.module, dual_src.module,
-                      lambda h: dual_src.element_of_hom(dual_dst.hom_matrix(h) * fmat))
-
-
 class DoubleDualComparison:
     """can: M -> D(D(M)), x |-> (f |-> i(f(x))).  Bijectivity decides
     whether (I, i) is a strong duality for M."""

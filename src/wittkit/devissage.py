@@ -23,7 +23,7 @@ from .errors import (
 )
 from .forms import coefficient_change
 from .intsnf import hom_kernel_cokernel_trivial
-from .linalg import span_basis, svec_matrix_of_additive_map
+from .linalg import span_basis
 from .modules import is_nilpotent_quotient
 from .rings import (
     Element,
@@ -54,20 +54,17 @@ def local_structure(ring):
     return rad, n - len(rad)
 
 
-def socle_dimension(ring):
+def socle_dimension(rwi):
     """dim over the residue field of the annihilator of the maximal
-    ideal; 1 is the Gorenstein condition used throughout."""
+    ideal of rwi.ring; 1 is the Gorenstein condition used throughout."""
+    ring = rwi.ring
     rad, rdim = local_structure(ring)
     if not rad:
         return 1
-    F = ring.scalar_field()
-    mats = []
-    for b in rad:
-        r = Element(ring, ring.from_svec(tuple(c.data for c in b)))
-        mats.append(svec_matrix_of_additive_map(ring, ring, lambda x, r=r: x * r))
-    conds = mats[0]
-    for m in mats[1:]:
-        conds = conds.vstack(m)
+    S1 = rwi.module([ring.zero])
+    conds = S1.action_matrix(S1.from_vec(rad[0])[0])
+    for b in rad[1:]:
+        conds = conds.vstack(S1.action_matrix(S1.from_vec(b)[0]))
     soc = len(conds.nullspace_basis())
     if soc % rdim:
         raise EngineError("socle is not a residue-field vector space")
@@ -82,7 +79,7 @@ class DevissageData:
         ring = rwi.ring
         rad, rdim = local_structure(ring)
         F = ring.scalar_field()
-        soc = socle_dimension(ring)
+        soc = socle_dimension(rwi)
         if soc != 1:
             raise NotGorenstein(
                 f"socle of {ring} has dimension {soc} over the residue field"
@@ -244,7 +241,7 @@ def verify_localcase_factorization(rwi, J, epsilon, bound):
             # sigma(J) = J, and re-verified by the involution constructor
             induced = {nm: p(data.rwi.conj(ring.gen(nm))) for nm in T.generator_names()}
             rwi_T = involution(T, induced)
-    soc = socle_dimension(T)
+    soc = socle_dimension(rwi_T)
     if soc != 1:
         raise NotGorensteinQuotient(
             f"socle of {T} has dimension {soc} over its residue field"

@@ -80,12 +80,8 @@ class NotFinite(WittKitError):
     pass
 
 
-# field-level invariants
+# diagonalization over fields
 class NotDiagonalizable(WittKitError):
-    pass
-
-
-class EntryNotRational(WittKitError):
     pass
 
 

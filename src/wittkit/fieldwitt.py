@@ -1,4 +1,4 @@
-"""Diagonalization and classical invariants over fields with involution.
+"""Diagonalization over fields with involution.
 
 Everything here works on forms whose base ring is a field and whose
 coefficient module is free of rank one, so Gram values are read as ring
@@ -16,16 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    Degenerate,
-    EngineError,
-    EntryNotRational,
-    NotDiagonalizable,
-    UnsupportedField,
-)
-from .forms import HermitianForm
-from .linalg import Matrix, span_basis, svec_matrix_of_additive_map
-from .rings import Element, QuadraticField, Rationals
+from .errors import EngineError, NotDiagonalizable, UnsupportedField
+from .linalg import Matrix, span_basis
+from .modules import map_matrix
+from .rings import Rationals
 
 
 def _require_field_model(form):
@@ -34,7 +28,7 @@ def _require_field_model(form):
         raise UnsupportedField(f"{ring} is not a field")
     I = form.coef.module
     if len(I.factors) != 1 or not I.factors[0].ann.is_zero():
-        raise UnsupportedField("field-level invariants need a free rank-1 coefficient")
+        raise UnsupportedField("diagonalize needs a free rank-1 coefficient")
 
 
 def _antifixed(rwi):
@@ -42,11 +36,12 @@ def _antifixed(rwi):
     if rwi.is_trivial():
         return None
     ring = rwi.ring
-    m = svec_matrix_of_additive_map(ring, ring, rwi.conj)
-    ns = (m + Matrix.identity(ring.scalar_field(), m.nrows)).nullspace_basis()
+    S1 = rwi.module([ring.zero])
+    m = map_matrix(S1, S1, lambda x: (rwi.conj(x[0]),))
+    ns = (m + Matrix.identity(S1.F, S1.sdim)).nullspace_basis()
     if not ns:
         return None
-    return Element(ring, ring.from_svec(tuple(c.data for c in ns[0])))
+    return S1.from_vec(ns[0])[0]
 
 
 def _pivot_schedule(rwi):
@@ -173,110 +168,3 @@ def diagonalize(form):
     basis = [basis[k] for k in order]
     cob = Matrix.from_cols(ring, basis)
     return entries, cob
-
-
-def _rational_entry(e):
-    if isinstance(e, Element):
-        if isinstance(e.ring, QuadraticField):
-            a, b = e.data
-            if b != 0:
-                raise EntryNotRational(f"{e!r} has a sqrt component")
-            return a
-        if isinstance(e.ring, Rationals):
-            return e.data
-        raise EntryNotRational(f"{e!r} does not live in a rational model")
-    return Fraction(e)
-
-
-def signature(form_or_entries):
-    """Counts (p, n) of positive and negative diagonal entries; the Witt
-    class invariant of the complex-conjugation model is p - n."""
-    if isinstance(form_or_entries, HermitianForm):
-        form = form_or_entries
-        _require_field_model(form)
-        ring = form.ring
-        if not (isinstance(ring, QuadraticField) and ring.d < 0):
-            raise UnsupportedField(f"signature needs QQ(sqrt(d)), d < 0, not {ring}")
-        if form.coef.rwi.is_trivial():
-            raise UnsupportedField("signature needs the conjugation involution")
-        entries = diagonalize(form)[0]
-    else:
-        entries = form_or_entries
-    p = n = 0
-    for e in entries:
-        q = _rational_entry(e)
-        if q == 0:
-            raise Degenerate("zero diagonal entry")
-        if q > 0:
-            p += 1
-        else:
-            n += 1
-    return (p, n)
-
-
-def _finite_is_square(ring, x):
-    q = ring.size()
-    acc = ring.one
-    for _ in range((q - 1) // 2):
-        acc = acc * x
-    return acc == ring.one
-
-
-def _finite_canonical_unit(ring, x):
-    """First element in enumeration order of the orbit x . {mu^2}."""
-    orbit = set()
-    for e in ring.elements():
-        if e.is_zero():
-            continue
-        orbit.add((x * (e * e)).data)
-    for e in ring.elements():
-        if e.data in orbit:
-            return e
-    raise EngineError("unit orbit missed every field element")
-
-
-def witt_invariants(form):
-    """Rank parity, discriminant class, and signature where defined.
-
-    The record separates Witt classes over the supported models: finite
-    fields with trivial involution (parity + signed discriminant), finite
-    quadratic extensions with Frobenius (parity alone), QQ(i) as the
-    complex model with trivial involution (parity alone), and QQ(sqrt(d)),
-    d < 0, with conjugation (signature)."""
-    _require_field_model(form)
-    if form.epsilon != 1:
-        raise UnsupportedField("invariants are defined for eps = +1 forms")
-    ring = form.ring
-    rwi = form.coef.rwi
-    entries, _ = diagonalize(form)
-    m = len(entries)
-    rec = {"rank": m, "rank_mod_2": m % 2, "discriminant": None, "signature": None}
-    sdet = ring.one
-    for e in entries:
-        sdet = sdet * e
-    if (m * (m - 1) // 2) % 2 == 1:
-        sdet = -sdet
-    if ring.is_finite:
-        if rwi.is_trivial():
-            rec["discriminant"] = _finite_canonical_unit(ring, sdet)
-            rec["witt_trivial"] = m % 2 == 0 and _finite_is_square(ring, sdet)
-        else:
-            # every fixed-field unit is a norm, so the class carries nothing
-            rec["discriminant"] = ring.one
-            rec["witt_trivial"] = m % 2 == 0
-        return rec
-    if isinstance(ring, QuadraticField) and ring.d < 0:
-        if rwi.is_trivial():
-            if ring.d != -1:
-                raise UnsupportedField(
-                    "the complex model with trivial involution is QQ(i)"
-                )
-            rec["discriminant"] = ring.one
-            rec["witt_trivial"] = m % 2 == 0
-            return rec
-        sig = signature(entries)
-        rec["signature"] = sig
-        rec["discriminant"] = ring.el(1 if _rational_entry(sdet) > 0 else -1)
-        rec["witt_trivial"] = sig[0] == sig[1]
-        return rec
-    raise UnsupportedField(f"no invariant set for {ring} with this involution")

@@ -3,10 +3,10 @@
 Everything is plain Python ints (exact, arbitrary precision).  A presented
 group is Z^n modulo the column span of a relation matrix.  Each
 presentation is factored once: PresentedGroup keeps its Smith form and
-reuses it for invariant factors, generator coordinates and membership
-tests.  Comparing two presented groups (kernel and cokernel of a map given
-on generators) takes one more Smith form, of the block matrix
-[images | target relations].
+reuses it for the invariant factors and for membership tests.  Comparing
+two presented groups (kernel and cokernel of a map given on generators)
+takes one more Smith form, of the block matrix [images | target
+relations].
 """
 
 from __future__ import annotations
@@ -97,20 +97,13 @@ def smith_normal_form(a):
     return d, u, v
 
 
-def invariant_factors(a):
-    """Nonzero diagonal entries != 1 of the Smith form, then one 0 per free
-    rank of the cokernel.  For a presentation Z^m / columns(a) this is the
-    canonical decomposition [d1, ..., dk, 0, ..., 0]."""
-    return PresentedGroup(len(a), [list(c) for c in zip(*a)]).factors
-
-
 class PresentedGroup:
     """Z^ngens modulo the columns of relations (list of column vectors).
 
     The relation matrix A is factored once, u*A*v = d, and that one Smith
     form answers every later question: the invariant factors come from d,
-    generator coordinates and membership from u, and the integer relations
-    among the columns from v."""
+    membership from u, and the integer relations among the columns
+    from v."""
 
     def __init__(self, ngens, relation_columns):
         self.ngens = ngens
@@ -131,17 +124,6 @@ class PresentedGroup:
         # one diagonal entry per generator, 0 past the rank
         self._diag = diag + [0] * (ngens - len(diag))
         self.factors = [x for x in diag if x not in (0, 1)] + [0] * (ngens - self._rank)
-
-    def generator_image(self, idx):
-        """Coordinates of generator idx in the canonical decomposition
-        (one coordinate per invariant factor, torsion reduced)."""
-        coords = []
-        for i, di in enumerate(self._diag):
-            c = self._snf_u[i][idx]
-            if di == 1:
-                continue
-            coords.append(c % di if di else c)
-        return tuple(coords)
 
     def contains(self, vec):
         """Is vec (length ngens) in the span of the relation columns?  With

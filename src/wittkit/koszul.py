@@ -196,22 +196,6 @@ def koszul_complex(data):
     return K
 
 
-def beta_tilde(data):
-    """The fundamental local map on top duals: the functional sending the
-    top wedge to c.L maps to the conormal functional with value c mod J.
-    Returned as the 1x1 matrix [normal form of the L-unit]; the composite
-    with the dual of the top differential is asserted to vanish."""
-    K = koszul_complex(data)
-    d = data.d()
-    topd = K.diff(-d)  # Lambda^d -> Lambda^{d-1}
-    for j in range(topd.nrows):
-        # dual basis functional f_j composed with d, then beta-tilde
-        val = data.reduce(topd.rows[j][0] * data.unit)
-        if not val.is_zero():
-            raise EngineError("beta-tilde does not kill the image of the dual differential")
-    return Matrix(data.ring, [[data.reduce(data.unit)]])
-
-
 # ---------------------------------------------------------------------------
 # involution transport
 

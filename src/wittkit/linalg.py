@@ -377,17 +377,3 @@ def span_basis(vectors, ring):
     """Deterministic basis of the span (first independent vectors kept)."""
     ech = Echelon(ring)
     return [tuple(v) for v in vectors if ech.insert([c.data for c in v])]
-
-
-def svec_matrix_of_additive_map(src_ring, dst_ring, fn):
-    """Scalar-coordinate matrix of an additive map src -> dst (both rings
-    finite-dimensional over the same scalar field).  fn takes and returns
-    Elements."""
-    F = src_ring.scalar_field()
-    if dst_ring.scalar_field() != F:
-        raise WittKitError("scalar fields differ")
-    cols = []
-    for bdata in src_ring.scalar_basis():
-        img = fn(Element(src_ring, bdata))
-        cols.append(tuple(F.el(c) for c in dst_ring.to_svec(img.data)))
-    return Matrix.from_cols(F, cols, dst_ring.scalar_dim())

@@ -252,17 +252,7 @@ def free_module(rwi, rank):
 
 
 # ---------------------------------------------------------------------------
-# submodules
-
-
-def submodule_span(M, elems):
-    """Scalar basis (tuples of scalar Elements) of the R-submodule
-    generated by elems."""
-    vecs = []
-    for v in elems:
-        for bdata in M.ring.scalar_basis():
-            vecs.append(M.to_vec(M.scal(Element(M.ring, bdata), v)))
-    return span_basis(vecs, M.F)
+# cyclic decomposition
 
 
 def _split(rwi, basis, act, n):
@@ -385,19 +375,6 @@ class Decomposition:
         return self.module.from_vec(x)
 
 
-def decompose_submodule(M, elems):
-    """Cyclic decomposition of the submodule of M generated by elems.
-    Returns (FLModule, [generator elements of M], scalar basis of the
-    submodule)."""
-    basis = submodule_span(M, elems)
-
-    def act(a, vec):
-        return M.to_vec(M.scal(a, M.from_vec(vec)))
-
-    dec = Decomposition(M.rwi, basis, act, M.sdim)
-    return dec.module, [M.from_vec(v) for v in dec.gens], basis
-
-
 # ---------------------------------------------------------------------------
 # hom spaces
 
@@ -459,17 +436,3 @@ class HomModule(Decomposition):
         its row-major flattening); EngineError if H is outside the space."""
         return self.of_ambient(self._flatten(H) if isinstance(H, Matrix) else H)
 
-
-def check_module_axioms(M, rng, samples=25):
-    """Sampled module axioms (seeded): associativity and distributivity of
-    the action, compatibility of reduce with ring arithmetic."""
-    for _ in range(samples):
-        a = M.ring.random_element(rng)
-        b = M.ring.random_element(rng)
-        x = M.random_element(rng)
-        y = M.random_element(rng)
-        assert M.scal(a, M.add(x, y)) == M.add(M.scal(a, x), M.scal(a, y))
-        assert M.scal(a * b, x) == M.scal(a, M.scal(b, x))
-        assert M.scal(a + b, x) == M.add(M.scal(a, x), M.scal(b, x))
-        assert M.add(x, M.neg(x)) == M.zero()
-    return True

@@ -104,11 +104,6 @@ class TransferCoefficient(HomModule):
     def eval_at_one(self, elem):
         return self.eval(elem, self.rwi_dst.ring.one)
 
-    def evaluation_matrix(self):
-        """Scalar matrix of f |-> f(1_S) from coefficient coordinates to I
-        coordinates; for pi = id this realizes the evaluation iso."""
-        return map_matrix(self.module, self.source_coef.module, self.eval_at_one)
-
     def __repr__(self):
         return f"TransferCoefficient({self.pi!r})"
 
@@ -141,10 +136,6 @@ class RestrictedModule(Decomposition):
 
     def to_restricted(self, m):
         return self.of_ambient(self.over.to_vec(m))
-
-
-def restrict_scalars(pi, rwi_src, M):
-    return RestrictedModule(pi, rwi_src, M)
 
 
 def transfer_form(tc, form):

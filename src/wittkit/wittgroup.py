@@ -247,10 +247,6 @@ class WittGroupResult:
         rep = self.engine.lookup(form)
         return self._index[(rep.module.key, rep.gram_key())]
 
-    def class_coords(self, form):
-        """Image of [form] in the invariant-factor decomposition."""
-        return self.presentation.generator_image(self.class_index(form))
-
     def describe(self):
         name = group_name(self.factors)
         tag = "stable" if self.stable else "unstable"
@@ -321,7 +317,7 @@ def witt_group(coef, epsilon, bound, max_size=400000):
 
 
 # ---------------------------------------------------------------------------
-# brute-force cross-validation
+# Gram tables
 
 
 def _gram_slots(coef, module, epsilon):
@@ -387,21 +383,3 @@ def sample_gram_tables(coef, module, epsilon, count, rng):
         assignment = [tuple(rng.choice(opts) for _ in basis) for _, basis in slots]
         yield _gram_from_assignment(coef, module, epsilon, slots, assignment)
 
-
-def cross_validate_classes(engine, module, limit=200000, sample=None, rng=None):
-    """Check the sum-closure class list against brute force: every
-    nondegenerate Gram table on the module must match an enumerated class
-    (EngineError otherwise).  With sample set, a seeded random subset is
-    checked instead of the full enumeration.  Returns the number of
-    nondegenerate forms checked."""
-    if sample is not None:
-        forms = sample_gram_tables(engine.coef, module, engine.epsilon, sample, rng)
-    else:
-        forms = enumerate_gram_tables(engine.coef, module, engine.epsilon, limit=limit)
-    checked = 0
-    for f in forms:
-        if not f.is_nondegenerate():
-            continue
-        engine.lookup(f)
-        checked += 1
-    return checked

@@ -9,8 +9,6 @@ from wittkit.coefficients import (
     DualityCoefficient,
     DualModule,
     check_coefficient_iso,
-    dual_map_matrix,
-    dual_module,
     standard_coefficient,
 )
 from wittkit.devissage import DevissageData
@@ -44,7 +42,7 @@ def test_dual_of_free_module_is_free():
     rwi = t2_setup()
     coef = standard_coefficient(rwi)
     M = free_module(rwi, 1)
-    D = dual_module(coef, M)
+    D = coef.dual(M)
     assert D.module.length == M.length
     assert D.module.sdim == M.sdim
 
@@ -56,7 +54,7 @@ def test_dual_of_residue_field_against_free_coefficient():
     t = R.gen("t")
     coef = standard_coefficient(rwi)
     k = FLModule(rwi, [t])
-    D = dual_module(coef, k)
+    D = coef.dual(k)
     assert D.module.length == 1
     assert D.module.factors[0].ann == t
 
@@ -135,24 +133,11 @@ def test_check_coefficient_iso_rejects_nonequivariant():
         check_coefficient_iso(coef, coef, bad)
 
 
-def test_dual_map_matrix_contravariant():
-    rwi = t2_setup()
-    R = rwi.ring
-    t = R.gen("t")
-    coef = standard_coefficient(rwi)
-    M = free_module(rwi, 1)
-    DM = dual_module(coef, M)
-    # multiplication by t on M dualizes to multiplication by sigma(t) = t
-    fmat = M.action_matrix(t)
-    dmat = dual_map_matrix(DM, DM, fmat)
-    assert dmat == DM.module.action_matrix(t)
-
-
 def test_frobenius_dual_pairing_dimensions():
     rwi = involution(GF(9), "frobenius")
     coef = standard_coefficient(rwi)
     M = free_module(rwi, 2)
-    D = dual_module(coef, M)
+    D = coef.dual(M)
     assert D.module.sdim == M.sdim
     DoubleDualComparison(coef, M).require_strong()
 
@@ -215,7 +200,6 @@ def test_dual_refuses_a_module_over_another_involution():
     coef = standard_coefficient(rwi)
     M = free_module(rwi, 1)
     assert coef.dual(M) is coef.dual(M)
-    assert dual_module(coef, M) is coef.dual(M)
     # the module key leaves sigma out, so the cached dual of M must not
     # answer for a module over t -> -t
     twisted = free_module(t2_setup("twist"), 1)

@@ -27,6 +27,7 @@ from wittkit.errors import (
     NotGorenstein,
     WittKitError,
 )
+from wittkit.linalg import matrix_of_map
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import Element, PrimeField, Ring
 from wittkit.wittgroup import witt_group
@@ -142,18 +143,37 @@ class SquareZeroPlane(Ring):
         return tuple(vec)
 
 
+class RegularPlane:
+    """SquareZeroPlane as a module over itself, with the two methods of
+    FLModule that socle_dimension reads: modules.py has no module theory
+    over this ring."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def from_vec(self, vec):
+        return (Element(self.ring, tuple(c.data for c in vec)),)
+
+    def action_matrix(self, a):
+        F = self.ring.scalar_field()
+        return matrix_of_map(F, self.ring.scalar_dim(), lambda u: tuple(
+            F.el(c) for c in self.ring.mul(a.data, tuple(x.data for x in u))))
+
+
 def test_non_gorenstein_ring_is_rejected():
     # the socle is checked before the involution is read
+    plane = SquareZeroPlane()
     with pytest.raises(NotGorenstein):
-        DevissageData(SimpleNamespace(ring=SquareZeroPlane()))
+        DevissageData(SimpleNamespace(ring=plane, module=lambda anns: RegularPlane(plane)))
 
 
 def test_sigma_moving_the_maximal_ideal_is_rejected():
     # a ring map of k[t]/(t^n) sends t into (t), since t is nilpotent, so
     # only a stand-in sigma (here x -> x + 1) can move (t)
-    ring = rwi("GF(3)[t]/(t^3), sigma=id").ring
+    real = rwi("GF(3)[t]/(t^3), sigma=id")
+    ring = real.ring
     with pytest.raises(MaxIdealNotInvariant, match="out of the maximal ideal"):
-        DevissageData(SimpleNamespace(ring=ring, conj=lambda x: x + ring.one))
+        DevissageData(SimpleNamespace(ring=ring, conj=lambda x: x + ring.one, module=real.module))
 
 
 def test_non_local_ring_is_rejected():

@@ -1,4 +1,4 @@
-"""Diagonalization, signatures and classical invariants over field models."""
+"""Diagonalization over field models."""
 
 from fractions import Fraction
 
@@ -7,14 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wittkit.coefficients import standard_coefficient
-from wittkit.errors import (
-    Degenerate,
-    EntryNotRational,
-    NotDiagonalizable,
-    UnsupportedField,
-)
-from wittkit.fieldwitt import diagonalize, signature, witt_invariants
-from wittkit.forms import HermitianForm, diagonal_form, hyperbolic_form, is_metabolic
+from wittkit.errors import NotDiagonalizable, UnsupportedField
+from wittkit.fieldwitt import diagonalize
+from wittkit.forms import HermitianForm, diagonal_form
 from wittkit.linalg import Matrix
 from wittkit.modules import free_module
 from wittkit.rings import (
@@ -22,7 +17,6 @@ from wittkit.rings import (
     PrimeField,
     QuadraticField,
     QuotientRing,
-    Rationals,
     involution,
 )
 
@@ -82,73 +76,6 @@ def test_diagonalize_needs_a_field_model():
     R = QuotientRing(F3, [0, 0, 1], "t")
     with pytest.raises(UnsupportedField):
         diagonalize(diagonal_form(std(R), [R.one]))
-
-
-def test_signature_of_definite_and_split_forms():
-    K = QuadraticField(-1)
-    coef = std(K, "conj")
-    three = diagonal_form(coef, [K.one, K.one, K.one])
-    assert signature(three) == (3, 0)
-    M = free_module(coef.rwi, 2)
-    split = HermitianForm(coef, M, [[K.zero, K.one], [K.one, K.zero]], 1)
-    assert signature(split) == (1, 1)
-
-
-def test_signature_accepts_rational_entry_lists():
-    from fractions import Fraction
-
-    QQ = Rationals()
-    assert signature([QQ.el(Fraction(2)), QQ.el(Fraction(-3, 7))]) == (1, 1)
-
-
-def test_signature_rejects_degenerate_and_irrational_data():
-    QQ = Rationals()
-    with pytest.raises(Degenerate):
-        signature([QQ.zero, QQ.one])
-    K = QuadraticField(-1)
-    with pytest.raises(EntryNotRational):
-        signature([K.gen("i")])
-
-
-def test_invariants_over_f3():
-    F3 = PrimeField(3)
-    coef = std(F3)
-    inv1 = witt_invariants(diagonal_form(coef, [F3.one, F3.one]))
-    inv2 = witt_invariants(diagonal_form(coef, [F3.one, F3.el(2)]))
-    assert inv1["rank"] == inv2["rank"] == 2
-    assert not inv1["witt_trivial"]
-    assert inv2["witt_trivial"]
-    assert inv1["discriminant"] != inv2["discriminant"]
-
-
-def test_invariants_match_metabolicity_over_f5():
-    F5 = PrimeField(5)
-    coef = std(F5)
-    f = diagonal_form(coef, [F5.one, F5.one])
-    assert witt_invariants(f)["witt_trivial"]
-    assert is_metabolic(f)
-
-
-def test_invariants_over_quadratic_extension_of_f3():
-    F9 = GF(9)
-    coef = std(F9, "frobenius")
-    f = diagonal_form(coef, [F9.one])
-    inv = witt_invariants(f)
-    assert inv["rank_mod_2"] == 1
-    assert not inv["witt_trivial"]
-    hyp = hyperbolic_form(coef, free_module(coef.rwi, 1))
-    assert witt_invariants(hyp)["witt_trivial"]
-
-
-def test_invariants_over_gaussian_conjugation_use_signature():
-    K = QuadraticField(-1)
-    coef = std(K, "conj")
-    inv = witt_invariants(diagonal_form(coef, [K.one, K.one]))
-    assert inv["signature"] == (2, 0)
-    assert not inv["witt_trivial"]
-    M = free_module(coef.rwi, 2)
-    split = HermitianForm(coef, M, [[K.zero, K.one], [K.one, K.zero]], 1)
-    assert witt_invariants(split)["witt_trivial"]
 
 
 # (field, sigma, epsilon): every model diagonalize supports except the

@@ -1,13 +1,17 @@
 """Every module-level import in the library is used, every private
 module-level helper and private method is referenced from somewhere else
-in the library, every error class is raised or caught by another library
-module, and wittkit.__all__ lists exactly the package's re-exports.
+in the library, every public one too unless an allow-list gives the
+reason to keep it, every error class is raised or caught by another
+library module, wittkit.__all__ lists exactly the package's re-exports,
+and every name the benchmark tracer patches exists.
 
 Checked with the standard library's ast, since no linter is a dependency.
-__init__.py is left out of the import check: its imports are the
-package's re-exports."""
+__init__.py is left out of the import check and of the public-name check:
+its imports are the package's re-exports."""
 
 import ast
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -61,24 +65,29 @@ def _reads(node):
     return out
 
 
-def dead_private_helpers(sources):
-    """Module-level functions and classes named _x, and methods named _x
-    of module-level classes, in a dict of module name -> source, that no
-    Name, attribute or import anywhere in the sources refers to, apart
-    from the helper's own body."""
+def _unread(sources, wanted):
+    """(label, line) of the module-level functions and classes, and the
+    methods of module-level classes, whose names satisfy wanted, in a dict
+    of module name -> source, that no Name, attribute or import anywhere
+    in the sources refers to, apart from the definition's own body."""
     defined = []
     reads = Counter()
     for module, source in sources.items():
         tree = ast.parse(source)
         reads += _reads(tree)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and wanted(node.name):
                 defined.append((f"{module}.{node.name}", node))
             if isinstance(node, ast.ClassDef):
                 defined += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
-                            if isinstance(item, ast.FunctionDef) and _is_private(item.name)]
-    return [f"{label} (line {node.lineno})" for label, node in defined
+                            if isinstance(item, ast.FunctionDef) and wanted(item.name)]
+    return [(label, node.lineno) for label, node in defined
             if reads[node.name] == _reads(node)[node.name]]
+
+
+def dead_private_helpers(sources):
+    """Private helpers and methods (named _x) that nothing refers to."""
+    return [f"{label} (line {line})" for label, line in _unread(sources, _is_private)]
 
 
 def test_the_check_sees_a_dead_private_helper():
@@ -107,6 +116,74 @@ def test_the_check_sees_a_dead_private_method():
 
 def test_every_private_helper_is_referenced():
     assert dead_private_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def unread_public_names(sources):
+    """Public functions, classes and methods (no leading underscore, so no
+    dunder either) that no other definition refers to."""
+    return [label for label, _ in _unread(sources, lambda name: not name.startswith("_"))]
+
+
+# name -> why it stays public although no other library module reads it
+KEPT_PUBLIC = {
+    "forms.HermitianForm.eval_vecs": "oracle: tests/test_isometry.py evaluates forms on scalar vectors",
+    "forms.HermitianForm.btensor": "oracle: the ring-valued Gram matrix of the diagonalize congruence",
+    "forms.diagonal_form": "oracle: builds the forms <a1, ..., an> that the tests start from",
+    "linalg.Matrix.transpose": "oracle: the congruence sigma(C)^T G C in tests/test_fieldwitt.py",
+    "transfer.RestrictedModule.to_restricted": "oracle: the inverse that from_restricted is checked against",
+    "wittgroup.sample_gram_tables": "oracle: seeded Gram tables for the brute-force cross-checks",
+    "devissage.verify_localcase_factorization": "benchmark: the localcase query of bench/workloads.py",
+    "parser.parse_element": "benchmark: bench/workloads.py parses the ideal generator J",
+    "wittgroup.WittEngine.dual_of": "benchmark: bench/tracer.py patches it by name",
+    "intsnf.lattice_contains": "benchmark: bench/tracer.py patches it by name",
+}
+
+
+def test_the_check_sees_a_public_name_that_only_tests_read():
+    sources = {
+        "a": ("def used():\n    pass\n\n"
+              "def unread(n):\n    return unread(n - 1)\n\n"
+              "class K:\n"
+              "    def __init__(self):\n"
+              "        self._helper()\n"
+              "    def _helper(self):\n"
+              "        pass\n"
+              "    def method(self):\n"
+              "        pass\n"),
+        "b": "from .a import K, used\nused()\nK()\n",
+    }
+    assert unread_public_names(sources) == ["a.unread", "a.K.method"]
+
+
+def test_every_public_name_is_read_or_kept_for_a_reason():
+    unread = unread_public_names({p.stem: p.read_text() for p in SOURCES})
+    assert [n for n in unread if n not in KEPT_PUBLIC] == []
+    # an entry whose name the library now reads, or that is gone, is stale
+    assert sorted(KEPT_PUBLIC) == sorted(unread)
+    assert all(KEPT_PUBLIC.values())
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    """Every (module, qualname) of bench/tracer.py's TARGETS names a
+    definition, found the way Tracer.install finds it: getattr down to
+    the owner, then owner.__dict__[name], so an inherited method does not
+    count.  tracer.py is loaded without writing bytecode into bench/."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclass needs it
+    spec.loader.exec_module(tracer)
+    missing = []
+    for target in tracer.TARGETS:
+        owner = importlib.import_module(target.module)
+        *parents, name = target.qualname.split(".")
+        for part in parents:
+            owner = getattr(owner, part, None)
+        if name not in getattr(owner, "__dict__", {}):
+            missing.append(f"{target.module}.{target.qualname}")
+    assert tracer.TARGETS
+    assert missing == []
 
 
 def _exception_names(node):

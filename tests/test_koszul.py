@@ -6,7 +6,6 @@ from wittkit.errors import EngineError, IdealNotInvariant, ImproperIdeal, WittKi
 from wittkit.koszul import (
     FreeComplex,
     RegularSequenceData,
-    beta_tilde,
     conormal_sign,
     involution_transport,
     koszul_complex,
@@ -59,7 +58,6 @@ def test_single_variable_complex():
     assert sorted(K.degrees()) == [-1, 0]
     assert K.rank(-1) == 1 and K.rank(0) == 1
     assert K.diff(-1) == Matrix(R, [[t]])
-    assert beta_tilde(data) == Matrix(R, [[R.one]])
 
 
 def test_two_variable_complex():
@@ -70,7 +68,6 @@ def test_two_variable_complex():
     assert [K.rank(d) for d in (-2, -1, 0)] == [1, 2, 1]
     assert K.diff(-1) == Matrix(R, [[X, Y]])
     assert K.diff(-2) == Matrix(R, [[-Y], [X]])
-    assert beta_tilde(data) == Matrix(R, [[R.one]])
 
 
 def test_reduction_mod_linear_ideal():
@@ -133,7 +130,7 @@ def test_sign_invariant_under_rescaling():
 def test_unit_in_the_trivialization():
     R, t = qt()
     data = RegularSequenceData(R, [t], unit=-1)
-    assert beta_tilde(data) == Matrix(R, [[-R.one]])
+    assert data.reduce(data.unit) == -R.one
     assert conormal_sign(data, involution(R, {"t": t})) == -R.one
 
 
@@ -168,21 +165,6 @@ def test_sequence_combination_solves_constants():
             acc = acc + lift * gen
         assert acc == target
     assert sequence_combination(data, [R.one]) is None
-
-
-def test_beta_composite_vanishes():
-    # beta-tilde times the incoming differential is zero in the quotient
-    R, X, Y = qxy()
-    for seq in ([X - Y], [X, Y]):
-        data = RegularSequenceData(R, seq)
-        K = koszul_complex(data)
-        top = min(K.degrees())
-        if K.rank(top - 1) == 0 and len(seq) == 1:
-            continue
-        bt = beta_tilde(data)
-        d = K.diff(top) if top in K.degrees() and K.rank(top + 1) else None
-        # the guard inside beta_tilde already asserts the composite
-        assert bt.nrows == 1
 
 
 def test_beta_square_names_the_first_generator_whose_image_escapes():

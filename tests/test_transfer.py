@@ -15,7 +15,7 @@ from wittkit.errors import (
 )
 from wittkit.forms import HermitianForm, canonical_order, diagonal_form, isometric, orthogonal_sum
 from wittkit.linalg import Matrix
-from wittkit.modules import FLModule, free_module
+from wittkit.modules import FLModule, free_module, map_matrix
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import (
     GF,
@@ -27,9 +27,9 @@ from wittkit.rings import (
 )
 from wittkit.transfer import (
     GammaComparison,
+    RestrictedModule,
     compose_flats_gamma,
     flat_coefficient,
-    restrict_scalars,
     transfer_form,
 )
 from wittkit.wittgroup import sample_gram_tables
@@ -80,7 +80,7 @@ def test_identity_transfer_is_evaluation_iso():
     F3 = PrimeField(3)
     rwi = involution(F3, "id")
     tc = flat_coefficient(identity_map(F3), rwi, standard_coefficient(rwi))
-    ev = tc.evaluation_matrix()
+    ev = map_matrix(tc.module, tc.source_coef.module, tc.eval_at_one)
     assert ev == Matrix.identity(tc.F, 1)
     f = HermitianForm(tc.coefficient, FLModule(rwi, [F3.zero]), [[F3.el(2)]], 1)
     out = transfer_form(tc, f)
@@ -150,7 +150,7 @@ def test_transfer_error_taxonomy():
 def test_restrict_scalars_roundtrip():
     pi, src, dst = f9_over_f3()
     M = FLModule(dst, [dst.ring.zero])
-    res = restrict_scalars(pi, src, M)
+    res = RestrictedModule(pi, src, M)
     assert res.module.length == 2
     x = M.element([dst.ring.gen("u")])
     back = res.from_restricted(res.to_restricted(x))
