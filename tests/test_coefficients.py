@@ -133,6 +133,18 @@ def test_check_coefficient_iso_rejects_nonequivariant():
         check_coefficient_iso(coef, coef, bad)
 
 
+def test_dual_of_multiplication_is_multiplication_by_the_conjugate():
+    # h(t x) = sigma(t) h(x): precomposing with t acts on D(M) as sigma(t)
+    for spec in ("id", "twist"):
+        rwi = t2_setup(spec)
+        t = rwi.ring.gen("t")
+        M = free_module(rwi, 1)
+        D = standard_coefficient(rwi).dual(M)
+        for h in D.module.elements():
+            for x in M.elements():
+                assert D.eval(h, M.scal(t, x)) == D.eval(D.module.scal(rwi.conj(t), h), x)
+
+
 def test_frobenius_dual_pairing_dimensions():
     rwi = involution(GF(9), "frobenius")
     coef = standard_coefficient(rwi)

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wittkit.coefficients import standard_coefficient
-from wittkit.errors import NotDiagonalizable, UnsupportedField
+from wittkit.errors import Degenerate, NotDiagonalizable, UnsupportedField
 from wittkit.fieldwitt import diagonalize
-from wittkit.forms import HermitianForm, diagonal_form
+from wittkit.forms import HermitianForm, diagonal_form, hyperbolic_form, is_metabolic, isometric
 from wittkit.linalg import Matrix
 from wittkit.modules import free_module
 from wittkit.rings import (
@@ -17,6 +17,7 @@ from wittkit.rings import (
     PrimeField,
     QuadraticField,
     QuotientRing,
+    Rationals,
     involution,
 )
 
@@ -76,6 +77,56 @@ def test_diagonalize_needs_a_field_model():
     R = QuotientRing(F3, [0, 0, 1], "t")
     with pytest.raises(UnsupportedField):
         diagonalize(diagonal_form(std(R), [R.one]))
+
+
+def test_definite_gaussian_form_keeps_positive_entries():
+    K = QuadraticField(-1)
+    coef = std(K, "conj")
+    entries, cob = diagonalize(diagonal_form(coef, [K.one, K.one, K.one]))
+    assert [repr(e) for e in entries] == ["1", "1", "1"]
+    assert congruent_diagonal(diagonal_form(coef, [K.one, K.one, K.one]), entries, cob)
+
+
+def test_rational_entries_keep_their_signs():
+    QQ = Rationals()
+    f = diagonal_form(std(QQ), [QQ.el(Fraction(2)), QQ.el(Fraction(-3, 7))])
+    entries, cob = diagonalize(f)
+    # rescaling multiplies by norms mu^2 > 0: one positive, one negative entry
+    assert [e.data > 0 for e in entries] == [True, False]
+    assert congruent_diagonal(f, entries, cob)
+
+
+def test_diagonalize_rejects_a_degenerate_form():
+    QQ = Rationals()
+    with pytest.raises(Degenerate):
+        diagonalize(diagonal_form(std(QQ), [QQ.zero, QQ.one]))
+
+
+def test_planes_over_f3_split_by_discriminant():
+    F3 = PrimeField(3)
+    coef = std(F3)
+    one_one = diagonal_form(coef, [F3.one, F3.one])
+    one_two = diagonal_form(coef, [F3.one, F3.el(2)])
+    # discriminants 1 and 2 = -1 differ; 4 = 1 is a square
+    assert isometric(one_one, one_two) is None
+    assert isometric(one_one, diagonal_form(coef, [F3.el(2), F3.el(2)])) is not None
+    assert diagonalize(one_two)[0] != diagonalize(one_one)[0]
+
+
+def test_sum_of_two_squares_is_metabolic_over_f5():
+    F5 = PrimeField(5)
+    f = diagonal_form(std(F5), [F5.one, F5.one])
+    # -1 = 2^2 mod 5, so (1, 2) is isotropic
+    assert f.evaluate(f.module.element([F5.one, F5.el(2)]),
+                      f.module.element([F5.one, F5.el(2)])) == (F5.zero,)
+    assert is_metabolic(f)
+
+
+def test_unit_form_over_f9_frobenius_is_not_metabolic_but_hyperbolic_is():
+    F9 = GF(9)
+    coef = std(F9, "frobenius")
+    assert not is_metabolic(diagonal_form(coef, [F9.one]))
+    assert is_metabolic(hyperbolic_form(coef, free_module(coef.rwi, 1)))
 
 
 # (field, sigma, epsilon): every model diagonalize supports except the

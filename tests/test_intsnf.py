@@ -44,6 +44,14 @@ def test_presented_group_factors():
     assert PresentedGroup(0, []).is_trivial()
 
 
+def test_presented_group_contains_exactly_its_relations():
+    # Z^2 / <(4, 0)> is Z/4 x Z
+    g = PresentedGroup(2, [[4, 0]])
+    assert g.factors == [4, 0]
+    assert g.contains([4, 0]) and g.contains([-8, 0]) and g.contains([0, 0])
+    assert not any(g.contains(v) for v in ([1, 0], [2, 0], [0, 1], [4, 1]))
+
+
 def test_hom_kernel_cokernel_iso():
     src = PresentedGroup(1, [[4]])  # Z/4
     dst = PresentedGroup(1, [[4]])

@@ -167,6 +167,18 @@ def test_sequence_combination_solves_constants():
     assert sequence_combination(data, [R.one]) is None
 
 
+def test_transport_passes_every_square_on_invariant_sequences():
+    R, X, Y = qxy()
+    swap = involution(R, {"X": Y, "Y": X})
+    for seq, rwi in (([X - Y], swap), ([X, Y], swap), ([X, Y], involution(R, "id"))):
+        report = involution_transport(RegularSequenceData(R, seq), rwi)
+        assert report["beta_square"] == (True, None)
+        assert report["all_pass"]
+    # sigma swaps the two generators, so A is the swap matrix
+    A = involution_transport(RegularSequenceData(R, [X, Y]), swap)["matrix"]
+    assert A == Matrix(R, [[R.zero, R.one], [R.one, R.zero]])
+
+
 def test_beta_square_names_the_first_generator_whose_image_escapes():
     R, X, Y = qxy()
     swap = involution(R, {"X": Y, "Y": X})

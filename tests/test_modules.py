@@ -592,6 +592,19 @@ def test_every_small_restriction_and_transfer_splits_as_before(src, dst, t_image
     assert_split_as_before(tc, HeadActionSpace(rwi_dst, basis, tc._act).decompose())
 
 
+def test_decomposition_of_t_times_r_is_one_residue_field():
+    R = t2_ring()
+    rwi = involution(R, "id")
+    M = free_module(rwi, 1)
+    t = R.gen("t")
+    basis = span_basis([M.to_vec(M.scal(Element(R, b), M.element([t])))
+                        for b in R.scalar_basis()], M.F)
+    dec = Decomposition(rwi, basis, lambda a, v: M.to_vec(M.scal(a, M.from_vec(v))), M.sdim)
+    # t.R inside R is one copy of R/(t), generated by t
+    assert [f.ann for f in dec.module.factors] == [t]
+    assert [M.from_vec(v) for v in dec.gens] == [(t,)]
+
+
 def test_submodule_decomposition_inverts_exactly_on_its_span():
     """Every vector of F^n is either the ambient vector of one element of
     a decomposed proper submodule or refused with EngineError."""
