@@ -29,7 +29,6 @@ from .devissage import (
     ComparisonReport,
     DevissageData,
     LocalcaseReport,
-    socle_dimension,
     verify_devissage,
     verify_localcase_factorization,
 )
@@ -42,7 +41,6 @@ from .errors import (
     IdealNotInvariant,
     ImproperIdeal,
     InvalidBound,
-    NotGorenstein,
     ParseError,
     WittKitError,
 )
@@ -91,8 +89,6 @@ from .rings import (
 from .transfer import (
     GammaComparison,
     TransferCoefficient,
-    compose_flats_gamma,
-    flat_coefficient,
     transfer_form,
 )
 from .wittgroup import WittEngine, WittGroupResult, witt_group
@@ -118,7 +114,6 @@ __all__ = [
     "ImproperIdeal",
     "InvalidBound",
     "LocalcaseReport",
-    "NotGorenstein",
     "ParseError",
     "PolynomialRing",
     "PrimeField",
@@ -135,12 +130,10 @@ __all__ = [
     "WittKitError",
     "check_coefficient_iso",
     "coefficient_change",
-    "compose_flats_gamma",
     "compose_maps",
     "conormal_sign",
     "diagonal_form",
     "diagonalize",
-    "flat_coefficient",
     "free_module",
     "hyperbolic_form",
     "identity_map",
@@ -158,7 +151,6 @@ __all__ = [
     "parse_ring_with_involution",
     "parse_sequence",
     "parse_tower",
-    "socle_dimension",
     "standard_coefficient",
     "transfer_form",
     "verify_devissage",

@@ -32,7 +32,7 @@ from .parser import (
     parse_tower,
 )
 from .rings import PolynomialRing, involution
-from .transfer import flat_coefficient, transfer_form
+from .transfer import TransferCoefficient, transfer_form
 from .wittgroup import witt_group
 
 
@@ -155,7 +155,7 @@ def cmd_devissage_check(args):
 
 def cmd_transfer(args):
     src, dst, pi = parse_tower(args.tower)
-    tc = flat_coefficient(pi, dst, standard_coefficient(src))
+    tc = TransferCoefficient(pi, dst, standard_coefficient(src))
     rows = parse_gram(dst.ring, args.gram)
     module = free_module(dst, len(rows))
     form = HermitianForm(tc.coefficient, module, rows, args.epsilon)

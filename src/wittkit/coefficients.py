@@ -147,9 +147,6 @@ class DoubleDualComparison:
             self.double.module.sdim == M.sdim and self.matrix.rank() == M.sdim
         )
 
-    def apply(self, x):
-        return self.double.module.from_vec(self.matrix.apply(self.M.to_vec(x)))
-
     def require_strong(self):
         if not self.bijective:
             raise NotStrongDuality(

@@ -98,19 +98,6 @@ class IdealNotInvariant(WittKitError):
     pass
 
 
-# devissage preconditions
-class NotGorenstein(WittKitError):
-    pass
-
-
-class MaxIdealNotInvariant(WittKitError):
-    pass
-
-
-class NotGorensteinQuotient(WittKitError):
-    pass
-
-
 class ParseError(WittKitError):
     """Descriptor syntax error; carries 1-based line and column."""
 

@@ -189,9 +189,6 @@ class FLModule:
             raise EnumerationBoundExceeded(f"{self.ring} modules are not enumerable")
         return self.F.size() ** self.sdim
 
-    def random_element(self, rng):
-        return tuple(f.reduce(self.ring.random_element(rng)) for f in self.factors)
-
     # -- scalar coordinates ------------------------------------------------
     def to_vec(self, x):
         out = []

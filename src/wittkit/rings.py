@@ -255,9 +255,6 @@ class Ring:
         return [self.add(a, self.neg(self.mul(c, b))) for a, b in zip(x, y)]
 
     # -- misc --------------------------------------------------------------
-    def random_element(self, rng):
-        raise NotImplementedError
-
     def sort_key(self, data):
         return data
 
@@ -337,9 +334,6 @@ class PrimeField(Ring):
     def from_svec(self, vec):
         return vec[0]
 
-    def random_element(self, rng):
-        return Element(self, rng.randrange(self.p))
-
     def format_element(self, data):
         return str(data)
 
@@ -397,9 +391,6 @@ class Rationals(Ring):
 
     def from_svec(self, vec):
         return vec[0]
-
-    def random_element(self, rng):
-        return Element(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
     def sort_key(self, data):
         return (data.numerator, data.denominator)
@@ -483,10 +474,6 @@ class QuadraticField(Ring):
 
     def from_svec(self, vec):
         return (vec[0], vec[1])
-
-    def random_element(self, rng):
-        q = Rationals()
-        return Element(self, (q.random_element(rng).data, q.random_element(rng).data))
 
     def sort_key(self, data):
         return tuple((c.numerator, c.denominator) for c in data)
@@ -751,9 +738,6 @@ class QuotientRing(Ring):
         k = self.base.scalar_dim()
         return tuple(self.base.from_svec(tuple(vec[i * k:(i + 1) * k])) for i in range(self.n))
 
-    def random_element(self, rng):
-        return Element(self, tuple(self.base.random_element(rng).data for _ in range(self.n)))
-
     def sort_key(self, data):
         return tuple(self.base.sort_key(c) for c in data)
 
@@ -891,13 +875,6 @@ class PolynomialRing(Ring):
     to_svec = scalar_field
     from_svec = scalar_field
 
-    def random_element(self, rng):
-        d = {}
-        for _ in range(rng.randrange(1, 4)):
-            e = tuple(rng.randrange(0, 3) for _ in range(self.nv))
-            d[e] = self.base.random_element(rng).data
-        return Element(self, self._freeze(d))
-
     def sort_key(self, data):
         return tuple((e, self.base.sort_key(c)) for e, c in data)
 
@@ -1003,9 +980,6 @@ class ProductRing(Ring):
         for g in self.r2.algebra_generators():
             gens.append(Element(self, (self.r1.zero_data(), g.data)))
         return gens
-
-    def random_element(self, rng):
-        return Element(self, (self.r1.random_element(rng).data, self.r2.random_element(rng).data))
 
     def sort_key(self, data):
         return (self.r1.sort_key(data[0]), self.r2.sort_key(data[1]))

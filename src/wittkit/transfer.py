@@ -108,10 +108,6 @@ class TransferCoefficient(HomModule):
         return f"TransferCoefficient({self.pi!r})"
 
 
-def flat_coefficient(pi, rwi_dst, coef):
-    return TransferCoefficient(pi, rwi_dst, coef)
-
-
 class RestrictedModule(Decomposition):
     """An FLModule over S viewed as an R-module through pi: the
     Decomposition of all of F^(M.sdim) under a . v = pi(a) v, with
@@ -183,7 +179,3 @@ class GammaComparison:
         # raises NotACoefficientIso when the comparison square fails
         self.matrix = check_coefficient_iso(self.composite.coefficient,
                                             self.direct.coefficient, J)
-
-
-def compose_flats_gamma(p, q, rwi_mid, rwi_dst, coef):
-    return GammaComparison(p, q, rwi_mid, rwi_dst, coef)

@@ -123,6 +123,12 @@ GOLDEN = [
         0,
         '{"bound": 6, "classes": 42, "epsilon": 1, "factors": [4], "group": "Z/4", "stable": true}',
     ),
+    (
+        # W(F3 x F3, id) = W(F3)^2: sigma acts componentwise on the product
+        ["witt", "GF(3)xGF(3), sigma=id", "+1", "3"],
+        0,
+        '{"bound": 3, "classes": 24, "epsilon": 1, "factors": [4, 4], "group": "Z/4 x Z/4", "stable": true}',
+    ),
 ]
 
 
@@ -133,7 +139,8 @@ GOLDEN = [
          "transfer-f9", "transfer-t-cubed", "diagonalize-qq-i", "diagonalize-f9", "koszul-sign",
          "witt-f5-bound-5", "witt-f3-skew-bound-6", "witt-f9-bound-4", "witt-f7-bound-5",
          "devissage-f9-t-squared", "devissage-t-fourth-skew", "witt-swap-bound-10",
-         "transfer-t-cubed-to-t-squared", "koszul-sign-univariate", "witt-t-squared-bound-6"],
+         "transfer-t-cubed-to-t-squared", "koszul-sign-univariate", "witt-t-squared-bound-6",
+         "witt-product-id-bound-3"],
 )
 def test_golden_json_and_exit_code(argv, code, line, capsys):
     assert main(argv + ["--json"]) == code
@@ -181,6 +188,13 @@ def test_a_form_that_is_not_epsilon_symmetric_exits_1(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: b(y,x) != epsilon i(b(x,y)) at coordinate pair (0,2)\n"
+
+
+def test_devissage_over_a_ring_without_residue_tower_exits_1(capsys):
+    assert main(["devissage-check", "GF(3)xGF(3), sigma=swap", "+1", "2", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no residue tower for GF(3)xGF(3)\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

@@ -65,24 +65,43 @@ def _reads(node):
     return out
 
 
+def _own_reads(tree):
+    """Reads of each name from inside the definitions of that name, each
+    counted once even where such definitions nest."""
+    out = Counter()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name not in inside:
+                out[child.name] += _reads(child)[child.name]
+                visit(child, inside | {child.name})
+            else:
+                visit(child, inside)
+
+    visit(tree, frozenset())
+    return out
+
+
 def _unread(sources, wanted):
     """(label, line) of the module-level functions and classes, and the
     methods of module-level classes, whose names satisfy wanted, in a dict
     of module name -> source, that no Name, attribute or import anywhere
-    in the sources refers to, apart from the definition's own body."""
+    in the sources refers to, apart from the bodies of the definitions of
+    that name: methods of one name that only call one another are unread."""
     defined = []
     reads = Counter()
+    own = Counter()
     for module, source in sources.items():
         tree = ast.parse(source)
         reads += _reads(tree)
+        own += _own_reads(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and wanted(node.name):
                 defined.append((f"{module}.{node.name}", node))
             if isinstance(node, ast.ClassDef):
                 defined += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
                             if isinstance(item, ast.FunctionDef) and wanted(item.name)]
-    return [(label, node.lineno) for label, node in defined
-            if reads[node.name] == _reads(node)[node.name]]
+    return [(label, node.lineno) for label, node in defined if reads[node.name] == own[node.name]]
 
 
 def dead_private_helpers(sources):
@@ -153,6 +172,32 @@ def test_the_check_sees_a_public_name_that_only_tests_read():
         "b": "from .a import K, used\nused()\nK()\n",
     }
     assert unread_public_names(sources) == ["a.unread", "a.K.method"]
+
+
+def test_the_check_sees_methods_of_one_name_that_only_read_one_another():
+    sources = {
+        "a": ("class Base:\n"
+              "    def sample(self, rng):\n"
+              "        raise NotImplementedError\n\n"
+              "class Pair(Base):\n"
+              "    def __init__(self, left):\n"
+              "        self.left = left\n"
+              "    def sample(self, rng):\n"
+              "        return (self.left.sample(rng), self.left.sample(rng))\n"
+              "    def _draw(self, rng):\n"
+              "        return self._draw(rng)\n"
+              "    def apply(self, x):\n"
+              "        return x\n\n"
+              "class Other:\n"
+              "    def _draw(self, rng):\n"
+              "        return self.left._draw(rng)\n"
+              "    def apply(self, x):\n"
+              "        return x\n"),
+        # a read from outside every definition named apply keeps both
+        "b": "from .a import Base, Other, Pair\nPair(Base()).apply(Other().apply(1))\n",
+    }
+    assert unread_public_names(sources) == ["a.Base.sample", "a.Pair.sample"]
+    assert dead_private_helpers(sources) == ["a.Pair._draw (line 10)", "a.Other._draw (line 16)"]
 
 
 def test_every_public_name_is_read_or_kept_for_a_reason():

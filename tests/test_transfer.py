@@ -28,8 +28,7 @@ from wittkit.rings import (
 from wittkit.transfer import (
     GammaComparison,
     RestrictedModule,
-    compose_flats_gamma,
-    flat_coefficient,
+    TransferCoefficient,
     transfer_form,
 )
 from wittkit.wittgroup import sample_gram_tables
@@ -46,7 +45,7 @@ def f9_over_f3():
 
 def test_flat_coefficient_of_field_extension():
     pi, src, dst = f9_over_f3()
-    tc = flat_coefficient(pi, dst, standard_coefficient(src))
+    tc = TransferCoefficient(pi, dst, standard_coefficient(src))
     assert len(tc.module.factors) == 1
     assert tc.module.factors[0].ann.is_zero()
     assert tc.module.sdim == 2
@@ -54,7 +53,7 @@ def test_flat_coefficient_of_field_extension():
 
 def test_hermitian_transfer_of_unit_form():
     pi, src, dst = f9_over_f3()
-    tc = flat_coefficient(pi, dst, standard_coefficient(src))
+    tc = TransferCoefficient(pi, dst, standard_coefficient(src))
     F9 = dst.ring
     M = FLModule(dst, [F9.zero])
     f = HermitianForm(tc.coefficient, M, [[F9.one]], 1)
@@ -69,7 +68,7 @@ def test_hermitian_transfer_of_unit_form():
 
 def test_transfer_requires_matching_coefficient():
     pi, src, dst = f9_over_f3()
-    tc = flat_coefficient(pi, dst, standard_coefficient(src))
+    tc = TransferCoefficient(pi, dst, standard_coefficient(src))
     # a base-field form is not valued in the pushed-forward coefficient
     f = diagonal_form(standard_coefficient(src), [src.ring.one])
     with pytest.raises(CoefficientMismatch):
@@ -79,7 +78,7 @@ def test_transfer_requires_matching_coefficient():
 def test_identity_transfer_is_evaluation_iso():
     F3 = PrimeField(3)
     rwi = involution(F3, "id")
-    tc = flat_coefficient(identity_map(F3), rwi, standard_coefficient(rwi))
+    tc = TransferCoefficient(identity_map(F3), rwi, standard_coefficient(rwi))
     ev = map_matrix(tc.module, tc.source_coef.module, tc.eval_at_one)
     assert ev == Matrix.identity(tc.F, 1)
     f = HermitianForm(tc.coefficient, FLModule(rwi, [F3.zero]), [[F3.el(2)]], 1)
@@ -95,7 +94,7 @@ def test_socle_coefficient_of_nilpotent_quotient():
     rwi_k = involution(F3, "id")
     for spec, imat_entry in (("id", 1), ({"t": [0, 2]}, 2)):
         rwi_R = involution(R, spec) if spec != "id" else involution(R, "id")
-        tc = flat_coefficient(pi, rwi_k, standard_coefficient(rwi_R))
+        tc = TransferCoefficient(pi, rwi_k, standard_coefficient(rwi_R))
         assert len(tc.module.factors) == 1
         assert tc.module.factors[0].ann.is_zero()
         assert tc.coefficient.imat == Matrix(tc.F, [[tc.F.el(imat_entry)]])
@@ -106,7 +105,7 @@ def test_socle_coefficient_of_nilpotent_quotient():
 
 def test_transfer_preserves_orthogonal_sum():
     pi, src, dst = f9_over_f3()
-    tc = flat_coefficient(pi, dst, standard_coefficient(src))
+    tc = TransferCoefficient(pi, dst, standard_coefficient(src))
     F9 = dst.ring
     u = F9.gen("u")
     M1 = FLModule(dst, [F9.zero])
@@ -131,8 +130,6 @@ def test_gamma_comparison_on_quotient_tower():
             rwi_mid = involution(R2, {"t": [0, 2]})
         gamma = GammaComparison(p, q, rwi_mid, rwi_dst, standard_coefficient(rwi_R))
         assert gamma.matrix == Matrix.identity(gamma.direct.F, 1)
-        same = compose_flats_gamma(p, q, rwi_mid, rwi_dst, standard_coefficient(rwi_R))
-        assert same.matrix == gamma.matrix
 
 
 def test_transfer_error_taxonomy():
@@ -141,10 +138,10 @@ def test_transfer_error_taxonomy():
     pi = RingMap(F3, F9, [])
     dst = involution(F9, "frobenius")
     with pytest.raises(DomainMismatch):
-        flat_coefficient(pi, dst, standard_coefficient(dst))
+        TransferCoefficient(pi, dst, standard_coefficient(dst))
     ident = identity_map(F9)
     with pytest.raises(NotEquivariant):
-        flat_coefficient(ident, dst, standard_coefficient(involution(F9, "id")))
+        TransferCoefficient(ident, dst, standard_coefficient(involution(F9, "id")))
 
 
 def test_restrict_scalars_roundtrip():
