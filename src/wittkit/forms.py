@@ -15,12 +15,12 @@ are legitimate objects to build and then reject.
 Tables live where they are decided, and each is built on first read.  Per
 shape, on the module (one FLModule per annihilator tuple, from
 RingWithInvolution.module): the element list (_int_elements), the integer
-action matrices of the scalar basis (_scalar_action_ints) and the kernel
-of each annihilator (_ann_kernel).  Per form, on the form: the Gram key,
-the coordinate tensor, the norm table and its index, the fingerprint and
-nondegeneracy.  Per module key, on the coefficient: the dual module.  An
-orthogonal sum takes its summands' reduced Gram entries as they are and
-composes its per-form tables from theirs.
+action matrices of the scalar basis (_scalar_action_ints) and the linear
+conditions for being killed by each annihilator (_ann_rows).  Per form, on
+the form: the Gram key, the coordinate tensor, the norm table, the
+fingerprint and nondegeneracy.  Per module key, on the coefficient: the
+dual module.  An orthogonal sum takes its summands' reduced Gram entries
+as they are and composes its per-form tables from theirs.
 """
 
 from __future__ import annotations
@@ -379,21 +379,24 @@ def hyperbolic_form(coef, N, epsilon=1):
 # isometric, isotropic vectors for is_metabolic) come from the element
 # list, so a finite scalar field is a hard requirement.
 #
-# isometric reads its candidates and targets from tables.  The pool of
-# generator i holds element-list indices: for a free factor it is the
-# norm-index bucket of f1's Gram entry (i, i), shared rather than copied;
-# for a factor with annihilator a it is the kernel of a on f2's module
-# (enumerated once per module and a from a basis of the kernel of its
-# action, then sorted) cut down to that norm.  Both are ascending, so the
-# candidates come in element-list order whatever the factor.  The targets
-# are f1's Gram table itself: the generators are unit vectors and Gram
-# entries are stored reduced, so b1(g_j, g_i) is entry (j, i).
+# isometric solves for its candidates.  The conditions for the annihilator
+# of factor i are kept on f2's module (_ann_rows); each level copies them,
+# adds one condition per coordinate of I for each image placed, and walks
+# the solutions (_solutions) against the norm table.  With no condition at
+# all (level 0 of a free factor) it scans the norm table itself.  The
+# targets are f1's Gram table: the generators are unit vectors and Gram
+# entries are stored reduced, so b1(g_j, g_i) is entry (j, i).  Over a
+# field, by Witt's extension theorem, the first candidate that meets every
+# condition extends when f1 and f2 are nondegenerate.  On a degenerate f1
+# the radical test (an isometry maps radical onto radical) rejects a wrong
+# image of a radical generator at once, not after every later level.
 #
-# Both searches test a linear condition on a candidate x through
-# _functional(y): the values b(y, e_c) on the scalar basis, as one column
-# per coordinate of I, so that each coordinate of b(y, x) is one
-# sum(map(mul, x, col)) mod p.  isometric keeps the columns of each placed
-# image, is_metabolic those of each row of its isotropic span.
+# Both searches read linear conditions from _functional(y): the values
+# b(y, e_c) on the scalar basis, as one column per coordinate of I, so
+# that each coordinate of b(y, x) is one sum(map(mul, x, col)) mod p.
+# isometric turns the columns of each placed image into conditions on the
+# next images; is_metabolic tests each candidate against the columns of
+# every row of its isotropic span.
 #
 # A form built by orthogonal_sum or canonical_order carries its summands
 # and its factor order (_parts).  Its tables are composed from the
@@ -552,31 +555,77 @@ def _fingerprint(form):
     return form._fp
 
 
-def _norm_index(form):
-    if getattr(form, "_nidx", None) is None:
-        idx = {}
-        for k, v in enumerate(_norm_table(form)):
-            idx.setdefault(v, []).append(k)
-        form._nidx = idx
-    return form._nidx
+def _condition(col, t):
+    """The row of the linear condition sum(x[c] col[c]) = t mod p, as
+    _solutions reads it: [col[d-1], ..., col[0], t]."""
+    return [*col[::-1], t]
 
 
-def _ann_kernel(module, ann):
-    """The ascending _int_elements indices of the elements of module killed
-    by ann, enumerated from a basis of the kernel of its action; kept on
-    the module per ann."""
-    memo = getattr(module, "_annker", None)
+def _ann_rows(module, ann):
+    """The conditions for being killed by ann, one per row of its integer
+    action matrix, in an Echelon over the prime field; kept on the module
+    per ann."""
+    memo = getattr(module, "_annrows", None)
     if memo is None:
-        memo = module._annker = {}
+        memo = module._annrows = {}
     if ann.data not in memo:
-        p = module.F.p
-        d = module.sdim
-        vecs = [(0,) * d]
-        for b in [[c.data for c in v] for v in module.action_matrix(ann).nullspace_basis()]:
-            vecs = [tuple((x + c * y) % p for x, y in zip(v, b)) for c in range(p) for v in vecs]
-        weights = [p ** (d - 1 - c) for c in range(d)]
-        memo[ann.data] = sorted(sum(map(mul, v, weights)) for v in vecs)
+        rows = Echelon(module.F)
+        if not ann.is_zero():  # 0 kills everything: no condition
+            for row in _int_matrix(module.action_matrix(ann)):
+                rows.insert(_condition(row, 0))
+        memo[ann.data] = rows
     return memo[ann.data]
+
+
+def _solutions(system, d, p):
+    """The _int_elements indices, ascending, of the x in F_p^d that meet
+    every _condition in the Echelon system; nothing when the conditions
+    are inconsistent.
+
+    A condition lists its columns backwards, so each reduced row solves
+    for the last coordinate it involves.  The solutions are then base +
+    span(dirs), one direction v_q per coordinate q that no row solves for:
+    v_q[q] = 1, v_q is 0 at every other such coordinate and before q, and
+    base is 0 at all of them.  The dirs are in reduced echelon form with
+    leading pivots, x[q] is the coefficient on v_q, and so the coefficient
+    tuples in itertools.product order give the solutions in element-list
+    order."""
+    rows = system.rows
+    if rows and rows[-1][0] == d:
+        return  # a row reduced to 0 = t with t != 0
+    solved = [(d - 1 - piv, row) for piv, row in rows]
+    base = [0] * d
+    for c, row in solved:
+        base[c] = row[d]
+    dirs = []
+    for q in sorted(set(range(d)).difference(c for c, _ in solved)):
+        v = [0] * d
+        v[q] = 1
+        for c, row in solved:
+            v[c] = -row[d - 1 - q] % p
+        dirs.append(v)
+    # the coefficient tuples in itertools.product order, as an odometer:
+    # moving digit j on by one, from p - 1 back to 0 included, adds v_j to
+    # x, so only the entries of x (and terms of its index) where v_j is
+    # nonzero change
+    moves = [[(c, a, p ** (d - 1 - c)) for c, a in enumerate(v) if a] for v in dirs]
+    x = base
+    k = sum(a * p ** (d - 1 - c) for c, a in enumerate(x))
+    digits = [0] * len(dirs)
+    while True:
+        yield k
+        j = len(digits) - 1
+        while j >= 0 and digits[j] == p - 1:
+            digits[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        digits[j] += 1
+        for move in moves[j:]:
+            for c, a, w in move:
+                new = (x[c] + a) % p
+                k += w * (new - x[c])
+                x[c] = new
 
 
 def _functional(bt, vec, d, isd, p):
@@ -599,14 +648,18 @@ def _closure_rows(rows, vec, actmats, p):
 
 
 def isometric(f1, f2):
-    """An isometry f1 -> f2 as a list of generator images (elements of
-    f2.module), or None.
+    """An isometry f1 -> f2 as a list of generator images, or None.  Image
+    i is the image of generator i of f1.module as an integer coordinate
+    tuple mod p, the form in which _int_elements lists f2.module; the
+    element itself is f2.module.from_vec of those coordinates as scalars.
 
     Backtracking over images of the cyclic generators of f1.module.  Image
-    i is drawn, in element-list order, from the elements killed by the
-    annihilator of factor i with norm f1's Gram entry (i, i); it must
-    match the Gram entries against the images already placed and keep the
-    partial map injective."""
+    i must be killed by the annihilator of factor i and match f1's Gram
+    entries (j, i) against the images j < i already placed; both
+    conditions are linear in its coordinates, and their solutions are
+    tried in element-list order.  It must also have norm f1's Gram entry
+    (i, i), keep the partial map injective, and lie in the radical of f2
+    exactly when generator i lies in that of f1."""
     if f1.coef != f2.coef or f1.epsilon != f2.epsilon:
         return None
     if f1.module.key != f2.module.key:
@@ -623,38 +676,40 @@ def isometric(f1, f2):
     n = len(M1.factors)
     # the generators are unit vectors, so b1(g_j, g_i) is Gram entry (j, i)
     cross_t = f1.gram_key()
-    diag_t = [cross_t[i][i] for i in range(n)]
     elems = _int_elements(M2)
     norms = _norm_table(f2)
-    pools = []
-    for i, fac in enumerate(M1.factors):
-        if fac.ann.is_zero():
-            pool = _norm_index(f2).get(diag_t[i], [])
-        else:
-            pool = [k for k in _ann_kernel(M2, fac.ann) if norms[k] == diag_t[i]]
-        if not pool:
-            return None
-        pools.append(pool)
+    ann_rows = [_ann_rows(M2, fac.ann) for fac in M1.factors]
     bt = _int_btensor(f2)
     actmats = _scalar_action_ints(M2)
     sdims = [fac.sdim for fac in M1.factors]
+    # g_i is in the radical of f1 when its Gram row is zero
+    live = [any(map(any, row)) for row in cross_t]
     placed = []
     funcs = []  # per placed image: the columns of b2(img, -)
+
+    def candidates(i):
+        target = cross_t[i][i]
+        system = ann_rows[i].copy()
+        for j, cols in enumerate(funcs):
+            for col, t in zip(cols, cross_t[j][i]):
+                system.insert(_condition(col, t))
+        if not system.rows:
+            return (k for k, v in enumerate(norms) if v == target)
+        return (k for k in _solutions(system, d, p) if norms[k] == target)
 
     def extend(i, rows):
         if i == n:
             return True
-        for k in pools[i]:
+        for k in candidates(i):
             cand = elems[k]
-            if any(sum(map(mul, cand, col)) % p != t
-                   for j, cols in enumerate(funcs)
-                   for col, t in zip(cols, cross_t[j][i])):
-                continue
             new_rows, added = _closure_rows(rows, cand, actmats, p)
             if added != sdims[i]:
                 continue  # partial map would not be injective
+            func = _functional(bt, cand, d, isd, p)
+            if any(map(any, func)) != live[i]:
+                continue  # an isometry maps the radical onto the radical
             placed.append(cand)
-            funcs.append(_functional(bt, cand, d, isd, p))
+            funcs.append(func)
             if extend(i + 1, new_rows):
                 return True
             placed.pop()
@@ -662,7 +717,7 @@ def isometric(f1, f2):
         return False
 
     if extend(0, Echelon(F)):
-        return [M2.from_ints(v) for v in placed]
+        return placed
     return None
 
 

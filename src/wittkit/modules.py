@@ -15,7 +15,7 @@ involution.  Whatever is kept on a module is therefore built once per
 shape, and only when first read: its cyclic factors (with the echelon of
 each ideal) at construction, the action_matrix of each ring element, and
 the search tables of forms.py (_int_elements, _scalar_action_ints and
-_ann_kernel).  A Decomposition builds the Basis behind its conversions
+_ann_rows).  A Decomposition builds the Basis behind its conversions
 on the first one, and that Basis its Echelon on the first of_ambient.
 """
 
@@ -204,9 +204,6 @@ class FLModule:
 
     def to_ints(self, x):
         return tuple(c.data for c in self.to_vec(x))
-
-    def from_ints(self, ints):
-        return self.from_vec(tuple(self.F.el(c) for c in ints))
 
     def action_matrix(self, a):
         """Scalar matrix of multiplication by the ring element a."""

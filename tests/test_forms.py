@@ -103,7 +103,8 @@ def test_isometry_witness_is_a_congruence():
     F5 = c5.rwi.ring
     f = diagonal_form(c5, [F5.el(1), F5.el(1)])
     g = diagonal_form(c5, [F5.el(2), F5.el(2)])
-    images = isometric(f, g)
+    M = g.module
+    images = [M.from_vec(tuple(M.F.el(c) for c in v)) for v in isometric(f, g)]
     gens = f.module.generators()
     for i, x in enumerate(gens):
         for j, y in enumerate(gens):

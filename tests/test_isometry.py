@@ -1,20 +1,26 @@
 """Isometry witnesses are congruences, and match the reference search's.
 
-isometric(f1, f2) returns images of the cyclic generators of f1's module.
-On seeded Gram tables of length <= 4 each list it returns must define an
-R-linear map (image i killed by the annihilator of factor i) that preserves
-every Gram entry under evaluate and whose R-span is all of f2's module.
-The targets are the engine's class representatives, which are orthogonal
-sums with composed tables, and other sampled tables on the same shape.
+isometric(f1, f2) returns images of the cyclic generators of f1's module,
+as integer coordinate tuples of f2's module.  On seeded Gram tables of
+length <= 4 each list it returns must define an R-linear map (image i
+killed by the annihilator of factor i) that preserves every Gram entry
+under evaluate and whose R-span is all of f2's module.  The targets are
+the engine's class representatives, which are orthogonal sums with
+composed tables, and other sampled tables on the same shape.
 
-The search draws its candidates from tables: annihilator kernels kept on
-the module, the norm table and Gram table of the forms.  reference_isometric
-below is the search as it was before, which filtered every norm-matching
-element through the annihilator action and took its targets from evaluate;
-both must return the same witness list, or both None, on every pair."""
+The search solves the linear conditions on each image (killed by the
+annihilator, the Gram entries against the images placed) and filters the
+solutions by the norm table.  reference_isometric below filters every
+element of a norm bucket through the annihilator action and the Gram
+entries one candidate at a time, with its targets from evaluate; both must
+return the same witness list, or both None, on every pair.  Over GF(5),
+GF(7) and GF(9), where the reference is too slow to exhaust some None
+answers, the answers up to length 3 are checked against the
+classification instead."""
 
 import random
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,15 +28,17 @@ from hypothesis import strategies as st
 
 from wittkit.coefficients import standard_coefficient
 from wittkit.forms import (
-    _ann_kernel,
+    _ann_rows,
     _closure_rows,
+    _condition,
     _functional,
     _int_btensor,
     _int_elements,
     _int_matrix,
     _mat_vec,
-    _norm_index,
+    _norm_table,
     _scalar_action_ints,
+    _solutions,
     isometric,
 )
 from wittkit.linalg import Echelon, Matrix, matrix_of_map
@@ -63,6 +71,7 @@ def engine_for(case):
 
 def assert_congruence(f1, f2, images):
     M1, M2 = f1.module, f2.module
+    images = [M2.from_vec(tuple(M2.F.el(c) for c in v)) for v in images]
     gens = M1.generators()
     assert len(images) == len(gens)
     for fac, img in zip(M1.factors, images):
@@ -125,7 +134,9 @@ def reference_isometric(f1, f2):
     diag_t = [I.to_ints(f1.evaluate(g, g)) for g in gens1]
     cross_t = [[I.to_ints(f1.evaluate(gens1[j], gens1[i])) for i in range(n)] for j in range(n)]
     elems = _int_elements(M2)
-    nidx = _norm_index(f2)
+    nidx = {}
+    for k, v in enumerate(_norm_table(f2)):
+        nidx.setdefault(v, []).append(k)
     annmats = [None if fac.ann.is_zero() else _int_matrix(M2.action_matrix(fac.ann))
                for fac in M1.factors]
     actmats = _scalar_action_ints(M2)
@@ -180,7 +191,7 @@ def reference_isometric(f1, f2):
         return False
 
     if extend(0, Echelon(F)):
-        return [M2.from_ints(v) for v in placed]
+        return placed
     return None
 
 
@@ -215,15 +226,62 @@ KERNEL_RINGS = sorted({text for text, _ in CASES} | {"GF(9), sigma=id"})
 
 
 @pytest.mark.parametrize("text", KERNEL_RINGS)
-def test_ann_kernel_lists_exactly_the_killed_elements(text):
+def test_solutions_list_exactly_the_filtered_elements(text):
+    # the annihilator rows plus 0, 1 or 2 seeded rows [col | t], or a
+    # seeded row twice with constants t and t + 1: the solutions, in
+    # order, are the elements killed by ann that meet every seeded row; a
+    # system with no solution is inconsistent and lists none
     engine = engine_for((text, 1))
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
     for module in engine.shapes_up_to(4):
-        p = module.F.p
+        p, d = module.F.p, module.sdim
         elems = _int_elements(module)
         for ann in engine._anns:
             act = _int_matrix(module.action_matrix(ann))
-            brute = [k for k, v in enumerate(elems) if not any(_mat_vec(act, v, p))]
-            assert _ann_kernel(module, ann) == brute, (module, ann)
+            killed = [k for k, v in enumerate(elems) if not any(_mat_vec(act, v, p))]
+            row = [rng.randrange(p) for _ in range(d + 1)]
+            pair = [[rng.randrange(p) for _ in range(d + 1)] for _ in range(2)]
+            clash = [row, row[:d] + [(row[d] + 1) % p]]
+            for seeded in ([], [row], pair, clash):
+                system = _ann_rows(module, ann).copy()
+                for r in seeded:
+                    system.insert(_condition(r[:d], r[d]))
+                brute = [k for k in killed
+                         if all(sum(map(mul, elems[k], r)) % p == r[d] for r in seeded)]
+                assert list(_solutions(system, d, p)) == brute, (module, ann, seeded)
+                seen[bool(brute)] += 1
+    assert seen[True] and seen[False]
+
+
+def discriminant_is_square(form):
+    ring = form.ring
+    det = form.btensor().det()
+    return det ** ((ring.size() - 1) // 2) == ring.one
+
+
+CLASSIFIED_FIELDS = ["GF(5), sigma=id", "GF(7), sigma=id", "GF(9), sigma=id", "GF(9), sigma=frobenius"]
+
+
+@pytest.mark.parametrize("text", CLASSIFIED_FIELDS)
+def test_isometric_decides_the_classification_over_fields(text):
+    # nondegenerate forms over a finite field of odd characteristic:
+    # symmetric ones are classified by rank and discriminant (the
+    # determinant modulo squares), hermitian ones by rank alone
+    engine = engine_for((text, 1))
+    symmetric = engine.coef.rwi.is_trivial()
+    classes = [g for module in engine.shapes_up_to(3) for g in engine.classes(module)]
+    answers = {True: 0, False: 0}
+    for a in classes:
+        for b in classes:
+            same = a.rank() == b.rank() and (
+                not symmetric or discriminant_is_square(a) == discriminant_is_square(b))
+            images = isometric(a, b)
+            assert (images is not None) == same, (a.gram_key(), b.gram_key())
+            if images is not None:
+                assert_congruence(a, b, images)
+            answers[same] += 1
+    assert answers[True] and answers[False]
 
 
 FUNCTIONAL_CASES = [("GF(3)[t]/(t^2), sigma=t->-t", -1), ("GF(9), sigma=frobenius", 1),

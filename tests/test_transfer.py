@@ -191,9 +191,7 @@ def test_devissage_transfer_keeps_nondegeneracy_and_sums(text, epsilon, data):
     # radical
     for h, th in ((f, tf), (g, tg)):
         assert th.is_nondegenerate() == h.is_nondegenerate()
-    # the isometry search backtracks through the radical of a degenerate
-    # form, so sums are compared on nondegenerate summands, the forms the
-    # devissage transfers
-    if f.is_nondegenerate() and g.is_nondegenerate():
-        both = transfer_form(dd.tc, orthogonal_sum(f, g))
-        assert isometric(canonical_order(both), orthogonal_sum(tf, tg)) is not None
+    # the transfer of a sum is the sum of the transfers, degenerate
+    # summands included
+    both = transfer_form(dd.tc, orthogonal_sum(f, g))
+    assert isometric(canonical_order(both), orthogonal_sum(tf, tg)) is not None
