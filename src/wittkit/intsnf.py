@@ -1,15 +1,18 @@
 """Integer Smith normal form and finitely presented abelian groups.
 
 Everything is plain Python ints (exact, arbitrary precision).  A presented
-group is Z^n modulo the column span of a relation matrix.  Each
-presentation is factored once: PresentedGroup keeps its Smith form and
-reuses it for the invariant factors and for membership tests.  Comparing
-two presented groups (kernel and cokernel of a map given on generators)
-takes one more Smith form, of the block matrix [images | target
-relations].
+group is Z^n modulo the column span of a relation matrix.  In each
+presentation the unit pivots are eliminated, and the core left over is
+factored once: PresentedGroup keeps the eliminations and the core's Smith
+form and reuses them for the invariant factors and for membership tests.
+Comparing two presented groups (kernel and cokernel of a map given on
+generators) takes one more Smith form, of the block matrix [images |
+target core relations] in target core coordinates.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .errors import WittKitError
 
@@ -97,13 +100,64 @@ def smith_normal_form(a):
     return d, u, v
 
 
+def _eliminate_unit_pivots(ngens, relations):
+    """Remove unit pivots from Z^ngens / <relations>.
+
+    Each step takes a column with an entry u = +-1, pivoting on the
+    generator g of fewest occurrences among its unit entries, substitutes
+    e_g = -u * (column - u e_g) into every other column and drops the
+    column and g.  That is unimodular, so the quotient is unchanged.
+    Columns are looked at first in, first out, and a column is queued
+    again after each substitution into it.  Returns the steps (g, u,
+    column as a dict) in elimination order, the surviving generators, and
+    the nonzero surviving columns as dicts.  A step costs the entries it
+    rewrites, so a presentation with no unit entry costs one pass over its
+    nonzeros."""
+    cols = {j: {g: x for g, x in enumerate(rel) if x} for j, rel in enumerate(relations)}
+    occurs = [set() for _ in range(ngens)]
+    for j, col in cols.items():
+        for g in col:
+            occurs[g].add(j)
+    steps = []
+    pending = deque(cols)
+    while pending:
+        j = pending.popleft()
+        col = cols.get(j)
+        units = [g for g, x in col.items() if x in (1, -1)] if col else ()
+        if not units:
+            continue
+        g = min(units, key=lambda h: len(occurs[h]))
+        u = col[g]
+        del cols[j]
+        for h in col:
+            occurs[h].discard(j)
+        for k in occurs[g]:
+            other = cols[k]
+            a = u * other[g]
+            for h, x in col.items():
+                y = other.get(h, 0) - a * x
+                if y:
+                    other[h] = y
+                    occurs[h].add(k)
+                else:
+                    del other[h]
+                    if h != g:  # occurs[g] is being walked; it is emptied below
+                        occurs[h].discard(k)
+            pending.append(k)
+        occurs[g] = set()
+        steps.append((g, u, col))
+    eliminated = {g for g, _, _ in steps}
+    core = [g for g in range(ngens) if g not in eliminated]
+    return steps, core, [col for col in cols.values() if col]
+
+
 class PresentedGroup:
     """Z^ngens modulo the columns of relations (list of column vectors).
 
-    The relation matrix A is factored once, u*A*v = d, and that one Smith
-    form answers every later question: the invariant factors come from d,
-    membership from u, and the integer relations among the columns
-    from v."""
+    Unit pivots are eliminated first, and the small core that is left is
+    factored once, u*A*v = d.  The eliminations take a vector to core
+    coordinates; d gives the invariant factors and u membership.
+    relations keeps the full list of columns."""
 
     def __init__(self, ngens, relation_columns):
         self.ngens = ngens
@@ -111,27 +165,37 @@ class PresentedGroup:
         for c in self.relations:
             if len(c) != ngens:
                 raise WittKitError("relation length mismatch")
-        k = len(self.relations)
-        if ngens:
-            rows = [[c[i] for c in self.relations] for i in range(ngens)]
-            d, self._snf_u, self._snf_v = smith_normal_form(rows)
-            diag = [d[i][i] for i in range(min(ngens, k))]
-        else:
-            # a 0 x k matrix: every integer combination of columns vanishes
-            diag, self._snf_u = [], []
-            self._snf_v = [[int(i == j) for j in range(k)] for i in range(k)]
-        self._rank = sum(1 for x in diag if x != 0)
-        # one diagonal entry per generator, 0 past the rank
-        self._diag = diag + [0] * (ngens - len(diag))
-        self.factors = [x for x in diag if x not in (0, 1)] + [0] * (ngens - self._rank)
+        self._steps, self._core, cols = _eliminate_unit_pivots(ngens, self.relations)
+        self._core_relations = [[c.get(g, 0) for g in self._core] for c in cols]
+        r = len(self._core)
+        rows = [[c[i] for c in self._core_relations] for i in range(r)]
+        d, self._snf_u, _ = smith_normal_form(rows)
+        diag = [d[i][i] for i in range(min(r, len(cols)))]
+        rank = sum(1 for x in diag if x != 0)
+        # one diagonal entry per core generator, 0 past the rank
+        self._diag = diag + [0] * (r - len(diag))
+        self.factors = [x for x in diag if x not in (0, 1)] + [0] * (r - rank)
+
+    def _core_coordinates(self, vec):
+        """vec (length ngens) in core coordinates: the same class of the
+        group, with every eliminated generator substituted out."""
+        vec = list(vec)
+        for g, u, col in self._steps:
+            a = u * vec[g]
+            if a:
+                for h, x in col.items():
+                    vec[h] -= a * x
+        return [vec[g] for g in self._core]
 
     def contains(self, vec):
-        """Is vec (length ngens) in the span of the relation columns?  With
-        u*A*v = d, A x = vec has an integer solution iff each coordinate of
-        u*vec is divisible by the matching diagonal entry of d."""
+        """Is vec (length ngens) in the span of the relation columns?  It
+        is iff its core coordinates w are in the span of the core columns
+        A, and with u*A*v = d that holds iff each coordinate of u*w is
+        divisible by the matching diagonal entry of d."""
+        w = self._core_coordinates(vec)
         for row, di in zip(self._snf_u, self._diag):
-            w = sum(x * y for x, y in zip(row, vec))
-            if (w % di if di else w) != 0:
+            s = sum(x * y for x, y in zip(row, w))
+            if (s % di if di else s) != 0:
                 return False
         return True
 
@@ -143,11 +207,14 @@ def hom_kernel_cokernel_trivial(src, dst, gen_images):
     """For the map src -> dst sending generator i to the integer combination
     gen_images[i] of dst generators: return (kernel_trivial, coker_trivial).
 
-    Both come from one Smith form of [F | dst relations].  Its cokernel
-    Z^n / (image columns + dst relations) is the cokernel of the map.  Its
-    integer nullspace, projected to the F-coordinates, is the lattice
-    {x : F x in span(dst relations)}; the kernel is that lattice modulo the
-    src relations.  The span of lattice + src relations always contains the
+    Every image, of core and eliminated src generators alike, is taken to
+    dst core coordinates F, and both verdicts come from one Smith form of
+    [F | dst core relations].  Its cokernel is the cokernel of the map.
+    Its integer nullspace, projected to the F-coordinates, is the lattice
+    {x in Z^src.ngens : F x in span(dst core relations)} over all src
+    generators, so the answer stays exact for a map that does not respect
+    the src relations.  The kernel is that lattice modulo the src
+    relations.  The span of lattice + src relations always contains the
     src relations, so it equals their span, and the kernel is trivial, iff
     every lattice vector lies in the span of the src relations."""
     n = dst.ngens
@@ -155,12 +222,17 @@ def hom_kernel_cokernel_trivial(src, dst, gen_images):
     f_cols = [list(c) for c in gen_images]
     if len(f_cols) != m or any(len(c) != n for c in f_cols):
         raise WittKitError("gen_images shape mismatch")
-    aug = PresentedGroup(n, f_cols + dst.relations)
-    coker_trivial = aug.is_trivial()
-    v = aug._snf_v
-    ker_trivial = all(
-        src.contains([v[i][j] for i in range(m)]) for j in range(aug._rank, len(v))
-    )
+    cols = [dst._core_coordinates(c) for c in f_cols] + dst._core_relations
+    r = len(dst._core)
+    # smith_normal_form reads the column count off the first row: with no
+    # dst core generator, one zero row makes v the identity
+    rows = [[c[i] for c in cols] for i in range(r)] or [[0] * len(cols)]
+    d, _, v = smith_normal_form(rows)
+    diag = [d[i][i] for i in range(min(len(rows), len(cols)))]
+    rank = sum(1 for x in diag if x != 0)
+    # the diagonal entries 1 come first, so the cokernel vanishes iff r of them are 1
+    coker_trivial = diag.count(1) == r
+    ker_trivial = all(src.contains([v[i][j] for i in range(m)]) for j in range(rank, len(v)))
     return ker_trivial, coker_trivial
 
 

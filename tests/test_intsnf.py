@@ -2,15 +2,19 @@
 
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittkit.coefficients import standard_coefficient
 from wittkit.intsnf import (
     PresentedGroup,
     hom_kernel_cokernel_trivial,
     lattice_contains,
     smith_normal_form,
 )
+from wittkit.parser import parse_ring_with_involution
+from wittkit.wittgroup import WittEngine, _presentation_at
 
 
 def test_snf_diagonal_divisibility():
@@ -203,3 +207,184 @@ def test_cyclic_maps_match_the_gcd_oracle(case):
     dst = PresentedGroup(1, [[b]])
     assert hom_kernel_cokernel_trivial(src, dst, [[c]]) == expected
     assert reference_hom_kernel_cokernel_trivial(src, dst, [[c]]) == expected
+
+
+def test_kernel_counts_every_source_generator():
+    # src = Z^2 / <(1, -1)> is Z, with e0 = e1.  Sending one generator to 1
+    # and the other to 0 does not respect that relation: the lattice
+    # {x : F x = 0} is spanned by the generator sent to 0, which is not a
+    # multiple of (1, -1), so the kernel is not trivial.  Reading the map
+    # off the generator that survives elimination alone calls one of the
+    # two maps injective, whichever generator survives.
+    src = PresentedGroup(2, [[1, -1]])
+    dst = PresentedGroup(1, [])
+    assert hom_kernel_cokernel_trivial(src, dst, [[1], [0]]) == (False, True)
+    assert hom_kernel_cokernel_trivial(src, dst, [[0], [1]]) == (False, True)
+    assert hom_kernel_cokernel_trivial(src, dst, [[1], [1]]) == (True, True)
+
+
+# -- unit-pivot elimination against the dense presentation ---------------------
+#
+# DensePresentedGroup takes one Smith form of the whole relation matrix,
+# whose v also gives the kernel lattice of a map: the dense path that the
+# elimination of unit pivots replaces.
+
+
+class DensePresentedGroup:
+    def __init__(self, ngens, relation_columns):
+        self.ngens = ngens
+        self.relations = [list(c) for c in relation_columns]
+        k = len(self.relations)
+        if ngens:
+            rows = [[c[i] for c in self.relations] for i in range(ngens)]
+            d, self.snf_u, self.snf_v = smith_normal_form(rows)
+            diag = [d[i][i] for i in range(min(ngens, k))]
+        else:
+            # a 0 x k matrix: every integer combination of columns vanishes
+            diag, self.snf_u = [], []
+            self.snf_v = [[int(i == j) for j in range(k)] for i in range(k)]
+        self.rank = sum(1 for x in diag if x != 0)
+        self.diag = diag + [0] * (ngens - len(diag))
+        self.factors = [x for x in diag if x not in (0, 1)] + [0] * (ngens - self.rank)
+
+    def contains(self, vec):
+        for row, di in zip(self.snf_u, self.diag):
+            w = sum(x * y for x, y in zip(row, vec))
+            if (w % di if di else w) != 0:
+                return False
+        return True
+
+    def is_trivial(self):
+        return all(f == 1 for f in self.factors) or not self.factors
+
+
+def dense_hom_kernel_cokernel_trivial(src, dst, gen_images):
+    m = src.ngens
+    aug = DensePresentedGroup(dst.ngens, [list(c) for c in gen_images] + dst.relations)
+    v = aug.snf_v
+    ker_trivial = all(
+        src.contains([v[i][j] for i in range(m)]) for j in range(aug.rank, len(v))
+    )
+    return ker_trivial, aug.is_trivial()
+
+
+def dense(group):
+    return DensePresentedGroup(group.ngens, group.relations)
+
+
+ENGINE_CHECKS = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+@st.composite
+def engine_columns(draw, n, max_cols):
+    """Columns shaped like the engine's relations: [f + g] - [f] - [g],
+    [m] for a metabolic class, and now and then an arbitrary column."""
+    cols = []
+    index = st.integers(min_value=0, max_value=max(n - 1, 0))
+    for _ in range(draw(st.integers(min_value=0, max_value=max_cols))):
+        kind = draw(st.sampled_from(("sum", "unit", "entry") if n else ("entry",)))
+        if kind == "entry":
+            cols.append(draw(st.lists(ENTRY, min_size=n, max_size=n)))
+            continue
+        col = [0] * n
+        if kind == "sum":
+            col[draw(index)] += 1
+            col[draw(index)] -= 1
+            col[draw(index)] -= 1
+        else:
+            col[draw(index)] = 1
+        cols.append(col)
+    return cols
+
+
+@st.composite
+def engine_presentation(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    cols = draw(engine_columns(n, 10))
+    probe = draw(st.lists(ENTRY, min_size=n, max_size=n))
+    return n, cols, probe
+
+
+@st.composite
+def engine_map(draw):
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=0, max_value=5))
+    src = PresentedGroup(m, draw(engine_columns(m, 7)))
+    dst = PresentedGroup(n, draw(engine_columns(n, 7)))
+    images = []
+    for _ in range(m):
+        if n and draw(st.booleans()):
+            # a class goes to a class, as in the engine's class maps
+            col = [0] * n
+            col[draw(st.integers(min_value=0, max_value=n - 1))] = 1
+            images.append(col)
+        else:
+            images.append(draw(st.lists(ENTRY, min_size=n, max_size=n)))
+    return src, dst, images
+
+
+@ENGINE_CHECKS
+@given(engine_presentation())
+def test_engine_shaped_presentations_agree_with_the_dense_oracle(case):
+    n, cols, probe = case
+    group = PresentedGroup(n, cols)
+    oracle = DensePresentedGroup(n, cols)
+    assert group.factors == oracle.factors
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    combination = [sum(c[i] * (k + 1) for k, c in enumerate(cols)) for i in range(n)]
+    for vec in cols + units + [probe, combination]:
+        assert group.contains(vec) == oracle.contains(vec)
+
+
+@ENGINE_CHECKS
+@given(engine_map())
+def test_engine_shaped_maps_agree_with_the_dense_oracle(case):
+    src, dst, images = case
+    assert hom_kernel_cokernel_trivial(src, dst, images) == dense_hom_kernel_cokernel_trivial(
+        dense(src), dense(dst), images
+    )
+
+
+# the rings of the CLI goldens and the benchmark workloads, at the bound of
+# their deepest query
+REAL_RINGS = [
+    ("GF(3)[t]/(t^3), sigma=id", 1, 4),
+    ("GF(3)[t]/(t^2), sigma=t->-t", -1, 4),
+    ("GF(9), sigma=frobenius", -1, 4),
+    ("GF(3)xGF(3), sigma=swap", 1, 8),
+]
+
+
+def real_stability_check(text, epsilon, bound):
+    """The two presentations and the class map of witt_group's stability
+    check."""
+    engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
+    pres, classes, _ = _presentation_at(engine, bound)
+    pres1, _, idx1 = _presentation_at(engine, bound + 1)
+    images = []
+    for f in classes:
+        col = [0] * pres1.ngens
+        col[idx1[(f.module.key, f.gram_key())]] = 1
+        images.append(col)
+    return pres, pres1, images
+
+
+@pytest.mark.parametrize("text, epsilon, bound", REAL_RINGS)
+def test_real_presentations_agree_with_the_dense_oracle(text, epsilon, bound):
+    pres, pres1, images = real_stability_check(text, epsilon, bound)
+    for group in (pres, pres1):
+        oracle = dense(group)
+        assert group.factors == oracle.factors
+        n = group.ngens
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        for vec in group.relations + units:
+            assert group.contains(vec) == oracle.contains(vec)
+    assert hom_kernel_cokernel_trivial(pres, pres1, images) == dense_hom_kernel_cokernel_trivial(
+        dense(pres), dense(pres1), images
+    )
+
+
+def test_unit_pivots_shrink_a_real_presentation_to_its_core():
+    pres, _, _ = real_stability_check("GF(3)[t]/(t^3), sigma=id", 1, 4)
+    assert (pres.ngens, len(pres.relations)) == (26, 47)
+    assert (len(pres._core), len(pres._core_relations)) == (1, 6)
