@@ -31,10 +31,10 @@ class DualityCoefficient:
 
     The coefficient owns the dual modules taken against it: dual(M) builds
     D(M) once per module key and hands the same DualModule to every later
-    caller (forms, hyperbolic forms, double-dual comparisons and every
-    WittEngine on this coefficient).  require_strong() checks once per
-    coefficient that it is a strong duality on every indecomposable
-    module."""
+    caller (hyperbolic forms, double-dual comparisons and every WittEngine
+    on this coefficient).  Forms decide nondegeneracy without it.
+    require_strong() checks once per coefficient that it is a strong
+    duality on every indecomposable module."""
 
     def __init__(self, rwi, module, imap):
         if module.rwi != rwi:

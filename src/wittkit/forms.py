@@ -10,17 +10,24 @@ factor annihilators on both slots (otherwise the table does not descend to
 the quotients), epsilon-symmetry holds on every pair of scalar basis
 vectors, and epsilon is +1 or -1.  Nondegeneracy is a separate predicate
 (the adjoint into the dual module being bijective), since degenerate forms
-are legitimate objects to build and then reject.
+are legitimate objects to build and then reject.  It is decided without
+building the dual module: one rank on the coordinate tensor and the
+dimension of the dual, a sum of kernels in I.  The dual module itself is
+read only by hyperbolic_form and by the double-dual check of the
+coefficient (coefficients.py).
 
 Tables live where they are decided, and each is built on first read.  Per
 shape, on the module (one FLModule per annihilator tuple, from
 RingWithInvolution.module): the element list (_int_elements), the integer
 action matrices of the scalar basis (_scalar_action_ints) and the linear
-conditions for being killed by each annihilator (_ann_rows).  Per form, on
-the form: the Gram key, the coordinate tensor, the norm table, the
-fingerprint and nondegeneracy.  Per module key, on the coefficient: the
-dual module.  An orthogonal sum takes its summands' reduced Gram entries
-as they are and composes its per-form tables from theirs.
+conditions for being killed by each annihilator (_ann_rows; on the
+coefficient module I they also give the kernel dimensions that
+nondegeneracy counts).  Per form, on the form: the Gram key, the
+coordinate tensor (raw I-coordinates, the one scalar pairing table), the
+norm table, the fingerprint and nondegeneracy.  An orthogonal sum takes
+its summands' reduced Gram entries as they are and composes its per-form
+tables from theirs, apart from nondegeneracy, which it decides on its
+composed tensor like any form.
 """
 
 from __future__ import annotations
@@ -94,13 +101,10 @@ class HermitianForm:
         tab = self._coord_tensor()
         for c1 in range(self.module.sdim):
             for c2 in range(self.module.sdim):
-                if tab[c2][c1] != I.to_vec(I.scal(self.eps_el, self.coef.i(I.from_vec(tab[c1][c2])))):
+                if tab[c2][c1] != I.to_ints(I.scal(self.eps_el, self.coef.i(I.from_vec(tab[c1][c2])))):
                     raise NotEpsilonSymmetric(
                         f"b(y,x) != epsilon i(b(x,y)) at coordinate pair ({c1},{c2})"
                     )
-
-    def _coord_elem(self, c):
-        return self.module.from_vec(unit_vector(self.module.F, self.module.sdim, c))
 
     def evaluate(self, x, y):
         I = self.coef.module
@@ -133,14 +137,17 @@ class HermitianForm:
     # -- coordinate tensor: b is scalar-bilinear since sigma fixes the
     # -- scalar field pointwise
     def _coord_tensor(self):
-        """I-coordinates of b(e_c1, e_c2) for every pair of scalar basis
-        vectors.  A composed form takes the block diagonal of its
+        """Raw I-coordinates (I.to_ints) of b(e_c1, e_c2) for every pair of
+        scalar basis vectors; the one scalar pairing table of the form.
+        Each e_c is a representative r of one cyclic factor, so the entry
+        for r1 in factor i and r2 in factor j is sigma(r1) r2 times Gram
+        entry (i, j).  A composed form takes the block diagonal of its
         summands' tensors, permuted as its factors are."""
         if self._ctensor is None:
             I = self.coef.module
             d = self.module.sdim
             if self._parts is not None:
-                whole = [[I.to_vec(I.zero())] * d for _ in range(d)]
+                whole = [[I.to_ints(I.zero())] * d for _ in range(d)]
                 off = 0
                 for f in self._parts[0]:
                     for c1, row in enumerate(f._coord_tensor()):
@@ -149,8 +156,12 @@ class HermitianForm:
                 perm = _coord_order(self)
                 self._ctensor = [[whole[a][b] for b in perm] for a in perm]
             else:
-                units = [self._coord_elem(c) for c in range(d)]
-                self._ctensor = [[I.to_vec(self.evaluate(x, y)) for y in units] for x in units]
+                sig = self.coef.rwi.conj
+                reps = [(i, fac.from_coords(unit_vector(self.module.F, fac.sdim, k)))
+                        for i, fac in enumerate(self.module.factors) for k in range(fac.sdim)]
+                left = [(i, sig(r1)) for i, r1 in reps]
+                self._ctensor = [[I.to_ints(I.scal(s1 * r2, self.gram[i][j])) for j, r2 in reps]
+                                 for i, s1 in left]
         return self._ctensor
 
     def eval_vecs(self, xv, yv):
@@ -169,33 +180,23 @@ class HermitianForm:
         return tuple(out)
 
     # -- structure ---------------------------------------------------------
-    def adjoint(self):
-        """phi: M -> D(M), phi(y) = b(., y), as (DualModule, scalar matrix).
-        Column c is the element of D(M) whose hom matrix has column c1
-        equal to b(e_c1, e_c), read from the coordinate tensor."""
-        dual = self.coef.dual(self.module)
-        tab = self._coord_tensor()
-        d, n = self.module.sdim, self.coef.module.sdim
-
-        def column(c):
-            # the hom matrix flattened row-major: row r, then column c1
-            flat = tuple(tab[c1][c][r] for r in range(n) for c1 in range(d))
-            return dual.module.to_vec(dual.element_of_hom(flat))
-
-        return dual, Matrix.from_cols(self.module.F, [column(c) for c in range(d)])
-
     def is_nondegenerate(self):
-        """Whether the adjoint M -> D(M) is bijective.  Kept on the form.
-        A composed form is nondegenerate exactly when its summands are,
-        since its adjoint is theirs, block by block."""
+        """Whether the adjoint M -> D(M), y -> b(., y), is bijective.  Kept
+        on the form.  It is injective when the d columns b(., e_c), each
+        the coordinate tensor's column c flattened, are independent.  The
+        dual of a cyclic factor R/(a) is the part of I killed by sigma(a),
+        which the bijection i maps onto the part killed by a; so D(M) has
+        dimension d exactly when the kernels of the annihilators on I
+        (read off _ann_rows of I) add up to d, and then injective means
+        bijective."""
         if self._nondeg is None:
-            if self._parts is not None:
-                self._nondeg = all(f.is_nondegenerate() for f in self._parts[0])
-            else:
-                dual, mat = self.adjoint()
-                self._nondeg = dual.module.sdim == self.module.sdim and (
-                    self.module.sdim == 0 or mat.rank() == self.module.sdim
-                )
+            I = self.coef.module
+            d = self.module.sdim
+            tab = self._coord_tensor()
+            dual_dim = sum(I.sdim - len(_ann_rows(I, f.ann).rows) for f in self.module.factors)
+            cols = Echelon(self.module.F)
+            self._nondeg = dual_dim == d and all(
+                cols.insert([x for row in tab for x in row[c]]) for c in range(d))
         return self._nondeg
 
     def require_nondegenerate(self):
@@ -408,13 +409,15 @@ def hyperbolic_form(coef, N, epsilon=1):
 #     by the coordinate permutation;
 #   - _coord_tensor: the block diagonal of the summands' tensors, permuted
 #     the same way;
-#   - is_nondegenerate: whether every summand is nondegenerate;
 #   - the Gram table and gram_key: the summands' entries and keys, zero
 #     off the diagonal blocks, never coerced again.
 # Every other form (a block, a hyperbolic form, a form built from a Gram
 # table, a transfer) computes its tables from its own elements: the tensor
-# with evaluate on each pair of scalar basis vectors, the norm table by
-# prefix recursion over that tensor, the fingerprint by counting the table.
+# straight off the Gram table (sigma(r1) r2 times entry (i, j) for factor
+# representatives r1 and r2), the norm table by prefix recursion over that
+# tensor, the fingerprint by counting the table.  Every form, composed or
+# not, decides is_nondegenerate on its own tensor and on the kernels of
+# its annihilators in I, never through the dual module or its summands.
 
 
 def _int_elements(module):
@@ -426,12 +429,6 @@ def _int_elements(module):
 
 def _int_matrix(m):
     return [[e.data for e in row] for row in m.rows]
-
-
-def _int_btensor(form):
-    if getattr(form, "_ibt", None) is None:
-        form._ibt = [[tuple(c.data for c in cell) for cell in row] for row in form._coord_tensor()]
-    return form._ibt
 
 
 def _scalar_action_ints(module):
@@ -509,7 +506,7 @@ def _norm_table(form):
         form._ntab = out
         return out
     isd = form.coef.module.sdim
-    bt = _int_btensor(form)
+    bt = form._coord_tensor()
     out = []
 
     def rec(k, acc, lin):
@@ -679,7 +676,7 @@ def isometric(f1, f2):
     elems = _int_elements(M2)
     norms = _norm_table(f2)
     ann_rows = [_ann_rows(M2, fac.ann) for fac in M1.factors]
-    bt = _int_btensor(f2)
+    bt = f2._coord_tensor()
     actmats = _scalar_action_ints(M2)
     sdims = [fac.sdim for fac in M1.factors]
     # g_i is in the radical of f1 when its Gram row is zero
@@ -761,7 +758,7 @@ def is_metabolic(form):
         return False  # submodules are vector spaces over the ring itself
     isd = form.coef.module.sdim
     zero = (0,) * isd
-    bt = _int_btensor(form)
+    bt = form._coord_tensor()
     actmats = _scalar_action_ints(M)
     rows = Echelon(F)
     cols = []  # the columns of b(r, -) for every row r of L

@@ -7,10 +7,10 @@ commutative ring.  Sizes here are desk-scale, no attempt at asymptotics.
 Echelon is the one elimination: the reduced row echelon form of a growing
 span, kept on raw field data (Element.data), with Ring.sub_mul as its only
 row operation.  Matrix.rref, span_basis, the coordinates of a Basis, the
-canonical representatives of module factors and the subspace searches of
-forms all run on it; values are wrapped in Elements only where a Matrix
-or a vector of Elements is handed back.  Matrix.det keeps its own
-elimination, since it tracks a determinant rather than a span.
+canonical representatives of module factors, nondegeneracy and the
+subspace searches of forms all run on it; values are wrapped in Elements
+only where a Matrix or a vector of Elements is handed back.  Matrix.det
+eliminates nothing: it is the Leibniz sum over every ring, up to 4 x 4.
 """
 
 from __future__ import annotations
@@ -206,34 +206,12 @@ class Matrix:
         return Matrix(self.ring, [r[self.nrows:] for r in R.rows])
 
     def det(self):
-        """Determinant; elimination over fields, Leibniz sum otherwise
-        (only used for very small matrices over non-fields)."""
+        """Determinant as the Leibniz sum, over any commutative ring; the
+        library takes it of small Koszul matrices over polynomial rings,
+        so it is limited to n <= 4."""
         if self.nrows != self.ncols:
             raise WittKitError("determinant of non-square matrix")
         n = self.nrows
-        if n == 0:
-            return self.ring.one
-        if self.ring.is_field:
-            rows = [list(r) for r in self.rows]
-            det = self.ring.one
-            for c in range(n):
-                pr = None
-                for i in range(c, n):
-                    if not rows[i][c].is_zero():
-                        pr = i
-                        break
-                if pr is None:
-                    return self.ring.zero
-                if pr != c:
-                    rows[c], rows[pr] = rows[pr], rows[c]
-                    det = -det
-                det = det * rows[c][c]
-                inv = rows[c][c].inverse()
-                for i in range(c + 1, n):
-                    if not rows[i][c].is_zero():
-                        f = rows[i][c] * inv
-                        rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-            return det
         if n > 4:
             raise WittKitError("Leibniz determinant limited to n <= 4")
         total = self.ring.zero

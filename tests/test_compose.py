@@ -1,22 +1,26 @@
-"""Composed tables of orthogonal sums against a from-scratch oracle.
+"""Composed tables of orthogonal sums, and nondegeneracy, against a
+from-scratch oracle.
 
 A form built by orthogonal_sum or canonical_order takes its Gram entries
-and Gram key from its summands, composes its norm fingerprint, norm table
-and coordinate tensor from their tables, and answers is_nondegenerate
-from their answers.  The oracle below computes each of them from the form
-alone: the entries coerced again, the tensor with evaluate on
-every pair of scalar basis vectors, as the library does for blocks and
-parsed forms, b(x, x) of every element by bilinearity from that tensor,
-and nondegeneracy as the rank of the adjoint into a freshly built dual.
-Both must agree on every class the engine enumerates, on every sum of two
-classes (the forms _presentation_at looks up), on permuted copies of
-parsed forms, and on sums with a degenerate summand."""
+and Gram key from its summands, and composes its norm fingerprint, norm
+table and coordinate tensor from their tables.  Every form, composed or
+not, answers is_nondegenerate by one rank on its coordinate tensor and a
+dimension count of the dual.  The oracle below computes each of them from
+the form alone: the entries coerced again, the tensor (raw coordinates)
+with evaluate on every pair of scalar basis vectors, b(x, x) of every
+element by bilinearity from that tensor, and nondegeneracy as the rank of
+the adjoint into a freshly built dual module.  Both must agree on every
+class the engine enumerates, on every sum of two classes (the forms
+_presentation_at looks up), on permuted copies of parsed forms, on sums
+with a degenerate summand, on sampled Gram tables (degenerate ones too)
+and on a coefficient whose dual is larger than the module."""
 
+import random
 from collections import Counter
 
 import pytest
 
-from wittkit.coefficients import DualModule, standard_coefficient
+from wittkit.coefficients import DualityCoefficient, DualModule, standard_coefficient
 from wittkit.forms import (
     HermitianForm,
     _int_elements,
@@ -26,20 +30,21 @@ from wittkit.forms import (
     orthogonal_sum,
 )
 from wittkit.linalg import Matrix, unit_vector
+from wittkit.modules import free_module, module_from_shape
 from wittkit.parser import parse_ring_with_involution
-from wittkit.wittgroup import WittEngine
+from wittkit.wittgroup import WittEngine, sample_gram_tables
 
 
 def scratch_coord_tensor(form):
     M = form.module
     I = form.coef.module
     units = [M.from_vec(unit_vector(M.F, M.sdim, c)) for c in range(M.sdim)]
-    return [[I.to_vec(form.evaluate(x, y)) for y in units] for x in units]
+    return [[I.to_ints(form.evaluate(x, y)) for y in units] for x in units]
 
 
 def scratch_norm_table(form):
     p = form.module.F.p
-    tensor = [[tuple(c.data for c in cell) for cell in row] for row in scratch_coord_tensor(form)]
+    tensor = scratch_coord_tensor(form)
     isd = form.coef.module.sdim
     out = []
     for x in _int_elements(form.module):
@@ -174,3 +179,39 @@ def test_a_degenerate_summand_makes_the_sum_degenerate(text, epsilon, bound):
             for s in (orthogonal_sum(zero, f), orthogonal_sum(f, zero)):
                 assert not s.is_nondegenerate()
                 assert_tables_match(s)
+
+
+NONDEGENERACY_CASES = [("GF(3)[t]/(t^2), sigma=t->-t", -1), ("GF(9), sigma=frobenius", 1),
+                       ("GF(3)xGF(3), sigma=swap", 1)]
+
+
+@pytest.mark.parametrize("text, epsilon", NONDEGENERACY_CASES,
+                         ids=[f"{t} {e:+d}" for t, e in NONDEGENERACY_CASES])
+def test_nondegeneracy_matches_the_oracle_on_sampled_tables(text, epsilon):
+    # the engine's classes and seeded Gram tables, degenerate ones among
+    # them, on every shape up to length 2
+    engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
+    rng = random.Random(3)
+    answers = {True: 0, False: 0}
+    for module in engine.shapes_up_to(2):
+        forms = engine.classes(module) + list(
+            sample_gram_tables(engine.coef, module, engine.epsilon, 2, rng))
+        for form in forms:
+            got = form.is_nondegenerate()
+            assert got == scratch_nondegenerate(form), form.gram_key()
+            answers[got] += 1
+    assert answers[True] and answers[False]
+
+
+def test_a_dual_larger_than_the_module_makes_the_form_degenerate():
+    # over R = GF(3)[t]/(t^2) with I = R^2: the form (t, 0) on R/(t) has a
+    # tensor of full rank 1, but D(R/(t)) is the part of I killed by t,
+    # (tR)^2 of dimension 2, so the adjoint is not onto
+    rwi = parse_ring_with_involution("GF(3)[t]/(t^2), sigma=id")
+    t = rwi.ring.gen("t")
+    coef = DualityCoefficient(rwi, free_module(rwi, 2), lambda x: (rwi.conj(x[0]), rwi.conj(x[1])))
+    form = HermitianForm(coef, module_from_shape(rwi, [1]), [[(t, 0)]], 1)
+    assert any(map(any, form._coord_tensor()[0]))
+    assert DualModule(coef, form.module).module.sdim == 2
+    assert not form.is_nondegenerate()
+    assert not scratch_nondegenerate(form)

@@ -32,7 +32,6 @@ from wittkit.forms import (
     _closure_rows,
     _condition,
     _functional,
-    _int_btensor,
     _int_elements,
     _int_matrix,
     _mat_vec,
@@ -41,7 +40,7 @@ from wittkit.forms import (
     _solutions,
     isometric,
 )
-from wittkit.linalg import Echelon, Matrix, matrix_of_map
+from wittkit.linalg import Echelon, Matrix
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import Element
 from wittkit.wittgroup import WittEngine, sample_gram_tables
@@ -147,7 +146,7 @@ def reference_isometric(f1, f2):
         if not pool:
             return None
         pools.append(pool)
-    bt = _int_btensor(f2)
+    bt = f2._coord_tensor()
     sdims = [fac.sdim for fac in M1.factors]
     placed = []
     funcs = []
@@ -294,7 +293,7 @@ def test_functional_is_the_reduced_pairing_with_each_basis_vector(case):
     for form in engine.classes(engine.shapes_up_to(2)[-1]):
         M = form.module
         F = M.F
-        bt = _int_btensor(form)
+        bt = form._coord_tensor()
         isd = form.coef.module.sdim
         units = [tuple(F.one if c == a else F.zero for c in range(M.sdim)) for a in range(M.sdim)]
         for vec in product(range(F.p), repeat=M.sdim):
@@ -302,23 +301,3 @@ def test_functional_is_the_reduced_pairing_with_each_basis_vector(case):
             xv = tuple(F.el(a) for a in vec)
             want = [tuple(x.data for x in form.eval_vecs(xv, u)) for u in units]
             assert cols == [tuple(w[s] for w in want) for s in range(isd)]
-
-
-@pytest.mark.parametrize("case", FUNCTIONAL_CASES, ids=[f"{t} {e:+d}" for t, e in FUNCTIONAL_CASES])
-def test_adjoint_matches_the_pairing_evaluated_column_by_column(case):
-    # the reference builds the hom matrix of b(., e_c) from eval_vecs, one
-    # b(e_c1, e_c) at a time; degenerate sampled tables are included
-    engine = engine_for(case)
-    rng = random.Random(3)
-    for module in engine.shapes_up_to(2):
-        F = module.F
-        forms = engine.classes(module) + list(
-            sample_gram_tables(engine.coef, module, engine.epsilon, 2, rng))
-        for form in forms:
-            dual, mat = form.adjoint()
-
-            def phi(yv):
-                H = matrix_of_map(F, module.sdim, lambda xv: form.eval_vecs(xv, yv))
-                return dual.module.to_vec(dual.element_of_hom(H))
-
-            assert mat == matrix_of_map(F, module.sdim, phi)

@@ -17,7 +17,6 @@ from wittkit.errors import Degenerate, NotStrongDuality
 from wittkit.forms import (
     HermitianForm,
     _closure_rows,
-    _int_btensor,
     _int_elements,
     _norm_table,
     _scalar_action_ints,
@@ -47,7 +46,7 @@ def bfs_is_metabolic(form):
     norms = _norm_table(form)
     zero = (0,) * isd
     iso = [elems[k] for k, v in enumerate(norms) if v == zero and any(elems[k])]
-    bt = _int_btensor(form)
+    bt = form._coord_tensor()
     actmats = _scalar_action_ints(M)
 
     def row_funcs(rows):

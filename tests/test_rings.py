@@ -1,5 +1,6 @@
 """Ring tower: construction, exact arithmetic, involutions, maps."""
 
+import doctest
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,12 @@ from wittkit.rings import (
     identity_map,
     involution,
 )
+
+
+def test_the_module_docstring_examples_run():
+    result = doctest.testmod(rings)
+    assert result.attempted > 0
+    assert result.failed == 0
 
 
 def test_prime_field_arithmetic():

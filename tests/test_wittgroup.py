@@ -189,15 +189,17 @@ def test_metabolic_builds_no_dual_the_form_does_not_need(monkeypatch):
     assert asked == []
 
 
-def test_metabolic_builds_the_cached_dual_once_when_asked(monkeypatch):
+def test_metabolic_builds_no_dual_and_the_cached_dual_once_when_asked(monkeypatch):
     F3 = PrimeField(3)
     coef = std(F3)
     engine = WittEngine(coef, 1)
     built = _counting_duals(monkeypatch)
     forms = [diagonal_form(coef, [F3.el(a), F3.el(b)]) for a in (1, 2) for b in (1, 2)]
     answers = [engine.metabolic(f) for f in forms]
-    assert built == [forms[0].module.key]
+    # nondegeneracy is decided on the form's own tensor: no dual is built
+    assert built == []
     assert coef.dual(forms[0].module) is coef.dual(forms[3].module)
+    assert built == [forms[0].module.key]
     assert answers == [is_metabolic(f) for f in forms]
     assert answers == [False, True, True, False]
 
