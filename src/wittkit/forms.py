@@ -8,7 +8,8 @@ epsilon-symmetry means b(y, x) = epsilon . i(b(x, y)).
 Construction validates three things: the Gram entries are killed by the
 factor annihilators on both slots (otherwise the table does not descend to
 the quotients), epsilon-symmetry holds on every pair of scalar basis
-vectors, and epsilon is +1 or -1.  Nondegeneracy is a separate predicate
+vectors (on the raw coordinate tensor, against epsilon times the matrix of
+i), and epsilon is +1 or -1.  Nondegeneracy is a separate predicate
 (the adjoint into the dual module being bijective), since degenerate forms
 are legitimate objects to build and then reject.  It is decided without
 building the dual module: one rank on the coordinate tensor and the
@@ -76,7 +77,6 @@ class HermitianForm:
         self.module = module
         self.ring = module.ring
         self.epsilon = epsilon
-        self.eps_el = self.ring.el(epsilon)
         self.gram = gram
         self._ctensor = None
         self._fp = None
@@ -98,10 +98,14 @@ class HermitianForm:
                     raise NotSesquilinear(
                         f"entry ({i},{j}) not killed by ann of factor {j}"
                     )
+        # epsilon-symmetry on raw I-coordinates: epsilon . i as one matrix
+        norm = I.F.normalize
+        eps_i = [[self.epsilon * e.data for e in row] for row in self.coef.imat.rows]
         tab = self._coord_tensor()
         for c1 in range(self.module.sdim):
             for c2 in range(self.module.sdim):
-                if tab[c2][c1] != I.to_ints(I.scal(self.eps_el, self.coef.i(I.from_vec(tab[c1][c2])))):
+                x = tab[c1][c2]
+                if tab[c2][c1] != tuple(norm(sum(map(mul, row, x))) for row in eps_i):
                     raise NotEpsilonSymmetric(
                         f"b(y,x) != epsilon i(b(x,y)) at coordinate pair ({c1},{c2})"
                     )
@@ -376,9 +380,11 @@ def hyperbolic_form(coef, N, epsilon=1):
 # module are listed once per module, in itertools.product order; the
 # coordinate Gram tensor and the norm b(x, x) of every element are
 # tabulated once per form; spans are tracked in a linalg.Echelon over the
-# prime field, on those same ints.  Candidates (generator images for
-# isometric, isotropic vectors for is_metabolic) come from the element
-# list, so a finite scalar field is a hard requirement.
+# prime field, on those same ints, and grown by the products of a vector
+# with the scalar basis (_closure_rows), the vector itself standing for the
+# product with whichever basis element acts as the identity.  Candidates
+# (generator images for isometric, isotropic vectors for is_metabolic) come
+# from the element list, so a finite scalar field is a hard requirement.
 #
 # isometric solves for its candidates.  The conditions for the annihilator
 # of factor i are kept on f2's module (_ann_rows); each level copies them,
@@ -412,7 +418,8 @@ def hyperbolic_form(coef, N, epsilon=1):
 #   - the Gram table and gram_key: the summands' entries and keys, zero
 #     off the diagonal blocks, never coerced again.
 # Every other form (a block, a hyperbolic form, a form built from a Gram
-# table, a transfer) computes its tables from its own elements: the tensor
+# table, a transfer, whose Gram table transfer_form computes from the
+# source form's tensor) computes its tables from its own elements: the tensor
 # straight off the Gram table (sigma(r1) r2 times entry (i, j) for factor
 # representatives r1 and r2), the norm table by prefix recursion over that
 # tensor, the fingerprint by counting the table.  Every form, composed or
@@ -432,12 +439,17 @@ def _int_matrix(m):
 
 
 def _scalar_action_ints(module):
+    """The integer action matrices of the scalar basis of the ring, None in
+    place of the identity matrix: the basis element 1 over fields and
+    k[t]/(t^n); over k x k, whose basis is the idempotents, one of them on
+    a module with factors of one kind only.  _closure_rows takes the
+    vector itself there instead of a product."""
     if getattr(module, "_intact", None) is None:
         from .rings import Element
-        module._intact = [
-            _int_matrix(module.action_matrix(Element(module.ring, d)))
-            for d in module.ring.scalar_basis()
-        ]
+        ident = [[int(i == j) for j in range(module.sdim)] for i in range(module.sdim)]
+        mats = (_int_matrix(module.action_matrix(Element(module.ring, d)))
+                for d in module.ring.scalar_basis())
+        module._intact = [None if m == ident else m for m in mats]
     return module._intact
 
 
@@ -634,12 +646,13 @@ def _functional(bt, vec, d, isd, p):
 
 
 def _closure_rows(rows, vec, actmats, p):
-    """A copy of the Echelon rows grown by the R-span of vec; also the
-    number of dimensions gained."""
+    """A copy of the Echelon rows grown by the R-span of vec, the products
+    of vec with the _scalar_action_ints matrices inserted in their order
+    (vec itself for None); also the number of dimensions gained."""
     new_rows = rows.copy()
     added = 0
     for m in actmats:
-        if new_rows.insert(_mat_vec(m, vec, p)):
+        if new_rows.insert(vec if m is None else _mat_vec(m, vec, p)):
             added += 1
     return new_rows, added
 

@@ -4,7 +4,8 @@ Everything is plain Python ints (exact, arbitrary precision).  A presented
 group is Z^n modulo the column span of a relation matrix.  In each
 presentation the unit pivots are eliminated, and the core left over is
 factored once: PresentedGroup keeps the eliminations and the core's Smith
-form and reuses them for the invariant factors and for membership tests.
+form (d and the row transform u; it builds no column transform) and reuses
+them for the invariant factors and for membership tests.
 Comparing two presented groups (kernel and cokernel of a map given on
 generators) takes one more Smith form, of the block matrix [images |
 target core relations] in target core coordinates.
@@ -17,14 +18,16 @@ from collections import deque
 from .errors import WittKitError
 
 
-def smith_normal_form(a):
+def smith_normal_form(a, with_v=True):
     """Return (d, u, v) with u*a*v = d, u and v unimodular, d diagonal with
-    d[i][i] | d[i+1][i+1].  a is a list of int rows (may be empty)."""
+    d[i][i] | d[i+1][i+1].  a is a list of int rows (may be empty).  With
+    with_v False the column transform v (n x n for n columns) is not
+    built, and None stands in its place."""
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)] if with_v else []
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -97,7 +100,7 @@ def smith_normal_form(a):
         if d[t][t] < 0:
             negate_row(t)
         t += 1
-    return d, u, v
+    return d, u, v if with_v else None
 
 
 def _eliminate_unit_pivots(ngens, relations):
@@ -169,7 +172,7 @@ class PresentedGroup:
         self._core_relations = [[c.get(g, 0) for g in self._core] for c in cols]
         r = len(self._core)
         rows = [[c[i] for c in self._core_relations] for i in range(r)]
-        d, self._snf_u, _ = smith_normal_form(rows)
+        d, self._snf_u, _ = smith_normal_form(rows, with_v=False)
         diag = [d[i][i] for i in range(min(r, len(cols)))]
         rank = sum(1 for x in diag if x != 0)
         # one diagonal entry per core generator, 0 past the rank

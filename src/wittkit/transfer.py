@@ -21,10 +21,20 @@ A TransferCoefficient keeps the restrictions it transfers along:
 restriction(M) builds one RestrictedModule per module key and involution
 on first request, and transfer_form reads it from there.  Its module
 comes from RingWithInvolution.module like every other, and the Echelon
-behind its coordinates is only built if to_restricted is called.
+behind its coordinates is only built if of_ambient is called.
+
+transfer_form works on raw scalar data (Element.data: ints mod p, or
+Fractions over QQ).  The form over S is scalar-bilinear, so its value on
+two ambient vectors u, v is sum u_c1 v_c2 T[c1][c2] with T its
+coordinate tensor; evaluation at one is a scalar-linear map from the
+coordinates of pi^flat I to those of I, kept on the TransferCoefficient
+as a matrix of raw data.  Elements are made only for the Gram entries of
+the result.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .coefficients import DualityCoefficient, check_coefficient_iso
 from .errors import (
@@ -80,6 +90,9 @@ class TransferCoefficient(HomModule):
         # the coefficient constructor re-verifies semilinearity and i.i = id
         self.coefficient = DualityCoefficient(rwi_dst, self.module, imap)
         self._restrictions = {}
+        # evaluation at one on raw coordinates: (pi^flat I).sdim -> I.sdim
+        self._at_one = [[e.data for e in row]
+                        for row in map_matrix(self.module, I, self.eval_at_one).rows]
 
     def restriction(self, M):
         """M restricted to the source ring along pi, as a RestrictedModule
@@ -110,8 +123,8 @@ class TransferCoefficient(HomModule):
 
 class RestrictedModule(Decomposition):
     """An FLModule over S viewed as an R-module through pi: the
-    Decomposition of all of F^(M.sdim) under a . v = pi(a) v, with
-    conversion both ways."""
+    Decomposition of all of F^(M.sdim) under a . v = pi(a) v.  Its
+    ambient vectors are the scalar coordinates of M (M.to_vec)."""
 
     def __init__(self, pi, rwi_src, M):
         if pi.dst != M.ring:
@@ -127,21 +140,36 @@ class RestrictedModule(Decomposition):
 
         super().__init__(rwi_src, [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)], act, M.sdim)
 
-    def from_restricted(self, x):
-        return self.over.from_vec(self.to_ambient(x))
-
-    def to_restricted(self, m):
-        return self.of_ambient(self.over.to_vec(m))
-
 
 def transfer_form(tc, form):
     """Push a form over S valued in pi^flat I down to R by evaluation at
-    one.  Nondegeneracy is preserved and asserted."""
+    one, b_R(x, y) = b_S(x, y)(1_S), on raw coordinates.  For restricted
+    generators with ambient vectors u and v (RestrictedModule.to_ambient)
+    the Gram entry is E . sum u_c1 v_c2 T[c1][c2], with T the coordinate
+    tensor of form and E the evaluation matrix of tc, reduced in the
+    scalar field.  Nondegeneracy is preserved and asserted."""
     if form.coef != tc.coefficient:
         raise CoefficientMismatch("form is not valued in this transfer coefficient")
     rm = tc.restriction(form.module)
-    gens = [rm.from_restricted(g) for g in rm.module.generators()]
-    gram = [[tc.eval_at_one(form.evaluate(x, y)) for y in gens] for x in gens]
+    I = tc.source_coef.module
+    norm = rm.F.normalize
+    tab = form._coord_tensor()
+    at_one = tc._at_one
+    width = tc.module.sdim
+    vecs = [[c.data for c in rm.to_ambient(g)] for g in rm.module.generators()]
+    gram = []
+    for u in vecs:
+        left = [(a, tab[c1]) for c1, a in enumerate(u) if a]
+        row = []
+        for v in vecs:
+            acc = [0] * width
+            for a, trow in left:
+                for c2, b in enumerate(v):
+                    if b:
+                        ab = a * b
+                        acc = [x + ab * t for x, t in zip(acc, trow[c2])]
+            row.append(I.from_vec(tuple(norm(sum(map(mul, erow, acc))) for erow in at_one)))
+        gram.append(row)
     out = HermitianForm(tc.source_coef, rm.module, gram, form.epsilon)
     if form.is_nondegenerate() and not out.is_nondegenerate():
         raise EngineError("transfer of a nondegenerate form came out degenerate")

@@ -90,13 +90,17 @@ class WittEngine:
 
     def _distinct(self, forms):
         """One form per isometry class among forms, the first met of each,
-        sorted by fingerprint and Gram key."""
+        sorted by fingerprint and Gram key.  The class each form was
+        matched to (itself when kept) is kept as lookup's answer for it."""
         found = []
         for s in forms:
             fp = self.fingerprint(s)
-            if any(self.fingerprint(g) == fp and isometric(s, g) is not None for g in found):
-                continue
-            found.append(s)
+            match = next((g for g in found
+                          if self.fingerprint(g) == fp and isometric(s, g) is not None), None)
+            if match is None:
+                found.append(s)
+                match = s
+            self._lookups[_keypair(canonical_order(s))] = match
         found.sort(key=lambda f: (self.fingerprint(f), f.gram_key()))
         return found
 
@@ -192,7 +196,8 @@ class WittEngine:
         which would mean the sum closure missed a class.  The error names
         the shape, the form's fingerprint and how many classes of that
         shape shared it (each of those was searched).  The answer is kept
-        per canonical form, so asking again runs no isometry search."""
+        per canonical form, so asking again runs no isometry search, nor
+        does asking about a form that class enumeration met (_distinct)."""
         form = canonical_order(form)
         k = _keypair(form)
         if k in self._lookups:

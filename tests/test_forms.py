@@ -1,10 +1,12 @@
 """Epsilon-hermitian forms: evaluation, nondegeneracy, isometry, metabolicity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from wittkit.coefficients import DualityCoefficient, standard_coefficient
+from wittkit.devissage import DevissageData
 from wittkit.errors import CoefficientMismatch, Degenerate, NotEpsilonSymmetric
 from wittkit.forms import (
     HermitianForm,
@@ -19,7 +21,7 @@ from wittkit.forms import (
 from wittkit.linalg import Matrix
 from wittkit.modules import FLModule, free_module, module_from_shape
 from wittkit.parser import parse_ring_with_involution
-from wittkit.rings import GF, PrimeField, QuotientRing, RingMap, involution
+from wittkit.rings import GF, PrimeField, QuadraticField, QuotientRing, RingMap, involution
 from wittkit.transfer import GammaComparison
 from wittkit.wittgroup import sample_gram_tables
 
@@ -51,6 +53,82 @@ def test_epsilon_symmetry_enforced():
     # the same table is a legal skew form
     HermitianForm(coef, free_module(coef.rwi, 2),
                   [[F3.el(0), F3.el(1)], [F3.el(2), F3.el(0)]], -1)
+
+
+# -- epsilon-symmetry where i is not the identity -----------------------------
+#
+# _validate compares the coordinate tensor with epsilon . imat applied to
+# its transpose, on raw data.  The oracle is the check before that, through
+# Elements: each tensor entry made an element of I, mapped by coef.i and
+# scaled by epsilon.
+
+
+def element_symmetry_mismatches(form):
+    """Every coordinate pair (c1, c2) where b(e_c2, e_c1) differs from
+    epsilon i(b(e_c1, e_c2)), in the order the check visits them."""
+    I = form.coef.module
+    eps = form.ring.el(form.epsilon)
+    tab = form._coord_tensor()
+    d = form.module.sdim
+    return [(c1, c2) for c1 in range(d) for c2 in range(d)
+            if tab[c2][c1] != I.to_ints(I.scal(eps, form.coef.i(I.from_vec(tab[c1][c2]))))]
+
+
+def assert_symmetry_check_matches_oracle(coef, module, gram, epsilon):
+    """Builds the form; True when the oracle found no bad pair."""
+    bad = element_symmetry_mismatches(HermitianForm(coef, module, gram, epsilon, check=False))
+    if not bad:
+        HermitianForm(coef, module, gram, epsilon)
+        return True
+    with pytest.raises(NotEpsilonSymmetric) as exc:
+        HermitianForm(coef, module, gram, epsilon)
+    assert f"at coordinate pair ({bad[0][0]},{bad[0][1]})" in str(exc.value)
+    return False
+
+
+def _qq_i():
+    coef = standard_coefficient(involution(QuadraticField(-1), "conj"))
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3)]
+    I = coef.module
+    return coef, [I.from_vec((a, b)) for a in values for b in values]
+
+
+def _gf9_frobenius():
+    coef = standard_coefficient(involution(GF(9), "frobenius"))
+    return coef, list(coef.module.elements())
+
+
+def _transfer_coefficient():
+    coef = DevissageData(parse_ring_with_involution("GF(9)[t]/(t^2), sigma=t->-t")).tc.coefficient
+    return coef, list(coef.module.elements())
+
+
+@pytest.mark.parametrize("build", [_qq_i, _gf9_frobenius, _transfer_coefficient],
+                         ids=["QQ(i) conj", "GF(9) frobenius", "transfer coefficient"])
+def test_epsilon_symmetry_with_a_nontrivial_identification(build):
+    """i is not the identity on I (and over QQ(i) the data are
+    Fractions).  Each 1 x 1 table, and 2 x 2 tables with one off-diagonal
+    entry made wrong, are checked against the oracle: a table is refused
+    exactly when the oracle finds a bad coordinate pair, and the error
+    names the first one."""
+    coef, entries = build()
+    assert coef.imat != Matrix.identity(coef.module.F, coef.module.sdim)
+    I, M1, M2 = coef.module, free_module(coef.rwi, 1), free_module(coef.rwi, 2)
+    rng = random.Random(7)
+    verdicts = set()
+    for epsilon in (1, -1):
+        eps = coef.ring.el(epsilon)
+        for e in entries:
+            verdicts.add(assert_symmetry_check_matches_oracle(coef, M1, [[e]], epsilon))
+        symmetric = [e for e in entries if I.scal(eps, coef.i(e)) == e]
+        for _ in range(8):
+            a, d = rng.choice(symmetric), rng.choice(symmetric)
+            b, wrong = rng.choice(entries), rng.choice(entries)
+            good = I.scal(eps, coef.i(b))
+            assert assert_symmetry_check_matches_oracle(coef, M2, [[a, b], [good, d]], epsilon)
+            if wrong != good:
+                assert not assert_symmetry_check_matches_oracle(coef, M2, [[a, b], [wrong, d]], epsilon)
+    assert verdicts == {True, False}
 
 
 def test_nondegeneracy_examples():

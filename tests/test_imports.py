@@ -149,7 +149,6 @@ KEPT_PUBLIC = {
     "forms.HermitianForm.btensor": "oracle: the ring-valued Gram matrix of the diagonalize congruence",
     "forms.diagonal_form": "oracle: builds the forms <a1, ..., an> that the tests start from",
     "linalg.Matrix.transpose": "oracle: the congruence sigma(C)^T G C in tests/test_fieldwitt.py",
-    "transfer.RestrictedModule.to_restricted": "oracle: the inverse that from_restricted is checked against",
     "wittgroup.sample_gram_tables": "oracle: seeded Gram tables for the brute-force cross-checks",
     "devissage.verify_localcase_factorization": "benchmark: the localcase query of bench/workloads.py",
     "parser.parse_element": "benchmark: bench/workloads.py parses the ideal generator J",

@@ -31,6 +31,13 @@ def test_snf_diagonal_divisibility():
             assert b % a == 0
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=0, max_size=3))
+def test_snf_without_the_column_transform_gives_the_same_d_and_u(rows):
+    d, u, v = smith_normal_form(rows)
+    assert smith_normal_form(rows, with_v=False) == (d, u, None)
+
+
 def test_invariant_factors_known():
     assert PresentedGroup(2, [[2, 0], [0, 4]]).factors == [2, 4]
     assert PresentedGroup(2, [[1, 0], [0, 1]]).factors == []

@@ -301,3 +301,50 @@ def test_functional_is_the_reduced_pairing_with_each_basis_vector(case):
             xv = tuple(F.el(a) for a in vec)
             want = [tuple(x.data for x in form.eval_vecs(xv, u)) for u in units]
             assert cols == [tuple(w[s] for w in want) for s in range(isd)]
+
+
+# -- the identity product ------------------------------------------------------
+
+
+def every_product_closure(rows, vec, module, p):
+    """_closure_rows with every scalar-basis product, the identity's too."""
+    new_rows = rows.copy()
+    added = 0
+    for d in module.ring.scalar_basis():
+        m = _int_matrix(module.action_matrix(Element(module.ring, d)))
+        added += new_rows.insert(_mat_vec(m, vec, p))
+    return new_rows, added
+
+
+@pytest.mark.parametrize("text, identities", [
+    ("GF(3), sigma=id", {1}),
+    ("GF(9), sigma=frobenius", {1}),
+    ("GF(3)[t]/(t^3), sigma=id", {1}),
+    ("GF(3)xGF(3), sigma=swap", {0, 1}),
+])
+def test_closure_takes_the_vector_itself_for_the_identity(text, identities):
+    """The identity action matrix, wherever the scalar basis holds it, is
+    replaced by None, and the span grows exactly as with every product.
+    Over k x k the basis is the idempotents: neither is the identity on a
+    module with factors of both kinds, one is on a module of one kind."""
+    engine = engine_for((text, 1))
+    rng = random.Random(2)
+    seen = set()
+    for module in engine.shapes_up_to(3):
+        p, d = module.F.p, module.sdim
+        ident = [[int(i == j) for j in range(d)] for i in range(d)]
+        full = [_int_matrix(module.action_matrix(Element(module.ring, b)))
+                for b in module.ring.scalar_basis()]
+        mats = _scalar_action_ints(module)
+        assert [m is None for m in mats] == [m == ident for m in full]
+        seen.add(sum(m is None for m in mats))
+        assert [m for m in mats if m is not None] == [m for m in full if m != ident]
+        elems = _int_elements(module)
+        rows = Echelon(module.F)
+        for _ in range(6):
+            v = rng.choice(elems)
+            got, added = _closure_rows(rows, v, mats, p)
+            want, want_added = every_product_closure(rows, v, module, p)
+            assert (got.rows, added) == (want.rows, want_added)
+            rows = got
+    assert seen == identities

@@ -534,12 +534,12 @@ def test_restricted_module_decomposes_as_before(tower, shape):
     assert rm.module.key == head.module.key
     assert rm.gens == head.gen_vecs
     for x in rm.module.elements():
-        m = rm.from_restricted(x)
+        m = M.from_vec(rm.to_ambient(x))
         assert m == head.from_restricted(x)
         assert rm.to_ambient(x) == M.to_vec(m)
         assert rm.of_ambient(rm.to_ambient(x)) == x
     for m in M.elements():
-        assert rm.to_restricted(m) == head.to_restricted(m)
+        assert rm.of_ambient(M.to_vec(m)) == head.to_restricted(m)
 
 
 def shapes_up_to(rwi, bound):

@@ -108,7 +108,7 @@ def fresh_transfer_form(tc, form):
     """transfer_form with a RestrictedModule and a module of its own."""
     rm = RestrictedModule(tc.pi, tc.rwi_src, form.module)
     module = FLModule(tc.rwi_src, [f.ann for f in rm.module.factors])
-    gens = [rm.from_restricted(g) for g in module.generators()]
+    gens = [form.module.from_vec(rm.to_ambient(g)) for g in module.generators()]
     gram = [[tc.eval_at_one(form.evaluate(x, y)) for y in gens] for x in gens]
     return HermitianForm(tc.source_coef, module, gram, form.epsilon)
 

@@ -1,13 +1,14 @@
 """Pushforward of duality coefficients and forms along finite ring maps."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittkit.coefficients import standard_coefficient
-from wittkit.devissage import DevissageData
+from wittkit.devissage import DevissageData, verify_localcase_factorization
 from wittkit.errors import (
     CoefficientMismatch,
     DomainMismatch,
@@ -20,7 +21,9 @@ from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import (
     GF,
     PrimeField,
+    QuadraticField,
     QuotientRing,
+    Rationals,
     RingMap,
     identity_map,
     involution,
@@ -31,7 +34,7 @@ from wittkit.transfer import (
     TransferCoefficient,
     transfer_form,
 )
-from wittkit.wittgroup import sample_gram_tables
+from wittkit.wittgroup import WittEngine, sample_gram_tables
 
 
 def f9_over_f3():
@@ -150,7 +153,7 @@ def test_restrict_scalars_roundtrip():
     res = RestrictedModule(pi, src, M)
     assert res.module.length == 2
     x = M.element([dst.ring.gen("u")])
-    back = res.from_restricted(res.to_restricted(x))
+    back = M.from_vec(res.to_ambient(res.of_ambient(M.to_vec(x))))
     assert back == x
 
 
@@ -195,3 +198,104 @@ def test_devissage_transfer_keeps_nondegeneracy_and_sums(text, epsilon, data):
     # summands included
     both = transfer_form(dd.tc, orthogonal_sum(f, g))
     assert isometric(canonical_order(both), orthogonal_sum(tf, tg)) is not None
+
+
+# -- the raw-coordinate transfer against the Element oracle -------------------
+#
+# transfer_form computes each Gram entry as E . sum u_c1 v_c2 T[c1][c2] on
+# raw scalar data.  The oracle is the transfer before that: the restricted
+# generators as elements of the module over S, the form evaluated on them
+# with HermitianForm.evaluate and each value evaluated at one through the
+# hom matrix (TransferCoefficient.eval_at_one).
+
+
+def oracle_transfer_form(tc, form):
+    rm = tc.restriction(form.module)
+    M = form.module
+    gens = [M.from_vec(rm.to_ambient(g)) for g in rm.module.generators()]
+    gram = [[tc.eval_at_one(form.evaluate(x, y)) for y in gens] for x in gens]
+    return HermitianForm(tc.source_coef, rm.module, gram, form.epsilon)
+
+
+def assert_transfer_matches_oracle(tc, form):
+    out, ref = transfer_form(tc, form), oracle_transfer_form(tc, form)
+    assert out.module is ref.module
+    assert out.gram_key() == ref.gram_key()
+    assert out.gram == ref.gram
+    assert out.is_nondegenerate() == ref.is_nondegenerate() == form.is_nondegenerate()
+
+
+def _devissage_tower(text):
+    return lambda: devissage_data(text).tc
+
+
+def _f9_tower():
+    pi, src, dst = f9_over_f3()
+    return TransferCoefficient(pi, dst, standard_coefficient(src))
+
+
+def _gamma_tower(name):
+    def build():
+        rwi = parse_ring_with_involution("GF(3)[t]/(t^3), sigma=id")
+        gamma = verify_localcase_factorization(rwi, rwi.ring.gen("t") ** 2, 1, 1).gamma
+        return getattr(gamma, name)
+    return build
+
+
+# (id, transfer coefficient thunk, epsilon, length bound of the classes)
+ORACLE_TOWERS = [
+    ("t^3 id +1", _devissage_tower("GF(3)[t]/(t^3), sigma=id"), 1, 4),
+    ("t^2 t->-t -1", _devissage_tower("GF(3)[t]/(t^2), sigma=t->-t"), -1, 4),
+    ("GF(9)[t]/(t^2) t->-t +1", _devissage_tower("GF(9)[t]/(t^2), sigma=t->-t"), 1, 4),
+    ("F3->F9 frobenius +1", _f9_tower, 1, 3),
+    ("F3->F9 frobenius -1", _f9_tower, -1, 3),
+    ("gamma J=(t^2) inner", _gamma_tower("inner"), 1, 3),
+    ("gamma J=(t^2) composite", _gamma_tower("composite"), 1, 4),
+    ("gamma J=(t^2) direct", _gamma_tower("direct"), 1, 4),
+]
+
+
+@pytest.mark.parametrize("build, epsilon, bound", [t[1:] for t in ORACLE_TOWERS],
+                         ids=[t[0] for t in ORACLE_TOWERS])
+def test_transfer_of_every_class_matches_the_element_oracle(build, epsilon, bound):
+    tc = build()
+    engine = WittEngine(tc.coefficient, epsilon)
+    classes = [f for m in engine.shapes_up_to(bound) for f in engine.classes(m)]
+    assert len(classes) >= 2
+    for f in classes:
+        assert_transfer_matches_oracle(tc, f)
+
+
+@pytest.mark.parametrize("build, epsilon", [t[1:3] for t in ORACLE_TOWERS],
+                         ids=[t[0] for t in ORACLE_TOWERS])
+def test_transfer_of_seeded_tables_matches_the_element_oracle(build, epsilon):
+    """Seeded Gram tables on every shape of length at most 2, degenerate
+    ones included."""
+    tc = build()
+    rng = random.Random(5)
+    engine = WittEngine(tc.coefficient, epsilon)
+    degenerate = 0
+    for module in engine.shapes_up_to(2):
+        for f in sample_gram_tables(tc.coefficient, module, epsilon, 6, rng):
+            degenerate += not f.is_nondegenerate()
+            assert_transfer_matches_oracle(tc, f)
+    assert degenerate
+
+
+def test_transfer_over_qq_matches_the_element_oracle():
+    """QQ -> QQ(i) with conj: the data are Fractions, reduced exactly."""
+    QQ, K = Rationals(), QuadraticField(-1)
+    tc = TransferCoefficient(RingMap(QQ, K, []), involution(K, "conj"),
+                             standard_coefficient(involution(QQ, "id")))
+    I = tc.module
+    M = free_module(tc.rwi_dst, 2)
+    values = [Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5)]
+    rng = random.Random(3)
+    for _ in range(12):
+        a, b, c = (I.from_vec(tuple(rng.choice(values) for _ in range(I.sdim))) for _ in range(3))
+        for epsilon in (1, -1):
+            i = tc.coefficient.i
+            # diagonal entries with b(x, x) = epsilon i(b(x, x))
+            diag = [I.add(e, I.scal(K.el(epsilon), i(e))) for e in (a, c)]
+            gram = [[diag[0], b], [I.scal(K.el(epsilon), i(b)), diag[1]]]
+            assert_transfer_matches_oracle(tc, HermitianForm(tc.coefficient, M, gram, epsilon))

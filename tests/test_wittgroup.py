@@ -291,9 +291,12 @@ def test_a_lookup_miss_names_the_shape_the_fingerprint_and_the_search():
 def test_a_lookup_miss_counts_the_classes_it_searched(monkeypatch):
     F3 = PrimeField(3)
     coef = std(F3)
-    form = diagonal_form(coef, [F3.one, F3.el(2)])
+    # a Gram table that class enumeration does not generate, so lookup
+    # has no recorded answer for it and must search
+    form = HermitianForm(coef, free_module(coef.rwi, 2), [[1, 1], [1, 2]], 1)
     engine = WittEngine(coef, 1)
     assert len(engine.classes(form.module)) == 2
+    assert (form.module.key, form.gram_key()) not in engine._lookups
     # the class list is built; from here on every search answers None
     monkeypatch.setattr(wittgroup, "isometric", lambda f, g: None)
     with pytest.raises(EngineError) as exc:
@@ -353,3 +356,57 @@ def test_one_factor_classes_keep_to_the_engine_limit():
     engine = WittEngine(std(F9), 1, max_size=8)
     with pytest.raises(EnumerationBoundExceeded):
         engine.one_factor_classes(F9.zero)
+
+
+# -- lookup answers recorded by class enumeration ------------------------------
+#
+# _distinct keeps, for every form it meets, the class it matched the form to
+# (the form itself when kept), and lookup answers those forms from there.
+# The oracle rebuilds each recorded form from its Gram key, with no table
+# kept from before, and searches the shape's classes by fingerprint and
+# isometric.
+
+
+def rebuilt(engine, module, gkey):
+    """A fresh form with this raw Gram key: no table is kept on it yet."""
+    I = engine.coef.module
+    gram = [[I.from_vec(e) for e in row] for row in gkey]
+    return HermitianForm(engine.coef, module, gram, engine.epsilon)
+
+
+LOOKUP_CASES = [
+    ("GF(3), sigma=id", 1, 3),
+    ("GF(9), sigma=frobenius", 1, 2),
+    ("GF(3)xGF(3), sigma=swap", 1, 5),
+    ("GF(3)[t]/(t^3), sigma=id", 1, 2),
+    ("GF(3)[t]/(t^2), sigma=t->-t", -1, 2),
+]
+
+
+@pytest.mark.parametrize("text, epsilon, bound", LOOKUP_CASES,
+                         ids=[f"{t} {e:+d}" for t, e, _ in LOOKUP_CASES])
+def test_every_recorded_lookup_is_the_class_a_search_finds(text, epsilon, bound):
+    rwi = parse_ring_with_involution(text)
+    result = witt_group(standard_coefficient(rwi), epsilon, bound)
+    engine = result.engine
+    # every class answers for itself
+    for c in result.classes:
+        assert engine._lookups[(c.module.key, c.gram_key())] is c
+    for (mkey, gkey), rep in engine._lookups.items():
+        assert rep.module.key == mkey
+        form = rebuilt(engine, rep.module, gkey)
+        fp = form.norm_fingerprint()
+        matches = [c for c in engine.classes(rep.module)
+                   if rebuilt(engine, c.module, c.gram_key()).norm_fingerprint() == fp
+                   and isometric(form, rebuilt(engine, c.module, c.gram_key())) is not None]
+        assert [c.gram_key() for c in matches] == [rep.gram_key()]
+
+
+def test_lookup_answers_an_enumerated_sum_without_a_search(monkeypatch):
+    F3 = PrimeField(3)
+    engine = WittEngine(std(F3), 1)
+    form = diagonal_form(engine.coef, [F3.one, F3.el(2)])
+    classes = engine.classes(form.module)
+    monkeypatch.setattr(wittgroup, "isometric", lambda f, g: pytest.fail("searched"))
+    rep = engine.lookup(form)
+    assert rep in classes and isometric(form, rep) is not None
