@@ -19,21 +19,21 @@ coefficient (coefficients.py).
 
 Tables live where they are decided, and each is built on first read.  Per
 shape, on the module (one FLModule per annihilator tuple, from
-RingWithInvolution.module): the element list (_int_elements), the integer
-action matrices of the scalar basis (_scalar_action_ints) and the linear
-conditions for being killed by each annihilator (_ann_rows; on the
-coefficient module I they also give the kernel dimensions that
-nondegeneracy counts).  Per form, on the form: the Gram key, the
-coordinate tensor (raw I-coordinates, the one scalar pairing table), the
-norm table, the fingerprint and nondegeneracy.  An orthogonal sum takes
-its summands' reduced Gram entries as they are and composes its per-form
-tables from theirs, apart from nondegeneracy, which it decides on its
-composed tensor like any form.
+RingWithInvolution.module): the integer action matrices of the scalar
+basis (_scalar_action_ints) and the linear conditions for being killed by
+each annihilator (_ann_rows; on the coefficient module I they also give
+the kernel dimensions that nondegeneracy counts).  No table lists the
+elements of a module: element k is the tuple of base-p digits of k
+(_digits), decoded only where a search needs it.  Per form, on the form:
+the Gram key, the coordinate tensor (raw I-coordinates, the one scalar
+pairing table), the norm table, the fingerprint and nondegeneracy.  An
+orthogonal sum takes its summands' reduced Gram entries as they are and
+composes its per-form tables from theirs, apart from nondegeneracy, which
+it decides on its composed tensor like any form.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from operator import mul
 
@@ -376,15 +376,17 @@ def hyperbolic_form(coef, N, epsilon=1):
 # forward pass over the isotropic vectors, which decides on every ring
 # once the coefficient is a strong duality (see its docstring).
 #
-# Both searches run on integer coordinate vectors mod p.  The elements of a
-# module are listed once per module, in itertools.product order; the
-# coordinate Gram tensor and the norm b(x, x) of every element are
-# tabulated once per form; spans are tracked in a linalg.Echelon over the
-# prime field, on those same ints, and grown by the products of a vector
-# with the scalar basis (_closure_rows), the vector itself standing for the
-# product with whichever basis element acts as the identity.  Candidates
-# (generator images for isometric, isotropic vectors for is_metabolic) come
-# from the element list, so a finite scalar field is a hard requirement.
+# Both searches run on integer coordinate vectors mod p.  Element k of a
+# module is the tuple of base-p digits of k, most significant first
+# (_digits), which is the itertools.product order; the coordinate Gram
+# tensor and the norm b(x, x) of every element, by index, are tabulated
+# once per form; spans are tracked in a linalg.Echelon over the prime
+# field, on those same ints, and grown by the products of a vector with the
+# scalar basis (_closure_rows), the vector itself standing for the product
+# with whichever basis element acts as the identity.  Candidates (generator
+# images for isometric, isotropic vectors for is_metabolic) are indices
+# that pass the norm filter, decoded only then, so no module lists its
+# elements; the norm table still needs a finite scalar field.
 #
 # isometric solves for its candidates.  The conditions for the annihilator
 # of factor i are kept on f2's module (_ann_rows); each level copies them,
@@ -410,7 +412,7 @@ def hyperbolic_form(coef, N, epsilon=1):
 # summands' tables, which are built once and kept on the summands:
 #   - norm_fingerprint: the convolution of the summands' count tables;
 #   - _norm_table: the outer sum [a + b for a in T_f for b in T_g], which
-#     is already in _int_elements order when the factor order is the
+#     is already in index order when the factor order is the
 #     summands' own (always so over a field), and is otherwise reindexed
 #     by the coordinate permutation;
 #   - _coord_tensor: the block diagonal of the summands' tensors, permuted
@@ -427,11 +429,13 @@ def hyperbolic_form(coef, N, epsilon=1):
 # its annihilators in I, never through the dual module or its summands.
 
 
-def _int_elements(module):
-    if getattr(module, "_intel", None) is None:
-        p = module.F.p
-        module._intel = [v for v in itertools.product(range(p), repeat=module.sdim)]
-    return module._intel
+def _digits(k, d, p):
+    """The coordinates of element k of a module of scalar dimension d over
+    F_p: the d base-p digits of k, most significant first."""
+    out = [0] * d
+    for c in range(d - 1, -1, -1):
+        k, out[c] = divmod(k, p)
+    return tuple(out)
 
 
 def _int_matrix(m):
@@ -454,7 +458,7 @@ def _scalar_action_ints(module):
 
 
 def _mat_vec(mat, vec, p):
-    return tuple(sum(r[i] * vec[i] for i in range(len(vec))) % p for r in mat)
+    return tuple(sum(map(mul, r, vec)) % p for r in mat)
 
 
 def _coord_order(form):
@@ -473,7 +477,7 @@ def _coord_order(form):
 
 def _outer_sum(ta, tb, p):
     """[a + b for a in ta for b in tb], coordinates mod p: the norm table
-    of f + g from those of f and g, in _int_elements order.  One row is
+    of f + g from those of f and g, in index order.  One row is
     built per distinct value of ta."""
     rows = {}
     out = []
@@ -488,7 +492,7 @@ def _outer_sum(ta, tb, p):
 def _reindexed(table, perm, p):
     """A per-element table moved to permuted coordinates: entry k of the
     result is the entry of table at the element x with x[perm[a]] = y[a]
-    for every a, where y is element k (both in _int_elements order)."""
+    for every a, where y is element k (both indexed as by _digits)."""
     d = len(perm)
     idx = [0]
     for c in perm:
@@ -498,10 +502,11 @@ def _reindexed(table, perm, p):
 
 
 def _norm_table(form):
-    """b(x,x) as an I-coordinate int tuple for every x in M, in the order
-    of _int_elements.  A composed form sums and reindexes its summands'
-    tables; any other form is built by prefix recursion: O(p^d) with small
-    per-node cost instead of O(p^d d^2)."""
+    """b(x,x) as an I-coordinate int tuple for every x in M: entry k is
+    the norm of element k, whose coordinates are _digits(k, d, p).  A
+    composed form sums and reindexes its summands' tables; any other form
+    is built by prefix recursion: O(p^d) with small per-node cost instead
+    of O(p^d d^2)."""
     if getattr(form, "_ntab", None) is not None:
         return form._ntab
     M = form.module
@@ -536,7 +541,7 @@ def _norm_table(form):
 
     rec(0, [0] * isd, [[0] * isd for _ in range(d)])
     # prefix recursion emits x_k = 0 first, then 1..p-1, which is exactly
-    # the itertools.product order used by _int_elements
+    # the index order of _digits
     form._ntab = out
     return out
 
@@ -587,9 +592,9 @@ def _ann_rows(module, ann):
 
 
 def _solutions(system, d, p):
-    """The _int_elements indices, ascending, of the x in F_p^d that meet
-    every _condition in the Echelon system; nothing when the conditions
-    are inconsistent.
+    """The indices k, ascending, of the x = _digits(k, d, p) in F_p^d
+    that meet every _condition in the Echelon system; nothing when the
+    conditions are inconsistent.
 
     A condition lists its columns backwards, so each reduced row solves
     for the last coordinate it involves.  The solutions are then base +
@@ -597,7 +602,7 @@ def _solutions(system, d, p):
     v_q[q] = 1, v_q is 0 at every other such coordinate and before q, and
     base is 0 at all of them.  The dirs are in reduced echelon form with
     leading pivots, x[q] is the coefficient on v_q, and so the coefficient
-    tuples in itertools.product order give the solutions in element-list
+    tuples in itertools.product order give the solutions in index
     order."""
     rows = system.rows
     if rows and rows[-1][0] == d:
@@ -660,14 +665,16 @@ def _closure_rows(rows, vec, actmats, p):
 def isometric(f1, f2):
     """An isometry f1 -> f2 as a list of generator images, or None.  Image
     i is the image of generator i of f1.module as an integer coordinate
-    tuple mod p, the form in which _int_elements lists f2.module; the
-    element itself is f2.module.from_vec of those coordinates as scalars.
+    tuple mod p, the form in which _digits decodes the elements of
+    f2.module; the element itself is f2.module.from_vec of those
+    coordinates as scalars.
 
     Backtracking over images of the cyclic generators of f1.module.  Image
     i must be killed by the annihilator of factor i and match f1's Gram
     entries (j, i) against the images j < i already placed; both
     conditions are linear in its coordinates, and their solutions are
-    tried in element-list order.  It must also have norm f1's Gram entry
+    tried in index order, read in the norm table by index and decoded
+    only when the norm matches.  It must also have norm f1's Gram entry
     (i, i), keep the partial map injective, and lie in the radical of f2
     exactly when generator i lies in that of f1."""
     if f1.coef != f2.coef or f1.epsilon != f2.epsilon:
@@ -686,7 +693,6 @@ def isometric(f1, f2):
     n = len(M1.factors)
     # the generators are unit vectors, so b1(g_j, g_i) is Gram entry (j, i)
     cross_t = f1.gram_key()
-    elems = _int_elements(M2)
     norms = _norm_table(f2)
     ann_rows = [_ann_rows(M2, fac.ann) for fac in M1.factors]
     bt = f2._coord_tensor()
@@ -711,7 +717,7 @@ def isometric(f1, f2):
         if i == n:
             return True
         for k in candidates(i):
-            cand = elems[k]
+            cand = _digits(k, d, p)
             new_rows, added = _closure_rows(rows, cand, actmats, p)
             if added != sdims[i]:
                 continue  # partial map would not be injective
@@ -736,7 +742,8 @@ def is_metabolic(form):
     |L|^2 = |M| (for a nondegenerate form that forces L = L-perp).
 
     One forward pass builds a maximal totally isotropic submodule L.  It
-    starts from 0 and takes the isotropic vectors in element-list order;
+    starts from 0 and takes the isotropic vectors in index order, each
+    decoded (_digits) only once the norm table reads zero at its index;
     a vector outside L and orthogonal to it grows L by its R-span.  A
     vector passed over stays so as L grows (it stays in L, or stays not
     orthogonal to it), so at the end L-perp/L has no nonzero isotropic
@@ -775,8 +782,13 @@ def is_metabolic(form):
     actmats = _scalar_action_ints(M)
     rows = Echelon(F)
     cols = []  # the columns of b(r, -) for every row r of L
-    for x, v in zip(_int_elements(M), _norm_table(form)):
-        if v != zero or rows.contains(x) or any(sum(map(mul, x, col)) % p for col in cols):
+    for k, v in enumerate(_norm_table(form)):
+        if v != zero:
+            continue
+        x = _digits(k, d, p)
+        # orthogonality first: it is the cheaper test, and most isotropic
+        # vectors fail it once L is not 0
+        if any(sum(map(mul, x, col)) % p for col in cols) or rows.contains(x):
             continue
         rows, _ = _closure_rows(rows, x, actmats, p)
         if len(rows.rows) == half:

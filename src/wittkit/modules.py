@@ -11,12 +11,16 @@ univariate quotients k[t]/(t^n), and products of two equal fields.
 
 Every module the library builds comes from RingWithInvolution.module,
 which keeps one FLModule per annihilator tuple on the ring with
-involution.  Whatever is kept on a module is therefore built once per
-shape, and only when first read: its cyclic factors (with the echelon of
-each ideal) at construction, the action_matrix of each ring element, and
-the search tables of forms.py (_int_elements, _scalar_action_ints and
-_ann_rows).  A Decomposition builds the Basis behind its conversions
-on the first one, and that Basis its Echelon on the first of_ambient.
+involution, and every module takes its cyclic factors from
+RingWithInvolution.factor, which keeps one CyclicFactor (with the echelon
+of its ideal) per annihilator.  Whatever is kept on a factor is built
+once per annihilator, and whatever is kept on a module once per shape,
+each only when first read: on a factor, the action matrix of each ring
+element; on a module, its action_matrix, the block diagonal of its
+factors' matrices, and the search tables of forms.py
+(_scalar_action_ints and _ann_rows).  A Decomposition builds the Basis
+behind its conversions on the first one, and that Basis its Echelon on
+the first of_ambient.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ class CyclicFactor:
             raise EngineError("factor dimension not a multiple of the simple dimension")
         self.key = (-self.sdim, tuple(sorted(tuple(F.sort_key(x) for x in row)
                                              for _, row in self._ideal.rows)))
+        self._actions = {}
 
     def reduce(self, elem):
         ring = self.ring
@@ -109,6 +114,26 @@ class CyclicFactor:
             vec[c] = self.F.el(v).data
         return Element(self.ring, self.ring.from_svec(tuple(vec)))
 
+    def action_matrix(self, a):
+        """Scalar matrix of multiplication by the ring element a on R/(ann),
+        in the factor's coordinates, as rows of scalar Elements; kept per
+        a.  Column k is the reduced product of a with the representative
+        of unit coordinate vector k, computed on raw data."""
+        a = self.ring.el(a)
+        rows = self._actions.get(a.data)
+        if rows is None:
+            ring, F = self.ring, self.F
+            zero = [F.zero.data] * ring.scalar_dim()
+            cols = []
+            for c in self.free_coords:
+                unit = list(zero)
+                unit[c] = F.one.data
+                prod = ring.mul(a.data, ring.from_svec(tuple(unit)))
+                vec = self._ideal.reduce(ring.to_svec(prod))
+                cols.append([F.el(vec[r]) for r in self.free_coords])
+            rows = self._actions[a.data] = [list(row) for row in zip(*cols)]
+        return rows
+
     def elements(self):
         opts = [e for e in self.F.elements()]
         for combo in itertools.product(opts, repeat=self.sdim):
@@ -124,7 +149,7 @@ class FLModule:
             raise WittKitError("FLModule needs a RingWithInvolution")
         self.rwi = rwi
         self.ring = rwi.ring
-        self.factors = tuple(CyclicFactor(self.ring, a) for a in anns)
+        self.factors = tuple(rwi.factor(a) for a in anns)
         self.F = self.ring.scalar_field()
         self.sdim = sum(f.sdim for f in self.factors)
         self.length = sum(f.length for f in self.factors)
@@ -206,13 +231,18 @@ class FLModule:
         return tuple(c.data for c in self.to_vec(x))
 
     def action_matrix(self, a):
-        """Scalar matrix of multiplication by the ring element a."""
+        """Scalar matrix of multiplication by the ring element a: the block
+        diagonal of the factors' action matrices, since to_vec concatenates
+        the factor coordinates and scal acts factor by factor."""
         a = self.ring.el(a)
-        ck = a.data
-        if ck in self._action_cache:
-            return self._action_cache[ck]
-        m = map_matrix(self, self, lambda x: self.scal(a, x))
-        self._action_cache[ck] = m
+        m = self._action_cache.get(a.data)
+        if m is None:
+            zero = self.F.zero
+            rows = []
+            for f, off in zip(self.factors, self._offsets):
+                left, right = [zero] * off, [zero] * (self.sdim - off - f.sdim)
+                rows.extend(left + row + right for row in f.action_matrix(a))
+            m = self._action_cache[a.data] = Matrix(self.F, rows, self.sdim)
         return m
 
 

@@ -1202,8 +1202,10 @@ class RingWithInvolution:
             raise NotInvolutive(f"sigma^2 is not the identity on {ring}")
         self.ring = ring
         self.sigma = sigma
-        # exact annihilator data tuple -> FLModule, filled by module()
+        # exact annihilator data tuple -> FLModule, filled by module(), and
+        # exact annihilator data -> CyclicFactor, filled by factor()
         self._modules = {}
+        self._factors = {}
 
     def conj(self, x):
         return self.sigma(x)
@@ -1221,6 +1223,17 @@ class RingWithInvolution:
         if M is None:
             M = self._modules[key] = FLModule(self, anns)
         return M
+
+    def factor(self, ann):
+        """The modules.CyclicFactor R/(ann), built on first request and
+        shared by every module over self with a factor of this exact
+        annihilator, with the action matrices kept on it."""
+        from .modules import CyclicFactor
+        ann = self.ring.el(ann)
+        f = self._factors.get(ann.data)
+        if f is None:
+            f = self._factors[ann.data] = CyclicFactor(self.ring, ann)
+        return f
 
     def is_trivial(self):
         return self.sigma.is_identity()

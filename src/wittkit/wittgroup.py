@@ -41,7 +41,7 @@ from .forms import (
 )
 from .intsnf import PresentedGroup, hom_kernel_cokernel_trivial
 from .linalg import Matrix
-from .modules import CyclicFactor, indecomposable_factor_anns
+from .modules import indecomposable_factor_anns
 
 
 class WittEngine:
@@ -54,13 +54,13 @@ class WittEngine:
         self.ring = ring
         self.epsilon = epsilon
         self.max_size = max_size
-        anns = indecomposable_factor_anns(ring)
         # key-sorted, so modules assembled from these anns in index order
         # come out in the canonical factor order
-        anns.sort(key=lambda a: CyclicFactor(ring, a).key)
-        self._anns = anns
-        self._facts = [CyclicFactor(ring, a) for a in self._anns]
-        self._ann_by_key = {f.key: a for f, a in zip(self._facts, self._anns)}
+        facts = sorted((self.rwi.factor(a) for a in indecomposable_factor_anns(ring)),
+                       key=lambda f: f.key)
+        self._anns = [f.ann for f in facts]
+        self._facts = facts
+        self._ann_by_key = {f.key: f.ann for f in facts}
         coef.require_strong()
         self._blocks = None
         self._classes = {}

@@ -131,6 +131,36 @@ GOLDEN = [
     ),
 ]
 
+# The paper's P^1 with [X:Y] -> [Y:X] has the fixed points [1:1] and [-1:1].
+# In the chart x = X/Y the involution is x -> 1/x: t -> -t/(1+t) =
+# -t + t^2 - ... at t = x - 1, and s -> -s/(1-s) = -s - s^2 - ... at
+# s = x + 1.  Truncated to GF(3)[t]/(t^3), both are non-linear involutions.
+# u = t - sigma(t) (2t - t^2, and 2t + t^2) is a uniformizer with
+# sigma(u) = -u, so t -> u is an isomorphism of rings with involution from
+# (R, t->-t) onto each model, and every answer is the one for t->-t.  The
+# residue field is GF(3) with the identity.
+P1_MODELS = ["t->-t+t^2", "t->-t-t^2"]
+P1_ANSWERS = {
+    # W(R) = W(GF(3)) = Z/4, since -1 is not a square in GF(3)
+    ("witt", "+1"):
+        '{"bound": 4, "classes": 15, "epsilon": 1, "factors": [4], "group": "Z/4", "stable": true}',
+    # W^-(R) = W^-(GF(3)) = 0: alternating forms over a field are hyperbolic
+    ("witt", "-1"):
+        '{"bound": 4, "classes": 8, "epsilon": -1, "factors": [], "group": "0", "stable": true}',
+    # sigma fixes the socle t^2 (sigma(t)^2 = t^2 mod t^3), so the transfer
+    # keeps the sign, and devissage makes W(GF(3)) -> W(R) an isomorphism
+    ("devissage-check", "+1"):
+        '{"bound": 4, "epsilon": 1, "isomorphism": true, "source": "Z/4 (stable)", '
+        '"stable": true, "target": "Z/4 (stable)", "verdict": "ISOMORPHISM (stable)"}',
+    # the same with both sides 0
+    ("devissage-check", "-1"):
+        '{"bound": 4, "epsilon": -1, "isomorphism": true, "source": "0 (stable)", '
+        '"stable": true, "target": "0 (stable)", "verdict": "ISOMORPHISM (stable)"}',
+}
+P1_GOLDEN = [([command, f"GF(3)[t]/(t^3), sigma={sigma}", eps, "4"], 0, line)
+             for sigma in P1_MODELS for (command, eps), line in P1_ANSWERS.items()]
+P1_IDS = [f"{command}-p1-{sigma}-{eps}" for sigma in P1_MODELS for command, eps in P1_ANSWERS]
+
 
 @pytest.mark.parametrize(
     "argv, code, line",
@@ -147,6 +177,24 @@ def test_golden_json_and_exit_code(argv, code, line, capsys):
     out, err = capsys.readouterr()
     assert out == line + "\n"
     assert err == ""
+
+
+@pytest.mark.parametrize("argv, code, line", P1_GOLDEN, ids=P1_IDS)
+def test_p1_fixed_point_goldens(argv, code, line, capsys):
+    assert main(argv + ["--json"]) == code
+    out, err = capsys.readouterr()
+    assert out == line + "\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("sigma", P1_MODELS)
+def test_p1_fixed_point_models_answer_as_the_linear_involution(sigma, capsys):
+    for command, eps in P1_ANSWERS:
+        answers = []
+        for s in (sigma, "t->-t"):
+            assert main([command, f"GF(3)[t]/(t^3), sigma={s}", eps, "4", "--json"]) == 0
+            answers.append(capsys.readouterr().out)
+        assert answers[0] == answers[1], (command, eps)
 
 
 def test_python_dash_m_wittkit_runs_the_cli(capsys):

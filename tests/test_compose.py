@@ -15,6 +15,7 @@ _presentation_at looks up), on permuted copies of parsed forms, on sums
 with a degenerate summand, on sampled Gram tables (degenerate ones too)
 and on a coefficient whose dual is larger than the module."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -23,7 +24,6 @@ import pytest
 from wittkit.coefficients import DualityCoefficient, DualModule, standard_coefficient
 from wittkit.forms import (
     HermitianForm,
-    _int_elements,
     _norm_table,
     canonical_order,
     diagonal_form,
@@ -33,6 +33,12 @@ from wittkit.linalg import Matrix, unit_vector
 from wittkit.modules import free_module, module_from_shape
 from wittkit.parser import parse_ring_with_involution
 from wittkit.wittgroup import WittEngine, sample_gram_tables
+
+
+def _int_elements(module):
+    """Every integer coordinate tuple of module, in itertools.product
+    order: element k is entry k, the order of the norm table."""
+    return list(itertools.product(range(module.F.p), repeat=module.sdim))
 
 
 def scratch_coord_tensor(form):

@@ -31,8 +31,8 @@ from wittkit.forms import (
     _ann_rows,
     _closure_rows,
     _condition,
+    _digits,
     _functional,
-    _int_elements,
     _int_matrix,
     _mat_vec,
     _norm_table,
@@ -41,9 +41,17 @@ from wittkit.forms import (
     isometric,
 )
 from wittkit.linalg import Echelon, Matrix
+from wittkit.modules import free_module
 from wittkit.parser import parse_ring_with_involution
-from wittkit.rings import Element
+from wittkit.rings import Element, PrimeField, involution
 from wittkit.wittgroup import WittEngine, sample_gram_tables
+
+
+def _int_elements(module):
+    """Every integer coordinate tuple of module, in itertools.product
+    order: element k is entry k, the order of the norm table."""
+    return list(product(range(module.F.p), repeat=module.sdim))
+
 
 CASES = [
     ("GF(3), sigma=id", 1),
@@ -251,6 +259,17 @@ def test_solutions_list_exactly_the_filtered_elements(text):
                 assert list(_solutions(system, d, p)) == brute, (module, ann, seeded)
                 seen[bool(brute)] += 1
     assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_digits_decode_the_element_list(p):
+    """_digits(k, d, p) is entry k of the element list that the searches
+    no longer build, for every k and sdim 0 to 5."""
+    rwi = involution(PrimeField(p), "id")
+    for d in range(6):
+        elems = _int_elements(free_module(rwi, d))
+        assert len(elems) == p ** d
+        assert all(_digits(k, d, p) == x for k, x in enumerate(elems)), (p, d)
 
 
 def discriminant_is_square(form):

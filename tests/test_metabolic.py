@@ -8,6 +8,7 @@ every nondegenerate Gram table of the small shapes below, and on a seeded
 sample for larger ones, over fields and over non-field rings up to
 length 6."""
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,6 @@ from wittkit.errors import Degenerate, NotStrongDuality
 from wittkit.forms import (
     HermitianForm,
     _closure_rows,
-    _int_elements,
     _norm_table,
     _scalar_action_ints,
     is_metabolic,
@@ -26,6 +26,12 @@ from wittkit.linalg import Echelon
 from wittkit.modules import module_from_shape
 from wittkit.parser import parse_ring_with_involution
 from wittkit.wittgroup import WittEngine, enumerate_gram_tables, sample_gram_tables
+
+
+def _int_elements(module):
+    """Every integer coordinate tuple of module, in itertools.product
+    order: element k is entry k, the order of the norm table."""
+    return list(itertools.product(range(module.F.p), repeat=module.sdim))
 
 
 def bfs_is_metabolic(form):

@@ -116,6 +116,30 @@ def test_map_matrix_is_the_coordinate_matrix_of_the_map():
     assert (into.nrows, into.ncols) == (N.sdim, 0)
 
 
+ACTION_CASES = [
+    ("GF(3)[t]/(t^3), sigma=id", 3),
+    ("GF(9), sigma=frobenius", 2),
+    ("GF(3)xGF(3), sigma=swap", 3),
+    ("QQ(i), sigma=conj", 2),
+]
+
+
+@pytest.mark.parametrize("text, rank", ACTION_CASES, ids=[t for t, _ in ACTION_CASES])
+def test_action_matrix_is_the_block_diagonal_of_the_factor_actions(text, rank):
+    """FLModule.action_matrix assembles its factors' matrices, each built
+    on raw data once per factor and ring element; the oracle is the
+    matrix of scal on the whole module, through map_matrix."""
+    rwi = parse_ring_with_involution(text)
+    ring = rwi.ring
+    anns = indecomposable_factor_anns(ring)
+    shapes = [list(c) for k in range(1, rank + 1) for c in itertools.product(anns, repeat=k)]
+    scalars = [Element(ring, d) for d in ring.scalar_basis()] + ring.algebra_generators()
+    for shape in shapes:
+        M = rwi.module(shape)
+        for a in scalars:
+            assert M.action_matrix(a) == map_matrix(M, M, lambda x: M.scal(a, x)), (shape, a)
+
+
 def test_map_matrix_into_a_zero_module_has_a_column_per_source_coordinate():
     R = t2_ring()
     rwi = involution(R, "id")

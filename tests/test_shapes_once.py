@@ -1,12 +1,16 @@
 """Each module, restriction and coordinate Echelon is built once per shape.
 
-A RingWithInvolution keeps one FLModule per exact annihilator tuple, a
-TransferCoefficient one RestrictedModule per module key and involution,
-and a Decomposition builds the Echelon behind its coordinates on the
-first of_ambient call.  The oracles below are the code without that
-sharing: a fresh FLModule per request, a fresh RestrictedModule per
-transfer and a coordinate matrix solved from scratch.  Each must agree with what the shared objects give.  The Gram
-entries a sum takes from its summands are checked in test_compose.py."""
+A RingWithInvolution keeps one FLModule per exact annihilator tuple and
+one CyclicFactor per exact annihilator, shared by every module with that
+factor, a TransferCoefficient one RestrictedModule per module key and
+involution, and a Decomposition builds the Echelon behind its
+coordinates on the first of_ambient call.  The oracles below are the
+code without that sharing: a fresh FLModule per request, a fresh
+RestrictedModule per transfer and a coordinate matrix solved from
+scratch.  Each must agree with what the shared objects give.  The Gram
+entries a sum takes from its summands are checked in test_compose.py,
+and the action matrices a module assembles from its factors in
+test_modules.py."""
 
 import itertools
 from collections import Counter
@@ -20,7 +24,6 @@ from wittkit.errors import EngineError
 from wittkit.forms import (
     HermitianForm,
     _ann_rows,
-    _int_elements,
     _scalar_action_ints,
 )
 from wittkit.linalg import matrix_of_map
@@ -62,6 +65,22 @@ def test_equal_annihilator_tuples_give_one_module():
         assert other.module([R.zero, t ** 2]) is O
 
 
+def test_modules_share_their_cyclic_factors():
+    rwi = parse_ring_with_involution("GF(3)[t]/(t^3), sigma=t->-t")
+    R = rwi.ring
+    t = R.gen("t")
+    a, b = t ** 2, R.zero
+    assert rwi.module([a, b]).factors[0] is rwi.module([a]).factors[0]
+    assert rwi.module([a, b]).factors[1] is rwi.module([b, a]).factors[0]
+    assert FLModule(rwi, [b]).factors[0] is rwi.factor(b) is rwi.factor(0)
+    # the same ideal from another generator keeps a factor of its own
+    assert rwi.factor(-a) is not rwi.factor(a)
+    assert rwi.factor(-a).key == rwi.factor(a).key
+    # factors are kept per ring with involution
+    other = parse_ring_with_involution("GF(3)[t]/(t^3), sigma=id")
+    assert other.factor(a) is not rwi.factor(a)
+
+
 def shape_anns(rwi, bound):
     """Every tuple of indecomposable annihilators of total length at most
     bound, in the library's canonical order and reversed."""
@@ -96,7 +115,7 @@ def test_interned_tables_match_fresh_modules(text):
         M, fresh = rwi.module(anns), FLModule(rwi, anns)
         assert M.key == fresh.key
         assert [f.ann for f in M.factors] == [f.ann for f in fresh.factors]
-        assert _int_elements(M) == _int_elements(fresh)
+        assert all(a is b for a, b in zip(M.factors, fresh.factors))
         assert _scalar_action_ints(M) == _scalar_action_ints(fresh)
         for a in scalars + indecomposables + [ring.gen(g) for g in ring.generator_names()]:
             assert M.action_matrix(a) == fresh.action_matrix(a)
