@@ -13,6 +13,7 @@ limit exits 3 before any class is enumerated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -184,7 +185,9 @@ def cmd_diagonalize(args):
 # -- argument plumbing -------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The process's one parser: parse_args leaves it unchanged."""
     # --json/--seed are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,

@@ -208,9 +208,6 @@ class HermitianForm:
             raise Degenerate(f"form on {self.module!r} has a radical")
         return self
 
-    def rank(self):
-        return len(self.module.factors)
-
     def shape(self):
         return self.module.shape()
 

@@ -202,9 +202,6 @@ class PresentedGroup:
                 return False
         return True
 
-    def is_trivial(self):
-        return all(f == 1 for f in self.factors) or not self.factors
-
 
 def hom_kernel_cokernel_trivial(src, dst, gen_images):
     """For the map src -> dst sending generator i to the integer combination

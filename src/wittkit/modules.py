@@ -25,8 +25,6 @@ the first of_ambient.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import EngineError, EnumerationBoundExceeded, WittKitError
 from .linalg import Basis, Echelon, Matrix, matrix_of_map, span_basis, unit_vector
 from .rings import Element, ProductRing, QuotientRing, RingWithInvolution
@@ -134,11 +132,6 @@ class CyclicFactor:
             rows = self._actions[a.data] = [list(row) for row in zip(*cols)]
         return rows
 
-    def elements(self):
-        opts = [e for e in self.F.elements()]
-        for combo in itertools.product(opts, repeat=self.sdim):
-            yield self.from_coords(combo)
-
 
 class FLModule:
     """Direct sum of cyclic factors.  Elements are tuples of canonical
@@ -204,10 +197,6 @@ class FLModule:
 
     def is_zero(self, x):
         return all(r.is_zero() for r in x)
-
-    def elements(self):
-        for combo in itertools.product(*[list(f.elements()) for f in self.factors]):
-            yield tuple(combo)
 
     def size(self):
         if not self.F.is_finite:

@@ -13,10 +13,10 @@ search, and a form that matches no enumerated class raises EngineError
 small enough to afford it).
 
 The Witt group at a length bound b is presented by one generator per class
-of total length <= b, with relations [f + g] - [f] - [g] whenever the sum
-still fits the bound, and [m] = 0 for metabolic m.  Raising the bound by
-one induces a map of presentations; the result records whether that map is
-an isomorphism (the presentation is then bound-stable)."""
+of length <= b and relations [m] = 0 for metabolic m and [c + blk] - [c] -
+[blk] for each sum of a class and a block met by class enumeration within
+b (_presentation_at).  The same pass presents bound b + 1; the result records
+whether the inclusion of generators is an isomorphism (then bound-stable)."""
 
 from __future__ import annotations
 
@@ -66,6 +66,7 @@ class WittEngine:
         self._classes = {}
         self._metabolic = {}
         self._lookups = {}
+        self._sums = {}
 
     # -- invariant caches --------------------------------------------------
     def dual_of(self, module):
@@ -86,13 +87,14 @@ class WittEngine:
         among every Gram table on the module, one per isometry class."""
         module = self.rwi.module([ann])
         tables = enumerate_gram_tables(self.coef, module, self.epsilon, limit=self.max_size)
-        return self._distinct(f for f in tables if f.is_nondegenerate())
+        return self._distinct(f for f in tables if f.is_nondegenerate())[0]
 
     def _distinct(self, forms):
-        """One form per isometry class among forms, the first met of each,
-        sorted by fingerprint and Gram key.  The class each form was
-        matched to (itself when kept) is kept as lookup's answer for it."""
+        """One form per isometry class among forms (the first met, sorted by
+        fingerprint and Gram key) and the class each form was matched to,
+        in the order met; each match is also lookup's answer for its form."""
         found = []
+        matches = []
         for s in forms:
             fp = self.fingerprint(s)
             match = next((g for g in found
@@ -101,8 +103,9 @@ class WittEngine:
                 found.append(s)
                 match = s
             self._lookups[_keypair(canonical_order(s))] = match
+            matches.append(match)
         found.sort(key=lambda f: (self.fingerprint(f), f.gram_key()))
-        return found
+        return found, matches
 
     def blocks(self):
         """Forms that generate everything under orthogonal sums: all
@@ -169,12 +172,16 @@ class WittEngine:
             empty = HermitianForm(self.coef, module, [], self.epsilon, check=False)
             self._classes[module.key] = [empty]
             return self._classes[module.key]
-        self._classes[module.key] = self._distinct(self._block_sums(module))
-        return self._classes[module.key]
+        pairs = list(self._block_sums(module))
+        found, matches = self._distinct(_summed(module, c, blk) for c, blk in pairs)
+        self._classes[module.key] = found
+        self._sums[module.key] = [(g, c, b) for (c, b), g in zip(pairs, matches) if c.module.factors]
+        return found
 
     def _block_sums(self, module):
         """Every block of blocks() that holds the first factor of module,
-        summed with each class of the rest of module."""
+        paired with each class of the rest of module (the empty form when
+        nothing is left): the summands of the sums that present module."""
         pivot = module.factors[0].key
         skeys = Counter(f.key for f in module.factors)
         for blk in self.blocks():
@@ -186,10 +193,7 @@ class WittEngine:
             for k, mult in sorted(rest.items()):
                 rest_anns.extend([self._ann_by_key[k]] * mult)
             for c in self.classes(self.rwi.module(rest_anns)):
-                s = orthogonal_sum(c, blk) if c.module.factors else blk
-                if s.module.key != module.key:
-                    raise EngineError("orthogonal sum landed on the wrong shape")
-                yield s
+                yield c, blk
 
     def lookup(self, form):
         """The enumerated class isometric to form; EngineError on a miss,
@@ -262,32 +266,45 @@ class WittGroupResult:
 
 
 def _presentation_at(engine, bound):
-    mods = engine.shapes_up_to(bound)
-    classes = []
-    for m in mods:
-        classes.extend(engine.classes(m))
-    idx = {(f.module.key, f.gram_key()): i for i, f in enumerate(classes)}
+    """Presentations at bound and bound + 1 from one pass over the shapes
+    up to bound + 1, and the classes generating the second (the first
+    pres.ngens, of length <= bound, generate the first).  Columns: [m]
+    for each metabolic class m and [cls(c + blk)] - [c] - [cls(blk)] for
+    each sum c + blk, c nonempty, met by class enumeration (cls: the
+    class _distinct matched a form to); at bound, those whose shape fits.
+
+    They span every pair relation [cls(f + g)] - [f] - [g] within the
+    bound, and each column is one.  Every class g was kept from a sum on
+    its shape, blk alone (g = cls(blk)) or c + blk, blk holding the
+    shape's first (pivot) factor.  Induct on len f + len g; say the pivot
+    P of shape(f + g) is in g, so it is g's pivot.  If g = cls(blk),
+    f + blk is met on shape(f + g).  Else g = cls(c + blk); h = cls(f + c)
+    has [h] = [f] + [c] by induction, h + blk is met on shape(f + g) as
+    blk holds P, and [cls(f + g)] = [h] + [cls(blk)] = [f] + [g]."""
+    mods = engine.shapes_up_to(bound + 1)
+    classes = [f for m in mods for f in engine.classes(m)]
+    idx = {_keypair(f): i for i, f in enumerate(classes)}
     n = len(classes)
-    cols = []
-    for i, f in enumerate(classes):
-        if engine.metabolic(f):
+    cols = [(f.module.length, [int(j == i) for j in range(n)])
+            for i, f in enumerate(classes) if engine.metabolic(f)]
+    for m in mods:
+        for match, c, blk in engine._sums[m.key]:
             col = [0] * n
-            col[i] = 1
-            cols.append(col)
-    for i, f in enumerate(classes):
-        for j, g in enumerate(classes):
-            if j < i:
-                continue
-            if f.module.length + g.module.length > bound:
-                continue
-            s = orthogonal_sum(f, g)
-            k = idx[_keypair(engine.lookup(s))]
-            col = [0] * n
-            col[k] += 1
-            col[i] -= 1
-            col[j] -= 1
-            cols.append(col)
-    return PresentedGroup(n, cols), classes, idx
+            col[idx[_keypair(match)]] += 1
+            col[idx[_keypair(c)]] -= 1
+            col[idx[_keypair(engine._lookups[_keypair(blk)])]] -= 1
+            cols.append((m.length, col))
+    k = sum(f.module.length <= bound for f in classes)
+    pres = PresentedGroup(k, [col[:k] for length, col in cols if length <= bound])
+    return pres, PresentedGroup(n, [col for _, col in cols]), classes
+
+
+def _summed(module, c, blk):
+    """c + blk on module, or blk alone when c is the empty form."""
+    s = orthogonal_sum(c, blk) if c.module.factors else blk
+    if s.module.key != module.key:
+        raise EngineError("orthogonal sum landed on the wrong shape")
+    return s
 
 
 def _keypair(form):
@@ -303,22 +320,16 @@ def require_valid_bound(bound):
 def witt_group(coef, epsilon, bound, max_size=400000):
     """The presented Witt group at the given length bound (at least 1).
 
-    The bound+1 presentation is computed too, and the result records
-    whether the induced map is an isomorphism.  Every shape either
-    presentation needs is checked against max_size before any class is
-    enumerated."""
+    The result records whether its inclusion into the bound+1 presentation
+    is an isomorphism; every shape that one needs is checked against
+    max_size before any class is enumerated."""
     require_valid_bound(bound)
     engine = WittEngine(coef, epsilon, max_size=max_size)
     engine.require_shapes_fit(bound + 1)
-    pres, classes, _ = _presentation_at(engine, bound)
-    pres1, classes1, idx1 = _presentation_at(engine, bound + 1)
-    images = []
-    for f in classes:
-        col = [0] * len(classes1)
-        col[idx1[_keypair(f)]] = 1
-        images.append(col)
+    pres, pres1, classes = _presentation_at(engine, bound)
+    images = [[int(i == j) for i in range(pres1.ngens)] for j in range(pres.ngens)]
     ker, coker = hom_kernel_cokernel_trivial(pres, pres1, images)
-    return WittGroupResult(coef, epsilon, bound, classes, pres, ker and coker, engine)
+    return WittGroupResult(coef, epsilon, bound, classes[:pres.ngens], pres, ker and coker, engine)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import wittkit
-from wittkit.cli import main
+from wittkit.cli import build_parser, main
 
 GOLDEN = [
     (
@@ -207,6 +207,20 @@ def test_python_dash_m_wittkit_runs_the_cli(capsys):
     out, _ = capsys.readouterr()
     assert done.stdout == out == line + "\n"
     assert done.stderr == ""
+
+
+def test_one_parser_per_process_answers_as_a_fresh_one(capsys):
+    # --json before the subcommand, after it, then not at all: a flag seen
+    # by one call must not leak into the next through the shared parser
+    argv = ["witt", "GF(3), sigma=id", "+1", "2"]
+    runs = [["--json"] + argv, argv + ["--json"], argv]
+    shared = []
+    for run in runs:
+        shared.append((main(run), capsys.readouterr()))
+    for run, seen in zip(runs, shared):
+        build_parser.cache_clear()
+        assert (main(run), capsys.readouterr()) == seen
+    assert [out for _, (out, _) in shared] == [GOLDEN[0][2] + "\n"] * 2 + ["Z/4 (stable)\n"]
 
 
 def test_koszul_sign_human_output(capsys):

@@ -1,5 +1,6 @@
 """Duality coefficients, dual modules, and the double-dual comparison."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -19,6 +20,12 @@ from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import GF, PrimeField, QuotientRing, involution
 from wittkit.transfer import transfer_form
 from wittkit.wittgroup import WittEngine
+
+
+def elements_of(M):
+    """Every element of the module M, one per scalar coordinate vector in
+    itertools.product order."""
+    return [M.from_vec(v) for v in itertools.product(list(M.F.elements()), repeat=M.sdim)]
 
 
 def t2_setup(spec="id"):
@@ -140,8 +147,8 @@ def test_dual_of_multiplication_is_multiplication_by_the_conjugate():
         t = rwi.ring.gen("t")
         M = free_module(rwi, 1)
         D = standard_coefficient(rwi).dual(M)
-        for h in D.module.elements():
-            for x in M.elements():
+        for h in elements_of(D.module):
+            for x in elements_of(M):
                 assert D.eval(h, M.scal(t, x)) == D.eval(D.module.scal(rwi.conj(t), h), x)
 
 

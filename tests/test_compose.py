@@ -11,7 +11,8 @@ with evaluate on every pair of scalar basis vectors, b(x, x) of every
 element by bilinearity from that tensor, and nondegeneracy as the rank of
 the adjoint into a freshly built dual module.  Both must agree on every
 class the engine enumerates, on every sum of two classes (the forms
-_presentation_at looks up), on permuted copies of parsed forms, on sums
+class enumeration adds up and the pairwise presentation oracle of
+test_intsnf.py looks up), on permuted copies of parsed forms, on sums
 with a degenerate summand, on sampled Gram tables (degenerate ones too)
 and on a coefficient whose dual is larger than the module."""
 

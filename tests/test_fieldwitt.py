@@ -28,7 +28,7 @@ def std(ring, spec="id"):
 
 def congruent_diagonal(form, entries, cob):
     rwi = form.coef.rwi
-    n = form.rank()
+    n = len(form.module.factors)
     lhs = cob.map_entries(rwi.conj).transpose() * form.btensor() * cob
     for i in range(n):
         for j in range(n):
@@ -174,6 +174,6 @@ def nondegenerate_forms(draw, ring, spec, eps):
 def test_diagonalize_is_a_congruence_to_a_nondegenerate_diagonal(ring, spec, eps, data):
     form = data.draw(nondegenerate_forms(ring, spec, eps))
     entries, cob = diagonalize(form)
-    assert len(entries) == form.rank()
+    assert len(entries) == len(form.module.factors)
     assert all(not e.is_zero() for e in entries)
     assert congruent_diagonal(form, entries, cob)

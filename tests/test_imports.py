@@ -301,9 +301,15 @@ def test_the_chain_level_duality_is_gone():
 
 
 def test_one_coordinate_basis_per_subspace():
-    from wittkit import cli, forms, linalg, modules
+    from wittkit import cli, forms, intsnf, linalg, modules
 
     assert not hasattr(linalg, "Solver")
     assert [n for n in ("ActionSpace", "_ann_sort_key", "_hom_rows") if hasattr(modules, n)] == []
     assert not hasattr(cli, "entry")
     assert not hasattr(forms.HermitianForm, "neg")
+    # read by tests only; they list elements, count factors and read
+    # factors themselves
+    assert not hasattr(modules.FLModule, "elements")
+    assert not hasattr(modules.CyclicFactor, "elements")
+    assert not hasattr(intsnf.PresentedGroup, "is_trivial")
+    assert not hasattr(forms.HermitianForm, "rank")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittkit.coefficients import standard_coefficient
+from wittkit.forms import orthogonal_sum
 from wittkit.intsnf import (
     PresentedGroup,
     hom_kernel_cokernel_trivial,
@@ -50,9 +51,8 @@ def test_presented_group_factors():
     # Z^2 modulo the column (2, 0): Z/2 x Z
     g = PresentedGroup(2, [[2, 0]])
     assert g.factors == [2, 0]
-    assert not g.is_trivial()
-    assert PresentedGroup(1, [[1]]).is_trivial()
-    assert PresentedGroup(0, []).is_trivial()
+    assert PresentedGroup(1, [[1]]).factors == []
+    assert PresentedGroup(0, []).factors == []
 
 
 def test_presented_group_contains_exactly_its_relations():
@@ -364,15 +364,11 @@ REAL_RINGS = [
 
 def real_stability_check(text, epsilon, bound):
     """The two presentations and the class map of witt_group's stability
-    check."""
+    check: the bound presentation's generators are the first of the
+    bound+1 one's, and each maps to itself."""
     engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
-    pres, classes, _ = _presentation_at(engine, bound)
-    pres1, _, idx1 = _presentation_at(engine, bound + 1)
-    images = []
-    for f in classes:
-        col = [0] * pres1.ngens
-        col[idx1[(f.module.key, f.gram_key())]] = 1
-        images.append(col)
+    pres, pres1, _ = _presentation_at(engine, bound)
+    images = [[int(i == j) for i in range(pres1.ngens)] for j in range(pres.ngens)]
     return pres, pres1, images
 
 
@@ -391,7 +387,60 @@ def test_real_presentations_agree_with_the_dense_oracle(text, epsilon, bound):
     )
 
 
+def pairwise_presentation(engine, bound):
+    """The Witt presentation at bound with one relation per pair of
+    classes, as _presentation_at built it before it took its relations
+    from class enumeration: [m] for each metabolic class m and
+    [f + g] - [f] - [g], the sum looked up, for every pair i <= j whose
+    lengths fit the bound."""
+    classes = [f for m in engine.shapes_up_to(bound) for f in engine.classes(m)]
+    idx = {(f.module.key, f.gram_key()): i for i, f in enumerate(classes)}
+    n = len(classes)
+    cols = [[int(k == i) for k in range(n)] for i, f in enumerate(classes) if engine.metabolic(f)]
+    for i, f in enumerate(classes):
+        for j in range(i, n):
+            g = classes[j]
+            if f.module.length + g.module.length <= bound:
+                rep = engine.lookup(orthogonal_sum(f, g))
+                col = [0] * n
+                col[idx[(rep.module.key, rep.gram_key())]] += 1
+                col[i] -= 1
+                col[j] -= 1
+                cols.append(col)
+    return PresentedGroup(n, cols)
+
+
+# the real rings, the unstable queries, both P^1 fixed-point models and a
+# product ring with the identity involution
+ORACLE_RINGS = REAL_RINGS + [
+    ("GF(3)[t]/(t^3), sigma=id", 1, 3),
+    ("GF(3)[t]/(t^4), sigma=t->-t", -1, 3),
+    ("GF(5)[t]/(t^3), sigma=t->-t", 1, 3),
+    ("GF(3)[t]/(t^3), sigma=t->-t+t^2", 1, 3),
+    ("GF(3)[t]/(t^3), sigma=t->-t-t^2", -1, 3),
+    ("GF(3)xGF(3), sigma=id", 1, 3),
+]
+
+
+@pytest.mark.parametrize("text, epsilon, bound", ORACLE_RINGS,
+                         ids=[f"{t} {e:+d} {b}" for t, e, b in ORACLE_RINGS])
+def test_relations_from_enumerated_sums_present_the_pairwise_group(text, epsilon, bound):
+    engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
+    pres, pres1, _ = _presentation_at(engine, bound)
+    pair, pair1 = pairwise_presentation(engine, bound), pairwise_presentation(engine, bound + 1)
+    for group, oracle in ((pres, pair), (pres1, pair1)):
+        assert group.ngens == oracle.ngens
+        assert group.factors == oracle.factors
+        assert all(group.contains(c) for c in oracle.relations)
+        assert all(oracle.contains(c) for c in group.relations)
+    images = [[int(i == j) for i in range(pres1.ngens)] for j in range(pres.ngens)]
+    assert hom_kernel_cokernel_trivial(pres, pres1, images) == hom_kernel_cokernel_trivial(
+        pair, pair1, images)
+
+
 def test_unit_pivots_shrink_a_real_presentation_to_its_core():
+    # one column per sum met by class enumeration, not per pair of classes;
+    # the pairwise oracle test above checks that both present the same group
     pres, _, _ = real_stability_check("GF(3)[t]/(t^3), sigma=id", 1, 4)
-    assert (pres.ngens, len(pres.relations)) == (26, 47)
-    assert (len(pres._core), len(pres._core_relations)) == (1, 6)
+    assert (pres.ngens, len(pres.relations)) == (26, 42)
+    assert (len(pres._core), len(pres._core_relations)) == (1, 4)

@@ -292,7 +292,7 @@ def test_isometric_decides_the_classification_over_fields(text):
     answers = {True: 0, False: 0}
     for a in classes:
         for b in classes:
-            same = a.rank() == b.rank() and (
+            same = len(a.module.factors) == len(b.module.factors) and (
                 not symmetric or discriminant_is_square(a) == discriminant_is_square(b))
             images = isometric(a, b)
             assert (images is not None) == same, (a.gram_key(), b.gram_key())

@@ -31,6 +31,12 @@ from wittkit.rings import GF, Element, PrimeField, ProductRing, QuotientRing, Ri
 from wittkit.transfer import RestrictedModule, TransferCoefficient
 
 
+def elements_of(M):
+    """Every element of the module M, one per scalar coordinate vector in
+    itertools.product order."""
+    return [M.from_vec(v) for v in itertools.product(list(M.F.elements()), repeat=M.sdim)]
+
+
 def t2_ring():
     return QuotientRing(PrimeField(3), [0, 0, 1], "t")
 
@@ -90,7 +96,7 @@ def test_vec_roundtrip_and_action_matrix():
     rwi = involution(R, "id")
     M = FLModule(rwi, [R.zero])
     t = R.gen("t")
-    for x in M.elements():
+    for x in elements_of(M):
         assert M.from_vec(M.to_vec(x)) == x
     A = M.action_matrix(t)
     one = M.element([R.one])
@@ -109,7 +115,7 @@ def test_map_matrix_is_the_coordinate_matrix_of_the_map():
     # project onto the R factor: x -> its first coordinate, in N
     proj = map_matrix(M, N, lambda x: N.element([x[0]]))
     assert (proj.nrows, proj.ncols) == (N.sdim, M.sdim)
-    for x in M.elements():
+    for x in elements_of(M):
         assert N.from_vec(proj.apply(M.to_vec(x))) == N.element([x[0]])
     Z = free_module(rwi, 0)
     into = map_matrix(Z, N, lambda x: N.zero())
@@ -162,7 +168,7 @@ def check_module_axioms(M, rng):
     """Sampled module axioms (seeded): associativity and distributivity of
     the action, compatibility of reduce with ring arithmetic."""
     scalars = list(M.ring.elements())
-    vectors = list(M.elements())
+    vectors = elements_of(M)
     for _ in range(25):
         a = rng.choice(scalars)
         b = rng.choice(scalars)
@@ -248,7 +254,7 @@ def _transfer_t_cubed_to_k():
 def test_hom_module_elements_round_trip_through_matrices(build):
     hom = build()
     flats = set()
-    for x in hom.module.elements():
+    for x in elements_of(hom.module):
         H = hom.hom_matrix(x)
         assert hom.element_of_hom(H) == x
         flats.add(tuple(e for row in H.rows for e in row))
@@ -272,7 +278,7 @@ def _count_eliminations(monkeypatch):
 @pytest.mark.parametrize("build", [_dual_of_r_plus_k, _transfer_t_cubed_to_k], ids=["dual", "transfer"])
 def test_hom_module_factors_its_coordinates_once(build, monkeypatch):
     hom = build()
-    elements = list(hom.module.elements())
+    elements = elements_of(hom.module)
     hom.element_of_hom(hom.hom_matrix(elements[0]))
     calls = _count_eliminations(monkeypatch)
     for x in elements:
@@ -527,7 +533,7 @@ def test_hom_module_decomposes_as_before(build, pairs):
     module, gen_flats, flat_of_element = head_hom(hom, pairs(hom))
     assert hom.module.key == module.key
     assert hom.gens == gen_flats
-    for x in hom.module.elements():
+    for x in elements_of(hom.module):
         flat = hom.to_ambient(x)
         assert flat == flat_of_element(x)
         assert hom.of_ambient(flat) == x
@@ -557,12 +563,12 @@ def test_restricted_module_decomposes_as_before(tower, shape):
     head = HeadRestrictedModule(pi, src, M)
     assert rm.module.key == head.module.key
     assert rm.gens == head.gen_vecs
-    for x in rm.module.elements():
+    for x in elements_of(rm.module):
         m = M.from_vec(rm.to_ambient(x))
         assert m == head.from_restricted(x)
         assert rm.to_ambient(x) == M.to_vec(m)
         assert rm.of_ambient(rm.to_ambient(x)) == x
-    for m in M.elements():
+    for m in elements_of(M):
         assert rm.of_ambient(M.to_vec(m)) == head.to_restricted(m)
 
 
