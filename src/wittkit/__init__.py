@@ -6,7 +6,7 @@ re-exported here; the submodules group the machinery:
 
     rings         ring tower, involutions, scalar-field coordinates
     modules       finite-length modules and cyclic decomposition
-    coefficients  duality coefficients, dual modules, double duals
+    coefficients  duality coefficients, dual modules, strong duality
     forms         epsilon-hermitian forms, isometry, metabolicity
     transfer      pushforward of coefficients and forms along finite maps
     koszul        free complexes, Koszul complexes of regular sequences,
@@ -19,7 +19,6 @@ re-exported here; the submodules group the machinery:
 """
 
 from .coefficients import (
-    DoubleDualComparison,
     DualityCoefficient,
     DualModule,
     check_coefficient_iso,
@@ -99,7 +98,6 @@ __all__ = [
     "ComparisonReport",
     "Degenerate",
     "DevissageData",
-    "DoubleDualComparison",
     "DualModule",
     "DualityCoefficient",
     "Element",

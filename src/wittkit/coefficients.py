@@ -5,10 +5,12 @@ finite-length module I together with a semilinear identification
 i: I -> I (i(a x) = sigma(a) i(x)) squaring to the identity.  The dual of
 a module M is D(M) = Hom_R(sigma_* M, I), i.e. additive maps h with
 h(a x) = sigma(a) h(x), carrying the R-action (a h)(x) = a h(x).  The
-canonical double-dual comparison sends x to the evaluation functional
-f |-> i(f(x)); a coefficient is a strong duality for M when that map is
-bijective.  Everything is computed as scalar-field linear algebra via the
-coordinate machinery in modules.py.
+canonical map can: M -> D(D(M)) sends x to the evaluation functional
+f |-> i(f(x)); a coefficient is a strong duality for M when can is
+bijective.  That is decided as nondegeneracy of the hyperbolic form H(M):
+its adjoint on M + D(M) is (y, g) |-> (g, epsilon can(y)), bijective
+exactly when can is.  Everything is computed as scalar-field linear
+algebra via the coordinate machinery in modules.py.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ class DualityCoefficient:
 
     The coefficient owns the dual modules taken against it: dual(M) builds
     D(M) once per module key and hands the same DualModule to every later
-    caller (hyperbolic forms, double-dual comparisons and every WittEngine
-    on this coefficient).  Forms decide nondegeneracy without it.
-    require_strong() checks once per coefficient that it is a strong
-    duality on every indecomposable module."""
+    caller, and hyperbolic(N, epsilon) keeps H(N) the same way for the
+    strong-duality check and every WittEngine on this coefficient.  Forms
+    decide nondegeneracy without the dual.  require_strong() checks once
+    per coefficient that it is a strong duality on every indecomposable
+    module N: the adjoint of H(N) is (y, g) |-> (g, epsilon can(y)), so N
+    is reflexive exactly when H(N) is nondegenerate."""
 
     def __init__(self, rwi, module, imap):
         if module.rwi != rwi:
@@ -54,6 +58,7 @@ class DualityCoefficient:
         if self.imat * self.imat != Matrix.identity(F, module.sdim):
             raise NotInvolutive("i . i is not the identity on the coefficient module")
         self._duals = {}
+        self._hyperbolic = {}
         self._strong = False
 
     def dual(self, module):
@@ -66,13 +71,31 @@ class DualityCoefficient:
             d = self._duals[module.key] = DualModule(self, module)
         return d
 
+    def hyperbolic(self, N, epsilon=1):
+        """H(N) for this sign (forms.hyperbolic_form), built on first
+        request and handed to every later caller, so the form the strong
+        duality check builds is the engine's hyperbolic block for +1."""
+        from .forms import hyperbolic_form
+        self.dual(N)  # compares the involution before the lookup
+        h = self._hyperbolic.get((N.key, epsilon))
+        if h is None:
+            h = self._hyperbolic[N.key, epsilon] = hyperbolic_form(self, N, epsilon)
+        return h
+
     def require_strong(self):
-        """Raise NotStrongDuality unless the double-dual comparison is
-        bijective on every indecomposable cyclic module; a success is kept
-        on the coefficient, so the comparisons are built once."""
+        """Raise NotStrongDuality unless every indecomposable cyclic module
+        N is reflexive, i.e. H(N) is nondegenerate (for epsilon = +1; the
+        adjoint's bijectivity does not depend on epsilon).  A success is
+        kept on the coefficient, so the check runs once; a failure names
+        which half of bijectivity of can: N -> D(D(N)) fails."""
         if not self._strong:
             for a in indecomposable_factor_anns(self.ring):
-                DoubleDualComparison(self, self.rwi.module([a])).require_strong()
+                N = self.rwi.module([a])
+                if not self.hyperbolic(N).is_nondegenerate():
+                    DDN = self.dual(self.dual(N).module).module
+                    why = (f"D(D(N)) has scalar dimension {DDN.sdim}, N has {N.sdim}"
+                           if DDN.sdim != N.sdim else "can: N -> D(D(N)) is not injective")
+                    raise NotStrongDuality(f"{N!r} is not reflexive against {self!r}: {why}")
             self._strong = True
         return self
 
@@ -125,35 +148,6 @@ class DualModule(HomModule):
     def eval(self, delem, x):
         H = self.hom_matrix(delem)
         return self.coef.module.from_vec(H.apply(self.source.to_vec(x)))
-
-
-class DoubleDualComparison:
-    """can: M -> D(D(M)), x |-> (f |-> i(f(x))).  Bijectivity decides
-    whether (I, i) is a strong duality for M."""
-
-    def __init__(self, coef, M):
-        self.coef = coef
-        self.M = M
-        self.dual = coef.dual(M)
-        self.double = coef.dual(self.dual.module)
-
-        def evaluation(x):
-            # column j of H is i(f_j(x)) for the unit vector f_j of D(M)
-            H = map_matrix(self.dual.module, coef.module, lambda f: coef.i(self.dual.eval(f, x)))
-            return self.double.element_of_hom(H)
-
-        self.matrix = map_matrix(M, self.double.module, evaluation)
-        self.bijective = (
-            self.double.module.sdim == M.sdim and self.matrix.rank() == M.sdim
-        )
-
-    def require_strong(self):
-        if not self.bijective:
-            raise NotStrongDuality(
-                f"double-dual comparison for {self.M!r} has rank "
-                f"{self.matrix.rank()} on a module of scalar dimension {self.M.sdim}"
-            )
-        return self
 
 
 def check_coefficient_iso(c1, c2, jmap):

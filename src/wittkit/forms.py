@@ -14,8 +14,9 @@ i), and epsilon is +1 or -1.  Nondegeneracy is a separate predicate
 are legitimate objects to build and then reject.  It is decided without
 building the dual module: one rank on the coordinate tensor and the
 dimension of the dual, a sum of kernels in I.  The dual module itself is
-read only by hyperbolic_form and by the double-dual check of the
-coefficient (coefficients.py).
+read only by hyperbolic_form, whose forms the coefficient keeps
+(DualityCoefficient.hyperbolic) for its strong-duality check and for
+the hyperbolic blocks of every engine.
 
 Tables live where they are decided, and each is built on first read.  Per
 shape, on the module (one FLModule per annihilator tuple, from

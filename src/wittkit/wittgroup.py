@@ -34,7 +34,6 @@ from .errors import (
 from .forms import (
     HermitianForm,
     canonical_order,
-    hyperbolic_form,
     is_metabolic,
     isometric,
     orthogonal_sum,
@@ -116,7 +115,7 @@ class WittEngine:
                 out.extend(self.one_factor_classes(a))
             for a in self._anns:
                 N = self.rwi.module([a])
-                h = canonical_order(hyperbolic_form(self.coef, N, epsilon=self.epsilon))
+                h = canonical_order(self.coef.hyperbolic(N, self.epsilon))
                 out.append(h.require_nondegenerate())
             self._blocks = out
         return self._blocks

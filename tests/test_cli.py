@@ -1,5 +1,6 @@
 """The command-line contract: golden --json lines and exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -221,6 +222,23 @@ def test_one_parser_per_process_answers_as_a_fresh_one(capsys):
         build_parser.cache_clear()
         assert (main(run), capsys.readouterr()) == seen
     assert [out for _, (out, _) in shared] == [GOLDEN[0][2] + "\n"] * 2 + ["Z/4 (stable)\n"]
+
+
+def test_bound_flag_default_bound_and_seed(capsys):
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        return out
+
+    witt = ["witt", "GF(3), sigma=id", "+1"]
+    positional = run(witt + ["3", "--json"])
+    assert run(witt + ["--bound", "3", "--json"]) == positional
+    assert json.loads(run(witt + ["--json"]))["bound"] == 4
+    seeded = json.loads(run(witt + ["3", "--seed", "7", "--json"]))
+    assert seeded.pop("seed") == 7
+    assert seeded == json.loads(positional)
+    assert run(witt + ["3", "--seed", "7"]) == run(witt + ["3"]) == "Z/4 (stable)\n"
 
 
 def test_koszul_sign_human_output(capsys):

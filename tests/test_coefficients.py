@@ -1,12 +1,13 @@
-"""Duality coefficients, dual modules, and the double-dual comparison."""
+"""Duality coefficients, dual modules, and strong duality, with the
+double-dual comparison kept here as the oracle for require_strong."""
 
 import itertools
 from collections import Counter
 
 import pytest
 
+import wittkit.forms
 from wittkit.coefficients import (
-    DoubleDualComparison,
     DualityCoefficient,
     DualModule,
     check_coefficient_iso,
@@ -14,12 +15,43 @@ from wittkit.coefficients import (
 )
 from wittkit.devissage import DevissageData
 from wittkit.errors import CoefficientMismatch, NotACoefficientIso, NotStrongDuality
+from wittkit.forms import hyperbolic_form
 from wittkit.linalg import Matrix
-from wittkit.modules import FLModule, free_module, indecomposable_factor_anns
+from wittkit.modules import FLModule, free_module, indecomposable_factor_anns, map_matrix
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import GF, PrimeField, QuotientRing, involution
 from wittkit.transfer import transfer_form
 from wittkit.wittgroup import WittEngine
+
+
+class DoubleDualComparison:
+    """can: M -> D(D(M)), x |-> (f |-> i(f(x))), built as the matrix of
+    hom-space coordinates.  Bijectivity decides whether (I, i) is a strong
+    duality for M; require_strong decides it by nondegeneracy of H(M)."""
+
+    def __init__(self, coef, M):
+        self.coef = coef
+        self.M = M
+        self.dual = coef.dual(M)
+        self.double = coef.dual(self.dual.module)
+
+        def evaluation(x):
+            # column j of H is i(f_j(x)) for the unit vector f_j of D(M)
+            H = map_matrix(self.dual.module, coef.module, lambda f: coef.i(self.dual.eval(f, x)))
+            return self.double.element_of_hom(H)
+
+        self.matrix = map_matrix(M, self.double.module, evaluation)
+        self.bijective = (
+            self.double.module.sdim == M.sdim and self.matrix.rank() == M.sdim
+        )
+
+    def require_strong(self):
+        if not self.bijective:
+            raise NotStrongDuality(
+                f"double-dual comparison for {self.M!r} has rank "
+                f"{self.matrix.rank()} on a module of scalar dimension {self.M.sdim}"
+            )
+        return self
 
 
 def elements_of(M):
@@ -70,9 +102,8 @@ def test_double_dual_strong_for_free_coefficient():
     rwi = t2_setup()
     coef = standard_coefficient(rwi)
     for anns in ([rwi.ring.zero], [rwi.ring.gen("t")]):
-        M = FLModule(rwi, anns)
-        cmp = DoubleDualComparison(coef, M)
-        cmp.require_strong()
+        assert hyperbolic_form(coef, FLModule(rwi, anns)).is_nondegenerate()
+    assert coef.require_strong() is coef
 
 
 def test_socle_quotient_coefficient_is_not_strong():
@@ -83,16 +114,17 @@ def test_socle_quotient_coefficient_is_not_strong():
     t = R.gen("t")
     I = FLModule(rwi, [t])
     coef = DualityCoefficient(rwi, I, lambda x: (rwi.conj(x[0]),))
-    DoubleDualComparison(coef, FLModule(rwi, [t])).require_strong()
-    with pytest.raises(NotStrongDuality):
-        DoubleDualComparison(coef, free_module(rwi, 1)).require_strong()
+    assert hyperbolic_form(coef, FLModule(rwi, [t])).is_nondegenerate()
+    assert not hyperbolic_form(coef, free_module(rwi, 1)).is_nondegenerate()
+    with pytest.raises(NotStrongDuality, match="D\\(D\\(N\\)\\) has scalar dimension 1, N has 2"):
+        coef.require_strong()
 
 
 def test_twisted_involution_coefficient_still_strong():
     rwi = t2_setup("twist")
     coef = standard_coefficient(rwi)
-    M = free_module(rwi, 1)
-    DoubleDualComparison(coef, M).require_strong()
+    assert hyperbolic_form(coef, free_module(rwi, 1)).is_nondegenerate()
+    assert coef.require_strong() is coef
 
 
 def test_check_coefficient_iso_identity():
@@ -158,7 +190,7 @@ def test_frobenius_dual_pairing_dimensions():
     M = free_module(rwi, 2)
     D = coef.dual(M)
     assert D.module.sdim == M.sdim
-    DoubleDualComparison(coef, M).require_strong()
+    assert hyperbolic_form(coef, M).is_nondegenerate()
 
 
 def test_engines_on_one_coefficient_build_each_dual_once(monkeypatch):
@@ -184,14 +216,35 @@ def test_engines_on_one_coefficient_build_each_dual_once(monkeypatch):
 
 
 def test_engines_on_one_coefficient_check_strong_duality_once(monkeypatch):
+    # require_strong asks the coefficient for H(N), which builds it through
+    # wittkit.forms.hyperbolic_form on first request; the asks are counted
+    # while require_strong runs, the builds everywhere
+    asks = Counter()
     builds = Counter()
-    init = DoubleDualComparison.__init__
+    inside = []
+    ask = DualityCoefficient.hyperbolic
+    build = wittkit.forms.hyperbolic_form
+    require = DualityCoefficient.require_strong
 
-    def counted(self, coef, M, *args):
-        builds[M.key] += 1
-        init(self, coef, M, *args)
+    def counted_ask(self, N, epsilon=1):
+        if inside:
+            asks[N.key] += 1
+        return ask(self, N, epsilon)
 
-    monkeypatch.setattr(DoubleDualComparison, "__init__", counted)
+    def counted_build(coef, N, epsilon=1):
+        builds[N.key, epsilon] += 1
+        return build(coef, N, epsilon)
+
+    def counted_require(self):
+        inside.append(self)
+        try:
+            return require(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(DualityCoefficient, "hyperbolic", counted_ask)
+    monkeypatch.setattr(wittkit.forms, "hyperbolic_form", counted_build)
+    monkeypatch.setattr(DualityCoefficient, "require_strong", counted_require)
     rwi = parse_ring_with_involution("GF(3)[t]/(t^3), sigma=id")
     coef = standard_coefficient(rwi)
     engines = [WittEngine(coef, 1), WittEngine(coef, -1)]
@@ -199,7 +252,11 @@ def test_engines_on_one_coefficient_check_strong_duality_once(monkeypatch):
         for m in engine.shapes_up_to(2):
             for f in engine.classes(m):
                 engine.metabolic(f)
-    assert sorted(builds) == sorted(rwi.module([a]).key for a in indecomposable_factor_anns(rwi.ring))
+    keys = sorted(rwi.module([a]).key for a in indecomposable_factor_anns(rwi.ring))
+    assert sorted(asks) == keys
+    assert set(asks.values()) == {1}
+    # the +1 engine's hyperbolic blocks are the forms the check built
+    assert sorted(builds) == sorted((key, e) for key in keys for e in (1, -1))
     assert set(builds.values()) == {1}
 
 
@@ -225,3 +282,50 @@ def test_dual_refuses_a_module_over_another_involution():
     assert twisted.key == M.key
     with pytest.raises(CoefficientMismatch):
         coef.dual(twisted)
+
+
+def sum_coefficient(rwi, anns):
+    """I = R/(a_1) + ... + R/(a_n) with i = sigma on each component."""
+    return DualityCoefficient(rwi, FLModule(rwi, anns), lambda x: tuple(rwi.conj(c) for c in x))
+
+
+def oracle_coefficients():
+    """(label, coefficient): the standard coefficient of seven rings, one
+    devissage k-side transfer coefficient, and two coefficients over
+    GF(3)[t]/(t^2) that are not strong."""
+    specs = ["GF(3), sigma=id", "GF(9), sigma=frobenius", "GF(3)xGF(3), sigma=swap",
+             "GF(3)[t]/(t^2), sigma=id", "GF(3)[t]/(t^2), sigma=t->-t",
+             "GF(3)[t]/(t^3), sigma=id", "QQ, sigma=id"]
+    out = [(spec, standard_coefficient(parse_ring_with_involution(spec))) for spec in specs]
+    data = DevissageData(parse_ring_with_involution("GF(3)[t]/(t^3), sigma=id"))
+    out.append(("k-side of GF(3)[t]/(t^3)", data.tc.coefficient))
+    rwi = t2_setup()
+    t = rwi.ring.gen("t")
+    out.append(("I = R/(t)", sum_coefficient(rwi, [t])))
+    out.append(("I = R + R/(t)", sum_coefficient(rwi, [rwi.ring.zero, t])))
+    return out
+
+
+def test_strong_duality_is_nondegeneracy_of_the_hyperbolic_form():
+    """On every indecomposable N and every sum of two, the double-dual
+    comparison is bijective exactly when H(N) is nondegenerate, for both
+    signs; require_strong answers as the indecomposables do."""
+    seen = set()
+    for label, coef in oracle_coefficients():
+        anns = indecomposable_factor_anns(coef.ring)
+        strong = True
+        for n in (1, 2):
+            for pick in itertools.combinations_with_replacement(anns, n):
+                N = coef.rwi.module(list(pick))
+                reflexive = DoubleDualComparison(coef, N).bijective
+                for epsilon in (1, -1):
+                    assert hyperbolic_form(coef, N, epsilon).is_nondegenerate() == reflexive, (label, N)
+                seen.add(reflexive)
+                if n == 1:
+                    strong = strong and reflexive
+        if strong:
+            assert coef.require_strong() is coef
+        else:
+            with pytest.raises(NotStrongDuality, match="is not reflexive"):
+                coef.require_strong()
+    assert seen == {True, False}

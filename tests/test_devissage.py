@@ -21,7 +21,7 @@ from wittkit.errors import (
     InvalidBound,
     WittKitError,
 )
-from wittkit.parser import parse_ring_with_involution
+from wittkit.parser import parse_element, parse_ring_with_involution
 from wittkit.wittgroup import witt_group
 
 
@@ -134,11 +134,32 @@ def test_the_enumerated_devissage_preconditions_hold(text):
 
 def test_improper_ideals_are_rejected():
     R = rwi("GF(3)[t]/(t^3), sigma=id")
-    with pytest.raises(ImproperIdeal):
+    with pytest.raises(ImproperIdeal, match="^J is the unit ideal$"):
         verify_localcase_factorization(R, R.ring.one, 1, 2)
     F = rwi("GF(3), sigma=id")
-    with pytest.raises(ImproperIdeal):
+    with pytest.raises(ImproperIdeal, match="^a field has no proper nonzero ideal$"):
         verify_localcase_factorization(F, F.ring.one, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "text, J, epsilon, bound, classes",
+    [
+        # T = k, and T = R twice (t^3 is 0 in R)
+        ("GF(3)[t]/(t^3), sigma=id", "t", 1, 4, 8),
+        ("GF(3)[t]/(t^3), sigma=id", "0", 1, 4, 8),
+        ("GF(3)[t]/(t^3), sigma=id", "t^3", 1, 4, 8),
+        # R a field, so T = R = k
+        ("GF(3), sigma=id", "0", 1, 3, 6),
+        ("GF(9), sigma=frobenius", "0", 1, 3, 3),
+        # T = k with the induced involution of a twisted sigma
+        ("GF(3)[t]/(t^2), sigma=t->-t", "t", -1, 3, 6),
+    ],
+)
+def test_localcase_branches_outside_the_general_quotient(text, J, epsilon, bound, classes):
+    R = rwi(text)
+    rep = verify_localcase_factorization(R, parse_element(R.ring, J), epsilon, bound)
+    assert rep.describe() == (f"diagram commutes on all {classes} classes; "
+                              "p_*: ISOMORPHISM (stable)")
 
 
 @pytest.mark.parametrize("bound", [0, -1])

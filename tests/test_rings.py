@@ -310,3 +310,17 @@ def test_remembered_involutions_match_fresh_images(text):
             for _ in ("cold", "warm"):
                 assert sigma(x) == fresh, (sigma, x)
             assert sigma(sigma(x)) == x
+
+
+def test_module_coerces_annihilators_and_refuses_another_rings():
+    R = QuotientRing(PrimeField(3), [0, 0, 1], "t")
+    rwi = involution(R, "id")
+    t = R.gen("t")
+    M = rwi.module([t, R.zero])
+    assert M.factors[0].ann is t
+    # ints and raw data are coerced, and land on the same cached module
+    assert rwi.module([t, 0]) is M
+    assert rwi.module([[0, 1], [0, 0]]) is M
+    for stranger in (PrimeField(3).one, QuotientRing(PrimeField(3), [0, 0, 0, 1], "t").gen("t")):
+        with pytest.raises(RingMismatch):
+            rwi.module([stranger])
