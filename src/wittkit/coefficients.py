@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import Matrix
 from .modules import HomModule, free_module, indecomposable_factor_anns, map_matrix
+from .rings import Element
 
 
 class DualityCoefficient:
@@ -142,8 +143,13 @@ class DualModule(HomModule):
         super().__init__(coef.rwi, I.sdim, source.sdim, pairs)
 
     def _act(self, a, flat):
-        """(a h)(x) = a h(x)."""
-        return self._flatten(self.coef.module.action_matrix(a) * self._unflatten(flat))
+        """(a h)(x) = a h(x): the raw action of a on I applied to each
+        column of h."""
+        I = self.coef.module
+        a, m = I.ring.el(a).data, self._ncols
+        raw = [x.data for x in flat]
+        cols = [I._apply(a, raw[c::m]) for c in range(m)]
+        return tuple(Element(self.F, cols[c][r]) for r in range(self._nrows) for c in range(m))
 
     def eval(self, delem, x):
         H = self.hom_matrix(delem)

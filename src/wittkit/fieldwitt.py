@@ -44,32 +44,34 @@ def _antifixed(rwi):
     return S1.from_vec(ns[0])[0]
 
 
-def _pivot_schedule(rwi):
-    ring = rwi.ring
+def _pivot_schedule(ring, w):
+    """Steering scalars t for v = x + t y; w is _antifixed, read over an
+    infinite ring only."""
     if ring.is_finite:
         return [e for e in ring.elements() if not e.is_zero()]
     out = [ring.el(a) for a in (1, -1, 2, -2, 3)]
-    w = _antifixed(rwi)
     if w is not None:
         out.extend([w, -w, w + w])
     return out
 
 
-def _norm_schedule(rwi):
-    """Rescaling candidates mu; the orbit entry is lambda . mu sigma(mu)."""
+def _norm_schedule(rwi, w):
+    """Rescaling candidates mu with their norms N(mu) = sigma(mu) mu; the
+    orbit entry is lambda . N(mu).  w is _antifixed, read over an
+    infinite ring only."""
     ring = rwi.ring
     if ring.is_finite:
-        return [e for e in ring.elements() if not e.is_zero()]
-    out = [ring.el(a) for a in (1, 2, 3, Fraction(1, 2), Fraction(1, 3))]
-    w = _antifixed(rwi)
-    if w is not None:
-        half = ring.el(Fraction(1, 2))
-        base = list(out)
-        for u in base:
-            out.append(u + w)
-            out.append((u + w) * half)
-        out.append(w)
-    return out
+        out = [e for e in ring.elements() if not e.is_zero()]
+    else:
+        out = [ring.el(a) for a in (1, 2, 3, Fraction(1, 2), Fraction(1, 3))]
+        if w is not None:
+            half = ring.el(Fraction(1, 2))
+            base = list(out)
+            for u in base:
+                out.append(u + w)
+                out.append((u + w) * half)
+            out.append(w)
+    return [(mu, rwi.conj(mu) * mu) for mu in out]
 
 
 def _entry_key(ring, lam):
@@ -87,13 +89,13 @@ def _entry_key(ring, lam):
     )
 
 
-def _canonical_rescale(rwi, v, lam, scal):
-    """Replace (v, lambda) by (mu.v, N(mu).lambda) minimizing the entry key."""
-    ring = rwi.ring
+def _canonical_rescale(ring, v, lam, scal, norms):
+    """Replace (v, lambda) by (mu.v, N(mu).lambda) minimizing the entry
+    key, mu running through the (mu, N(mu)) pairs of norms."""
     best = (v, lam)
     best_key = _entry_key(ring, lam)
-    for mu in _norm_schedule(rwi):
-        lam2 = rwi.conj(mu) * lam * mu
+    for mu, n in norms:
+        lam2 = lam * n
         k = _entry_key(ring, lam2)
         if k < best_key:
             best = (scal(mu, v), lam2)
@@ -124,6 +126,10 @@ def diagonalize(form):
         )
     form.require_nondegenerate()
     M = form.module
+    # the schedules are read over infinite rings only, and the norms are
+    # taken once per call
+    w = None if ring.is_finite else _antifixed(rwi)
+    norms = _norm_schedule(rwi, w)
 
     def val(x, y):
         return form.evaluate(x, y)[0]
@@ -144,7 +150,7 @@ def diagonalize(form):
                 for b in range(a + 1, len(rem)):
                     if val(rem[a], rem[b]).is_zero():
                         continue
-                    for t in _pivot_schedule(rwi):
+                    for t in _pivot_schedule(ring, w):
                         cand = M.add(rem[a], M.scal(t, rem[b]))
                         if not val(cand, cand).is_zero():
                             v = cand
@@ -157,7 +163,7 @@ def diagonalize(form):
             if v is None:
                 raise EngineError("nondegenerate complement without anisotropic vector")
         lam = val(v, v)
-        v, lam = _canonical_rescale(rwi, v, lam, M.scal)
+        v, lam = _canonical_rescale(ring, v, lam, M.scal, norms)
         basis.append(v)
         entries.append(lam)
         inv = lam.inverse()

@@ -7,11 +7,12 @@ epsilon-symmetry means b(y, x) = epsilon . i(b(x, y)).
 
 Construction validates three things: the Gram entries are killed by the
 factor annihilators on both slots (otherwise the table does not descend to
-the quotients), epsilon-symmetry holds on every pair of scalar basis
-vectors (on the raw coordinate tensor, against epsilon times the matrix of
-i), and epsilon is +1 or -1.  Nondegeneracy is a separate predicate
-(the adjoint into the dual module being bijective), since degenerate forms
-are legitimate objects to build and then reject.  It is decided without
+the quotients; tested as raw actions on the Gram key), epsilon-symmetry
+holds on every pair of scalar basis vectors (on the raw coordinate tensor,
+against epsilon times the matrix of i), and epsilon is +1 or -1.
+Nondegeneracy is a separate predicate (the adjoint into the dual module
+being bijective), since degenerate forms are legitimate objects to build
+and then reject.  It is decided without
 building the dual module: one rank on the coordinate tensor and the
 dimension of the dual, a sum of kernels in I.  The dual module itself is
 read only by hyperbolic_form, whose forms the coefficient keeps
@@ -23,14 +24,24 @@ shape, on the module (one FLModule per annihilator tuple, from
 RingWithInvolution.module): the integer action matrices of the scalar
 basis (_scalar_action_ints) and the linear conditions for being killed by
 each annihilator (_ann_rows; on the coefficient module I they also give
-the kernel dimensions that nondegeneracy counts).  No table lists the
-elements of a module: element k is the tuple of base-p digits of k
-(_digits), decoded only where a search needs it.  Per form, on the form:
-the Gram key, the coordinate tensor (raw I-coordinates, the one scalar
-pairing table), the norm table, the fingerprint and nondegeneracy.  An
-orthogonal sum takes its summands' reduced Gram entries as they are and
-composes its per-form tables from theirs, apart from nondegeneracy, which
-it decides on its composed tensor like any form.
+the kernel dimensions that nondegeneracy counts), both read off the
+module's raw action rows.  No table lists the elements of a module:
+element k is the tuple of base-p digits of k (_digits), decoded only where
+a search needs it.  Per form, on the form: the Gram key, the Gram entries,
+the coordinate tensor (raw I-coordinates, the one scalar pairing table),
+the norm table, the fingerprint and nondegeneracy.
+
+The Gram key (raw I-coordinates of the entries) comes first: every table
+of a plain form is computed from it, and the Gram entries are Elements
+made only when form.gram is read.  A form built from a table (__init__)
+makes its key from its coerced entries; transfer_form and the Gram
+enumeration of wittgroup hold raw coordinates already and set the key
+directly (_form_of_keys).  A plain form's tensor entry for scalar basis
+vectors in factors i and j is the raw action, on I, of the module's kept
+product sigma(r1) r2 of their representatives applied to key (i, j).  An
+orthogonal sum takes its summands' keys and reduced Gram entries as they
+are and composes its per-form tables from theirs, apart from
+nondegeneracy, which it decides on its composed tensor like any form.
 """
 
 from __future__ import annotations
@@ -47,66 +58,91 @@ from .errors import (
     NotEpsilonSymmetric,
     NotSesquilinear,
 )
-from .linalg import Echelon, Matrix, unit_vector
+from .linalg import Echelon, Matrix
 from .modules import free_module, module_from_shape
 
 
 class HermitianForm:
     def __init__(self, coef, module, gram, epsilon, check=True):
-        if module.rwi != coef.rwi:
-            raise CoefficientMismatch("form module and coefficient disagree on the involution")
-        if epsilon not in (1, -1):
-            raise FormMismatch(f"epsilon must be +1 or -1, got {epsilon!r}")
-        n = len(module.factors)
-        if len(gram) != n or any(len(row) != n for row in gram):
-            raise FormMismatch("Gram table size does not match the number of cyclic factors")
+        _check_table(coef, module, gram, epsilon)
         I = coef.module
-        self._setup(coef, module, [[_coerce(I, e) for e in row] for row in gram], epsilon)
+        self._setup(coef, module, epsilon, gram=[[_coerce(I, e) for e in row] for row in gram])
         if check:
             self._validate()
 
-    def _setup(self, coef, module, gram, epsilon, parts=None):
-        """Every form is set up here, from Gram entries that are already
-        reduced elements of coef.module: __init__ coerces its entries
-        first, _permuted_sum hands over its summands' entries as they are.
-
-        parts is (summands, order) on a form built by orthogonal_sum or
-        canonical_order: its factor a is factor order[a] of the summands'
-        factors taken one summand after another, and its tables are
-        composed from theirs; None on every other form."""
+    def _setup(self, coef, module, epsilon, gram=None, key=None, parts=None):
+        """Every form is set up here, from one of three sources: gram,
+        Gram entries that are reduced elements of coef.module already
+        (__init__ coerces its entries first); key, the raw coordinates of
+        such entries (_form_of_keys); or parts, (summands, order) on a
+        form built by orthogonal_sum or canonical_order, whose factor a is
+        factor order[a] of the summands' factors taken one summand after
+        another, and whose tables are composed from theirs.  The Gram key
+        and the Gram entries are each made from the source on first
+        read."""
         self.coef = coef
         self.module = module
         self.ring = module.ring
         self.epsilon = epsilon
-        self.gram = gram
+        self._gram = gram
+        self._gkey = key
         self._ctensor = None
         self._fp = None
         self._nondeg = None
-        self._gkey = None
         self._parts = parts
+
+    @property
+    def gram(self):
+        """The Gram table, entries b(g_i, g_j) as reduced elements of the
+        coefficient module; kept on the form.  A composed form takes its
+        summands' entries, a form set up on its key makes each entry once
+        by I.from_vec."""
+        if self._gram is None:
+            I = self.coef.module
+            if self._parts is not None:
+                summands = self._parts[0]
+                zero = I.zero()
+                picked = _picked(*self._parts)
+                self._gram = [[summands[s].gram[i][j] if s == t else zero for t, j in picked]
+                              for s, i in picked]
+            else:
+                self._gram = [[I.from_vec(k) for k in row] for row in self._gkey]
+        return self._gram
 
     def _validate(self):
         I = self.coef.module
         sig = self.coef.rwi.conj
-        for i, fi in enumerate(self.module.factors):
-            for j, fj in enumerate(self.module.factors):
-                e = self.gram[i][j]
-                if not I.is_zero(I.scal(sig(fi.ann), e)):
+        keys = self.gram_key()
+        # sesquilinearity on the Gram key: the raw actions of sigma(ann_i)
+        # and ann_j on entry (i, j) vanish
+        anns = [(sig(f.ann).data, f.ann.data) for f in self.module.factors]
+        zero = (I.F.zero_data(),) * I.sdim
+        for i, (sig_ann, _) in enumerate(anns):
+            for j, (_, ann) in enumerate(anns):
+                key = keys[i][j]
+                if key == zero:
+                    continue
+                if any(I._apply(sig_ann, key)):
                     raise NotSesquilinear(
                         f"entry ({i},{j}) not killed by sigma(ann) of factor {i}"
                     )
-                if not I.is_zero(I.scal(fj.ann, e)):
+                if any(I._apply(ann, key)):
                     raise NotSesquilinear(
                         f"entry ({i},{j}) not killed by ann of factor {j}"
                     )
-        # epsilon-symmetry on raw I-coordinates: epsilon . i as one matrix
+        # epsilon-symmetry on raw I-coordinates: epsilon . i as one matrix.
+        # It squares to the identity (the coefficient checks i . i = id), so
+        # the test at (c1, c2) covers (c2, c1), and a failure at c1 > c2
+        # would have been met at (c2, c1) first
         norm = I.F.normalize
         eps_i = [[self.epsilon * e.data for e in row] for row in self.coef.imat.rows]
         tab = self._coord_tensor()
-        for c1 in range(self.module.sdim):
-            for c2 in range(self.module.sdim):
+        d = self.module.sdim
+        for c1 in range(d):
+            for c2 in range(c1, d):
                 x = tab[c1][c2]
-                if tab[c2][c1] != tuple(norm(sum(map(mul, row, x))) for row in eps_i):
+                want = zero if x == zero else tuple(norm(sum(map(mul, row, x))) for row in eps_i)
+                if tab[c2][c1] != want:
                     raise NotEpsilonSymmetric(
                         f"b(y,x) != epsilon i(b(x,y)) at coordinate pair ({c1},{c2})"
                     )
@@ -161,12 +197,13 @@ class HermitianForm:
                 perm = _coord_order(self)
                 self._ctensor = [[whole[a][b] for b in perm] for a in perm]
             else:
-                sig = self.coef.rwi.conj
-                reps = [(i, fac.from_coords(unit_vector(self.module.F, fac.sdim, k)))
-                        for i, fac in enumerate(self.module.factors) for k in range(fac.sdim)]
-                left = [(i, sig(r1)) for i, r1 in reps]
-                self._ctensor = [[I.to_ints(I.scal(s1 * r2, self.gram[i][j])) for j, r2 in reps]
-                                 for i, s1 in left]
+                factor_of, products = self.module._pair_products()
+                keys = self.gram_key()
+                zero = (I.F.zero_data(),) * I.sdim
+                live = [[k != zero for k in row] for row in keys]
+                self._ctensor = [[I._apply(prod, keys[i][j]) if live[i][j] else zero
+                                  for j, prod in zip(factor_of, row)]
+                                 for i, row in zip(factor_of, products)]
         return self._ctensor
 
     def eval_vecs(self, xv, yv):
@@ -234,7 +271,7 @@ class HermitianForm:
             and self.coef == other.coef
             and self.module == other.module
             and self.epsilon == other.epsilon
-            and self.gram == other.gram
+            and self.gram_key() == other.gram_key()
         )
 
     def __hash__(self):
@@ -253,6 +290,31 @@ class HermitianForm:
         permutation of factors leaves it unchanged.  Otherwise it counts
         _norm_table, which needs a finite scalar field."""
         return _fingerprint(self)
+
+
+def _check_table(coef, module, table, epsilon):
+    """The checks every form built from a table passes: the coefficient
+    and the module share the involution, epsilon is a sign and the table
+    is square of the module's factor count."""
+    if module.rwi != coef.rwi:
+        raise CoefficientMismatch("form module and coefficient disagree on the involution")
+    if epsilon not in (1, -1):
+        raise FormMismatch(f"epsilon must be +1 or -1, got {epsilon!r}")
+    n = len(module.factors)
+    if len(table) != n or any(len(row) != n for row in table):
+        raise FormMismatch("Gram table size does not match the number of cyclic factors")
+
+
+def _form_of_keys(coef, module, keys, epsilon):
+    """The form whose Gram key is keys, unvalidated: keys holds the raw
+    I-coordinates (I.to_ints) of the entries, normalized in the scalar
+    field.  I.from_vec of such a vector is a reduced element already, so
+    each entry is made once, on the first read of form.gram, and not
+    reduced again."""
+    _check_table(coef, module, keys, epsilon)
+    form = object.__new__(HermitianForm)
+    form._setup(coef, module, epsilon, key=tuple(tuple(row) for row in keys))
+    return form
 
 
 def _coerce(I, entry):
@@ -278,17 +340,13 @@ def _permuted_sum(summands, order):
     """The orthogonal sum of the summands with its cyclic factors taken in
     the given order (indices into the summands' factors, one summand
     after another).  The result carries the summands, so its tables are
-    composed from theirs, and takes their Gram entries, which are reduced
-    already, without coercing them again."""
+    composed from theirs, its Gram entries too, which are reduced
+    already and are not coerced again."""
     first = summands[0]
-    I = first.coef.module
-    picked = _picked(summands, order)
-    module = first.coef.rwi.module([summands[s].module.factors[i].ann for s, i in picked])
-    zero = I.zero()
-    gram = [[summands[s].gram[i][j] if s == t else zero for t, j in picked]
-            for s, i in picked]
+    module = first.coef.rwi.module([summands[s].module.factors[i].ann
+                                    for s, i in _picked(summands, order)])
     form = object.__new__(HermitianForm)
-    form._setup(first.coef, module, gram, first.epsilon, (tuple(summands), tuple(order)))
+    form._setup(first.coef, module, first.epsilon, parts=(tuple(summands), tuple(order)))
     return form
 
 
@@ -418,10 +476,10 @@ def hyperbolic_form(coef, N, epsilon=1):
 #   - the Gram table and gram_key: the summands' entries and keys, zero
 #     off the diagonal blocks, never coerced again.
 # Every other form (a block, a hyperbolic form, a form built from a Gram
-# table, a transfer, whose Gram table transfer_form computes from the
-# source form's tensor) computes its tables from its own elements: the tensor
-# straight off the Gram table (sigma(r1) r2 times entry (i, j) for factor
-# representatives r1 and r2), the norm table by prefix recursion over that
+# table, a transfer, whose Gram key transfer_form computes from the source
+# form's tensor) computes its tables from its own Gram key: the tensor as
+# the raw action of the module's kept sigma(r1) r2 on key (i, j) for factor
+# representatives r1 and r2, the norm table by prefix recursion over that
 # tensor, the fingerprint by counting the table.  Every form, composed or
 # not, decides is_nondegenerate on its own tensor and on the kernels of
 # its annihilators in I, never through the dual module or its summands.
@@ -436,21 +494,16 @@ def _digits(k, d, p):
     return tuple(out)
 
 
-def _int_matrix(m):
-    return [[e.data for e in row] for row in m.rows]
-
-
 def _scalar_action_ints(module):
-    """The integer action matrices of the scalar basis of the ring, None in
-    place of the identity matrix: the basis element 1 over fields and
-    k[t]/(t^n); over k x k, whose basis is the idempotents, one of them on
-    a module with factors of one kind only.  _closure_rows takes the
-    vector itself there instead of a product."""
+    """The integer action matrices of the scalar basis of the ring, the
+    module's raw action rows (_act_rows), None in place of the identity
+    matrix: the basis element 1 over fields and k[t]/(t^n); over k x k,
+    whose basis is the idempotents, one of them on a module with factors
+    of one kind only.  _closure_rows takes the vector itself there
+    instead of a product."""
     if getattr(module, "_intact", None) is None:
-        from .rings import Element
         ident = [[int(i == j) for j in range(module.sdim)] for i in range(module.sdim)]
-        mats = (_int_matrix(module.action_matrix(Element(module.ring, d)))
-                for d in module.ring.scalar_basis())
+        mats = (module._act_rows(d) for d in module.ring.scalar_basis())
         module._intact = [None if m == ident else m for m in mats]
     return module._intact
 
@@ -482,7 +535,7 @@ def _outer_sum(ta, tb, p):
     for a in ta:
         row = rows.get(a)
         if row is None:
-            row = rows[a] = [tuple((x + y) % p for x, y in zip(a, b)) for b in tb]
+            row = rows[a] = [tuple([(x + y) % p for x, y in zip(a, b)]) for b in tb]
         out.extend(row)
     return out
 
@@ -522,19 +575,21 @@ def _norm_table(form):
         return out
     isd = form.coef.module.sdim
     bt = form._coord_tensor()
+    # b(e_k, e_c) + b(e_c, e_k), the coefficient of x_k x_c in b(x, x)
+    cross = [[[a + b for a, b in zip(bt[k][c], bt[c][k])] for c in range(d)] for k in range(d)]
     out = []
 
     def rec(k, acc, lin):
         if k == d:
-            out.append(tuple(a % p for a in acc))
+            out.append(tuple([a % p for a in acc]))
             return
         rec(k + 1, acc, lin)  # x_k = 0
-        diag = bt[k][k]
+        diag, lin_k, cross_k = bt[k][k], lin[k], cross[k]
         for xv in range(1, p):
-            acc2 = [acc[s] + xv * lin[k][s] + xv * xv * diag[s] for s in range(isd)]
+            acc2 = [a + xv * u + xv * xv * t for a, u, t in zip(acc, lin_k, diag)]
             lin2 = list(lin)
             for c in range(k + 1, d):
-                lin2[c] = [lin[c][s] + xv * (bt[k][c][s] + bt[c][k][s]) for s in range(isd)]
+                lin2[c] = [u + xv * t for u, t in zip(lin[c], cross_k[c])]
             rec(k + 1, acc2, lin2)
 
     rec(0, [0] * isd, [[0] * isd for _ in range(d)])
@@ -561,7 +616,7 @@ def _fingerprint(form):
                 conv = Counter()
                 for a, m in counts.items():
                     for b, n in table:
-                        conv[tuple((x + y) % p for x, y in zip(a, b))] += m * n
+                        conv[tuple([(x + y) % p for x, y in zip(a, b)])] += m * n
                 counts = conv
             form._fp = tuple(sorted(counts.items()))
     return form._fp
@@ -574,16 +629,16 @@ def _condition(col, t):
 
 
 def _ann_rows(module, ann):
-    """The conditions for being killed by ann, one per row of its integer
-    action matrix, in an Echelon over the prime field; kept on the module
-    per ann."""
+    """The conditions for being killed by ann, one per raw action row of
+    ann on the module (_act_rows), in an Echelon over the prime field;
+    kept on the module per ann."""
     memo = getattr(module, "_annrows", None)
     if memo is None:
         memo = module._annrows = {}
     if ann.data not in memo:
         rows = Echelon(module.F)
         if not ann.is_zero():  # 0 kills everything: no condition
-            for row in _int_matrix(module.action_matrix(ann)):
+            for row in module._act_rows(ann.data):
                 rows.insert(_condition(row, 0))
         memo[ann.data] = rows
     return memo[ann.data]
@@ -644,7 +699,7 @@ def _functional(bt, vec, d, isd, p):
     """b(vec, e_c) for every scalar basis vector e_c, as isd int columns
     mod p: entry c of column s is coordinate s of b(vec, e_c)."""
     rows = [(a, bt[i]) for i, a in enumerate(vec) if a]
-    return [tuple(sum(a * row[c][s] for a, row in rows) % p for c in range(d))
+    return [tuple([sum([a * row[c][s] for a, row in rows]) % p for c in range(d)])
             for s in range(isd)]
 
 

@@ -16,6 +16,7 @@ eliminates nothing: it is the Leibniz sum over every ring, up to 4 x 4.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from fractions import Fraction
 
 from .errors import WittKitError
@@ -79,17 +80,21 @@ class Matrix:
                 raise WittKitError(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
                 )
-            z = self.ring.zero
+            # on raw data, with the ring's own operations
+            R = self.ring
+            add, mul, z = R.add, R.mul, R.zero_data()
+            cols = [[row[j].data for row in other.rows] for j in range(other.ncols)]
             out = []
-            for i in range(self.nrows):
-                row = []
-                for j in range(other.ncols):
+            for row in self.rows:
+                r = [a.data for a in row]
+                out_row = []
+                for col in cols:
                     acc = z
-                    for k in range(self.ncols):
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                out.append(row)
-            return Matrix(self.ring, out, other.ncols)
+                    for a, b in zip(r, col):
+                        acc = add(acc, mul(a, b))
+                    out_row.append(Element(R, acc))
+                out.append(out_row)
+            return Matrix(R, out, other.ncols)
         if not isinstance(other, (Element, int, Fraction)):
             raise WittKitError(
                 f"cannot multiply a matrix by a {type(other).__name__}: "
@@ -259,17 +264,21 @@ class Echelon:
         """Add vec to the span; False if it was in the span already."""
         F, z = self.F, self._zero
         v = self.reduce(vec)
-        piv = next((k for k, c in enumerate(v) if c != z), None)
-        if piv is None:
+        for piv, c in enumerate(v):
+            if c != z:
+                break
+        else:
             return False
-        inv = F.inv(v[piv])
-        v = [F.mul(inv, c) for c in v]
-        for n, (q, row) in enumerate(self.rows):
+        if c != F.one_data():
+            inv = F.inv(c)
+            v = [F.mul(inv, x) for x in v]
+        rows = self.rows
+        for n, (q, row) in enumerate(rows):
             c = row[piv]
             if c != z:
-                self.rows[n] = (q, F.sub_mul(row, c, v))
-        self.rows.append((piv, v))
-        self.rows.sort(key=lambda r: r[0])
+                rows[n] = (q, F.sub_mul(row, c, v))
+        # pivots are distinct, so the pairs sort by pivot alone
+        insort(rows, (piv, v))
         return True
 
     def pivots(self):
@@ -284,8 +293,10 @@ class Basis:
     Elements: combine(x) is the vector sum x_j b_j, and coords(v) the x
     with combine(x) = v.
 
-    coords reduces [v | 0] against one Echelon of the rows [b_j | e_j],
-    built on its first call.  The b_j are independent, so every pivot
+    Both work on the raw data of the b_j, read once at construction:
+    combine is one Ring.sub_mul per nonzero x_j, and coords reduces
+    [v | 0] against one Echelon of the rows [b_j | e_j], built on its
+    first call.  The b_j are independent, so every pivot
     lies in the first n columns and v = sum x_j b_j reduces to [0 | -x];
     a vector outside the span keeps a nonzero part in those columns."""
 
@@ -293,14 +304,16 @@ class Basis:
         self.F = F
         self.vectors = [tuple(v) for v in vectors]
         self.n = n
+        self._raw = [[c.data for c in v] for v in self.vectors]
         self._echelon = None
 
     def combine(self, x):
-        out = [self.F.zero] * self.n
-        for c, b in zip(x, self.vectors):
+        F = self.F
+        out = [F.zero_data()] * self.n
+        for c, b in zip(x, self._raw):
             if not c.is_zero():
-                out = [a + c * y for a, y in zip(out, b)]
-        return tuple(out)
+                out = F.sub_mul(out, F.neg(c.data), b)
+        return tuple(Element(F, a) for a in out)
 
     def coords(self, vec):
         """The coordinates of vec in the basis, or None if vec is outside
@@ -311,10 +324,10 @@ class Basis:
         z = F.zero_data()
         if self._echelon is None:
             self._echelon = Echelon(F)
-            for j, b in enumerate(self.vectors):
+            for j, raw in enumerate(self._raw):
                 tag = [z] * k
                 tag[j] = F.one_data()
-                self._echelon.insert([c.data for c in b] + tag)
+                self._echelon.insert(raw + tag)
         red = self._echelon.reduce([c.data for c in vec] + [z] * k)
         if red[:n].count(z) != n:
             return None

@@ -15,15 +15,25 @@ involution, and every module takes its cyclic factors from
 RingWithInvolution.factor, which keeps one CyclicFactor (with the echelon
 of its ideal) per annihilator.  Whatever is kept on a factor is built
 once per annihilator, and whatever is kept on a module once per shape,
-each only when first read: on a factor, the action matrix of each ring
-element; on a module, its action_matrix, the block diagonal of its
-factors' matrices, and the search tables of forms.py
-(_scalar_action_ints and _ann_rows).  A Decomposition builds the Basis
-behind its conversions on the first one, and that Basis its Echelon on
-the first of_ambient.
+each only when first read:
+  - on a factor, the raw rows (Element.data) of the scalar matrix of each
+    ring element, keyed by its data (_act_rows);
+  - on a module, the raw rows of each ring element, the block diagonal of
+    its factors' rows (_act_rows), and the Matrix of them (action_matrix);
+    the raw products sigma(r1) r2 of the representatives of every pair of
+    scalar basis vectors (_pair_products), from which forms.py builds the
+    coordinate tensor of every plain form on the module; and the search
+    tables of forms.py (_scalar_action_ints and _ann_rows), read off the
+    same raw rows.
+_apply is the one raw action: the rows of a ring element times a raw
+coordinate vector, normalized in the scalar field (so QQ stays exact).
+A Decomposition builds the Basis behind its conversions on the first
+one, and that Basis its Echelon on the first of_ambient.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import EngineError, EnumerationBoundExceeded, WittKitError
 from .linalg import Basis, Echelon, Matrix, matrix_of_map, span_basis, unit_vector
@@ -103,33 +113,31 @@ class CyclicFactor:
 
     def coords(self, rep):
         vec = self.ring.to_svec(rep.data)
-        return tuple(self.F.el(vec[c]) for c in self.free_coords)
+        return tuple(Element(self.F, vec[c]) for c in self.free_coords)
 
     def from_coords(self, coords):
-        d = self.ring.scalar_dim()
-        vec = [self.F.zero.data] * d
+        F = self.F
+        vec = [F.zero_data()] * self.ring.scalar_dim()
         for c, v in zip(self.free_coords, coords):
-            vec[c] = self.F.el(v).data
+            vec[c] = F.el(v).data
         return Element(self.ring, self.ring.from_svec(tuple(vec)))
 
-    def action_matrix(self, a):
-        """Scalar matrix of multiplication by the ring element a on R/(ann),
-        in the factor's coordinates, as rows of scalar Elements; kept per
-        a.  Column k is the reduced product of a with the representative
-        of unit coordinate vector k, computed on raw data."""
-        a = self.ring.el(a)
-        rows = self._actions.get(a.data)
+    def _act_rows(self, a):
+        """Raw rows of the scalar matrix of multiplication by the ring
+        element with data a on R/(ann), in the factor's coordinates; kept
+        per a.  Column k is the reduced product of a with the
+        representative of unit coordinate vector k."""
+        rows = self._actions.get(a)
         if rows is None:
             ring, F = self.ring, self.F
-            zero = [F.zero.data] * ring.scalar_dim()
+            zero = [F.zero_data()] * ring.scalar_dim()
             cols = []
             for c in self.free_coords:
                 unit = list(zero)
-                unit[c] = F.one.data
-                prod = ring.mul(a.data, ring.from_svec(tuple(unit)))
-                vec = self._ideal.reduce(ring.to_svec(prod))
-                cols.append([F.el(vec[r]) for r in self.free_coords])
-            rows = self._actions[a.data] = [list(row) for row in zip(*cols)]
+                unit[c] = F.one_data()
+                vec = self._ideal.reduce(ring.to_svec(ring.mul(a, ring.from_svec(tuple(unit)))))
+                cols.append([vec[r] for r in self.free_coords])
+            rows = self._actions[a] = [list(row) for row in zip(*cols)]
         return rows
 
 
@@ -152,6 +160,8 @@ class FLModule:
             self._offsets.append(off)
             off += f.sdim
         self._action_cache = {}
+        self._raw_actions = {}
+        self._pairs = None
         self.key = (self.ring._key, tuple(f.key for f in self.factors))
 
     def __eq__(self, other):
@@ -220,19 +230,48 @@ class FLModule:
         return tuple(c.data for c in self.to_vec(x))
 
     def action_matrix(self, a):
-        """Scalar matrix of multiplication by the ring element a: the block
-        diagonal of the factors' action matrices, since to_vec concatenates
-        the factor coordinates and scal acts factor by factor."""
+        """Scalar matrix of multiplication by the ring element a, as a
+        Matrix of _act_rows(a.data); kept per a."""
         a = self.ring.el(a)
         m = self._action_cache.get(a.data)
         if m is None:
-            zero = self.F.zero
-            rows = []
+            m = self._action_cache[a.data] = Matrix(self.F, self._act_rows(a.data), self.sdim)
+        return m
+
+    def _act_rows(self, a):
+        """Raw rows of the scalar matrix of multiplication by the ring
+        element with data a, kept per a: the block diagonal of the
+        factors' rows, since to_vec concatenates the factor coordinates
+        and scal acts factor by factor."""
+        rows = self._raw_actions.get(a)
+        if rows is None:
+            zero = self.F.zero_data()
+            rows = self._raw_actions[a] = []
             for f, off in zip(self.factors, self._offsets):
                 left, right = [zero] * off, [zero] * (self.sdim - off - f.sdim)
-                rows.extend(left + row + right for row in f.action_matrix(a))
-            m = self._action_cache[a.data] = Matrix(self.F, rows, self.sdim)
-        return m
+                rows.extend(left + row + right for row in f._act_rows(a))
+        return rows
+
+    def _apply(self, a, vec):
+        """The raw coordinates of a x for the element x with raw
+        coordinates vec (to_ints), a being ring data: _act_rows(a) times
+        vec, normalized in the scalar field."""
+        norm = self.F.normalize
+        return tuple([norm(sum(map(mul, row, vec))) for row in self._act_rows(a)])
+
+    def _pair_products(self):
+        """The factor index of each scalar coordinate, and the raw products
+        sigma(r1) r2 of the representatives r1, r2 of every pair of scalar
+        basis vectors; kept on the module.  A plain form's coordinate
+        tensor is product (c1, c2) applied to its Gram key (i, j), i and j
+        the factors of c1 and c2."""
+        if self._pairs is None:
+            ring, sig = self.ring, self.rwi.conj
+            reps = [(i, f.from_coords(unit_vector(self.F, f.sdim, k)))
+                    for i, f in enumerate(self.factors) for k in range(f.sdim)]
+            self._pairs = ([i for i, _ in reps],
+                           [[ring.mul(sig(r1).data, r2.data) for _, r2 in reps] for _, r1 in reps])
+        return self._pairs
 
 
 def map_matrix(M, N, fn):
@@ -400,20 +439,27 @@ def hom_space_basis(F, pairs, nrows, ncols):
     Deterministic order from the nullspace computation."""
     if nrows == 0 or ncols == 0:
         return []
-    # one row per entry (i, j) of H . A - B . H and pair
-    rows = []
+    # one row per entry (i, j) of H . A - B . H and pair, on raw data,
+    # reduced as it is made: the Matrix whose nullspace is taken holds
+    # only the reduced rows, which span the same space
+    add, neg, zero = F.add, F.neg, F.zero_data()
+    rows = Echelon(F)
+    made = False
     for A, B in pairs:
+        a = [[x.data for x in row] for row in A.rows]
+        b = [[neg(x.data) for x in row] for row in B.rows]
         for i in range(nrows):
             for j in range(ncols):
-                row = [F.zero] * (nrows * ncols)
+                row = [zero] * (nrows * ncols)
                 for k in range(ncols):
-                    row[i * ncols + k] = row[i * ncols + k] + A[k, j]
+                    row[i * ncols + k] = add(row[i * ncols + k], a[k][j])
                 for k in range(nrows):
-                    row[k * ncols + j] = row[k * ncols + j] - B[i, k]
-                rows.append(row)
-    if not rows:
+                    row[k * ncols + j] = add(row[k * ncols + j], b[i][k])
+                rows.insert(row)
+                made = True
+    if not made:
         return [unit_vector(F, nrows * ncols, i) for i in range(nrows * ncols)]
-    return Matrix(F, rows).nullspace_basis()
+    return Matrix(F, [row for _, row in rows.rows], nrows * ncols).nullspace_basis()
 
 
 class HomModule(Decomposition):

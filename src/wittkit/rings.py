@@ -86,7 +86,7 @@ class Element:
     def _same(self, other):
         if not isinstance(other, Element):
             other = self.ring.el(other)
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatch(f"elements of {self.ring} and {other.ring}")
         return other
 
@@ -176,9 +176,11 @@ class Ring:
 
     # -- elements ---------------------------------------------------------
     def el(self, x):
-        """Coerce x (int, Fraction, Element, raw data) to an Element."""
+        """Coerce x (int, Fraction, Element, raw data) to an Element.  An
+        Element of this very ring is handed back at once, before any ring
+        comparison."""
         if isinstance(x, Element):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise RingMismatch(f"cannot coerce element of {x.ring} into {self}")
             return x
         if isinstance(x, int):
@@ -1024,7 +1026,8 @@ class RingMap:
         if isinstance(ring, PrimeField):
             return self.dst.el(data)
         if isinstance(ring, Rationals):
-            return self.dst.el(data.numerator) * self.dst.el(data.denominator).inverse()
+            num = self.dst.el(data.numerator)
+            return num if data.denominator == 1 else num * self.dst.el(data.denominator).inverse()
         if isinstance(ring, QuadraticField):
             g = images[-1]
             a, b = data
@@ -1216,22 +1219,22 @@ class RingWithInvolution:
         table is keyed on the exact annihilator data, not on the module
         key, so the module returned is the one a fresh FLModule(self,
         anns) would be, down to the annihilator of each factor."""
-        from .modules import FLModule
         anns = [self.ring.el(a) for a in anns]
         key = tuple(a.data for a in anns)
         M = self._modules.get(key)
         if M is None:
+            from .modules import FLModule
             M = self._modules[key] = FLModule(self, anns)
         return M
 
     def factor(self, ann):
         """The modules.CyclicFactor R/(ann), built on first request and
         shared by every module over self with a factor of this exact
-        annihilator, with the action matrices kept on it."""
-        from .modules import CyclicFactor
+        annihilator, with the raw action rows kept on it."""
         ann = self.ring.el(ann)
         f = self._factors.get(ann.data)
         if f is None:
+            from .modules import CyclicFactor
             f = self._factors[ann.data] = CyclicFactor(self.ring, ann)
         return f
 

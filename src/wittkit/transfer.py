@@ -21,15 +21,19 @@ A TransferCoefficient keeps the restrictions it transfers along:
 restriction(M) builds one RestrictedModule per module key and involution
 on first request, and transfer_form reads it from there.  Its module
 comes from RingWithInvolution.module like every other, and the Echelon
-behind its coordinates is only built if of_ambient is called.
+behind its coordinates is only built if of_ambient is called.  A
+RestrictedModule acts by the raw action of pi(a) on the coordinates of M
+(FLModule._apply), wrapped in Elements for the Decomposition.
 
 transfer_form works on raw scalar data (Element.data: ints mod p, or
 Fractions over QQ).  The form over S is scalar-bilinear, so its value on
 two ambient vectors u, v is sum u_c1 v_c2 T[c1][c2] with T its
 coordinate tensor; evaluation at one is a scalar-linear map from the
 coordinates of pi^flat I to those of I, kept on the TransferCoefficient
-as a matrix of raw data.  Elements are made only for the Gram entries of
-the result.
+as a matrix of raw data.  The results are the Gram key of the pushed
+form, which is set up on it (forms._form_of_keys), validated and
+checked for nondegeneracy like any other; its Gram entries are made
+only if they are read.
 """
 
 from __future__ import annotations
@@ -44,10 +48,10 @@ from .errors import (
     NotEquivariant,
     RingMismatch,
 )
-from .forms import HermitianForm
+from .forms import _form_of_keys
 from .linalg import matrix_of_map, unit_vector
 from .modules import Decomposition, HomModule, map_matrix
-from .rings import check_equivariant_map, compose_maps
+from .rings import Element, check_equivariant_map, compose_maps
 
 
 class TransferCoefficient(HomModule):
@@ -105,8 +109,13 @@ class TransferCoefficient(HomModule):
         return rm
 
     def _act(self, b, flat):
-        """(b f)(m) = f(b m)."""
-        return self._flatten(self._unflatten(flat) * self._s_module.action_matrix(b))
+        """(b f)(m) = f(b m): each row of f times the columns of the raw
+        action of b on S."""
+        S1, m, norm = self._s_module, self._ncols, self.F.normalize
+        cols = list(zip(*S1._act_rows(S1.ring.el(b).data)))
+        raw = [x.data for x in flat]
+        return tuple(Element(self.F, norm(sum(map(mul, raw[r * m:(r + 1) * m], col))))
+                     for r in range(self._nrows) for col in cols)
 
     def eval(self, elem, s_elem):
         S = self.rwi_dst.ring
@@ -123,8 +132,9 @@ class TransferCoefficient(HomModule):
 
 class RestrictedModule(Decomposition):
     """An FLModule over S viewed as an R-module through pi: the
-    Decomposition of all of F^(M.sdim) under a . v = pi(a) v.  Its
-    ambient vectors are the scalar coordinates of M (M.to_vec)."""
+    Decomposition of all of F^(M.sdim) under a . v = pi(a) v, the raw
+    action of pi(a) on the coordinates of M.  Its ambient vectors are the
+    scalar coordinates of M (M.to_vec)."""
 
     def __init__(self, pi, rwi_src, M):
         if pi.dst != M.ring:
@@ -134,30 +144,33 @@ class RestrictedModule(Decomposition):
         self.pi = pi
         self.rwi_src = rwi_src
         self.over = M
+        F = M.F
 
         def act(a, vec):
-            return M.to_vec(M.scal(pi(a), M.from_vec(vec)))
+            return tuple(Element(F, x) for x in M._apply(pi(a).data, [c.data for c in vec]))
 
-        super().__init__(rwi_src, [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)], act, M.sdim)
+        super().__init__(rwi_src, [unit_vector(F, M.sdim, i) for i in range(M.sdim)], act, M.sdim)
 
 
 def transfer_form(tc, form):
     """Push a form over S valued in pi^flat I down to R by evaluation at
     one, b_R(x, y) = b_S(x, y)(1_S), on raw coordinates.  For restricted
-    generators with ambient vectors u and v (RestrictedModule.to_ambient)
-    the Gram entry is E . sum u_c1 v_c2 T[c1][c2], with T the coordinate
+    generators with ambient vectors u and v (RestrictedModule.gens) the
+    Gram entry is E . sum u_c1 v_c2 T[c1][c2], with T the coordinate
     tensor of form and E the evaluation matrix of tc, reduced in the
-    scalar field.  Nondegeneracy is preserved and asserted."""
+    scalar field: the Gram key of the result, which is validated like the
+    table of any form.  Nondegeneracy is preserved and asserted."""
     if form.coef != tc.coefficient:
         raise CoefficientMismatch("form is not valued in this transfer coefficient")
     rm = tc.restriction(form.module)
-    I = tc.source_coef.module
     norm = rm.F.normalize
     tab = form._coord_tensor()
     at_one = tc._at_one
     width = tc.module.sdim
-    vecs = [[c.data for c in rm.to_ambient(g)] for g in rm.module.generators()]
-    gram = []
+    # the ambient vector of generator i of rm.module, act(1, gens[i]), is
+    # gens[i] itself
+    vecs = [[c.data for c in g] for g in rm.gens]
+    keys = []
     for u in vecs:
         left = [(a, tab[c1]) for c1, a in enumerate(u) if a]
         row = []
@@ -168,9 +181,10 @@ def transfer_form(tc, form):
                     if b:
                         ab = a * b
                         acc = [x + ab * t for x, t in zip(acc, trow[c2])]
-            row.append(I.from_vec(tuple(norm(sum(map(mul, erow, acc))) for erow in at_one)))
-        gram.append(row)
-    out = HermitianForm(tc.source_coef, rm.module, gram, form.epsilon)
+            row.append(tuple(norm(sum(map(mul, erow, acc))) for erow in at_one))
+        keys.append(row)
+    out = _form_of_keys(tc.source_coef, rm.module, keys, form.epsilon)
+    out._validate()
     if form.is_nondegenerate() and not out.is_nondegenerate():
         raise EngineError("transfer of a nondegenerate form came out degenerate")
     return out

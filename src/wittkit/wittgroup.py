@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import mul
 
 from .errors import (
     CoefficientMismatch,
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .forms import (
     HermitianForm,
+    _form_of_keys,
     canonical_order,
     is_metabolic,
     isometric,
@@ -337,8 +339,8 @@ def witt_group(coef, epsilon, bound, max_size=400000):
 
 def _gram_slots(coef, module, epsilon):
     """Free parameters of a Gram table: one slot per entry on or above the
-    diagonal, each a scalar basis of the subspace allowed by the
-    annihilator conditions (and epsilon-self-adjointness on the
+    diagonal, each a scalar basis, as raw vectors, of the subspace allowed
+    by the annihilator conditions (and epsilon-self-adjointness on the
     diagonal); below-diagonal entries are forced by symmetry."""
     I = coef.module
     F = I.F
@@ -353,25 +355,26 @@ def _gram_slots(coef, module, epsilon):
                 conds = conds.vstack(
                     Matrix.identity(F, I.sdim) - I.action_matrix(eps_el) * coef.imat
                 )
-            slots.append(((i, j), conds.nullspace_basis()))
+            slots.append(((i, j), [tuple(c.data for c in b) for b in conds.nullspace_basis()]))
     return slots
 
 
 def _gram_from_assignment(coef, module, epsilon, slots, assignment):
+    """The form of one assignment of raw scalars to the slots' bases, set
+    up on its Gram key: entry (i, j) is the combination of its slot's
+    basis, entry (j, i) epsilon i of it, both on raw I-coordinates."""
     I = coef.module
-    F = I.F
-    eps_el = coef.rwi.ring.el(epsilon)
+    norm = I.F.normalize
+    eps_i = [[epsilon * e.data for e in row] for row in coef.imat.rows]
+    zero = (I.F.zero_data(),) * I.sdim
     n = len(module.factors)
-    gram = [[I.zero() for _ in range(n)] for _ in range(n)]
+    keys = [[zero] * n for _ in range(n)]
     for ((i, j), basis), combo in zip(slots, assignment):
-        vec = [F.zero] * I.sdim
-        for c, b in zip(combo, basis):
-            vec = [x + c * y for x, y in zip(vec, b)]
-        e = I.from_vec(tuple(vec))
-        gram[i][j] = e
+        key = tuple(norm(sum(map(mul, combo, col))) for col in zip(*basis)) if basis else zero
+        keys[i][j] = key
         if i != j:
-            gram[j][i] = I.scal(eps_el, coef.i(e))
-    return HermitianForm(coef, module, gram, epsilon, check=False)
+            keys[j][i] = tuple(norm(sum(map(mul, row, key))) for row in eps_i)
+    return _form_of_keys(coef, module, keys, epsilon)
 
 
 def enumerate_gram_tables(coef, module, epsilon, limit=200000):
@@ -383,7 +386,7 @@ def enumerate_gram_tables(coef, module, epsilon, limit=200000):
         total *= F.size() ** len(basis)
     if total > limit:
         raise EnumerationBoundExceeded(f"{total} Gram tables exceed the limit {limit}")
-    opts = list(F.elements())
+    opts = [e.data for e in F.elements()]
     spaces = [list(itertools.product(opts, repeat=len(basis))) for _, basis in slots]
     for assignment in itertools.product(*spaces):
         yield _gram_from_assignment(coef, module, epsilon, slots, assignment)
@@ -393,8 +396,7 @@ def sample_gram_tables(coef, module, epsilon, count, rng):
     """count uniformly random valid Gram tables (seeded)."""
     F = coef.module.F
     slots = _gram_slots(coef, module, epsilon)
-    opts = list(F.elements())
+    opts = [e.data for e in F.elements()]
     for _ in range(count):
         assignment = [tuple(rng.choice(opts) for _ in basis) for _, basis in slots]
         yield _gram_from_assignment(coef, module, epsilon, slots, assignment)
-

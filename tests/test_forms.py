@@ -8,7 +8,12 @@ import pytest
 
 from wittkit.coefficients import DualityCoefficient, standard_coefficient
 from wittkit.devissage import DevissageData
-from wittkit.errors import CoefficientMismatch, Degenerate, NotEpsilonSymmetric
+from wittkit.errors import (
+    CoefficientMismatch,
+    Degenerate,
+    NotEpsilonSymmetric,
+    NotSesquilinear,
+)
 from wittkit.forms import (
     HermitianForm,
     canonical_order,
@@ -19,12 +24,18 @@ from wittkit.forms import (
     isometric,
     orthogonal_sum,
 )
-from wittkit.linalg import Matrix
-from wittkit.modules import FLModule, free_module, module_from_shape
+from wittkit.linalg import Matrix, unit_vector
+from wittkit.modules import (
+    FLModule,
+    free_module,
+    indecomposable_factor_anns,
+    is_nilpotent_quotient,
+    module_from_shape,
+)
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import GF, PrimeField, QuadraticField, QuotientRing, RingMap, involution
-from wittkit.transfer import GammaComparison
-from wittkit.wittgroup import sample_gram_tables
+from wittkit.transfer import GammaComparison, transfer_form
+from wittkit.wittgroup import WittEngine, sample_gram_tables
 
 
 def elements_of(M):
@@ -331,3 +342,121 @@ def test_btensor_rejects_coefficient_not_free_of_rank_one():
     ft = HermitianForm(coeft, free_module(rwiR, 1), [[R.one]], 1)
     with pytest.raises(CoefficientMismatch):
         ft.btensor()
+
+
+# -- the coordinate tensor and validation on raw data -------------------------
+#
+# A plain form's tensor is the raw action of the module's kept products
+# sigma(r1) r2 on its Gram key, and _validate tests sesquilinearity as raw
+# actions on that key.  The oracles are the Element code before that: each
+# entry I.to_ints(I.scal(sigma(r1) * r2, gram[i][j])), and the annihilator
+# tests through I.scal and I.is_zero, then epsilon-symmetry at every
+# coordinate pair.
+
+
+def element_coord_tensor(form):
+    I, sig = form.coef.module, form.coef.rwi.conj
+    reps = [(i, fac.from_coords(unit_vector(form.module.F, fac.sdim, k)))
+            for i, fac in enumerate(form.module.factors) for k in range(fac.sdim)]
+    return [[I.to_ints(I.scal(sig(r1) * r2, form.gram[i][j])) for j, r2 in reps]
+            for i, r1 in reps]
+
+
+def element_verdict(form):
+    """(error class, message) of the Element validation, or None."""
+    I, sig = form.coef.module, form.coef.rwi.conj
+    for i, fi in enumerate(form.module.factors):
+        for j, fj in enumerate(form.module.factors):
+            e = form.gram[i][j]
+            if not I.is_zero(I.scal(sig(fi.ann), e)):
+                return NotSesquilinear, f"entry ({i},{j}) not killed by sigma(ann) of factor {i}"
+            if not I.is_zero(I.scal(fj.ann, e)):
+                return NotSesquilinear, f"entry ({i},{j}) not killed by ann of factor {j}"
+    tab = element_coord_tensor(form)
+    eps = form.ring.el(form.epsilon)
+    d = form.module.sdim
+    for c1 in range(d):
+        for c2 in range(d):
+            if tab[c2][c1] != I.to_ints(I.scal(eps, form.coef.i(I.from_vec(tab[c1][c2])))):
+                return (NotEpsilonSymmetric,
+                        f"b(y,x) != epsilon i(b(x,y)) at coordinate pair ({c1},{c2})")
+    return None
+
+
+def raw_verdict(form):
+    try:
+        form._validate()
+    except (NotSesquilinear, NotEpsilonSymmetric) as e:
+        return type(e), str(e)
+    return None
+
+
+RAW_RINGS = [
+    "GF(3)[t]/(t^2), sigma=id",
+    "GF(3)[t]/(t^2), sigma=t->-t",
+    "GF(3)[t]/(t^3), sigma=id",
+    "GF(9), sigma=frobenius",
+    "GF(3)xGF(3), sigma=swap",
+    "GF(9)[t]/(t^2), sigma=t->-t",
+    "QQ(i), sigma=conj",
+]
+
+
+def _random_entry(I, rng):
+    if I.F.is_finite:
+        return I.from_vec(tuple(I.F.el(rng.randrange(I.F.p)) for _ in range(I.sdim)))
+    return I.from_vec(tuple(I.F.el(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+                            for _ in range(I.sdim)))
+
+
+def _oracle_forms(rwi, rng):
+    """Forms with check=False on shapes of one and two indecomposables:
+    random tables (most fail validation, many are not killed by the
+    annihilators), their symmetrizations, sampled valid tables and each
+    under the other sign, and over the t-adic rings the transfers of the
+    k-classes of length <= 2 (valued in the transfer coefficient) with
+    their transfers."""
+    coef = standard_coefficient(rwi)
+    I = coef.module
+    anns = indecomposable_factor_anns(rwi.ring)
+    shapes = [[a] for a in anns] + [[a, b] for a in anns for b in anns]
+    out = []
+    for shape in shapes:
+        M = rwi.module(shape)
+        n = len(shape)
+        for epsilon in (1, -1):
+            eps = rwi.ring.el(epsilon)
+            for _ in range(3):
+                gram = [[_random_entry(I, rng) for _ in range(n)] for _ in range(n)]
+                out.append(HermitianForm(coef, M, gram, epsilon, check=False))
+                sym = [[gram[i][j] if i <= j else I.scal(eps, coef.i(gram[j][i]))
+                        for j in range(n)] for i in range(n)]
+                out.append(HermitianForm(coef, M, sym, epsilon, check=False))
+            if I.F.is_finite:
+                for f in sample_gram_tables(coef, M, epsilon, 2, rng):
+                    # valid, and killed by the annihilators under -epsilon
+                    out += [f, HermitianForm(coef, M, f.gram, -epsilon, check=False)]
+    if is_nilpotent_quotient(rwi.ring):
+        data = DevissageData(rwi)
+        for epsilon in (1, -1):
+            engine = WittEngine(data.tc.coefficient, epsilon)
+            for m in engine.shapes_up_to(2):
+                for f in engine.classes(m):
+                    out += [f, transfer_form(data.tc, f)]
+    return out
+
+
+@pytest.mark.parametrize("text", RAW_RINGS)
+def test_raw_tensor_and_validation_match_the_element_oracle(text):
+    rwi = parse_ring_with_involution(text)
+    forms = _oracle_forms(rwi, random.Random(11))
+    verdicts = []
+    for form in forms:
+        assert form._coord_tensor() == element_coord_tensor(form), form
+        verdict = element_verdict(form)
+        assert raw_verdict(form) == verdict, form
+        verdicts.append(None if verdict is None else verdict[0])
+    # each ring sees valid and non-symmetric tables, and each ring with a
+    # nonzero annihilator tables that it does not kill
+    assert None in verdicts and NotEpsilonSymmetric in verdicts
+    assert (NotSesquilinear in verdicts) == (not rwi.ring.is_field)

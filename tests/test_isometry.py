@@ -33,7 +33,6 @@ from wittkit.forms import (
     _condition,
     _digits,
     _functional,
-    _int_matrix,
     _mat_vec,
     _norm_table,
     _scalar_action_ints,
@@ -45,6 +44,11 @@ from wittkit.modules import free_module
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import Element, PrimeField, involution
 from wittkit.wittgroup import WittEngine, sample_gram_tables
+
+
+def _int_matrix(m):
+    """The raw entries of a Matrix, row by row."""
+    return [[e.data for e in row] for row in m.rows]
 
 
 def _int_elements(module):

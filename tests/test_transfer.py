@@ -15,8 +15,8 @@ from wittkit.errors import (
     NotEquivariant,
 )
 from wittkit.forms import HermitianForm, canonical_order, diagonal_form, isometric, orthogonal_sum
-from wittkit.linalg import Matrix
-from wittkit.modules import FLModule, free_module, map_matrix
+from wittkit.linalg import Matrix, unit_vector
+from wittkit.modules import Decomposition, FLModule, free_module, map_matrix
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import (
     GF,
@@ -299,3 +299,28 @@ def test_transfer_over_qq_matches_the_element_oracle():
             diag = [I.add(e, I.scal(K.el(epsilon), i(e))) for e in (a, c)]
             gram = [[diag[0], b], [I.scal(K.el(epsilon), i(b)), diag[1]]]
             assert_transfer_matches_oracle(tc, HermitianForm(tc.coefficient, M, gram, epsilon))
+
+
+def test_every_localcase_restriction_matches_the_element_action():
+    """RestrictedModule acts by the raw action of pi(a) on M's coordinates.
+    The oracle is the action before that, through Elements:
+    M.to_vec(M.scal(pi(a), M.from_vec(v))).  Every restriction that the
+    localcase check on GF(3)[t]/(t^3), J = (t^2) makes, along the three
+    transfers of its tower, splits into the same module and generators."""
+    rwi = parse_ring_with_involution("GF(3)[t]/(t^3), sigma=id")
+    gamma = verify_localcase_factorization(rwi, rwi.ring.gen("t") ** 2, 1, 3).gamma
+    checked = 0
+    for tc in (gamma.inner, gamma.composite, gamma.direct):
+        for rm in tc._restrictions.values():
+            M, pi = rm.over, tc.pi
+
+            def act(a, v, M=M, pi=pi):
+                return M.to_vec(M.scal(pi(a), M.from_vec(v)))
+
+            basis = [unit_vector(M.F, M.sdim, i) for i in range(M.sdim)]
+            ref = Decomposition(tc.rwi_src, basis, act, M.sdim)
+            assert rm.module.key == ref.module.key
+            assert [f.ann for f in rm.module.factors] == [f.ann for f in ref.module.factors]
+            assert rm.gens == ref.gens
+            checked += 1
+    assert checked >= 10

@@ -17,10 +17,12 @@ from wittkit.coefficients import standard_coefficient
 from wittkit.errors import EngineError, EnumerationBoundExceeded, NotFinite
 from wittkit.forms import HermitianForm, diagonal_form, hyperbolic_form, is_metabolic, isometric
 from wittkit.linalg import Matrix
-from wittkit.modules import FLModule, free_module, indecomposable_factor_anns
+from wittkit.devissage import DevissageData
+from wittkit.modules import FLModule, free_module, indecomposable_factor_anns, is_nilpotent_quotient
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import (
     GF,
+    Element,
     PrimeField,
     ProductRing,
     QuotientRing,
@@ -410,3 +412,63 @@ def test_lookup_answers_an_enumerated_sum_without_a_search(monkeypatch):
     monkeypatch.setattr(wittgroup, "isometric", lambda f, g: pytest.fail("searched"))
     rep = engine.lookup(form)
     assert rep in classes and isometric(form, rep) is not None
+
+
+# -- Gram tables on raw coordinates --------------------------------------------
+#
+# _gram_from_assignment sets a form up on its Gram key, computed from raw
+# slot bases.  The oracle is the Element code before that: each slot
+# combination summed as Elements, entry (j, i) as epsilon . i of entry
+# (i, j), and a form built from the Element table.
+
+
+def element_gram_tables(coef, module, epsilon):
+    I, F = coef.module, coef.module.F
+    eps_el = coef.rwi.ring.el(epsilon)
+    slots = [(ij, [tuple(Element(F, x) for x in b) for b in basis])
+             for ij, basis in wittgroup._gram_slots(coef, module, epsilon)]
+    opts = list(F.elements())
+    n = len(module.factors)
+    spaces = [list(itertools.product(opts, repeat=len(basis))) for _, basis in slots]
+    for assignment in itertools.product(*spaces):
+        gram = [[I.zero() for _ in range(n)] for _ in range(n)]
+        for ((i, j), basis), combo in zip(slots, assignment):
+            vec = [F.zero] * I.sdim
+            for c, b in zip(combo, basis):
+                vec = [x + c * y for x, y in zip(vec, b)]
+            e = I.from_vec(tuple(vec))
+            gram[i][j] = e
+            if i != j:
+                gram[j][i] = I.scal(eps_el, coef.i(e))
+        yield HermitianForm(coef, module, gram, epsilon, check=False)
+
+
+@pytest.mark.parametrize("text", [
+    "GF(3)[t]/(t^2), sigma=id",
+    "GF(3)[t]/(t^2), sigma=t->-t",
+    "GF(3)[t]/(t^3), sigma=id",
+    "GF(9), sigma=frobenius",
+    "GF(3)xGF(3), sigma=swap",
+    "GF(9)[t]/(t^2), sigma=t->-t",
+])
+def test_gram_enumeration_matches_the_element_oracle(text):
+    """The same Gram keys and entries in the same order on every
+    one-factor module, against the standard coefficient and, over the
+    t-adic rings, against the transfer coefficient on the residue field;
+    and on the first tables of each two-factor module, whose entries
+    below the diagonal are epsilon i of those above."""
+    rwi = parse_ring_with_involution(text)
+    coefs = [standard_coefficient(rwi)]
+    if is_nilpotent_quotient(rwi.ring):
+        coefs.append(DevissageData(rwi).tc.coefficient)
+    for coef in coefs:
+        anns = indecomposable_factor_anns(coef.ring)
+        shapes = [([a], None) for a in anns] + [([a, b], 40) for a in anns for b in anns]
+        for anns_of, count in shapes:
+            module = coef.rwi.module(anns_of)
+            for epsilon in (1, -1):
+                new = list(itertools.islice(enumerate_gram_tables(coef, module, epsilon), count))
+                old = list(itertools.islice(element_gram_tables(coef, module, epsilon), count))
+                assert len(new) == len(old) > 0
+                assert [f.gram_key() for f in new] == [f.gram_key() for f in old]
+                assert [f.gram for f in new] == [f.gram for f in old]
