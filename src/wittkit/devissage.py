@@ -11,6 +11,8 @@ isomorphism verdict included, with no smoothing over.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .coefficients import standard_coefficient
 from .errors import ImproperIdeal, WittKitError
 from .forms import coefficient_change
@@ -56,7 +58,13 @@ class DevissageData:
         else:
             raise WittKitError(f"no residue tower for {ring}")
         self.coef = standard_coefficient(rwi).require_strong()
-        self.tc = TransferCoefficient(self.pi, self.rwi_k, self.coef)
+
+    @cached_property
+    def tc(self):
+        """The transfer coefficient along pi, built on first read: only
+        verify_devissage reads it, the localcase check transfers through
+        GammaComparison."""
+        return TransferCoefficient(self.pi, self.rwi_k, self.coef)
 
 
 def _class_map(src, dst, push):

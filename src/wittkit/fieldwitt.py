@@ -131,8 +131,10 @@ def diagonalize(form):
     w = None if ring.is_finite else _antifixed(rwi)
     norms = _norm_schedule(rwi, w)
 
+    # b is scalar-bilinear, so each Gram value comes from the coordinate
+    # tensor; the free rank-1 coefficient reads it back as a ring element
     def val(x, y):
-        return form.evaluate(x, y)[0]
+        return I.from_vec(form.eval_vecs(M.to_vec(x), M.to_vec(y)))[0]
 
     rem = list(M.generators())
     entries = []

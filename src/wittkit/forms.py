@@ -207,19 +207,22 @@ class HermitianForm:
         return self._ctensor
 
     def eval_vecs(self, xv, yv):
+        """The I-coordinates (scalar Elements) of b(x, y), for x and y given
+        by their scalar coordinates xv and yv (FLModule.to_vec): the
+        coordinate tensor contracted with both, on raw scalars."""
         I = self.coef.module
         F = self.module.F
         tab = self._coord_tensor()
-        out = [F.zero] * I.sdim
+        ys = [(c2, b.data) for c2, b in enumerate(yv) if not b.is_zero()]
+        out = [F.zero_data()] * I.sdim
         for c1, a in enumerate(xv):
             if a.is_zero():
                 continue
-            for c2, b in enumerate(yv):
-                if b.is_zero():
-                    continue
-                ab = a * b
-                out = [o + ab * t for o, t in zip(out, tab[c1][c2])]
-        return tuple(out)
+            row = tab[c1]
+            for c2, b in ys:
+                ab = a.data * b
+                out = [o + ab * t for o, t in zip(out, row[c2])]
+        return tuple(F.el(o) for o in out)
 
     # -- structure ---------------------------------------------------------
     def is_nondegenerate(self):

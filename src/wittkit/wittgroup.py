@@ -6,6 +6,9 @@ Larger shapes are generated by orthogonal sums of single-factor classes and
 hyperbolic forms on indecomposables: over the rings supported here (finite
 fields, k[t]/(t^n), k x k) every nondegenerate form splits orthogonally
 into pieces with at most two cyclic factors, so this closure reaches every
+class.  Only the blocks kept on their own shape are summed (a hyperbolic
+block isometric to a sum met there first adds no class), and only the
+shapes that sums of blocks reach are walked, since no other shape holds a
 class.  The closure property is not taken on faith at runtime: class lookup
 proceeds by fingerprint bucketing plus an honest backtracking isometry
 search, and a form that matches no enumerated class raises EngineError
@@ -110,7 +113,9 @@ class WittEngine:
 
     def blocks(self):
         """Forms that generate everything under orthogonal sums: all
-        single-factor classes plus H(N) for each indecomposable N."""
+        single-factor classes, then H(N) for each indecomposable N.
+        _block_sums sums only those that enumeration keeps on their own
+        shape; every single-factor class is kept there."""
         if self._blocks is None:
             out = []
             for a in self._anns:
@@ -124,20 +129,35 @@ class WittEngine:
 
     # -- shapes and classes ------------------------------------------------
     def shapes_up_to(self, bound):
+        """Every shape of length <= bound, in (length, key) order."""
+        return self._shapes_summing([(k,) for k in range(len(self._facts))], bound)
+
+    def _block_shapes(self, bound):
+        """The shapes of length <= bound that sums of blocks reach, in
+        (length, key) order; no other shape holds a class."""
+        index = {f.key: k for k, f in enumerate(self._facts)}
+        parts = {tuple(index[f.key] for f in b.module.factors) for b in self.blocks()}
+        return self._shapes_summing(sorted(parts), bound)
+
+    def _shapes_summing(self, parts, bound):
+        """The modules whose factors are a sum of parts (key-sorted tuples
+        of indices into the factors, each part used any number of times)
+        of length <= bound, in (length, key) order: an unbounded knapsack
+        over the parts, one shape per multiset of factors."""
         lens = [f.length for f in self._facts]
-        shapes = []
-
-        def rec(start, remaining, cur):
-            if cur:
-                shapes.append(tuple(cur))
-            for k in range(start, len(self._anns)):
-                if lens[k] <= remaining:
-                    cur.append(self._anns[k])
-                    rec(k, remaining - lens[k], cur)
-                    cur.pop()
-
-        rec(0, bound, [])
-        mods = [self.rwi.module(s) for s in shapes]
+        reached = {(): 0}
+        frontier = [()]
+        while frontier:
+            grown = []
+            for s in frontier:
+                for p in parts:
+                    t = tuple(sorted(s + p))
+                    length = reached[s] + sum(lens[k] for k in p)
+                    if length <= bound and t not in reached:
+                        reached[t] = length
+                        grown.append(t)
+            frontier = grown
+        mods = [self.rwi.module([self._anns[k] for k in s]) for s in reached if s]
         mods.sort(key=lambda m: (m.length, m.key))
         return mods
 
@@ -180,15 +200,24 @@ class WittEngine:
         return found
 
     def _block_sums(self, module):
-        """Every block of blocks() that holds the first factor of module,
-        paired with each class of the rest of module (the empty form when
-        nothing is left): the summands of the sums that present module."""
+        """Every kept block of blocks() that holds the first factor of
+        module, paired with each class of the rest of module (the empty
+        form when nothing is left): the summands of the sums that present
+        module.  A block on a smaller shape is kept when it is the class
+        that enumeration kept on that shape (classified first); a block
+        that matched an earlier class there is isometric to a sum of kept
+        blocks, and leaving it out loses no class (_presentation_at)."""
         pivot = module.factors[0].key
         skeys = Counter(f.key for f in module.factors)
         for blk in self.blocks():
             bkeys = Counter(f.key for f in blk.module.factors)
             if pivot not in bkeys or (bkeys - skeys):
                 continue
+            if blk.module.key != module.key:
+                if blk.module.key not in self._classes:
+                    self.classes(blk.module)
+                if self._lookups[_keypair(blk)] is not blk:
+                    continue
             rest = skeys - bkeys
             rest_anns = []
             for k, mult in sorted(rest.items()):
@@ -268,21 +297,29 @@ class WittGroupResult:
 
 def _presentation_at(engine, bound):
     """Presentations at bound and bound + 1 from one pass over the shapes
-    up to bound + 1, and the classes generating the second (the first
-    pres.ngens, of length <= bound, generate the first).  Columns: [m]
-    for each metabolic class m and [cls(c + blk)] - [c] - [cls(blk)] for
-    each sum c + blk, c nonempty, met by class enumeration (cls: the
-    class _distinct matched a form to); at bound, those whose shape fits.
+    up to bound + 1 that sums of blocks reach, and the classes generating
+    the second (the first pres.ngens, of length <= bound, generate the
+    first).  Columns: [m] for each metabolic class m and [cls(c + blk)] -
+    [c] - [blk] for each sum c + blk, c nonempty, met by class enumeration
+    (cls: the class _distinct matched a form to; blk is then a kept block
+    of a smaller shape, its own class); at bound, those whose shape fits.
 
-    They span every pair relation [cls(f + g)] - [f] - [g] within the
-    bound, and each column is one.  Every class g was kept from a sum on
-    its shape, blk alone (g = cls(blk)) or c + blk, blk holding the
-    shape's first (pivot) factor.  Induct on len f + len g; say the pivot
-    P of shape(f + g) is in g, so it is g's pivot.  If g = cls(blk),
-    f + blk is met on shape(f + g).  Else g = cls(c + blk); h = cls(f + c)
-    has [h] = [f] + [c] by induction, h + blk is met on shape(f + g) as
-    blk holds P, and [cls(f + g)] = [h] + [cls(blk)] = [f] + [g]."""
-    mods = engine.shapes_up_to(bound + 1)
+    No class is lost.  A block H left out on a larger shape matched, on
+    its own shape, a class g = cls(c0 + b0) met before it, b0 a kept block
+    holding H's first (pivot) factor; so c + H is isometric to
+    cls(c + c0) + b0, met on the same shape before c + H would be, and
+    every class keeps its first-met representative.  Each class is a sum
+    of blocks, so a shape that no such sum reaches holds none.
+
+    The columns span every pair relation [cls(f + g)] - [f] - [g] within
+    the bound, and each column is one.  Every class g was kept from a sum
+    on its shape, a kept blk alone (g = blk) or c + blk, blk holding the
+    shape's pivot.  Induct on len f + len g; say the pivot P of
+    shape(f + g) is in g, so it is g's pivot.  If g = blk, f + blk is met
+    on shape(f + g).  Else g = cls(c + blk); h = cls(f + c) has [h] =
+    [f] + [c] by induction, h + blk is met on shape(f + g) as blk holds P,
+    and [cls(f + g)] = [h] + [blk] = [f] + [g]."""
+    mods = engine._block_shapes(bound + 1)
     classes = [f for m in mods for f in engine.classes(m)]
     idx = {_keypair(f): i for i, f in enumerate(classes)}
     n = len(classes)
@@ -293,7 +330,7 @@ def _presentation_at(engine, bound):
             col = [0] * n
             col[idx[_keypair(match)]] += 1
             col[idx[_keypair(c)]] -= 1
-            col[idx[_keypair(engine._lookups[_keypair(blk)])]] -= 1
+            col[idx[_keypair(blk)]] -= 1
             cols.append((m.length, col))
     k = sum(f.module.length <= bound for f in classes)
     pres = PresentedGroup(k, [col[:k] for length, col in cols if length <= bound])

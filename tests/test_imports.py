@@ -145,10 +145,11 @@ def unread_public_names(sources):
 
 # name -> why it stays public although no other library module reads it
 KEPT_PUBLIC = {
-    "forms.HermitianForm.eval_vecs": "oracle: tests/test_isometry.py evaluates forms on scalar vectors",
+    "forms.HermitianForm.evaluate": "oracle: tests evaluate forms on module elements",
     "forms.HermitianForm.btensor": "oracle: the ring-valued Gram matrix of the diagonalize congruence",
     "forms.diagonal_form": "oracle: builds the forms <a1, ..., an> that the tests start from",
     "linalg.Matrix.transpose": "oracle: the congruence sigma(C)^T G C in tests/test_fieldwitt.py",
+    "wittgroup.WittEngine.shapes_up_to": "oracle: the tests' list of every shape",
     "wittgroup.sample_gram_tables": "oracle: seeded Gram tables for the brute-force cross-checks",
     "devissage.verify_localcase_factorization": "benchmark: the localcase query of bench/workloads.py",
     "parser.parse_element": "benchmark: bench/workloads.py parses the ideal generator J",

@@ -1,11 +1,13 @@
 """Integer Smith normal form and finitely presented abelian groups."""
 
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittkit import wittgroup
 from wittkit.coefficients import standard_coefficient
 from wittkit.forms import orthogonal_sum
 from wittkit.intsnf import (
@@ -15,7 +17,7 @@ from wittkit.intsnf import (
     smith_normal_form,
 )
 from wittkit.parser import parse_ring_with_involution
-from wittkit.wittgroup import WittEngine, _presentation_at
+from wittkit.wittgroup import WittEngine, _keypair, _presentation_at
 
 
 def test_snf_diagonal_divisibility():
@@ -439,8 +441,96 @@ def test_relations_from_enumerated_sums_present_the_pairwise_group(text, epsilon
 
 
 def test_unit_pivots_shrink_a_real_presentation_to_its_core():
-    # one column per sum met by class enumeration, not per pair of classes;
-    # the pairwise oracle test above checks that both present the same group
+    # one column per sum of a kept block met by class enumeration, not per
+    # pair of classes; the pairwise oracle test above checks that both
+    # present the same group
     pres, _, _ = real_stability_check("GF(3)[t]/(t^3), sigma=id", 1, 4)
-    assert (pres.ngens, len(pres.relations)) == (26, 42)
-    assert (len(pres._core), len(pres._core_relations)) == (1, 4)
+    assert (pres.ngens, len(pres.relations)) == (26, 38)
+    assert (len(pres._core), len(pres._core_relations)) == (1, 3)
+
+
+# -- kept blocks and reached shapes against every block on every shape ---------
+#
+# The oracle is class enumeration before it left blocks out: every block of
+# blocks() that holds a shape's pivot is summed with every class of the rest,
+# on every shape of shapes_up_to, and each relation column reads the class
+# that a block matched on its own shape.
+
+
+class EveryBlockEngine(WittEngine):
+    def _block_sums(self, module):
+        pivot = module.factors[0].key
+        skeys = Counter(f.key for f in module.factors)
+        for blk in self.blocks():
+            bkeys = Counter(f.key for f in blk.module.factors)
+            if pivot not in bkeys or (bkeys - skeys):
+                continue
+            rest = skeys - bkeys
+            rest_anns = []
+            for k, mult in sorted(rest.items()):
+                rest_anns.extend([self._ann_by_key[k]] * mult)
+            for c in self.classes(self.rwi.module(rest_anns)):
+                yield c, blk
+
+
+def every_block_presentation(engine, bound):
+    """_presentation_at over every shape up to bound + 1."""
+    mods = engine.shapes_up_to(bound + 1)
+    classes = [f for m in mods for f in engine.classes(m)]
+    idx = {_keypair(f): i for i, f in enumerate(classes)}
+    n = len(classes)
+    cols = [(f.module.length, [int(j == i) for j in range(n)])
+            for i, f in enumerate(classes) if engine.metabolic(f)]
+    for m in mods:
+        for match, c, blk in engine._sums[m.key]:
+            col = [0] * n
+            col[idx[_keypair(match)]] += 1
+            col[idx[_keypair(c)]] -= 1
+            col[idx[_keypair(engine._lookups[_keypair(blk)])]] -= 1
+            cols.append((m.length, col))
+    k = sum(f.module.length <= bound for f in classes)
+    pres = PresentedGroup(k, [col[:k] for length, col in cols if length <= bound])
+    return pres, PresentedGroup(n, [col for _, col in cols]), classes
+
+
+# the oracle rings, the swap with epsilon = -1, and two more t-adic rings with
+# symmetric Jordan levels: rings whose hyperbolic blocks are left out
+ENUMERATION_RINGS = sorted({(t, e) for t, e, _ in ORACLE_RINGS} | {
+    ("GF(3)xGF(3), sigma=swap", -1),
+    ("GF(3)[t]/(t^4), sigma=t->-t", 1),
+    ("GF(9)[t]/(t^2), sigma=t->-t", 1),
+})
+
+
+def enumerate_up_to_four(make, coef, epsilon, present, monkeypatch):
+    """The classes (as keypairs), the factors at bound and bound + 1 and
+    the stability verdict at each bound 1..4 from one engine, and the
+    isometric calls it made."""
+    real = wittgroup.isometric
+    calls = [0]
+
+    def counting(f, g):
+        calls[0] += 1
+        return real(f, g)
+
+    monkeypatch.setattr(wittgroup, "isometric", counting)
+    engine = make(coef, epsilon)
+    runs = []
+    for bound in range(1, 5):
+        pres, pres1, classes = present(engine, bound)
+        images = [[int(i == j) for i in range(pres1.ngens)] for j in range(pres.ngens)]
+        runs.append(([_keypair(f) for f in classes], pres.factors, pres1.factors,
+                     hom_kernel_cokernel_trivial(pres, pres1, images)))
+    monkeypatch.setattr(wittgroup, "isometric", real)
+    return runs, calls[0]
+
+
+@pytest.mark.parametrize("text, epsilon", ENUMERATION_RINGS,
+                         ids=[f"{t} {e:+d}" for t, e in ENUMERATION_RINGS])
+def test_kept_blocks_on_reached_shapes_give_every_class(monkeypatch, text, epsilon):
+    coef = standard_coefficient(parse_ring_with_involution(text))
+    runs, calls = enumerate_up_to_four(WittEngine, coef, epsilon, _presentation_at, monkeypatch)
+    oracle_runs, oracle_calls = enumerate_up_to_four(
+        EveryBlockEngine, coef, epsilon, every_block_presentation, monkeypatch)
+    assert runs == oracle_runs
+    assert calls <= oracle_calls

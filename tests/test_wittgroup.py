@@ -472,3 +472,59 @@ def test_gram_enumeration_matches_the_element_oracle(text):
                 assert len(new) == len(old) > 0
                 assert [f.gram_key() for f in new] == [f.gram_key() for f in old]
                 assert [f.gram for f in new] == [f.gram for f in old]
+
+
+# -- which hyperbolic blocks class enumeration keeps ---------------------------
+#
+# Over R = k[t]/(t^n) with sigma(t) = s t and sigma = id on k (a field is
+# n = 1, s = 1), level l is alternating when epsilon s^(n - l) = -1.  There
+# an odd rank carries no form, so H(R/(t^l)) is the one class of rank two;
+# at a symmetric level it is <u, -u>, a sum of one-factor blocks met first.
+
+
+def kept_hyperbolic_levels(text, epsilon):
+    """The lengths l of the indecomposables N = R/(t^l) whose hyperbolic
+    block H(N) is the class that enumeration keeps on its own shape."""
+    engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
+    levels = []
+    for blk in engine.blocks():
+        if len(blk.module.factors) == 2:
+            engine.classes(blk.module)
+            if engine._lookups[(blk.module.key, blk.gram_key())] is blk:
+                levels.append(blk.module.factors[0].length)
+    return sorted(levels)
+
+
+ADIC_BLOCKS = [
+    # text, epsilon, n, s, kept levels
+    ("GF(3)[t]/(t^2), sigma=t->-t", -1, 2, -1, [2]),
+    ("GF(3)[t]/(t^4), sigma=t->-t", 1, 4, -1, [1, 3]),
+    ("GF(3)[t]/(t^4), sigma=t->-t", -1, 4, -1, [2, 4]),
+    ("GF(5)[t]/(t^3), sigma=t->-t", 1, 3, -1, [2]),
+    ("GF(9)[t]/(t^2), sigma=t->-t", 1, 2, -1, [1]),
+    ("GF(3)[t]/(t^3), sigma=id", 1, 3, 1, []),
+    ("GF(3), sigma=id", 1, 1, 1, []),
+    ("GF(3), sigma=id", -1, 1, 1, [1]),
+    ("GF(7), sigma=id", 1, 1, 1, []),
+    ("GF(7), sigma=id", -1, 1, 1, [1]),
+]
+
+
+@pytest.mark.parametrize("text, epsilon, n, s, levels", ADIC_BLOCKS,
+                         ids=[f"{t} {e:+d}" for t, e, *_ in ADIC_BLOCKS])
+def test_hyperbolic_blocks_are_kept_exactly_at_alternating_levels(text, epsilon, n, s, levels):
+    assert levels == [l for l in range(1, n + 1) if epsilon * s ** (n - l) == -1]
+    assert kept_hyperbolic_levels(text, epsilon) == levels
+
+
+@pytest.mark.parametrize("epsilon", [1, -1], ids=["+1", "-1"])
+def test_hermitian_hyperbolic_blocks_over_a_field_are_never_kept(epsilon):
+    # hermitian forms over GF(9) are classified by rank: H(k) is a sum of
+    # two one-factor classes
+    assert kept_hyperbolic_levels("GF(9), sigma=frobenius", epsilon) == []
+
+
+@pytest.mark.parametrize("epsilon", [1, -1], ids=["+1", "-1"])
+def test_the_swap_keeps_one_of_its_two_isometric_hyperbolic_blocks(epsilon):
+    # H(k x 0) and H(0 x k) live on the same shape and are isometric
+    assert kept_hyperbolic_levels("GF(3)xGF(3), sigma=swap", epsilon) == [1]
