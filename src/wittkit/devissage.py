@@ -179,11 +179,10 @@ def verify_localcase_factorization(rwi, J, epsilon, bound):
         m = _ideal_valuation(ring, g)
         if m == 0:
             raise ImproperIdeal("J is the unit ideal")
-        if m >= ring.n:
-            T, p, q, rwi_T = ring, identity_map(ring), data.pi, data.rwi
-        elif m == 1:
+        if m == 1:
             T, p, q, rwi_T = data.k, data.pi, identity_map(data.k), data.rwi_k
         else:
+            # T = R/(t^m); J = 0 has m = n, and T is R itself
             base = ring.base
             names = base.generator_names()
             T = QuotientRing(base, [0] * m + [1], ring.var)

@@ -6,8 +6,12 @@ scalar span of the ideal (g_i).  All linear algebra happens over the scalar
 field of the ring (the prime field in finite characteristic, QQ otherwise),
 which is also what makes semilinear maps tractable: they are scalar-linear.
 
-Supported base rings for module theory: fields from the tower, nilpotent
-univariate quotients k[t]/(t^n), and products of two equal fields.
+The ring family is decided once, by chain_components: a supported ring is
+a product of chain rings e.R, each with a uniformizer pi and a length n
+(a field, k[t]/(t^n), or a product of two equal fields), and its
+indecomposable cyclic modules are R/(1 - e + pi^a), 1 <= a <= n.  The
+simple dimension, the indecomposables, module_from_shape and the cyclic
+splitting of every Decomposition read that description.
 
 Every module the library builds comes from RingWithInvolution.module,
 which keeps one FLModule per annihilator tuple on the ring with
@@ -55,32 +59,33 @@ def uniformizer(ring):
     return ring.gen(ring.var)
 
 
-def simple_scalar_dim(ring):
-    """Scalar dimension of the simple module(s); the unit of length."""
+def chain_components(ring):
+    """The ring as a product of chain rings e.R: one (e, pi, n) per
+    factor, e its idempotent, pi a uniformizer of e.R and n the length of
+    e.R, so that pi^n = 0.  A field is [(1, 0, 1)], k[t]/(t^n) is
+    [(1, t, n)] and k x k is [(e1, 0, 1), (e2, 0, 1)]; every other ring
+    has no module theory here."""
     if ring.is_field:
-        return ring.scalar_dim()
+        return [(ring.one, ring.zero, 1)]
     if is_nilpotent_quotient(ring):
-        return ring.base.scalar_dim()
+        return [(ring.one, uniformizer(ring), ring.n)]
     if isinstance(ring, ProductRing):
         if not (ring.r1.is_field and ring.r2.is_field and ring.r1 == ring.r2):
             raise WittKitError("product module theory needs equal field factors")
-        return ring.r1.scalar_dim()
+        return [(e, ring.zero, 1) for e in ring.idempotents()]
     raise WittKitError(f"no module theory over {ring}")
+
+
+def simple_scalar_dim(ring):
+    """Scalar dimension of the simple module(s); the unit of length."""
+    return ring.scalar_dim() // sum(n for _, _, n in chain_components(ring))
 
 
 def indecomposable_factor_anns(ring):
-    """Annihilator generators of the indecomposable cyclic modules, in
-    canonical order (largest factors first)."""
-    if ring.is_field:
-        return [ring.zero]
-    if is_nilpotent_quotient(ring):
-        t = uniformizer(ring)
-        return [t ** a for a in range(ring.n, 0, -1)]
-    if isinstance(ring, ProductRing):
-        simple_scalar_dim(ring)  # validates shape
-        e1, e2 = ring.idempotents()
-        return [e2, e1]  # ann e2 -> factor k x 0, ann e1 -> factor 0 x k
-    raise WittKitError(f"no module theory over {ring}")
+    """Annihilator generators 1 - e + pi^a of the indecomposable cyclic
+    modules e.R/(pi^a), component by component, a from n down to 1
+    (largest factors first)."""
+    return [ring.one - e + pi ** a for e, pi, n in chain_components(ring) for a in range(n, 0, -1)]
 
 
 class CyclicFactor:
@@ -99,8 +104,9 @@ class CyclicFactor:
         self.free_coords = [c for c in range(d) if c not in pivots]
         self.sdim = len(self.free_coords)
         self.F = F
-        self.length = self.sdim // simple_scalar_dim(ring) if self.sdim else 0
-        if self.sdim % simple_scalar_dim(ring) != 0:
+        unit = simple_scalar_dim(ring)
+        self.length = self.sdim // unit if self.sdim else 0
+        if self.sdim % unit != 0:
             raise EngineError("factor dimension not a multiple of the simple dimension")
         self.key = (-self.sdim, tuple(sorted(tuple(F.sort_key(x) for x in row)
                                              for _, row in self._ideal.rows)))
@@ -281,22 +287,21 @@ def map_matrix(M, N, fn):
 
 
 def module_from_shape(rwi, shape):
-    """Shape entries are cyclic lengths: over a field every entry must be 1
-    (free rank); over k[t]/(t^n) an entry a gives the factor k[t]/(t^a)."""
+    """Shape entries are cyclic lengths over a ring with one chain
+    component (e, pi, n): an entry a, 1 <= a <= n, gives the factor
+    R/(1 - e + pi^a), which is k[t]/(t^a) over k[t]/(t^n) and the free
+    rank one module over a field.  The empty shape is the zero module."""
     ring = rwi.ring
-    anns = []
+    if not shape:
+        return rwi.module([])
+    components = chain_components(ring)
+    if len(components) != 1:
+        raise WittKitError(f"module_from_shape does not support {ring}; pass annihilators")
+    (e, pi, n), = components
     for a in shape:
-        if ring.is_field:
-            if a != 1:
-                raise WittKitError("over a field all cyclic factors have length 1")
-            anns.append(ring.zero)
-        elif is_nilpotent_quotient(ring):
-            if not 1 <= a <= ring.n:
-                raise WittKitError(f"cyclic length {a} out of range 1..{ring.n}")
-            anns.append(uniformizer(ring) ** a)
-        else:
-            raise WittKitError(f"module_from_shape does not support {ring}; pass annihilators")
-    return rwi.module(anns)
+        if not 1 <= a <= n:
+            raise WittKitError(f"cyclic length {a} out of range 1..{n}")
+    return rwi.module([ring.one - e + pi ** a for a in shape])
 
 
 def free_module(rwi, rank):
@@ -309,56 +314,37 @@ def free_module(rwi, rank):
 
 def _split(rwi, basis, act, n):
     """[(generator vector, annihilator Element)] of the R-stable span of
-    basis in F^n, act(a: Element, vec) -> vec being the action: largest
-    cyclic factors first, then discovery order."""
+    basis in F^n, act(a: Element, vec) -> vec being the action.
+
+    For each chain component (e, pi, _) the e-parts of basis span a
+    module over e.R.  Split off the cyclic summand e.R/(pi^a) of a vector
+    of maximal pi-order a through a map onto it (_split_map), and go on
+    with its kernel; the orders never grow, since the kernel is a summand.
+    A summand that fills what is left needs no map.  The pieces come
+    component by component, largest factors first, then in discovery
+    order."""
     ring = rwi.ring
-    if ring.is_field:
-        return _split_field(ring, basis, act, ring.zero)
-    if isinstance(ring, ProductRing):
-        e1, e2 = ring.idempotents()
-        F = ring.scalar_field()
-        return [piece for e, co in ((e1, e2), (e2, e1))
-                for piece in _split_field(ring, span_basis([act(e, b) for b in basis], F), act, co)]
-    if is_nilpotent_quotient(ring):
-        return _split_local(rwi, basis, act, n)
-    raise WittKitError(f"decompose does not support {ring}")
-
-
-def _split_field(ring, basis, act, ann):
-    """Each basis vector outside the span of the ones taken so far
-    generates a summand with annihilator ann."""
+    F = ring.scalar_field()
     out = []
-    taken = Echelon(ring.scalar_field())
-    for b in basis:
-        if taken.contains([c.data for c in b]):
-            continue
-        out.append((tuple(b), ann))
-        for bd in ring.scalar_basis():
-            taken.insert([c.data for c in act(Element(ring, bd), b)])
-    return out
-
-
-def _split_local(rwi, basis, act, n):
-    """Over k[t]/(t^n): split off the cyclic summand of a basis vector of
-    maximal t-order a through a map onto R/(t^a), and go on with its
-    kernel.  The orders found never grow, since the kernel is a summand."""
-    ring = rwi.ring
-    t = uniformizer(ring)
-    out = []
-    level = Basis(ring.scalar_field(), basis, n)
-    while level.vectors:
-        orders = []
-        for b in level.vectors:
-            o, v = 0, b
-            while any(not c.is_zero() for c in v):
-                o += 1
-                v = act(t, v)
-            orders.append(o)
-        a = max(orders)
-        j = orders.index(a)
-        psi = _split_map(level, act, rwi.module([t ** a]), j)
-        out.append((level.vectors[j], t ** a))
-        level = Basis(level.F, [level.combine(k) for k in psi.nullspace_basis()], n)
+    for e, pi, _ in chain_components(ring):
+        level = Basis(F, span_basis([act(e, b) for b in basis], F), n)
+        while level.vectors:
+            orders = []
+            for b in level.vectors:
+                o, v = 0, b
+                while any(not c.is_zero() for c in v):
+                    o += 1
+                    v = act(pi, v)
+                orders.append(o)
+            a = max(orders)
+            j = orders.index(a)
+            ann = ring.one - e + pi ** a
+            out.append((level.vectors[j], ann))
+            target = rwi.module([ann])
+            if target.sdim == len(level.vectors):
+                break
+            psi = _split_map(level, act, target, j)
+            level = Basis(F, [level.combine(k) for k in psi.nullspace_basis()], n)
     return out
 
 
@@ -370,7 +356,8 @@ def _split_map(level, act, target, j):
     level.vectors[j] has coordinates e_j, so the value of a map H at it
     is column j of H: the map is the combination of the hom space basis
     whose columns j sum to the generator.  Existence is guaranteed for a
-    maximal-order vector over k[t]/(t^n); failure is an engine bug."""
+    vector of maximal pi-order in a module over a chain ring; failure is
+    an engine bug."""
     F = level.F
     sd, td = len(level.vectors), target.sdim
     pairs = []
@@ -390,11 +377,12 @@ def _split_map(level, act, target, j):
 
 class Decomposition:
     """An R-stable subspace of F^n as an FLModule.  basis spans the
-    subspace, act(a: Element, vec) -> vec is the action on F^n, and the
-    cyclic splitting gives self.module with the generator vectors
-    self.gens.  to_ambient and of_ambient are combine and coords of one
-    Basis, the ambient vectors of self.module's scalar basis; it is built
-    on the first conversion, and its Echelon on the first of_ambient."""
+    subspace, act(a: Element, vec) -> vec is the action on F^n, and
+    _split gives self.module with the generator vectors self.gens, chain
+    component by chain component.  to_ambient and of_ambient are combine
+    and coords of one Basis, the ambient vectors of self.module's scalar
+    basis; it is built on the first conversion, and its Echelon on the
+    first of_ambient."""
 
     def __init__(self, rwi, basis, act, n):
         self.F = rwi.ring.scalar_field()

@@ -277,6 +277,24 @@ def test_devissage_over_a_ring_without_residue_tower_exits_1(capsys):
     assert err == "error: no residue tower for GF(3)xGF(3)\n"
 
 
+# rings outside the module theory: neither a field, nor k[t]/(t^n), nor a
+# product of two equal fields
+REFUSALS = [
+    ("GF(3)[x]/((x-1)^2), sigma=id", "no module theory over GF(3)[x]/(1 + x + x^2)"),
+    ("GF(5)[x]/(x^2+1), sigma=x->4*x", "no module theory over GF(5)[x]/(1 + x^2)"),
+    ("GF(3)[t]/(t^2)xGF(3)[t]/(t^2), sigma=swap", "product module theory needs equal field factors"),
+    ("GF(3)xGF(9), sigma=id", "product module theory needs equal field factors"),
+]
+
+
+@pytest.mark.parametrize("ring, message", REFUSALS, ids=[r for r, _ in REFUSALS])
+def test_a_ring_without_module_theory_exits_1(ring, message, capsys):
+    assert main(["witt", ring, "+1", "2", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_bound_below_one_exits_1(bound, capsys):
     assert main(["witt", "GF(3), sigma=id", "+1", bound, "--json"]) == 1

@@ -23,6 +23,8 @@ from wittkit.rings import GF, PrimeField, QuotientRing, involution
 from wittkit.transfer import transfer_form
 from wittkit.wittgroup import WittEngine
 
+from oracles import elements_of
+
 
 class DoubleDualComparison:
     """can: M -> D(D(M)), x |-> (f |-> i(f(x))), built as the matrix of
@@ -52,12 +54,6 @@ class DoubleDualComparison:
                 f"{self.matrix.rank()} on a module of scalar dimension {self.M.sdim}"
             )
         return self
-
-
-def elements_of(M):
-    """Every element of the module M, one per scalar coordinate vector in
-    itertools.product order."""
-    return [M.from_vec(v) for v in itertools.product(list(M.F.elements()), repeat=M.sdim)]
 
 
 def t2_setup(spec="id"):

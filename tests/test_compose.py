@@ -16,7 +16,6 @@ test_intsnf.py looks up), on permuted copies of parsed forms, on sums
 with a degenerate summand, on sampled Gram tables (degenerate ones too)
 and on a coefficient whose dual is larger than the module."""
 
-import itertools
 import random
 from collections import Counter
 
@@ -35,11 +34,7 @@ from wittkit.modules import free_module, module_from_shape
 from wittkit.parser import parse_ring_with_involution
 from wittkit.wittgroup import WittEngine, sample_gram_tables
 
-
-def _int_elements(module):
-    """Every integer coordinate tuple of module, in itertools.product
-    order: element k is entry k, the order of the norm table."""
-    return list(itertools.product(range(module.F.p), repeat=module.sdim))
+from oracles import int_elements
 
 
 def scratch_coord_tensor(form):
@@ -54,7 +49,7 @@ def scratch_norm_table(form):
     tensor = scratch_coord_tensor(form)
     isd = form.coef.module.sdim
     out = []
-    for x in _int_elements(form.module):
+    for x in int_elements(form.module):
         acc = [0] * isd
         for a, xa in enumerate(x):
             for b, xb in enumerate(x):

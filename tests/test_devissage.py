@@ -144,7 +144,7 @@ def test_improper_ideals_are_rejected():
 @pytest.mark.parametrize(
     "text, J, epsilon, bound, classes",
     [
-        # T = k, and T = R twice (t^3 is 0 in R)
+        # T = k, and J = 0 twice (t^3 is 0 in R), where the general quotient T = R/(t^3) is R
         ("GF(3)[t]/(t^3), sigma=id", "t", 1, 4, 8),
         ("GF(3)[t]/(t^3), sigma=id", "0", 1, 4, 8),
         ("GF(3)[t]/(t^3), sigma=id", "t^3", 1, 4, 8),

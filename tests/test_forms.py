@@ -1,6 +1,5 @@
 """Epsilon-hermitian forms: evaluation, nondegeneracy, isometry, metabolicity."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -37,11 +36,7 @@ from wittkit.rings import GF, PrimeField, QuadraticField, QuotientRing, RingMap,
 from wittkit.transfer import GammaComparison, transfer_form
 from wittkit.wittgroup import WittEngine, sample_gram_tables
 
-
-def elements_of(M):
-    """Every element of the module M, one per scalar coordinate vector in
-    itertools.product order."""
-    return [M.from_vec(v) for v in itertools.product(list(M.F.elements()), repeat=M.sdim)]
+from oracles import elements_of
 
 
 def coef_over(p):

@@ -301,6 +301,42 @@ def test_the_chain_level_duality_is_gone():
     assert list(inspect.signature(koszul.FreeComplex).parameters) == ["ring", "ranks", "diffs"]
 
 
+# the one place where modules.py decides the ring family, and what it reads
+RING_FAMILY_READERS = {"chain_components", "is_nilpotent_quotient", "uniformizer"}
+RING_FAMILY_NAMES = {"ProductRing", "is_nilpotent_quotient", "uniformizer", "idempotents", "is_field"}
+
+
+def ring_family_reads(source):
+    """(function, name) for each read of RING_FAMILY_NAMES, as a Name or
+    an attribute, in the body of a function or method of source other than
+    RING_FAMILY_READERS; imports are not function bodies."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name not in RING_FAMILY_READERS:
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name in RING_FAMILY_NAMES:
+                    out.append((node.name, name))
+    return out
+
+
+def test_the_check_sees_a_ring_family_branch():
+    src = ("from .rings import ProductRing\n\n"
+           "def chain_components(ring):\n"
+           "    return isinstance(ring, ProductRing) or ring.is_field\n\n"
+           "class K:\n"
+           "    def split(self, ring):\n"
+           "        if ring.is_field or uniformizer(ring):\n"
+           "            return ring.idempotents()\n\n"
+           "def dim(ring):\n"
+           "    return ring.scalar_dim() // len(chain_components(ring))\n")
+    assert ring_family_reads(src) == [("split", "is_field"), ("split", "uniformizer"), ("split", "idempotents")]
+
+
+def test_modules_decides_the_ring_family_in_one_place():
+    assert ring_family_reads((Path(wittkit.__file__).parent / "modules.py").read_text()) == []
+
+
 def test_one_coordinate_basis_per_subspace():
     from wittkit import cli, forms, intsnf, linalg, modules
 

@@ -45,16 +45,12 @@ from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import Element, PrimeField, involution
 from wittkit.wittgroup import WittEngine, sample_gram_tables
 
+from oracles import int_elements
+
 
 def _int_matrix(m):
     """The raw entries of a Matrix, row by row."""
     return [[e.data for e in row] for row in m.rows]
-
-
-def _int_elements(module):
-    """Every integer coordinate tuple of module, in itertools.product
-    order: element k is entry k, the order of the norm table."""
-    return list(product(range(module.F.p), repeat=module.sdim))
 
 
 CASES = [
@@ -144,7 +140,7 @@ def reference_isometric(f1, f2):
     n = len(gens1)
     diag_t = [I.to_ints(f1.evaluate(g, g)) for g in gens1]
     cross_t = [[I.to_ints(f1.evaluate(gens1[j], gens1[i])) for i in range(n)] for j in range(n)]
-    elems = _int_elements(M2)
+    elems = int_elements(M2)
     nidx = {}
     for k, v in enumerate(_norm_table(f2)):
         nidx.setdefault(v, []).append(k)
@@ -247,7 +243,7 @@ def test_solutions_list_exactly_the_filtered_elements(text):
     seen = {True: 0, False: 0}
     for module in engine.shapes_up_to(4):
         p, d = module.F.p, module.sdim
-        elems = _int_elements(module)
+        elems = int_elements(module)
         for ann in engine._anns:
             act = _int_matrix(module.action_matrix(ann))
             killed = [k for k, v in enumerate(elems) if not any(_mat_vec(act, v, p))]
@@ -271,7 +267,7 @@ def test_digits_decode_the_element_list(p):
     no longer build, for every k and sdim 0 to 5."""
     rwi = involution(PrimeField(p), "id")
     for d in range(6):
-        elems = _int_elements(free_module(rwi, d))
+        elems = int_elements(free_module(rwi, d))
         assert len(elems) == p ** d
         assert all(_digits(k, d, p) == x for k, x in enumerate(elems)), (p, d)
 
@@ -362,7 +358,7 @@ def test_closure_takes_the_vector_itself_for_the_identity(text, identities):
         assert [m is None for m in mats] == [m == ident for m in full]
         seen.add(sum(m is None for m in mats))
         assert [m for m in mats if m is not None] == [m for m in full if m != ident]
-        elems = _int_elements(module)
+        elems = int_elements(module)
         rows = Echelon(module.F)
         for _ in range(6):
             v = rng.choice(elems)

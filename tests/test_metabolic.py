@@ -8,7 +8,6 @@ every nondegenerate Gram table of the small shapes below, and on a seeded
 sample for larger ones, over fields and over non-field rings up to
 length 6."""
 
-import itertools
 import random
 
 import pytest
@@ -27,11 +26,7 @@ from wittkit.modules import module_from_shape
 from wittkit.parser import parse_ring_with_involution
 from wittkit.wittgroup import WittEngine, enumerate_gram_tables, sample_gram_tables
 
-
-def _int_elements(module):
-    """Every integer coordinate tuple of module, in itertools.product
-    order: element k is entry k, the order of the norm table."""
-    return list(itertools.product(range(module.F.p), repeat=module.sdim))
+from oracles import int_elements
 
 
 def bfs_is_metabolic(form):
@@ -48,7 +43,7 @@ def bfs_is_metabolic(form):
     if M.ring.is_field and half % M.ring.scalar_dim():
         return False
     isd = form.coef.module.sdim
-    elems = _int_elements(M)
+    elems = int_elements(M)
     norms = _norm_table(form)
     zero = (0,) * isd
     iso = [elems[k] for k, v in enumerate(norms) if v == zero and any(elems[k])]

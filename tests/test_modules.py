@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wittkit.coefficients import DualModule, standard_coefficient
-from wittkit.errors import EngineError
+from wittkit.errors import EngineError, WittKitError
 from wittkit.linalg import (
     Echelon,
     Matrix,
@@ -18,23 +18,21 @@ from wittkit.modules import (
     CyclicFactor,
     Decomposition,
     FLModule,
+    chain_components,
     free_module,
     hom_space_basis,
     indecomposable_factor_anns,
     is_nilpotent_quotient,
     map_matrix,
     module_from_shape,
+    simple_scalar_dim,
     uniformizer,
 )
-from wittkit.parser import parse_ring_with_involution
+from wittkit.parser import parse_ring, parse_ring_with_involution
 from wittkit.rings import GF, Element, PrimeField, ProductRing, QuotientRing, RingMap, involution
 from wittkit.transfer import RestrictedModule, TransferCoefficient
 
-
-def elements_of(M):
-    """Every element of the module M, one per scalar coordinate vector in
-    itertools.product order."""
-    return [M.from_vec(v) for v in itertools.product(list(M.F.elements()), repeat=M.sdim)]
+from oracles import elements_of
 
 
 def t2_ring():
@@ -65,6 +63,40 @@ def test_nilpotent_quotient_predicate():
 def test_uniformizer():
     R = t2_ring()
     assert uniformizer(R) == R.gen("t")
+
+
+# ring text -> (e, pi, n) per chain component, the annihilators
+# 1 - e + pi^a of the indecomposables, and the simple scalar dimension
+CHAIN_RINGS = {
+    "GF(3)": ([("1", "0", 1)], ["0"], 1),
+    "GF(9)": ([("1", "0", 1)], ["0"], 2),
+    "QQ(i)": ([("1", "0", 1)], ["0"], 2),
+    "GF(3)[t]/(t^3)": ([("1", "t", 3)], ["0", "t^2", "t"], 1),
+    "GF(9)[t]/(t^2)": ([("1", "t", 2)], ["0", "t"], 2),
+    "GF(3)xGF(3)": ([("(1, 0)", "(0, 0)", 1), ("(0, 1)", "(0, 0)", 1)], ["(0, 1)", "(1, 0)"], 1),
+}
+
+
+@pytest.mark.parametrize("text", CHAIN_RINGS)
+def test_each_ring_is_described_once_as_chain_components(text):
+    ring = parse_ring(text)
+    components, anns, unit = CHAIN_RINGS[text]
+    assert [(repr(e), repr(pi), n) for e, pi, n in chain_components(ring)] == components
+    assert [repr(a) for a in indecomposable_factor_anns(ring)] == anns
+    assert simple_scalar_dim(ring) == unit
+    # the simple modules e.R/(pi) have the unit scalar dimension
+    assert {CyclicFactor(ring, ring.one - e + pi).sdim for e, pi, _ in chain_components(ring)} == {unit}
+
+
+def test_module_from_shape_reads_the_chain_component():
+    F9 = involution(GF(9), "frobenius")
+    assert module_from_shape(F9, [1, 1]) is free_module(F9, 2)
+    with pytest.raises(WittKitError, match=r"^cyclic length 2 out of range 1\.\.1$"):
+        module_from_shape(F9, [2])
+    P = parse_ring_with_involution("GF(3)xGF(3), sigma=swap")
+    assert module_from_shape(P, []) is P.module([])
+    with pytest.raises(WittKitError, match="^module_from_shape does not support GF"):
+        module_from_shape(P, [1])
 
 
 def test_free_module_basics():
@@ -622,6 +654,57 @@ def test_every_small_restriction_and_transfer_splits_as_before(src, dst, t_image
     tc = TransferCoefficient(pi, rwi_dst, standard_coefficient(rwi_src))
     basis = head_hom_space_basis(tc.F, _transfer_pairs(tc), tc._nrows, tc._ncols)
     assert_split_as_before(tc, HeadActionSpace(rwi_dst, basis, tc._act).decompose())
+
+
+def _swap_dual(anns):
+    def build():
+        rwi = parse_ring_with_involution("GF(3)xGF(3), sigma=swap")
+        e1, e2 = rwi.ring.idempotents()
+        named = {"e1": e1, "e2": e2}
+        return DualModule(standard_coefficient(rwi), rwi.module([named[a] for a in anns]))
+    return build
+
+
+def _restriction_of_k_cubed():
+    F3 = PrimeField(3)
+    R = QuotientRing(F3, [0, 0, 0, 1], "t")
+    return RestrictedModule(RingMap(R, F3, [F3.zero]), involution(R, "id"), free_module(involution(F3, "id"), 3))
+
+
+def _dual_of_r_plus_k_over_t_cubed():
+    R = QuotientRing(PrimeField(3), [0, 0, 0, 1], "t")
+    rwi = involution(R, "id")
+    return DualModule(standard_coefficient(rwi), FLModule(rwi, [R.zero, R.gen("t")]))
+
+
+def _dual_of_f9_squared():
+    rwi = involution(GF(9), "frobenius")
+    return DualModule(standard_coefficient(rwi), free_module(rwi, 2))
+
+
+@pytest.mark.parametrize("build, pieces", [
+    (_dual_of_r_plus_k_over_t_cubed, 2),
+    (_restriction_of_k_cubed, 3),
+    (_transfer_t_cubed_to_k, 1),
+    (_dual_of_f9_squared, 2),
+    (_swap_dual(["e2", "e2", "e1"]), 3),
+    (_swap_dual(["e2", "e1", "e1"]), 3),
+    (_swap_dual(["e1"]), 1),
+], ids=["dual-r-plus-k", "restriction-k-cubed", "transfer-t-cubed", "dual-f9-squared",
+        "swap-dual-2-1", "swap-dual-1-2", "swap-dual-0-1"])
+def test_the_last_summand_of_each_component_needs_no_splitting_map(build, pieces, monkeypatch):
+    """Every piece but the last of its chain component is split off
+    through one _split_map; the last fills what is left."""
+    import wittkit.modules
+
+    calls = []
+    split_map = wittkit.modules._split_map
+    monkeypatch.setattr(wittkit.modules, "_split_map", lambda *args: calls.append(1) or split_map(*args))
+    dec = build()
+    M = dec.module
+    assert len(M.factors) == pieces
+    nonempty = sum(1 for e, _, _ in chain_components(M.ring) if not M.action_matrix(e).is_zero())
+    assert len(calls) == pieces - nonempty
 
 
 def test_decomposition_of_t_times_r_is_one_residue_field():
