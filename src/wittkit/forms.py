@@ -31,17 +31,19 @@ a search needs it.  Per form, on the form: the Gram key, the Gram entries,
 the coordinate tensor (raw I-coordinates, the one scalar pairing table),
 the norm table, the fingerprint and nondegeneracy.
 
-The Gram key (raw I-coordinates of the entries) comes first: every table
-of a plain form is computed from it, and the Gram entries are Elements
-made only when form.gram is read.  A form built from a table (__init__)
-makes its key from its coerced entries; transfer_form and the Gram
-enumeration of wittgroup hold raw coordinates already and set the key
-directly (_form_of_keys).  A plain form's tensor entry for scalar basis
-vectors in factors i and j is the raw action, on I, of the module's kept
-product sigma(r1) r2 of their representatives applied to key (i, j).  An
-orthogonal sum takes its summands' keys and reduced Gram entries as they
-are and composes its per-form tables from theirs, apart from
-nondegeneracy, which it decides on its composed tensor like any form.
+A form is set up from one of two sources.  A plain form has its Gram key
+(raw I-coordinates of the entries), and every other table of it is
+computed from that key.  A form built from a table (__init__) makes its
+key from its coerced entries; transfer_form and wittgroup (its Gram
+enumeration and its empty form) hold raw coordinates already and set the
+key directly (_form_of_keys).  A plain form's tensor entry for scalar basis vectors in
+factors i and j is the raw action, on I, of the module's kept product
+sigma(r1) r2 of their representatives applied to key (i, j).  An
+orthogonal sum has its parts: it takes its summands' keys as they are and
+composes its per-form tables from theirs, apart from nondegeneracy, which
+it decides on its composed tensor like any form.  On every form the Gram
+entries are Elements made from the key (I.from_vec) only when form.gram
+is read.
 """
 
 from __future__ import annotations
@@ -59,34 +61,35 @@ from .errors import (
     NotSesquilinear,
 )
 from .linalg import Echelon, Matrix
-from .modules import free_module, module_from_shape
+from .modules import free_module, module_from_shape, simple_scalar_dim
 
 
 class HermitianForm:
     def __init__(self, coef, module, gram, epsilon, check=True):
         _check_table(coef, module, gram, epsilon)
         I = coef.module
-        self._setup(coef, module, epsilon, gram=[[_coerce(I, e) for e in row] for row in gram])
+        self._setup(coef, module, epsilon,
+                    key=tuple(tuple(I.to_ints(_coerce(I, e)) for e in row) for row in gram))
         if check:
             self._validate()
 
-    def _setup(self, coef, module, epsilon, gram=None, key=None, parts=None):
-        """Every form is set up here, from one of three sources: gram,
-        Gram entries that are reduced elements of coef.module already
-        (__init__ coerces its entries first); key, the raw coordinates of
-        such entries (_form_of_keys); or parts, (summands, order) on a
-        form built by orthogonal_sum or canonical_order, whose factor a is
-        factor order[a] of the summands' factors taken one summand after
-        another, and whose tables are composed from theirs.  The Gram key
-        and the Gram entries are each made from the source on first
-        read."""
+    def _setup(self, coef, module, epsilon, key=None, parts=None):
+        """Every form is set up here, from one of two sources: key, the raw
+        I-coordinates (I.to_ints) of reduced Gram entries (__init__ makes
+        it from its coerced entries, _form_of_keys takes it as given); or
+        parts, (summands, order) on a form built by orthogonal_sum or
+        canonical_order, whose factor a is factor order[a] of the
+        summands' factors taken one summand after another, and whose
+        tables are composed from theirs.  The key of a composed form is
+        made from its summands' keys on first read."""
         self.coef = coef
         self.module = module
         self.ring = module.ring
         self.epsilon = epsilon
-        self._gram = gram
+        self._gram = None
         self._gkey = key
         self._ctensor = None
+        self._ntab = None
         self._fp = None
         self._nondeg = None
         self._parts = parts
@@ -94,19 +97,11 @@ class HermitianForm:
     @property
     def gram(self):
         """The Gram table, entries b(g_i, g_j) as reduced elements of the
-        coefficient module; kept on the form.  A composed form takes its
-        summands' entries, a form set up on its key makes each entry once
-        by I.from_vec."""
+        coefficient module; made from the Gram key by I.from_vec on first
+        read and kept on the form."""
         if self._gram is None:
             I = self.coef.module
-            if self._parts is not None:
-                summands = self._parts[0]
-                zero = I.zero()
-                picked = _picked(*self._parts)
-                self._gram = [[summands[s].gram[i][j] if s == t else zero for t, j in picked]
-                              for s, i in picked]
-            else:
-                self._gram = [[I.from_vec(k) for k in row] for row in self._gkey]
+            self._gram = [[I.from_vec(k) for k in row] for row in self.gram_key()]
         return self._gram
 
     def _validate(self):
@@ -258,14 +253,11 @@ class HermitianForm:
         composed form takes its entries from its summands' keys."""
         if self._gkey is None:
             I = self.coef.module
-            if self._parts is not None:
-                picked = _picked(*self._parts)
-                keys = [f.gram_key() for f in self._parts[0]]
-                zero = I.to_ints(I.zero())
-                self._gkey = tuple(tuple(keys[s][i][j] if s == t else zero for t, j in picked)
-                                   for s, i in picked)
-            else:
-                self._gkey = tuple(tuple(I.to_ints(e) for e in row) for row in self.gram)
+            picked = _picked(*self._parts)
+            keys = [f.gram_key() for f in self._parts[0]]
+            zero = I.to_ints(I.zero())
+            self._gkey = tuple(tuple(keys[s][i][j] if s == t else zero for t, j in picked)
+                               for s, i in picked)
         return self._gkey
 
     def __eq__(self, other):
@@ -343,8 +335,8 @@ def _permuted_sum(summands, order):
     """The orthogonal sum of the summands with its cyclic factors taken in
     the given order (indices into the summands' factors, one summand
     after another).  The result carries the summands, so its tables are
-    composed from theirs, its Gram entries too, which are reduced
-    already and are not coerced again."""
+    composed from theirs, its Gram key too, which is reduced already and
+    is not coerced again."""
     first = summands[0]
     module = first.coef.rwi.module([summands[s].module.factors[i].ann
                                     for s, i in _picked(summands, order)])
@@ -476,8 +468,8 @@ def hyperbolic_form(coef, N, epsilon=1):
 #     by the coordinate permutation;
 #   - _coord_tensor: the block diagonal of the summands' tensors, permuted
 #     the same way;
-#   - the Gram table and gram_key: the summands' entries and keys, zero
-#     off the diagonal blocks, never coerced again.
+#   - gram_key: the summands' keys, zero off the diagonal blocks, never
+#     coerced again.
 # Every other form (a block, a hyperbolic form, a form built from a Gram
 # table, a transfer, whose Gram key transfer_form computes from the source
 # form's tensor) computes its tables from its own Gram key: the tensor as
@@ -561,7 +553,7 @@ def _norm_table(form):
     composed form sums and reindexes its summands' tables; any other form
     is built by prefix recursion: O(p^d) with small per-node cost instead
     of O(p^d d^2)."""
-    if getattr(form, "_ntab", None) is not None:
+    if form._ntab is not None:
         return form._ntab
     M = form.module
     p = M.F.p
@@ -830,8 +822,8 @@ def is_metabolic(form):
     p = F.p
     d = M.sdim
     half = d // 2
-    if M.ring.is_field and half % M.ring.scalar_dim():
-        return False  # submodules are vector spaces over the ring itself
+    if half % simple_scalar_dim(M.ring):
+        return False  # a submodule's scalar dimension is a whole length
     isd = form.coef.module.sdim
     zero = (0,) * isd
     bt = form._coord_tensor()

@@ -272,7 +272,9 @@ class _Parser:
                 raise ParseError("expected an involution clause", t.line, t.col)
             return involution(ring, "id")
         t = self.peek()
-        if t.kind == "name" and t.value in ("id", "frobenius", "swap", "conj") and not self.at_op("->", 1):
+        # a named spec, unless it is a generator of the ring being assigned
+        assigned = t.value in ring.generator_names() and self.at_op("->", 1)
+        if t.kind == "name" and t.value in ("id", "frobenius", "swap", "conj") and not assigned:
             self.next()
             try:
                 return involution(ring, t.value)
@@ -442,15 +444,12 @@ def parse_sequence(ring, text):
 
 def parse_tower(text):
     """"R -> S" with involutions; returns (rwi_src, rwi_dst, ringmap).
-    The map is the canonical one; source involution clauses must use the
-    named forms (id/frobenius/swap/conj), not assignment lists."""
+    The map is the canonical one; each side takes the same involution
+    clause as a ring descriptor (sigma=id by default), named or as
+    generator assignments."""
     p = _Parser(text)
     src_ring = p.parse_ring()
-    src = None
-    if (p.at_op(",") and p.at_name("sigma", 1)) or p.at_name("with"):
-        src = p.parse_sigma_clause(src_ring)
-    else:
-        src = involution(src_ring, "id")
+    src = p.parse_sigma_clause(src_ring)
     p.expect_op("->")
     dst_ring = p.parse_ring()
     dst = p.parse_sigma_clause(dst_ring)

@@ -49,7 +49,7 @@ from .errors import (
     RingMismatch,
 )
 from .forms import _form_of_keys
-from .linalg import matrix_of_map, unit_vector
+from .linalg import Matrix, unit_vector
 from .modules import Decomposition, HomModule, map_matrix
 from .rings import Element, check_equivariant_map, compose_maps
 
@@ -205,17 +205,11 @@ class GammaComparison:
         self.inner = TransferCoefficient(p, rwi_mid, coef)
         self.composite = TransferCoefficient(q, rwi_dst, self.inner.coefficient)
         self.direct = TransferCoefficient(self.pi, rwi_dst, coef)
-        F = coef.module.F
-        k = rwi_dst.ring
+        at_one = Matrix(coef.module.F, self.inner._at_one)
 
         def gamma(f):
-            H1 = self.composite.hom_matrix(f)  # (p^flat I).sdim x k.sdim
-
-            def column(a):
-                # gamma(f)(e_a) = f(e_a)(1_T)
-                return coef.module.to_vec(self.inner.eval_at_one(self.inner.module.from_vec(H1.apply(a))))
-
-            return self.direct.element_of_hom(matrix_of_map(F, k.scalar_dim(), column))
+            # gamma(f)(a) = f(a)(1_T): evaluation at one after f
+            return self.direct.element_of_hom(at_one * self.composite.hom_matrix(f))
 
         J = map_matrix(self.composite.module, self.direct.module, gamma)
         # raises NotACoefficientIso when the comparison square fails

@@ -36,7 +36,6 @@ from .errors import (
     NotFinite,
 )
 from .forms import (
-    HermitianForm,
     _form_of_keys,
     canonical_order,
     is_metabolic,
@@ -190,7 +189,7 @@ class WittEngine:
                 f"module of size {module.size()} exceeds the engine limit {self.max_size}"
             )
         if not module.factors:
-            empty = HermitianForm(self.coef, module, [], self.epsilon, check=False)
+            empty = _form_of_keys(self.coef, module, [], self.epsilon)
             self._classes[module.key] = [empty]
             return self._classes[module.key]
         pairs = list(self._block_sums(module))

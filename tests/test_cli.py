@@ -198,6 +198,17 @@ def test_p1_fixed_point_models_answer_as_the_linear_involution(sigma, capsys):
         assert answers[0] == answers[1], (command, eps)
 
 
+@pytest.mark.parametrize("named, golden", [
+    ("GF(3), sigma=id -> GF(9)/GF(3), sigma=frobenius", "GF(3) -> GF(9)/GF(3), sigma=frobenius"),
+    ("GF(3)[t]/(t^3), sigma=id -> GF(3)", "GF(3)[t]/(t^3) -> GF(3), sigma=id"),
+])
+def test_a_named_source_involution_answers_as_the_default(named, golden, capsys):
+    argv, code, line = next(g for g in GOLDEN if g[0][:2] == ["transfer", golden])
+    assert main(["transfer", named, *argv[2:], "--json"]) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == (line + "\n", "")
+
+
 def test_python_dash_m_wittkit_runs_the_cli(capsys):
     argv, code, line = GOLDEN[0]
     src = str(Path(wittkit.__file__).resolve().parent.parent)

@@ -15,6 +15,7 @@ from wittkit.errors import (
 )
 from wittkit.forms import (
     HermitianForm,
+    _picked,
     canonical_order,
     coefficient_change,
     diagonal_form,
@@ -455,3 +456,37 @@ def test_raw_tensor_and_validation_match_the_element_oracle(text):
     # nonzero annihilator tables that it does not kill
     assert None in verdicts and NotEpsilonSymmetric in verdicts
     assert (NotSesquilinear in verdicts) == (not rwi.ring.is_field)
+
+
+# -- the Gram entries of a composed form ---------------------------------------
+#
+# Every form makes its Gram entries from its Gram key.  The oracle is the
+# composed branch before that: each entry taken from the summand that
+# holds both factors, zero off the diagonal blocks.
+
+
+def picked_gram(form):
+    summands, order = form._parts
+    zero = form.coef.module.zero()
+    picked = _picked(summands, order)
+    return [[summands[s].gram[i][j] if s == t else zero for t, j in picked] for s, i in picked]
+
+
+@pytest.mark.parametrize("text, epsilon", [
+    ("GF(3)[t]/(t^2), sigma=id", 1),
+    ("GF(3)[t]/(t^3), sigma=id", 1),
+    ("GF(3)xGF(3), sigma=swap", -1),
+    ("GF(9), sigma=frobenius", 1),
+])
+def test_a_composed_gram_is_the_summands_block_table(text, epsilon):
+    engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
+    classes = [f for m in engine.shapes_up_to(2) for f in engine.classes(m)]
+    composed = 0
+    for i, f in enumerate(classes):
+        for g in classes[i:]:
+            s = orthogonal_sum(f, g)
+            # a sum whose summand is composed too, in both places
+            for form in (s, orthogonal_sum(s, f), orthogonal_sum(g, s)):
+                assert form.gram == picked_gram(form)
+                composed += 1
+    assert composed

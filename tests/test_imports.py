@@ -337,6 +337,15 @@ def test_modules_decides_the_ring_family_in_one_place():
     assert ring_family_reads((Path(wittkit.__file__).parent / "modules.py").read_text()) == []
 
 
+# The layers above modules.py read the ring family only through it.  Left
+# out: devissage.py, whose residue tower (a field or k[t]/(t^n)) waits for
+# a coefficient field read off chain_components (ROADMAP D19), and
+# fieldwitt.py and linalg.py, which need a field by design.
+@pytest.mark.parametrize("name", ["forms.py", "wittgroup.py", "coefficients.py", "transfer.py"])
+def test_form_layers_read_the_ring_family_through_modules(name):
+    assert ring_family_reads((Path(wittkit.__file__).parent / name).read_text()) == []
+
+
 def test_one_coordinate_basis_per_subspace():
     from wittkit import cli, forms, intsnf, linalg, modules
 

@@ -183,3 +183,25 @@ def test_search_refuses_a_coefficient_that_is_not_strong():
     assert form.is_nondegenerate()
     with pytest.raises(NotStrongDuality):
         is_metabolic(form)
+
+
+def test_odd_length_answers_false_before_the_search_off_a_field(monkeypatch):
+    # GF(9)[t]/(t^2): a simple module has scalar dimension 2 over GF(3),
+    # so an odd-length module has even scalar dimension and no Lagrangian
+    coef = standard_coefficient(parse_ring_with_involution("GF(9)[t]/(t^2), sigma=t->-t"))
+    even, odd = [], []
+    for module in WittEngine(coef, -1).shapes_up_to(3):
+        if module.sdim <= 4:
+            forms = enumerate_gram_tables(coef, module, -1)
+        else:
+            forms = sample_gram_tables(coef, module, -1, 20, random.Random(1))
+        forms = [f for f in forms if f.is_nondegenerate()]
+        (odd if sum(f.length for f in module.factors) % 2 else even).extend(forms)
+    answers = agree_on(even)
+    assert answers[True] and answers[False]
+
+    def unread(form):
+        raise AssertionError("the norm table was read")
+
+    monkeypatch.setattr("wittkit.forms._norm_table", unread)
+    assert odd and not any(is_metabolic(f) for f in odd)

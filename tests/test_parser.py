@@ -4,7 +4,14 @@ object, and a syntax error names the line and the column it sits at."""
 import pytest
 
 from wittkit.errors import ParseError
-from wittkit.parser import parse_element, parse_gram, parse_ring, parse_ring_with_involution
+from wittkit.parser import (
+    parse_element,
+    parse_gram,
+    parse_involution,
+    parse_ring,
+    parse_ring_with_involution,
+    parse_tower,
+)
 
 RINGS = [
     "GF(3)",
@@ -90,6 +97,26 @@ def test_involution_clause_spellings_agree():
     assert a.ring == b.ring
     t = a.ring.gen("t")
     assert a.conj(t) == b.conj(t) == -t
+
+
+@pytest.mark.parametrize(
+    "tower, spec",
+    [("GF(3), sigma=id -> GF(9)/GF(3), sigma=frobenius", "id"),
+     ("GF(3)[t]/(t^3), sigma=id -> GF(3)", "id"),
+     ("GF(3)xGF(3), sigma=swap -> GF(3)xGF(3)", "swap"),
+     ("GF(3)[t]/(t^2), sigma=t->-t -> GF(3)", "t->-t")],
+)
+def test_a_tower_source_takes_the_descriptor_involution_clause(tower, spec):
+    src, dst, pi = parse_tower(tower)
+    assert src == parse_involution(src.ring, spec)
+    assert pi.src == src.ring and pi.dst == dst.ring
+
+
+def test_a_generator_named_id_is_still_assigned():
+    rwi = parse_ring_with_involution("GF(3)[id]/(id^2), sigma=id->-id")
+    x = rwi.ring.gen("id")
+    assert rwi.conj(x) == -x
+    assert parse_ring_with_involution("GF(3)[id]/(id^2), sigma=id").is_trivial()
 
 
 @pytest.mark.parametrize(

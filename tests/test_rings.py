@@ -8,6 +8,7 @@ import pytest
 from wittkit import rings
 from wittkit.errors import (
     CharacteristicTwo,
+    DomainMismatch,
     NotAHomomorphism,
     NotAUnit,
     NotInvolutive,
@@ -21,6 +22,7 @@ from wittkit.rings import (
     PolynomialRing,
     PrimeField,
     ProductRing,
+    ProductRingMap,
     QuadraticField,
     QuotientRing,
     Rationals,
@@ -216,6 +218,47 @@ def test_equivariant_map_check():
     sig_R = involution(R, {"t": [0, 2]})
     sig_k = involution(F3, "id")
     assert check_equivariant_map(pi, sig_R, sig_k)
+
+
+def test_product_maps_compose_as_identity_and_swap():
+    P = ProductRing(PrimeField(3), PrimeField(3))
+    ident, swap = ProductRingMap(P), ProductRingMap(P, swap=True)
+    x = P.el((1, 2))
+    assert ident(x) == x
+    assert swap(x) == P.el((2, 1))
+    assert compose_maps(ident, ident) == ident
+    assert compose_maps(ident, swap) == swap
+    assert compose_maps(swap, ident) == swap
+    assert compose_maps(swap, swap) == ident
+    assert identity_map(P) == ident
+    assert involution(P, "swap").sigma == swap
+    with pytest.raises(DomainMismatch, match="cannot mix product and non-product maps"):
+        compose_maps(ident, RingMap(PrimeField(3), P, []))
+
+
+def test_product_maps_are_equal_and_hash_alike_by_ring_and_swap():
+    F3 = PrimeField(3)
+    P, Q = ProductRing(F3, F3), ProductRing(F3, F3)
+    assert ProductRingMap(P, swap=True) == ProductRingMap(Q, swap=True)
+    assert hash(ProductRingMap(P, swap=True)) == hash(ProductRingMap(Q, swap=True))
+    assert ProductRingMap(P) == ProductRingMap(Q)
+    assert hash(ProductRingMap(P)) == hash(ProductRingMap(Q))
+    assert ProductRingMap(P) != ProductRingMap(P, swap=True)
+    assert ProductRingMap(P).is_identity()
+    assert not ProductRingMap(P, swap=True).is_identity()
+    assert repr(ProductRingMap(P, swap=True)) == "ProductRingMap(GF(3)xGF(3) -> GF(3)xGF(3), swap)"
+    with pytest.raises(WittKitError, match="swap needs a product R x R with equal factors"):
+        ProductRingMap(ProductRing(F3, GF(9)), swap=True)
+
+
+def test_equivariance_on_a_product_reads_its_algebra_generators():
+    P = ProductRing(PrimeField(3), PrimeField(3))
+    ident = identity_map(P)
+    sig_id, sig_swap = involution(P, "id"), involution(P, "swap")
+    assert not check_equivariant_map(ident, sig_id, sig_swap)
+    assert not check_equivariant_map(ident, sig_swap, sig_id)
+    assert check_equivariant_map(ident, sig_swap, sig_swap)
+    assert check_equivariant_map(ident, sig_id, sig_id)
 
 
 def test_element_cross_ring_rejected():
