@@ -94,11 +94,13 @@ def cmd_witt(args):
 
 def _koszul_involution(ring, text):
     # "swap" on a two-variable polynomial ring means exchanging the
-    # variables, which the named form reserves for product rings
+    # variables and fixing the generators of the base, which the named form
+    # reserves for product rings
     text = text.strip()
     if text == "swap" and isinstance(ring, PolynomialRing) and ring.nv == 2:
         a, b = ring.variables
-        return involution(ring, {a: ring.gen(b), b: ring.gen(a)})
+        images = {g: ring.gen(g) for g in ring.base.generator_names()}
+        return involution(ring, {**images, a: ring.gen(b), b: ring.gen(a)})
     return parse_involution(ring, text)
 
 
@@ -157,6 +159,10 @@ def cmd_devissage_check(args):
 def cmd_transfer(args):
     src, dst, pi = parse_tower(args.tower)
     tc = TransferCoefficient(pi, dst, standard_coefficient(src))
+    n = len(tc.module.factors)
+    if n != 1:
+        raise WittKitError(f"pi^flat I has {n} cyclic factors; Gram entries are read "
+                           "as ring elements only when pi^flat I is cyclic")
     rows = parse_gram(dst.ring, args.gram)
     module = free_module(dst, len(rows))
     form = HermitianForm(tc.coefficient, module, rows, args.epsilon)

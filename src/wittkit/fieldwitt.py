@@ -75,7 +75,9 @@ def _norm_schedule(rwi, w):
 
 
 def _entry_key(ring, lam):
-    """Height order used to pick the canonical rescaled entry."""
+    """Height order used to pick the canonical rescaled entry.  The
+    infinite fields are QQ and the degree-2 quotients QQ[g]/(f), whose
+    elements a + b*g are coefficient pairs (a, b)."""
     if ring.is_finite:
         return ring.sort_key(lam.data)
     if isinstance(ring, Rationals):

@@ -69,6 +69,12 @@ class FreeComplex:
         return f"FreeComplex({self.ring}, {parts or 'zero'})"
 
 
+def _constant(ring, data):
+    """The constant polynomial with coefficient data of the base, as data
+    of the polynomial ring."""
+    return ring.normalize([((0,) * ring.nv, data)])
+
+
 class RegularSequenceData:
     """A sequence x_1..x_d in a polynomial ring, with the free rank-1
     target coefficient L = R twisted by a unit (sigma(u) u = 1 is the
@@ -110,7 +116,7 @@ class RegularSequenceData:
             # pivot variable = -(constant + free-variable tail)
             images = [ring.gen(v) for v in ring.variables]
             for r, pc in enumerate(pivots):
-                expr = -Element(ring, ring.normalize(rref.rows[r][ring.nv].data))
+                expr = -Element(ring, _constant(ring, rref.rows[r][ring.nv].data))
                 for c in range(ring.nv):
                     if c == pc:
                         continue
@@ -144,7 +150,7 @@ class RegularSequenceData:
         if self._mode == "linear":
             out = ring.zero
             for e, c in elem.data:
-                term = Element(ring, ring.normalize(c))
+                term = Element(ring, _constant(ring, c))
                 for v, k in zip(self._subst, e):
                     term = term * v ** k
                 out = out + term
@@ -269,7 +275,7 @@ def involution_transport(data, rwi):
     if comb is None:
         raise IdealNotInvariant("sigma of the sequence is not a constant combination of it")
     # A columns = coefficient vectors of sigma(x_i), lifted to constants
-    A = Matrix(ring, [[Element(ring, ring.normalize(comb[i][j].data))
+    A = Matrix(ring, [[Element(ring, _constant(ring, comb[i][j].data))
                        for i in range(d)] for j in range(d)])
     report = {"matrix": A}
 

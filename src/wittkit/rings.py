@@ -4,10 +4,13 @@ The tower of constructors:
 
     PrimeField(p)                 GF(p), p an odd prime
     Rationals()                   QQ
-    QuadraticField(d)             QQ(sqrt(d)), d squarefree, (1, sqrt(d)) basis
     QuotientRing(base, f, var)    base[var]/(f), f monic univariate
     PolynomialRing(base, vars)    multivariate polynomials, exact coefficients
     ProductRing(R, R)             componentwise ring structure
+
+Two constructors build quotients: GF(q) is GF(p)[u]/(f) for the first
+irreducible f of its degree, and QuadraticField(d) is QQ[g]/(g^2 - d)
+with g printed as i (d = -1) or sqrt(d).
 
 Elements are immutable, hashable and carry their ring; arithmetic is exact
 (Python ints / fractions).  Characteristic 2 is rejected at construction.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import itertools
+from math import isqrt
 
 from .errors import (
     CharacteristicTwo,
@@ -340,6 +344,9 @@ class PrimeField(Ring):
         return str(data)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared: Fractions are immutable
+
+
 class Rationals(Ring):
     is_field = True
     char = 0
@@ -360,10 +367,10 @@ class Rationals(Ring):
         return Fraction(n)
 
     def zero_data(self):
-        return Fraction(0)
+        return _ZERO
 
     def one_data(self):
-        return Fraction(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b
@@ -399,96 +406,6 @@ class Rationals(Ring):
 
     def format_element(self, data):
         return str(data)
-
-
-class QuadraticField(Ring):
-    """QQ(sqrt(d)) with basis (1, sqrt(d)); for d = -1 the generator prints
-    as i.  Conjugation (the nontrivial automorphism) negates the second
-    coordinate."""
-
-    is_field = True
-    char = 0
-
-    def __init__(self, d):
-        if d in (0, 1):
-            raise WittKitError("d must be a squarefree integer != 0, 1")
-        if not _squarefree(d):
-            raise WittKitError(f"{d} is not squarefree")
-        self.d = d
-        self.gen_name = "i" if d == -1 else f"sqrt({d})"
-        super().__init__()
-
-    def key(self):
-        return ("QQ(sqrt)", self.d)
-
-    def describe(self):
-        return "QQ(i)" if self.d == -1 else f"QQ(sqrt({self.d}))"
-
-    def _finite(self):
-        return False
-
-    def normalize(self, x):
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return (Fraction(x[0]), Fraction(x[1]))
-        return (Fraction(x), Fraction(0))
-
-    def from_int(self, n):
-        return (Fraction(n), Fraction(0))
-
-    def zero_data(self):
-        return (Fraction(0), Fraction(0))
-
-    def one_data(self):
-        return (Fraction(1), Fraction(0))
-
-    def add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    def neg(self, a):
-        return (-a[0], -a[1])
-
-    def mul(self, a, b):
-        return (a[0] * b[0] + self.d * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-    def is_unit(self, a):
-        return a != self.zero_data()
-
-    def inv(self, a):
-        n = a[0] * a[0] - self.d * a[1] * a[1]
-        if n == 0:
-            raise NotAUnit(f"{self.format_element(a)} in {self}")
-        return (a[0] / n, -a[1] / n)
-
-    def generator_names(self):
-        return [self.gen_name]
-
-    def generator_data(self):
-        return [(Fraction(0), Fraction(1))]
-
-    def scalar_field(self):
-        return Rationals()
-
-    def scalar_dim(self):
-        return 2
-
-    def to_svec(self, data):
-        return data
-
-    def from_svec(self, vec):
-        return (vec[0], vec[1])
-
-    def sort_key(self, data):
-        return tuple((c.numerator, c.denominator) for c in data)
-
-    def format_element(self, data):
-        a, b = data
-        g = self.gen_name
-        if b == 0:
-            return str(a)
-        bs = g if b == 1 else (f"-{g}" if b == -1 else f"{b}*{g}")
-        if a == 0:
-            return bs
-        return f"{a} + {bs}" if not bs.startswith("-") else f"{a} - {bs[1:]}"
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +511,9 @@ class QuotientRing(Ring):
     tuples of fixed length n (power i at index i).
 
     The base must be a field from this module.  Irreducibility of f is
-    detected for finite bases (so GF(9) built as GF(3)[u]/(u^2+1) knows it
-    is a field); reducible moduli like t^2 give honest non-fields with
-    partial inversion."""
+    decided for finite bases (so GF(9) built as GF(3)[u]/(u^2+1) knows it
+    is a field) and for degree 2 over QQ (so QQ(i) does); reducible moduli
+    like t^2 give honest non-fields with partial inversion."""
 
     def __init__(self, base, modulus, var="t"):
         if not base.is_field:
@@ -611,13 +528,22 @@ class QuotientRing(Ring):
         self.n = len(mod) - 1
         self.var = var
         self.char = base.char
-        self.is_field = base.is_finite and self._modulus_irreducible()
-        self._default_field = None  # whether GF(q) builds this ring; see describe
+        self.is_field = self._modulus_irreducible()
+        self._name = None  # describe(), built on first use
         # (a, b) -> a * b for data tuples of a finite ring, filled on first use
         self._mul_memo = {} if self.is_finite else None
         super().__init__()
 
     def _modulus_irreducible(self):
+        """Trial division over a finite base; over QQ, g^2 + bg + c is
+        irreducible exactly when b^2 - 4c is not the square of a rational.
+        False over every other base."""
+        if self.base == Rationals() and self.n == 2:
+            c, b, _ = self.modulus
+            disc = b * b - 4 * c
+            return disc < 0 or any(isqrt(m) ** 2 != m for m in (disc.numerator, disc.denominator))
+        if not self.base.is_finite:
+            return False
         half = len(self.modulus) // 2 + 1
         base_elems = [e.data for e in self.base.elements()]
         for deg in range(1, half):
@@ -633,27 +559,33 @@ class QuotientRing(Ring):
         return ("quot", self.base._key, self.modulus, self.var)
 
     def describe(self):
-        """GF(q)/GF(p) for the field GF(q) builds; the base, the variable
-        and the modulus otherwise, so that the text parses back to this
-        ring."""
-        if self._default_field is None:
-            self._default_field = (self.is_field and isinstance(self.base, PrimeField)
-                                   and self == GF(self.size()))
-        if self._default_field:
-            return f"GF({self.size()})/GF({self.char})"
-        return f"{self.base.describe()}[{self.var}]/({self._format_poly(self.modulus)})"
+        """GF(q)/GF(p) for the field GF(q) builds, QQ(i) or QQ(sqrt(d)) for
+        the field QuadraticField(d) builds; the base, the variable and the
+        modulus otherwise, so that the text parses back to this ring."""
+        if self._name is None:
+            if self.is_field and isinstance(self.base, PrimeField) and self == GF(self.size()):
+                self._name = f"GF({self.size()})/GF({self.char})"
+            elif (self.is_field and self.base == Rationals() and self.modulus[1] == 0
+                  and self.var == _quadratic_name(-self.modulus[0])):
+                self._name = f"QQ({self.var})"
+            else:
+                self._name = f"{self.base.describe()}[{self.var}]/({self._format_poly(self.modulus)})"
+        return self._name
 
     def _format_poly(self, cs):
-        terms = []
+        out = ""
         for i, c in enumerate(cs):
             if c == self.base.zero_data():
                 continue
-            cstr = self.base.format_element(c)
-            if i == 0:
-                terms.append(cstr)
+            term = self.base.format_element(c)
+            if i:
+                mono = self.var if i == 1 else f"{self.var}^{i}"
+                term = f"-{mono}" if term == "-1" else _times_monomial(term, mono)
+            if not out:
+                out = term
             else:
-                terms.append(_times_monomial(cstr, self.var if i == 1 else f"{self.var}^{i}"))
-        return " + ".join(terms) if terms else "0"
+                out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+        return out or "0"
 
     def normalize(self, x):
         if isinstance(x, (tuple, list)):
@@ -746,6 +678,21 @@ class QuotientRing(Ring):
     def format_element(self, data):
         s = self._format_poly(_ptrim(self.base, data))
         return s
+
+
+def _quadratic_name(d):
+    return "i" if d == -1 else f"sqrt({d})"
+
+
+def QuadraticField(d):
+    """QQ(sqrt(d)) = QQ[g]/(g^2 - d) for a squarefree integer d != 0, 1,
+    with basis (1, g); g prints as i for d = -1 and as sqrt(d) otherwise.
+    Conjugation (involution "conj") is g -> -g."""
+    if d in (0, 1):
+        raise WittKitError("d must be a squarefree integer != 0, 1")
+    if not _squarefree(d):
+        raise WittKitError(f"{d} is not squarefree")
+    return QuotientRing(Rationals(), [-d, 0, 1], _quadratic_name(d))
 
 
 def GF(q, var="u"):
@@ -1028,20 +975,11 @@ class RingMap:
         if isinstance(ring, Rationals):
             num = self.dst.el(data.numerator)
             return num if data.denominator == 1 else num * self.dst.el(data.denominator).inverse()
-        if isinstance(ring, QuadraticField):
-            g = images[-1]
-            a, b = data
-            qa = self._apply(Rationals(), a, [])
-            qb = self._apply(Rationals(), b, [])
-            return qa + qb * g
         if isinstance(ring, QuotientRing):
-            base_imgs = images[:-1]
-            t = images[-1]
+            base_imgs, t = images[:-1], images[-1]
             out = self.dst.zero
-            power = self.dst.one
-            for c in data:
-                out = out + self._apply(ring.base, c, base_imgs) * power
-                power = power * t
+            for c in reversed(data):  # Horner's rule
+                out = out * t + self._apply(ring.base, c, base_imgs)
             return out
         if isinstance(ring, PolynomialRing):
             nbase = len(ring.base.generator_names())
@@ -1064,22 +1002,10 @@ class RingMap:
         self._verify_relations(self.src, list(self.images))
 
     def _verify_relations(self, ring, images):
-        if isinstance(ring, QuadraticField):
-            g = images[-1]
-            if g * g != self.dst.el(ring.d):
-                raise NotAHomomorphism(
-                    f"image of {ring.gen_name} does not square to {ring.d}"
-                )
-        elif isinstance(ring, QuotientRing):
-            base_imgs = images[:-1]
-            t = images[-1]
-            self._verify_relations(ring.base, base_imgs)
-            val = self.dst.zero
-            power = self.dst.one
-            for c in ring.modulus:
-                val = val + self._apply(ring.base, c, base_imgs) * power
-                power = power * t
-            if val != self.dst.zero:
+        if isinstance(ring, QuotientRing):
+            self._verify_relations(ring.base, images[:-1])
+            # the modulus, read as a coefficient tuple, at the generator image
+            if self._apply(ring, ring.modulus, images):
                 raise NotAHomomorphism(
                     f"modulus of {ring} does not vanish on the generator image"
                 )
@@ -1239,8 +1165,8 @@ def involution(ring, spec):
     """Build a RingWithInvolution.
 
     spec is either the string "id", "frobenius" (finite fields of square
-    order), "swap" (products R x R), "conj" (quadratic fields), or a dict
-    {generator name: image}."""
+    order), "swap" (products R x R), "conj" (quadratic fields QQ[g]/(g^2 - d),
+    g -> -g), or a dict {generator name: image}."""
     if spec == "id":
         return RingWithInvolution(ring, identity_map(ring))
     if spec == "swap":
@@ -1248,10 +1174,10 @@ def involution(ring, spec):
             raise WittKitError("swap needs a product R x R with equal factors")
         return RingWithInvolution(ring, ProductRingMap(ring, swap=True))
     if spec == "conj":
-        if not isinstance(ring, QuadraticField):
+        if not (isinstance(ring, QuotientRing) and ring.is_field and ring.base == Rationals()
+                and ring.modulus[1] == 0):
             raise WittKitError("conj needs a quadratic field")
-        g = ring.gen(ring.gen_name)
-        return RingWithInvolution(ring, RingMap(ring, ring, [-g]))
+        return RingWithInvolution(ring, RingMap(ring, ring, [-ring.gen(ring.var)]))
     if spec == "frobenius":
         if not (isinstance(ring, QuotientRing) and ring.is_field and ring.is_finite):
             raise WittKitError("frobenius needs a finite field extension" + _frobenius_hint(ring))

@@ -322,3 +322,57 @@ def test_oversized_bound_exits_3_before_enumerating(command, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: module of size 531441 exceeds the engine limit 400000\n"
+
+
+# QQ[t]/(t^2+1) is the field QQ(i) on another variable name; before the
+# degree-2 rule over QQ it had no module theory
+def test_diagonalize_over_a_quadratic_quotient_of_qq(capsys):
+    argv = ["diagonalize", "QQ[t]/(t^2+1), sigma=t->-t", "[[1]]"]
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr() == ('{"entries": ["1"], "epsilon": 1}\n', "")
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("diag(1)\n", "")
+
+
+def test_quotients_over_qq_print_negative_terms_with_a_minus(capsys):
+    argv = ["transfer", "QQ[t]/(t^3) -> QQ[t]/(t^2), sigma=id", "[[1,t],[t,-1]]"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("[[t, t^2], [t^2, -t]]\n", "")
+
+
+# bases with generators: the constants of the reduction are lifted into the
+# polynomial ring, and swap fixes the generators of the base; the answers
+# are those over QQ[t], QQ[X,Y] and GF(3)[X,Y]
+KOSZUL_OVER_BASES = [
+    (["QQ[t]", "[t]", "t -> -t"], "-1"),
+    (["QQ(i)[t]", "[t]", "t -> -t"], "-1"),
+    (["QQ(sqrt(-5))[t]", "[t]", "t -> -t"], "-1"),
+    (["GF(9)[t]", "[t]", "t -> -t"], "-1"),
+    (["QQ[X,Y]", "[X+Y]", "swap"], "+1"),
+    (["GF(3)[X,Y]", "[X-Y]", "swap"], "-1"),
+    (["GF(3)[X,Y]", "[X+Y]", "swap"], "+1"),
+    (["QQ(i)[X,Y]", "[X-Y]", "swap"], "-1"),
+    (["QQ(i)[X,Y]", "[X+Y]", "swap"], "+1"),
+    (["GF(9)[X,Y]", "[X-Y]", "swap"], "-1"),
+    (["GF(9)[X,Y]", "[X+Y]", "swap"], "+1"),
+]
+
+
+@pytest.mark.parametrize("argv, u", KOSZUL_OVER_BASES, ids=[" ".join(a) for a, _ in KOSZUL_OVER_BASES])
+def test_koszul_sign_over_a_base_with_generators(argv, u, capsys):
+    assert main(["koszul-sign", *argv, "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"augmentation_square": True, "beta_square": True, "chain_map": True, "u": u}
+    assert err == ""
+
+
+@pytest.mark.parametrize("gram", ["[[1]]", "[[1"])
+def test_transfer_refuses_a_coefficient_with_several_factors_before_the_table(gram, capsys):
+    # pi^flat I for the identity of GF(3)xGF(3) is R = e1.R + e2.R; a
+    # malformed table is refused the same way, so the table is never read
+    argv = ["transfer", "GF(3)xGF(3), sigma=swap -> GF(3)xGF(3), sigma=swap", gram, "--json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: pi^flat I has 2 cyclic factors; Gram entries are read as ring "
+                   "elements only when pi^flat I is cyclic\n")

@@ -359,3 +359,39 @@ def test_one_coordinate_basis_per_subspace():
     assert not hasattr(modules.CyclicFactor, "elements")
     assert not hasattr(intsnf.PresentedGroup, "is_trivial")
     assert not hasattr(forms.HermitianForm, "rank")
+
+
+# Ring subclass of rings.py -> why the family needs it.  Every other ring is
+# built from these by a constructor function, as GF(q) and QuadraticField(d)
+# build quotients.
+RING_FAMILY = {
+    "PrimeField": "GF(p), the scalars of every finite ring",
+    "Rationals": "QQ, the scalars of every infinite ring",
+    "QuotientRing": "base[t]/(f): GF(q), QQ(sqrt(d)), k[t]/(t^n) and the P^1 charts",
+    "PolynomialRing": "the ambient rings of the Koszul conormal sign",
+    "ProductRing": "R x R, the ring the swap involution needs",
+}
+
+
+def ring_subclasses(source):
+    """Sorted names of the module-level classes of source that subclass
+    Ring, directly or through another class of source."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse(source).body if isinstance(node, ast.ClassDef)}
+
+    def is_ring(name):
+        return any(b == "Ring" or is_ring(b) for b in bases.get(name, []))
+
+    return sorted(name for name in bases if is_ring(name))
+
+
+def test_the_check_sees_a_ring_subclass():
+    src = ("class Ring:\n    pass\n\nclass A(Ring):\n    pass\n\n"
+           "class B(A):\n    pass\n\nclass C:\n    pass\n\ndef QuadraticField(d):\n    return A()\n")
+    assert ring_subclasses(src) == ["A", "B"]
+
+
+def test_the_ring_family_is_five_classes_each_for_a_reason():
+    source = (Path(wittkit.__file__).parent / "rings.py").read_text()
+    assert ring_subclasses(source) == sorted(RING_FAMILY)
+    assert all(RING_FAMILY.values())

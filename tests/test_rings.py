@@ -1,6 +1,7 @@
 """Ring tower: construction, exact arithmetic, involutions, maps."""
 
 import doctest
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from wittkit.errors import (
     RingMismatch,
     WittKitError,
 )
-from wittkit.parser import parse_involution, parse_ring
+from wittkit.parser import parse_element, parse_involution, parse_ring
 from wittkit.rings import (
     GF,
     Element,
@@ -367,3 +368,121 @@ def test_module_coerces_annihilators_and_refuses_another_rings():
     for stranger in (PrimeField(3).one, QuotientRing(PrimeField(3), [0, 0, 0, 1], "t").gen("t")):
         with pytest.raises(RingMismatch):
             rwi.module([stranger])
+
+
+# -- QQ(sqrt(d)) as the quotient QQ[g]/(g^2 - d) -----------------------------
+#
+# The (a, b) = a + b*g formulas of a hand-written quadratic field, kept as
+# an oracle for the quotient ring QuadraticField(d) returns.
+
+
+def qf_mul(d, x, y):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def qf_inv(d, x):
+    """The conjugate over the norm."""
+    n = x[0] * x[0] - d * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def qf_format(d, x):
+    a, b = x
+    g = "i" if d == -1 else f"sqrt({d})"
+    if b == 0:
+        return str(a)
+    bs = g if b == 1 else (f"-{g}" if b == -1 else f"{b}*{g}")
+    if a == 0:
+        return bs
+    return f"{a} + {bs}" if not bs.startswith("-") else f"{a} - {bs[1:]}"
+
+
+def _pairs(seed, count=12):
+    rng = random.Random(seed)
+    coords = [Fraction(0), Fraction(1), Fraction(-1)] + [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)]
+    return [(rng.choice(coords), rng.choice(coords)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("d", [-1, 2, 3, -5])
+def test_quadratic_field_matches_the_pair_formulas(d):
+    K = QuadraticField(d)
+    assert isinstance(K, QuotientRing) and K.is_field and not K.is_finite
+    assert K.scalar_dim() == 2
+    xs = _pairs(d)
+    for x in xs:
+        ex = K.el(x)
+        assert ex.data == x
+        assert str(ex) == qf_format(d, x)
+        assert parse_element(K, str(ex)) == ex
+        if x != (0, 0):
+            assert ex.inverse().data == qf_inv(d, x)
+        for y in xs[:4]:
+            assert (ex * K.el(y)).data == qf_mul(d, x, y)
+
+
+@pytest.mark.parametrize("d, message", [
+    (0, "d must be a squarefree integer != 0, 1"),
+    (1, "d must be a squarefree integer != 0, 1"),
+    (8, "8 is not squarefree"),
+    (-12, "-12 is not squarefree"),
+])
+def test_quadratic_field_keeps_its_validation(d, message):
+    with pytest.raises(WittKitError) as info:
+        QuadraticField(d)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, field", [
+    ("QQ[t]/(t^2+1)", True),
+    ("QQ[t]/(t^2-2)", True),
+    ("QQ[t]/(t^2+t+1)", True),
+    ("QQ[t]/(t^2)", False),
+    ("QQ[t]/(t^2-1)", False),
+    ("QQ[t]/(t^2-1/4)", False),
+    # every other infinite base or degree is not decided, and reads False
+    ("QQ[t]/(t^3-2)", False),
+    ("QQ(i)[t]/(t^2+1)", False),
+])
+def test_degree_two_over_qq_is_a_field_by_its_discriminant(text, field):
+    assert parse_ring(text).is_field is field
+
+
+def test_a_quadratic_quotient_describes_itself_by_its_constructor():
+    K = parse_ring("QQ[i]/(i^2+1)")
+    assert K == QuadraticField(-1)
+    assert str(K) == "QQ(i)"
+    assert str(QuadraticField(-5)) == "QQ(sqrt(-5))"
+    assert parse_ring(str(QuadraticField(-5))) == QuadraticField(-5)
+    # the same modulus on another variable is a field, but not QQ(i)
+    R = parse_ring("QQ[t]/(t^2+1)")
+    assert R.is_field and R != K
+    assert str(R) == "QQ[t]/(1 + t^2)"
+
+
+def test_conj_is_g_to_minus_g_on_a_quadratic_quotient():
+    R = parse_ring("QQ[t]/(t^2+1)")
+    assert involution(R, "conj").conj(R.gen("t")) == -R.gen("t")
+    for ring in (parse_ring("QQ[t]/(t^2+t+1)"), parse_ring("QQ[t]/(t^2)"), GF(9), Rationals()):
+        with pytest.raises(WittKitError) as info:
+            involution(ring, "conj")
+        assert str(info.value) == "conj needs a quadratic field"
+
+
+def test_a_map_out_of_qq_i_checks_the_modulus():
+    K = QuadraticField(-1)
+    with pytest.raises(NotAHomomorphism) as info:
+        RingMap(K, K, [K.el(2) * K.gen("i")])
+    assert str(info.value) == "modulus of QQ(i) does not vanish on the generator image"
+    conj = RingMap(K, K, [-K.gen("i")])
+    z = K.el((Fraction(1, 2), Fraction(-3)))
+    assert conj(z).data == (Fraction(1, 2), Fraction(3))
+
+
+def test_quotients_over_qq_print_minus_signs_as_subtraction():
+    R = parse_ring("QQ[t]/(t^3)")
+    t = R.gen("t")
+    assert [str(x) for x in (-t, R.one - t, 2 - 3 * t * t, -R.one - t)] == ["-t", "1 - t", "2 - 3*t^2", "-1 - t"]
+    assert str(parse_ring("QQ[t]/(t^2-t-1)")) == "QQ[t]/(-1 - t + t^2)"
+    for x in (-t, R.one - t, 2 - 3 * t * t):
+        assert parse_element(R, str(x)) == x
