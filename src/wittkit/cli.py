@@ -22,7 +22,7 @@ from .devissage import verify_devissage
 from .errors import EnumerationBoundExceeded, ParseError, WittKitError
 from .fieldwitt import diagonalize
 from .forms import HermitianForm
-from .koszul import RegularSequenceData, involution_transport, conormal_sign
+from .koszul import RegularSequenceData, conormal_sign
 from .modules import free_module
 from .parser import (
     parse_gram,
@@ -112,7 +112,8 @@ def cmd_koszul_sign(args):
     seq = parse_sequence(ring, seq_text)
     rwi = _koszul_involution(ring, args.involution)
     data = RegularSequenceData(ring, seq)
-    report = involution_transport(data, rwi)
+    # conormal_sign runs the one involution_transport and raises unless
+    # every square passes, so each square below has passed
     u = conormal_sign(data, rwi)
     if u == ring.one:
         ustr = "+1"
@@ -120,19 +121,9 @@ def cmd_koszul_sign(args):
         ustr = "-1"
     else:
         ustr = repr(u)
-    lines = [
-        f"augmentation square: {'pass' if report['augmentation_square'][0] else 'FAIL'}",
-        f"chain map: {'pass' if report['chain_map'][0] else 'FAIL'}",
-        f"beta square: {'pass' if report['beta_square'][0] else 'FAIL'}",
-        f"u={ustr}",
-    ]
-    _emit(args, lines, {
-        "u": ustr,
-        "augmentation_square": bool(report["augmentation_square"][0]),
-        "chain_map": bool(report["chain_map"][0]),
-        "beta_square": bool(report["beta_square"][0]),
-    })
-    return 0 if report["all_pass"] else 1
+    lines = ["augmentation square: pass", "chain map: pass", "beta square: pass", f"u={ustr}"]
+    _emit(args, lines, {"u": ustr, "augmentation_square": True, "chain_map": True, "beta_square": True})
+    return 0
 
 
 def cmd_devissage_check(args):

@@ -26,10 +26,10 @@ basis (_scalar_action_ints) and the linear conditions for being killed by
 each annihilator (_ann_rows; on the coefficient module I they also give
 the kernel dimensions that nondegeneracy counts), both read off the
 module's raw action rows.  No table lists the elements of a module:
-element k is the tuple of base-p digits of k (_digits), decoded only where
-a search needs it.  Per form, on the form: the Gram key, the Gram entries,
-the coordinate tensor (raw I-coordinates, the one scalar pairing table),
-the norm table, the fingerprint and nondegeneracy.
+element k is the tuple of base-p digits of k, and the searches walk those
+tuples in index order (_candidates).  Per form, on the form: the Gram
+key, the Gram entries, the coordinate tensor (raw I-coordinates, the one
+scalar pairing table), the norm table, the fingerprint and nondegeneracy.
 
 A form is set up from one of two sources.  A plain form has its Gram key
 (raw I-coordinates of the entries), and every other table of it is
@@ -49,6 +49,7 @@ is read.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from operator import mul
 
 from .coefficients import check_coefficient_iso
@@ -428,25 +429,28 @@ def hyperbolic_form(coef, N, epsilon=1):
 # once the coefficient is a strong duality (see its docstring).
 #
 # Both searches run on integer coordinate vectors mod p.  Element k of a
-# module is the tuple of base-p digits of k, most significant first
-# (_digits), which is the itertools.product order; the coordinate Gram
-# tensor and the norm b(x, x) of every element, by index, are tabulated
-# once per form; spans are tracked in a linalg.Echelon over the prime
-# field, on those same ints, and grown by the products of a vector with the
-# scalar basis (_closure_rows), the vector itself standing for the product
-# with whichever basis element acts as the identity.  Candidates (generator
-# images for isometric, isotropic vectors for is_metabolic) are indices
-# that pass the norm filter, decoded only then, so no module lists its
-# elements; the norm table still needs a finite scalar field.
+# module is the tuple of base-p digits of k, most significant first, which
+# is the itertools.product order; the coordinate Gram tensor and the norm
+# b(x, x) of every element, by index, are tabulated once per form; spans
+# are tracked in a linalg.Echelon over the prime field, on those same ints,
+# and grown by the products of a vector with the scalar basis
+# (_closure_rows), the vector itself standing for the product with
+# whichever basis element acts as the identity.
 #
-# isometric solves for its candidates.  The conditions for the annihilator
-# of factor i are kept on f2's module (_ann_rows); each level copies them,
-# adds one condition per coordinate of I for each image placed, and walks
-# the solutions (_solutions) against the norm table.  With no condition at
-# all (level 0 of a free factor) it scans the norm table itself.  The
-# targets are f1's Gram table: the generators are unit vectors and Gram
-# entries are stored reduced, so b1(g_j, g_i) is entry (j, i).  Over a
-# field, by Witt's extension theorem, the first candidate that meets every
+# Both read their candidates (generator images for isometric, isotropic
+# vectors for is_metabolic) through one walker, _candidates: the solutions,
+# in index order, of an Echelon system of linear conditions (_condition)
+# whose norm in the table is a target.  The walker never decodes an index
+# and no module lists its elements; the norm table still needs a finite
+# scalar field.
+#
+# isometric keeps the conditions for the annihilator of factor i on f2's
+# module (_ann_rows); each level copies them and adds one condition per
+# coordinate of I for each image placed.  With no condition at all (level
+# 0 of a free factor) the walk reads the whole table.  The targets are
+# f1's Gram table: the generators are unit vectors and Gram entries are
+# stored reduced, so b1(g_j, g_i) is entry (j, i).  Over a field, by
+# Witt's extension theorem, the first candidate that meets every
 # condition extends when f1 and f2 are nondegenerate.  On a degenerate f1
 # the radical test (an isometry maps radical onto radical) rejects a wrong
 # image of a radical generator at once, not after every later level.
@@ -455,8 +459,8 @@ def hyperbolic_form(coef, N, epsilon=1):
 # b(y, e_c) on the scalar basis, as one column per coordinate of I, so
 # that each coordinate of b(y, x) is one sum(map(mul, x, col)) mod p.
 # isometric turns the columns of each placed image into conditions on the
-# next images; is_metabolic tests each candidate against the columns of
-# every row of its isotropic span.
+# next images; is_metabolic turns the columns of every row of its
+# isotropic span L into the conditions b(r, x) = 0 that cut out L-perp.
 #
 # A form built by orthogonal_sum or canonical_order carries its summands
 # and its factor order (_parts).  Its tables are composed from the
@@ -478,15 +482,6 @@ def hyperbolic_form(coef, N, epsilon=1):
 # tensor, the fingerprint by counting the table.  Every form, composed or
 # not, decides is_nondegenerate on its own tensor and on the kernels of
 # its annihilators in I, never through the dual module or its summands.
-
-
-def _digits(k, d, p):
-    """The coordinates of element k of a module of scalar dimension d over
-    F_p: the d base-p digits of k, most significant first."""
-    out = [0] * d
-    for c in range(d - 1, -1, -1):
-        k, out[c] = divmod(k, p)
-    return tuple(out)
 
 
 def _scalar_action_ints(module):
@@ -538,7 +533,7 @@ def _outer_sum(ta, tb, p):
 def _reindexed(table, perm, p):
     """A per-element table moved to permuted coordinates: entry k of the
     result is the entry of table at the element x with x[perm[a]] = y[a]
-    for every a, where y is element k (both indexed as by _digits)."""
+    for every a, where y is element k (both in index order)."""
     d = len(perm)
     idx = [0]
     for c in perm:
@@ -549,10 +544,10 @@ def _reindexed(table, perm, p):
 
 def _norm_table(form):
     """b(x,x) as an I-coordinate int tuple for every x in M: entry k is
-    the norm of element k, whose coordinates are _digits(k, d, p).  A
-    composed form sums and reindexes its summands' tables; any other form
-    is built by prefix recursion: O(p^d) with small per-node cost instead
-    of O(p^d d^2)."""
+    the norm of element k, whose coordinates are the base-p digits of k.
+    A composed form sums and reindexes its summands' tables; any other
+    form is built by prefix recursion: O(p^d) with small per-node cost
+    instead of O(p^d d^2)."""
     if form._ntab is not None:
         return form._ntab
     M = form.module
@@ -589,7 +584,7 @@ def _norm_table(form):
 
     rec(0, [0] * isd, [[0] * isd for _ in range(d)])
     # prefix recursion emits x_k = 0 first, then 1..p-1, which is exactly
-    # the index order of _digits
+    # the index order
     form._ntab = out
     return out
 
@@ -619,7 +614,7 @@ def _fingerprint(form):
 
 def _condition(col, t):
     """The row of the linear condition sum(x[c] col[c]) = t mod p, as
-    _solutions reads it: [col[d-1], ..., col[0], t]."""
+    _candidates reads it: [col[d-1], ..., col[0], t]."""
     return [*col[::-1], t]
 
 
@@ -639,10 +634,12 @@ def _ann_rows(module, ann):
     return memo[ann.data]
 
 
-def _solutions(system, d, p):
-    """The indices k, ascending, of the x = _digits(k, d, p) in F_p^d
-    that meet every _condition in the Echelon system; nothing when the
-    conditions are inconsistent.
+def _candidates(system, norms, target, d, p):
+    """The coordinate tuples x in F_p^d, in index order, that meet every
+    _condition in the Echelon system and have norms[k] == target, where k
+    = sum(x[c] p^(d-1-c)) is the index of x in the norm table; nothing
+    when the conditions are inconsistent.  With no condition it reads the
+    table in itertools.product order, which is the index order.
 
     A condition lists its columns backwards, so each reduced row solves
     for the last coordinate it involves.  The solutions are then base +
@@ -653,7 +650,10 @@ def _solutions(system, d, p):
     tuples in itertools.product order give the solutions in index
     order."""
     rows = system.rows
-    if rows and rows[-1][0] == d:
+    if not rows:
+        yield from (x for x, v in zip(product(range(p), repeat=d), norms) if v == target)
+        return
+    if rows[-1][0] == d:
         return  # a row reduced to 0 = t with t != 0
     solved = [(d - 1 - piv, row) for piv, row in rows]
     base = [0] * d
@@ -675,7 +675,8 @@ def _solutions(system, d, p):
     k = sum(a * p ** (d - 1 - c) for c, a in enumerate(x))
     digits = [0] * len(dirs)
     while True:
-        yield k
+        if norms[k] == target:
+            yield tuple(x)
         j = len(digits) - 1
         while j >= 0 and digits[j] == p - 1:
             digits[j] = 0
@@ -713,17 +714,15 @@ def _closure_rows(rows, vec, actmats, p):
 def isometric(f1, f2):
     """An isometry f1 -> f2 as a list of generator images, or None.  Image
     i is the image of generator i of f1.module as an integer coordinate
-    tuple mod p, the form in which _digits decodes the elements of
-    f2.module; the element itself is f2.module.from_vec of those
-    coordinates as scalars.
+    tuple mod p, as _candidates yields the elements of f2.module; the
+    element itself is f2.module.from_vec of those coordinates as scalars.
 
     Backtracking over images of the cyclic generators of f1.module.  Image
     i must be killed by the annihilator of factor i and match f1's Gram
     entries (j, i) against the images j < i already placed; both
-    conditions are linear in its coordinates, and their solutions are
-    tried in index order, read in the norm table by index and decoded
-    only when the norm matches.  It must also have norm f1's Gram entry
-    (i, i), keep the partial map injective, and lie in the radical of f2
+    conditions are linear in its coordinates, and _candidates walks their
+    solutions of norm f1's Gram entry (i, i) in index order.  Image i must
+    also keep the partial map injective, and lie in the radical of f2
     exactly when generator i lies in that of f1."""
     if f1.coef != f2.coef or f1.epsilon != f2.epsilon:
         return None
@@ -752,20 +751,16 @@ def isometric(f1, f2):
     funcs = []  # per placed image: the columns of b2(img, -)
 
     def candidates(i):
-        target = cross_t[i][i]
         system = ann_rows[i].copy()
         for j, cols in enumerate(funcs):
             for col, t in zip(cols, cross_t[j][i]):
                 system.insert(_condition(col, t))
-        if not system.rows:
-            return (k for k, v in enumerate(norms) if v == target)
-        return (k for k in _solutions(system, d, p) if norms[k] == target)
+        return _candidates(system, norms, cross_t[i][i], d, p)
 
     def extend(i, rows):
         if i == n:
             return True
-        for k in candidates(i):
-            cand = _digits(k, d, p)
+        for cand in candidates(i):
             new_rows, added = _closure_rows(rows, cand, actmats, p)
             if added != sdims[i]:
                 continue  # partial map would not be injective
@@ -790,13 +785,20 @@ def is_metabolic(form):
     |L|^2 = |M| (for a nondegenerate form that forces L = L-perp).
 
     One forward pass builds a maximal totally isotropic submodule L.  It
-    starts from 0 and takes the isotropic vectors in index order, each
-    decoded (_digits) only once the norm table reads zero at its index;
-    a vector outside L and orthogonal to it grows L by its R-span.  A
-    vector passed over stays so as L grows (it stays in L, or stays not
-    orthogonal to it), so at the end L-perp/L has no nonzero isotropic
-    vector.  By the sublagrangian lemma, L-perp/L is metabolic whenever M
-    is (Quebbemann, Scharlau and Schulte, J. Algebra 59 (1979); Balmer,
+    starts from 0 and takes the isotropic vectors in index order; a
+    vector outside L and orthogonal to it grows L by its R-span.  The
+    vectors orthogonal to L are L-perp, the solutions of b(r, x) = 0 for
+    the rows r of L, so the pass walks the isotropic ones of L-perp
+    (_candidates), takes the first one outside L, and walks the new
+    L-perp from the start each time L grows.  That takes the same
+    vectors, in the same order, as one walk over every element: each
+    index below the last vector taken was passed over for a reason that
+    lasts as L grows (it is anisotropic, not orthogonal to L, or in L),
+    so only vectors already in L come round again, and the walk skips
+    them.  At the end L-perp/L has no nonzero isotropic vector.
+
+    By the sublagrangian lemma, L-perp/L is metabolic whenever M is
+    (Quebbemann, Scharlau and Schulte, J. Algebra 59 (1979); Balmer,
     "Witt groups", Handbook of K-theory (2005), section 1); a metabolic
     form with no nonzero isotropic vector is 0.  So M is metabolic
     exactly when L = L-perp, that is when L reaches half the scalar
@@ -828,18 +830,17 @@ def is_metabolic(form):
     zero = (0,) * isd
     bt = form._coord_tensor()
     actmats = _scalar_action_ints(M)
-    rows = Echelon(F)
-    cols = []  # the columns of b(r, -) for every row r of L
-    for k, v in enumerate(_norm_table(form)):
-        if v != zero:
-            continue
-        x = _digits(k, d, p)
-        # orthogonality first: it is the cheaper test, and most isotropic
-        # vectors fail it once L is not 0
-        if any(sum(map(mul, x, col)) % p for col in cols) or rows.contains(x):
-            continue
+    norms = _norm_table(form)
+    rows = Echelon(F)  # L
+    conds = Echelon(F)  # b(r, x) = 0 for every row r of L: x in L-perp
+    while True:
+        x = next((x for x in _candidates(conds, norms, zero, d, p) if not rows.contains(x)), None)
+        if x is None:
+            return False
         rows, _ = _closure_rows(rows, x, actmats, p)
         if len(rows.rows) == half:
             return True
-        cols = [col for _, r in rows.rows for col in _functional(bt, r, d, isd, p)]
-    return False
+        conds = Echelon(F)
+        for _, r in rows.rows:
+            for col in _functional(bt, r, d, isd, p):
+                conds.insert(_condition(col, 0))

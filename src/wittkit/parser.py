@@ -12,8 +12,9 @@ Ring descriptors (whitespace optional, one expression per string):
 An involution clause may follow: either ", sigma=SPEC" or
 "with sigma: SPEC", where SPEC is one of id / frobenius / swap / conj or a
 list of generator assignments like "t -> -t, u -> u^3".  Towers for
-transfer are written "R -> S" with the canonical map inferred (prime-field
-inclusion, finite-field inclusion, or quotient k[t]/(t^n) -> k[t]/(t^m)).
+transfer are written "R -> S" with the canonical map inferred (inclusion
+of the prime field GF(p) or QQ, finite-field inclusion, or quotient
+k[t]/(t^n) -> k[t]/(t^m)).
 
 Errors raise ParseError with 1-based line and column.
 """
@@ -461,7 +462,7 @@ def canonical_map(src, dst):
     """The canonical homomorphism src -> dst for supported pairs."""
     if src == dst:
         return identity_map(src)
-    if isinstance(src, PrimeField):
+    if isinstance(src, (PrimeField, Rationals)):
         return RingMap(src, dst, [])
     if (
         isinstance(src, QuotientRing)

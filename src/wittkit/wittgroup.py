@@ -95,7 +95,10 @@ class WittEngine:
     def _distinct(self, forms):
         """One form per isometry class among forms (the first met, sorted by
         fingerprint and Gram key) and the class each form was matched to,
-        in the order met; each match is also lookup's answer for its form."""
+        in the order met; each match is also lookup's answer for its form.
+        Every form here is in canonical factor order already (a one-factor
+        Gram table, an orthogonal_sum, or a block on its own canonical
+        shape), so each is keyed as it is."""
         found = []
         matches = []
         for s in forms:
@@ -105,7 +108,7 @@ class WittEngine:
             if match is None:
                 found.append(s)
                 match = s
-            self._lookups[_keypair(canonical_order(s))] = match
+            self._lookups[_keypair(s)] = match
             matches.append(match)
         found.sort(key=lambda f: (self.fingerprint(f), f.gram_key()))
         return found, matches

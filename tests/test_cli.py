@@ -376,3 +376,24 @@ def test_transfer_refuses_a_coefficient_with_several_factors_before_the_table(gr
     assert out == ""
     assert err == ("error: pi^flat I has 2 cyclic factors; Gram entries are read as ring "
                    "elements only when pi^flat I is cyclic\n")
+
+
+# towers out of QQ: the canonical map is the inclusion of the prime field,
+# as out of GF(p); QQ has no homomorphism to a field of characteristic p
+TRANSFERS_OUT_OF_QQ = [
+    ("QQ -> QQ(i), sigma=conj", "[[1, 0], [0, 1]]"),
+    ("QQ -> QQ(sqrt(2))", "[[1, 0], [0, 2]]"),
+    ("QQ -> QQ[i]/(i^2+1)", "[[1, 0], [0, -1]]"),
+    ("QQ -> QQ(sqrt(-5)), sigma=conj", "[[1, 0], [0, 5]]"),
+]
+
+
+@pytest.mark.parametrize("tower, gram", TRANSFERS_OUT_OF_QQ, ids=[t for t, _ in TRANSFERS_OUT_OF_QQ])
+def test_transfer_out_of_qq(tower, gram, capsys):
+    assert main(["transfer", tower, "[[1]]"]) == 0
+    assert capsys.readouterr() == (gram + "\n", "")
+
+
+def test_transfer_from_qq_to_a_finite_field_exits_1(capsys):
+    assert main(["transfer", "QQ -> GF(3)", "[[1]]", "--json"]) == 1
+    assert capsys.readouterr() == ("", "error: no homomorphism from QQ to GF(3)\n")

@@ -29,14 +29,13 @@ from hypothesis import strategies as st
 from wittkit.coefficients import standard_coefficient
 from wittkit.forms import (
     _ann_rows,
+    _candidates,
     _closure_rows,
     _condition,
-    _digits,
     _functional,
     _mat_vec,
     _norm_table,
     _scalar_action_ints,
-    _solutions,
     isometric,
 )
 from wittkit.linalg import Echelon, Matrix
@@ -235,15 +234,17 @@ KERNEL_RINGS = sorted({text for text, _ in CASES} | {"GF(9), sigma=id"})
 @pytest.mark.parametrize("text", KERNEL_RINGS)
 def test_solutions_list_exactly_the_filtered_elements(text):
     # the annihilator rows plus 0, 1 or 2 seeded rows [col | t], or a
-    # seeded row twice with constants t and t + 1: the solutions, in
-    # order, are the elements killed by ann that meet every seeded row; a
-    # system with no solution is inconsistent and lists none
+    # seeded row twice with constants t and t + 1: under an all-zero norm
+    # table the walker yields, in order, the elements killed by ann that
+    # meet every seeded row; a system with no solution is inconsistent and
+    # yields none
     engine = engine_for((text, 1))
     rng = random.Random(11)
     seen = {True: 0, False: 0}
     for module in engine.shapes_up_to(4):
         p, d = module.F.p, module.sdim
         elems = int_elements(module)
+        norms = [()] * len(elems)
         for ann in engine._anns:
             act = _int_matrix(module.action_matrix(ann))
             killed = [k for k, v in enumerate(elems) if not any(_mat_vec(act, v, p))]
@@ -256,20 +257,23 @@ def test_solutions_list_exactly_the_filtered_elements(text):
                     system.insert(_condition(r[:d], r[d]))
                 brute = [k for k in killed
                          if all(sum(map(mul, elems[k], r)) % p == r[d] for r in seeded)]
-                assert list(_solutions(system, d, p)) == brute, (module, ann, seeded)
+                got = list(_candidates(system, norms, (), d, p))
+                assert got == [elems[k] for k in brute], (module, ann, seeded)
                 seen[bool(brute)] += 1
     assert seen[True] and seen[False]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_digits_decode_the_element_list(p):
-    """_digits(k, d, p) is entry k of the element list that the searches
-    no longer build, for every k and sdim 0 to 5."""
+    """With no condition the walker yields entry k of the element list
+    that the searches no longer build as its k-th tuple, for every k and
+    sdim 0 to 5: index order is the element order."""
     rwi = involution(PrimeField(p), "id")
     for d in range(6):
         elems = int_elements(free_module(rwi, d))
         assert len(elems) == p ** d
-        assert all(_digits(k, d, p) == x for k, x in enumerate(elems)), (p, d)
+        got = list(_candidates(Echelon(rwi.ring), [()] * len(elems), (), d, p))
+        assert got == elems, (p, d)
 
 
 def discriminant_is_square(form):

@@ -6,9 +6,15 @@ isotropic submodule in a single forward pass, over every ring, and
 answers whether it reached half the scalar dimension.  Both must agree on
 every nondegenerate Gram table of the small shapes below, and on a seeded
 sample for larger ones, over fields and over non-field rings up to
-length 6."""
+length 6.
+
+The library's pass walks the isotropic vectors of L-perp and walks again
+from the start each time L grows; whole_table_pass below walks every
+element once and tests each against L.  Both must take the same vectors
+in the same order."""
 
 import random
+from operator import mul
 
 import pytest
 
@@ -17,12 +23,13 @@ from wittkit.errors import Degenerate, NotStrongDuality
 from wittkit.forms import (
     HermitianForm,
     _closure_rows,
+    _functional,
     _norm_table,
     _scalar_action_ints,
     is_metabolic,
 )
 from wittkit.linalg import Echelon
-from wittkit.modules import module_from_shape
+from wittkit.modules import module_from_shape, simple_scalar_dim
 from wittkit.parser import parse_ring_with_involution
 from wittkit.wittgroup import WittEngine, enumerate_gram_tables, sample_gram_tables
 
@@ -168,6 +175,97 @@ def test_first_maximal_submodule_decides_on_sampled_length_six_forms(text, epsil
     forms = sample_gram_tables(coef, module, epsilon, 30, random.Random(1))
     answers = agree_on(forms)
     assert answers[True] and answers[False]
+
+
+def whole_table_pass(form):
+    """The forward pass over every element of M in index order: an
+    isotropic vector orthogonal to L (tested against the columns of b(r, -)
+    for every row r of L) and outside L grows L by its R-span.  Returns the
+    vectors taken, in order, and whether L reached half the scalar
+    dimension."""
+    M = form.module
+    p, d = M.F.p, M.sdim
+    half = d // 2
+    isd = form.coef.module.sdim
+    bt = form._coord_tensor()
+    actmats = _scalar_action_ints(M)
+    rows = Echelon(M.F)
+    cols = []
+    taken = []
+    for x, v in zip(int_elements(M), _norm_table(form)):
+        if any(v) or any(sum(map(mul, x, col)) % p for col in cols) or rows.contains(x):
+            continue
+        taken.append(x)
+        rows, _ = _closure_rows(rows, x, actmats, p)
+        if len(rows.rows) == half:
+            return taken, True
+        cols = [col for _, r in rows.rows for col in _functional(bt, r, d, isd, p)]
+    return taken, False
+
+
+def searched(forms):
+    """The forms on which is_metabolic runs its search: nondegenerate, of
+    even scalar dimension whose half is a whole length."""
+    for form in forms:
+        M = form.module
+        half = M.sdim // 2
+        if M.sdim % 2 == 0 and half % simple_scalar_dim(M.ring) == 0 and form.is_nondegenerate():
+            yield form
+
+
+def assert_walk_takes_the_whole_table_vectors(forms, monkeypatch):
+    taken = []
+
+    def recording(rows, vec, actmats, p):
+        taken.append(vec)
+        return _closure_rows(rows, vec, actmats, p)
+
+    monkeypatch.setattr("wittkit.forms._closure_rows", recording)
+    walks = 0  # searches that grew L more than once, so walked again
+    for form in searched(forms):
+        taken.clear()
+        got = is_metabolic(form)
+        want, reached = whole_table_pass(form)
+        assert taken == want, form.gram_key()
+        assert got == reached, form.gram_key()
+        walks += len(taken) > 1
+    assert walks
+
+
+# the classes and a seeded sample of every shape up to length 4
+WALK_RINGS = [
+    "GF(3), sigma=id",
+    "GF(5), sigma=id",
+    "GF(9), sigma=frobenius",
+    "GF(3)xGF(3), sigma=swap",
+    "GF(3)[t]/(t^2), sigma=id",
+    "GF(3)[t]/(t^3), sigma=id",
+    "GF(3)[t]/(t^2), sigma=t->-t",
+]
+
+
+@pytest.mark.parametrize("text", WALK_RINGS)
+@pytest.mark.parametrize("epsilon", [1, -1])
+def test_walk_of_l_perp_takes_the_whole_table_vectors(text, epsilon, monkeypatch):
+    # is_metabolic walks the isotropic vectors of L-perp and starts again
+    # each time L grows; it must pass _closure_rows exactly the vectors
+    # the whole-table pass takes, in the same order
+    engine = WittEngine(standard_coefficient(parse_ring_with_involution(text)), epsilon)
+    rng = random.Random(5)
+    forms = []
+    for module in engine.shapes_up_to(4):
+        forms.extend(engine.classes(module))
+        forms.extend(sample_gram_tables(engine.coef, module, epsilon, 10, rng))
+    assert_walk_takes_the_whole_table_vectors(forms, monkeypatch)
+
+
+@pytest.mark.parametrize("text, epsilon, shape", SAMPLED_LENGTH_SIX)
+def test_walk_of_l_perp_takes_the_whole_table_vectors_at_length_six(
+        text, epsilon, shape, monkeypatch):
+    coef = standard_coefficient(parse_ring_with_involution(text))
+    module = module_from_shape(coef.rwi, shape)
+    forms = sample_gram_tables(coef, module, epsilon, 30, random.Random(3))
+    assert_walk_takes_the_whole_table_vectors(forms, monkeypatch)
 
 
 def test_search_refuses_a_coefficient_that_is_not_strong():
