@@ -36,8 +36,8 @@ class DualityCoefficient:
     D(M) once per module key and hands the same DualModule to every later
     caller, and hyperbolic(N, epsilon) keeps H(N) the same way for the
     strong-duality check and every WittEngine on this coefficient.  Forms
-    decide nondegeneracy without the dual.  require_strong() checks once
-    per coefficient that it is a strong duality on every indecomposable
+    decide nondegeneracy without the dual.  require_strong(epsilon) checks
+    once per coefficient that it is a strong duality on every indecomposable
     module N: the adjoint of H(N) is (y, g) |-> (g, epsilon can(y)), so N
     is reflexive exactly when H(N) is nondegenerate."""
 
@@ -75,7 +75,8 @@ class DualityCoefficient:
     def hyperbolic(self, N, epsilon=1):
         """H(N) for this sign (forms.hyperbolic_form), built on first
         request and handed to every later caller, so the form the strong
-        duality check builds is the engine's hyperbolic block for +1."""
+        duality check builds is the engine's hyperbolic block for its
+        sign."""
         from .forms import hyperbolic_form
         self.dual(N)  # compares the involution before the lookup
         h = self._hyperbolic.get((N.key, epsilon))
@@ -83,16 +84,17 @@ class DualityCoefficient:
             h = self._hyperbolic[N.key, epsilon] = hyperbolic_form(self, N, epsilon)
         return h
 
-    def require_strong(self):
+    def require_strong(self, epsilon=1):
         """Raise NotStrongDuality unless every indecomposable cyclic module
-        N is reflexive, i.e. H(N) is nondegenerate (for epsilon = +1; the
-        adjoint's bijectivity does not depend on epsilon).  A success is
-        kept on the coefficient, so the check runs once; a failure names
-        which half of bijectivity of can: N -> D(D(N)) fails."""
+        N is reflexive, i.e. H(N) is nondegenerate, for the caller's
+        epsilon (an engine's own hyperbolic blocks): the adjoint is
+        bijective for both signs or for neither.  A success is kept on the
+        coefficient, so the check runs once; a failure names which half of
+        bijectivity of can: N -> D(D(N)) fails."""
         if not self._strong:
             for a in indecomposable_factor_anns(self.ring):
                 N = self.rwi.module([a])
-                if not self.hyperbolic(N).is_nondegenerate():
+                if not self.hyperbolic(N, epsilon).is_nondegenerate():
                     DDN = self.dual(self.dual(N).module).module
                     why = (f"D(D(N)) has scalar dimension {DDN.sdim}, N has {N.sdim}"
                            if DDN.sdim != N.sdim else "can: N -> D(D(N)) is not injective")

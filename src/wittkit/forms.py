@@ -29,7 +29,8 @@ module's raw action rows.  No table lists the elements of a module:
 element k is the tuple of base-p digits of k, and the searches walk those
 tuples in index order (_candidates).  Per form, on the form: the Gram
 key, the Gram entries, the coordinate tensor (raw I-coordinates, the one
-scalar pairing table), the norm table, the fingerprint and nondegeneracy.
+scalar pairing table), the norm reader (a plain form's norm table, as int
+codes), the fingerprint and nondegeneracy.
 
 A form is set up from one of two sources.  A plain form has its Gram key
 (raw I-coordinates of the entries), and every other table of it is
@@ -91,6 +92,7 @@ class HermitianForm:
         self._gkey = key
         self._ctensor = None
         self._ntab = None
+        self._reader = None
         self._fp = None
         self._nondeg = None
         self._parts = parts
@@ -278,10 +280,10 @@ class HermitianForm:
 
     # -- invariants --------------------------------------------------------
     def norm_fingerprint(self):
-        """Multiset of b(x,x) over all of M, as a sorted table of (value,
-        count); an isometry invariant used for fast separation.  Kept on
-        the form.  On a composed form it is the convolution of the
-        summands' tables over the additive group of I, since
+        """Multiset of b(x,x) over all of M, as a sorted table of (code,
+        count), each value by its _code; an isometry invariant used for
+        fast separation.  Kept on the form.  On a composed form it is the
+        convolution of the summands' tables through the _adds rows, since
         b(x+y, x+y) = b(x,x) + b(y,y) when x is orthogonal to y; a
         permutation of factors leaves it unchanged.  Otherwise it counts
         _norm_table, which needs a finite scalar field."""
@@ -349,7 +351,7 @@ def _permuted_sum(summands, order):
 def orthogonal_sum(f1, f2):
     """f1 + f2 on the direct sum of their modules, its cyclic factors in
     canonical (key-sorted) order.  The sum carries its two summands and
-    that factor order: its norm fingerprint, norm table and coordinate
+    that factor order: its norm fingerprint, norm reader and coordinate
     tensor are then composed from the summands' tables, never computed
     from its own elements, and it is nondegenerate when both summands
     are."""
@@ -364,7 +366,7 @@ def canonical_order(f):
     """The same form with its cyclic factors permuted into the canonical
     (key-sorted) order used when comparing shapes; f itself if they are in
     that order already.  A permuted copy carries f as its one summand, so
-    its tables are f's, reindexed."""
+    it reads its norms from f's leaves, with its coordinates permuted."""
     order = _canonical_permutation(f.module.factors)
     if order == list(range(len(order))):
         return f
@@ -430,8 +432,8 @@ def hyperbolic_form(coef, N, epsilon=1):
 #
 # Both searches run on integer coordinate vectors mod p.  Element k of a
 # module is the tuple of base-p digits of k, most significant first, which
-# is the itertools.product order; the coordinate Gram tensor and the norm
-# b(x, x) of every element, by index, are tabulated once per form; spans
+# is the itertools.product order; the coordinate Gram tensor is tabulated
+# once per form, and so is b(x, x) of every element of a plain form; spans
 # are tracked in a linalg.Echelon over the prime field, on those same ints,
 # and grown by the products of a vector with the scalar basis
 # (_closure_rows), the vector itself standing for the product with
@@ -440,14 +442,16 @@ def hyperbolic_form(coef, N, epsilon=1):
 # Both read their candidates (generator images for isometric, isotropic
 # vectors for is_metabolic) through one walker, _candidates: the solutions,
 # in index order, of an Echelon system of linear conditions (_condition)
-# whose norm in the table is a target.  The walker never decodes an index
-# and no module lists its elements; the norm table still needs a finite
-# scalar field.
+# whose norm is a target.  A norm is one int, the _code of its
+# I-coordinates, and the walker reads it through the form's _norm_reader as
+# a sum of its leaves' table entries, one _adds row lookup per leaf.  The
+# walker never decodes an index and no module lists its elements; the
+# tables still need a finite scalar field.
 #
 # isometric keeps the conditions for the annihilator of factor i on f2's
 # module (_ann_rows); each level copies them and adds one condition per
 # coordinate of I for each image placed.  With no condition at all (level
-# 0 of a free factor) the walk reads the whole table.  The targets are
+# 0 of a free factor) the walk reads every element.  The targets are
 # f1's Gram table: the generators are unit vectors and Gram entries are
 # stored reduced, so b1(g_j, g_i) is entry (j, i).  Over a field, by
 # Witt's extension theorem, the first candidate that meets every
@@ -466,12 +470,10 @@ def hyperbolic_form(coef, N, epsilon=1):
 # and its factor order (_parts).  Its tables are composed from the
 # summands' tables, which are built once and kept on the summands:
 #   - norm_fingerprint: the convolution of the summands' count tables;
-#   - _norm_table: the outer sum [a + b for a in T_f for b in T_g], which
-#     is already in index order when the factor order is the
-#     summands' own (always so over a field), and is otherwise reindexed
-#     by the coordinate permutation;
+#   - _norm_reader: its leaves' norm tables, each coordinate weighted by
+#     its place in its own leaf's table; it builds no table of its own;
 #   - _coord_tensor: the block diagonal of the summands' tensors, permuted
-#     the same way;
+#     by the coordinate permutation;
 #   - gram_key: the summands' keys, zero off the diagonal blocks, never
 #     coerced again.
 # Every other form (a block, a hyperbolic form, a form built from a Gram
@@ -516,53 +518,53 @@ def _coord_order(form):
     return [c for k in order for c in spans[k]]
 
 
-def _outer_sum(ta, tb, p):
-    """[a + b for a in ta for b in tb], coordinates mod p: the norm table
-    of f + g from those of f and g, in index order.  One row is
-    built per distinct value of ta."""
-    rows = {}
-    out = []
-    for a in ta:
-        row = rows.get(a)
-        if row is None:
-            row = rows[a] = [tuple([(x + y) % p for x, y in zip(a, b)]) for b in tb]
-        out.extend(row)
-    return out
+class _AddRows(dict):
+    """Row a lists the code of a + b for every code b (coordinates added
+    mod p), built on first read."""
+
+    def __init__(self, p, isd):
+        super().__init__()
+        self.p = p
+        self.isd = isd
+
+    def __missing__(self, a):
+        p = self.p
+        row = [0]
+        for i in range(self.isd):
+            digit = a // p ** (self.isd - 1 - i) % p
+            sums = [*range(digit, p), *range(digit)]
+            row = [r * p + s for r in row for s in sums]
+        self[a] = row
+        return row
 
 
-def _reindexed(table, perm, p):
-    """A per-element table moved to permuted coordinates: entry k of the
-    result is the entry of table at the element x with x[perm[a]] = y[a]
-    for every a, where y is element k (both in index order)."""
-    d = len(perm)
-    idx = [0]
-    for c in perm:
-        steps = [v * p ** (d - 1 - c) for v in range(p)]
-        idx = [i + s for i in idx for s in steps]
-    return [table[i] for i in idx]
+def _adds(I):
+    """The _AddRows of the codes of the coefficient module I; kept on I."""
+    if getattr(I, "_addrows", None) is None:
+        I._addrows = _AddRows(I.F.p, I.sdim)
+    return I._addrows
+
+
+def _code(vec, p):
+    """The code of an I-coordinate tuple: its base-p digits, most
+    significant first, so that numeric order is tuple order."""
+    code = 0
+    for v in vec:
+        code = code * p + v
+    return code
 
 
 def _norm_table(form):
-    """b(x,x) as an I-coordinate int tuple for every x in M: entry k is
-    the norm of element k, whose coordinates are the base-p digits of k.
-    A composed form sums and reindexes its summands' tables; any other
-    form is built by prefix recursion: O(p^d) with small per-node cost
-    instead of O(p^d d^2)."""
+    """The code (_code) of b(x,x) for every x in M: entry k is the norm of
+    element k, whose coordinates are the base-p digits of k.  Built by
+    prefix recursion over the coordinate tensor: O(p^d) with small
+    per-node cost instead of O(p^d d^2).  Only plain forms build one; a
+    composed form reads its leaves' tables (_norm_reader)."""
     if form._ntab is not None:
         return form._ntab
     M = form.module
     p = M.F.p
     d = M.sdim
-    if form._parts is not None:
-        summands = form._parts[0]
-        out = _norm_table(summands[0])
-        for f in summands[1:]:
-            out = _outer_sum(out, _norm_table(f), p)
-        perm = _coord_order(form)
-        if perm != list(range(d)):
-            out = _reindexed(out, perm, p)
-        form._ntab = out
-        return out
     isd = form.coef.module.sdim
     bt = form._coord_tensor()
     # b(e_k, e_c) + b(e_c, e_k), the coefficient of x_k x_c in b(x, x)
@@ -571,7 +573,7 @@ def _norm_table(form):
 
     def rec(k, acc, lin):
         if k == d:
-            out.append(tuple([a % p for a in acc]))
+            out.append(_code([a % p for a in acc], p))
             return
         rec(k + 1, acc, lin)  # x_k = 0
         diag, lin_k, cross_k = bt[k][k], lin[k], cross[k]
@@ -589,6 +591,32 @@ def _norm_table(form):
     return out
 
 
+def _norm_reader(form):
+    """(tables, where, adds), kept on the form: how _candidates reads the
+    norm of a point.  tables are the _norm_table codes of the form's
+    leaves, the plain forms it is built from (through nested parts);
+    where[a] is (leaf, weight) for module coordinate a, the weight being
+    the coordinate's place value p^(d_leaf-1-a_leaf) in its leaf's table;
+    adds are the _adds rows of I.  The norm of x is the sum over the
+    leaves of their entries at the indices the weights give, since
+    b(x+y, x+y) = b(x,x) + b(y,y) when x is orthogonal to y."""
+    if form._reader is None:
+        p = form.module.F.p
+        if form._parts is None:
+            d = form.module.sdim
+            tables = [_norm_table(form)]
+            where = [(0, p ** (d - 1 - a)) for a in range(d)]
+        else:
+            tables, where = [], []
+            for f in form._parts[0]:
+                ts, ws, _ = _norm_reader(f)
+                where += [(leaf + len(tables), w) for leaf, w in ws]
+                tables += ts
+            where = [where[c] for c in _coord_order(form)]
+        form._reader = (tables, where, _adds(form.coef.module))
+    return form._reader
+
+
 def _fingerprint(form):
     """norm_fingerprint, memoized on the form; the summands of a composed
     form are read through here too."""
@@ -598,15 +626,16 @@ def _fingerprint(form):
         if form._parts is None:
             form._fp = tuple(sorted(Counter(_norm_table(form)).items()))
         else:
-            p = form.module.F.p
+            adds = _adds(form.coef.module)
             summands = form._parts[0]
             counts = dict(_fingerprint(summands[0]))
             for f in summands[1:]:
                 table = _fingerprint(f)
                 conv = Counter()
                 for a, m in counts.items():
+                    row = adds[a]
                     for b, n in table:
-                        conv[tuple([(x + y) % p for x, y in zip(a, b)])] += m * n
+                        conv[row[b]] += m * n
                 counts = conv
             form._fp = tuple(sorted(counts.items()))
     return form._fp
@@ -634,12 +663,13 @@ def _ann_rows(module, ann):
     return memo[ann.data]
 
 
-def _candidates(system, norms, target, d, p):
+def _candidates(system, reader, target, d, p):
     """The coordinate tuples x in F_p^d, in index order, that meet every
-    _condition in the Echelon system and have norms[k] == target, where k
-    = sum(x[c] p^(d-1-c)) is the index of x in the norm table; nothing
-    when the conditions are inconsistent.  With no condition it reads the
-    table in itertools.product order, which is the index order.
+    _condition in the Echelon system and whose norm, as the _norm_reader
+    reader sums it, is the code target; nothing when the conditions are
+    inconsistent.  With no condition on a form that is one leaf in its
+    own coordinate order, it reads the table in itertools.product order,
+    which is the index order.
 
     A condition lists its columns backwards, so each reduced row solves
     for the last coordinate it involves.  The solutions are then base +
@@ -649,11 +679,13 @@ def _candidates(system, norms, target, d, p):
     leading pivots, x[q] is the coefficient on v_q, and so the coefficient
     tuples in itertools.product order give the solutions in index
     order."""
+    tables, where, adds = reader
     rows = system.rows
-    if not rows:
-        yield from (x for x, v in zip(product(range(p), repeat=d), norms) if v == target)
+    if not rows and len(tables) == 1 and all(
+            w == p ** (d - 1 - c) for c, (_, w) in enumerate(where)):
+        yield from (x for x, v in zip(product(range(p), repeat=d), tables[0]) if v == target)
         return
-    if rows[-1][0] == d:
+    if rows and rows[-1][0] == d:
         return  # a row reduced to 0 = t with t != 0
     solved = [(d - 1 - piv, row) for piv, row in rows]
     base = [0] * d
@@ -668,27 +700,37 @@ def _candidates(system, norms, target, d, p):
         dirs.append(v)
     # the coefficient tuples in itertools.product order, as an odometer:
     # moving digit j on by one, from p - 1 back to 0 included, adds v_j to
-    # x, so only the entries of x (and terms of its index) where v_j is
-    # nonzero change
-    moves = [[(c, a, p ** (d - 1 - c)) for c, a in enumerate(v) if a] for v in dirs]
+    # x, so only the entries of x (and the index into its leaf's table)
+    # where v_j is nonzero change; tails[j] holds the moves of digit j and
+    # of every later digit, which wraps
+    moves = [[(c, a, *where[c]) for c, a in enumerate(v) if a] for v in dirs]
+    tails = [sum(moves[j:], []) for j in range(len(moves))]
     x = base
-    k = sum(a * p ** (d - 1 - c) for c, a in enumerate(x))
+    ks = [0] * len(tables)
+    for c, a in enumerate(x):
+        leaf, w = where[c]
+        ks[leaf] += a * w
+    first = tables[0]
+    rest = list(enumerate(tables))[1:]
     digits = [0] * len(dirs)
+    top = len(dirs) - 1
     while True:
-        if norms[k] == target:
+        v = first[ks[0]]
+        for i, table in rest:
+            v = adds[v][table[ks[i]]]
+        if v == target:
             yield tuple(x)
-        j = len(digits) - 1
+        j = top
         while j >= 0 and digits[j] == p - 1:
             digits[j] = 0
             j -= 1
         if j < 0:
             return
         digits[j] += 1
-        for move in moves[j:]:
-            for c, a, w in move:
-                new = (x[c] + a) % p
-                k += w * (new - x[c])
-                x[c] = new
+        for c, a, leaf, w in tails[j]:
+            new = (x[c] + a) % p
+            ks[leaf] += w * (new - x[c])
+            x[c] = new
 
 
 def _functional(bt, vec, d, isd, p):
@@ -721,9 +763,10 @@ def isometric(f1, f2):
     i must be killed by the annihilator of factor i and match f1's Gram
     entries (j, i) against the images j < i already placed; both
     conditions are linear in its coordinates, and _candidates walks their
-    solutions of norm f1's Gram entry (i, i) in index order.  Image i must
-    also keep the partial map injective, and lie in the radical of f2
-    exactly when generator i lies in that of f1."""
+    solutions whose norm in f2's _norm_reader is the _code of f1's Gram
+    entry (i, i), in index order.  Image i must also keep the partial map
+    injective, and lie in the radical of f2 exactly when generator i lies
+    in that of f1."""
     if f1.coef != f2.coef or f1.epsilon != f2.epsilon:
         return None
     if f1.module.key != f2.module.key:
@@ -740,7 +783,8 @@ def isometric(f1, f2):
     n = len(M1.factors)
     # the generators are unit vectors, so b1(g_j, g_i) is Gram entry (j, i)
     cross_t = f1.gram_key()
-    norms = _norm_table(f2)
+    targets = [_code(cross_t[i][i], p) for i in range(n)]
+    reader = _norm_reader(f2)
     ann_rows = [_ann_rows(M2, fac.ann) for fac in M1.factors]
     bt = f2._coord_tensor()
     actmats = _scalar_action_ints(M2)
@@ -755,7 +799,7 @@ def isometric(f1, f2):
         for j, cols in enumerate(funcs):
             for col, t in zip(cols, cross_t[j][i]):
                 system.insert(_condition(col, t))
-        return _candidates(system, norms, cross_t[i][i], d, p)
+        return _candidates(system, reader, targets[i], d, p)
 
     def extend(i, rows):
         if i == n:
@@ -790,8 +834,9 @@ def is_metabolic(form):
     vectors orthogonal to L are L-perp, the solutions of b(r, x) = 0 for
     the rows r of L, so the pass walks the isotropic ones of L-perp
     (_candidates), takes the first one outside L, and walks the new
-    L-perp from the start each time L grows.  That takes the same
-    vectors, in the same order, as one walk over every element: each
+    L-perp from the start each time L grows (a vector is isotropic when
+    its _norm_reader norm is the code 0).  That takes the same vectors,
+    in the same order, as one walk over every element: each
     index below the last vector taken was passed over for a reason that
     lasts as L grows (it is anisotropic, not orthogonal to L, or in L),
     so only vectors already in L come round again, and the walk skips
@@ -805,7 +850,7 @@ def is_metabolic(form):
     dimension.  Over a field this is Witt's theorem.
 
     The lemma needs an exact, reflexive duality.  The guard is
-    coef.require_strong(), which raises NotStrongDuality unless the
+    coef.require_strong(epsilon), which raises NotStrongDuality unless the
     coefficient is reflexive on every indecomposable.  On the rings with a
     module theory a strong coefficient is also exact: fields and k x k
     are semisimple; over k[t]/(t^n), reflexivity on k gives I a simple
@@ -820,21 +865,20 @@ def is_metabolic(form):
     F = M.F
     if not F.is_finite:
         raise EnumerationBoundExceeded("metabolicity search needs a finite scalar field")
-    form.coef.require_strong()
+    form.coef.require_strong(form.epsilon)
     p = F.p
     d = M.sdim
     half = d // 2
     if half % simple_scalar_dim(M.ring):
         return False  # a submodule's scalar dimension is a whole length
     isd = form.coef.module.sdim
-    zero = (0,) * isd
     bt = form._coord_tensor()
     actmats = _scalar_action_ints(M)
-    norms = _norm_table(form)
+    reader = _norm_reader(form)
     rows = Echelon(F)  # L
     conds = Echelon(F)  # b(r, x) = 0 for every row r of L: x in L-perp
     while True:
-        x = next((x for x in _candidates(conds, norms, zero, d, p) if not rows.contains(x)), None)
+        x = next((x for x in _candidates(conds, reader, 0, d, p) if not rows.contains(x)), None)
         if x is None:
             return False
         rows, _ = _closure_rows(rows, x, actmats, p)

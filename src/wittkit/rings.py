@@ -458,21 +458,29 @@ def _pmul(base, a, b):
 
 
 def _pdivmod(base, a, b):
-    """Division with remainder; leading coefficient of b must be a unit."""
+    """Division with remainder; leading coefficient of b must be a unit.
+    One pass of long division, scaling by 1/lc(b) only when b is not monic."""
     b = _ptrim(base, b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    lc_inv = base.inv(b[-1])
-    r = list(a)
-    q = [base.zero_data()] * max(0, len(a) - len(b) + 1)
-    while len(_ptrim(base, r)) >= len(b):
-        r = list(_ptrim(base, r))
-        d = len(r) - len(b)
-        c = base.mul(r[-1], lc_inv)
+    r = list(_ptrim(base, a))
+    n = len(b) - 1
+    if len(r) <= n:
+        return (), tuple(r)
+    z = base.zero_data()
+    lc_inv = None if b[-1] == base.one_data() else base.inv(b[-1])
+    q = [z] * (len(r) - n)
+    for d in range(len(r) - 1 - n, -1, -1):
+        c = r[d + n]
+        if c == z:
+            continue
+        if lc_inv is not None:
+            c = base.mul(c, lc_inv)
         q[d] = c
-        for i, y in enumerate(b):
-            r[d + i] = base.add(r[d + i], base.neg(base.mul(c, y)))
-    return _ptrim(base, q), _ptrim(base, r)
+        c = base.neg(c)
+        for i in range(n):
+            r[d + i] = base.add(r[d + i], base.mul(c, b[i]))
+    return tuple(q), _ptrim(base, r[:n])
 
 
 def _pgcd(base, a, b):

@@ -64,7 +64,7 @@ class WittEngine:
         self._anns = [f.ann for f in facts]
         self._facts = facts
         self._ann_by_key = {f.key: f.ann for f in facts}
-        coef.require_strong()
+        coef.require_strong(epsilon)
         self._blocks = None
         self._classes = {}
         self._metabolic = {}

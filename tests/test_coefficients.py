@@ -231,10 +231,10 @@ def test_engines_on_one_coefficient_check_strong_duality_once(monkeypatch):
         builds[N.key, epsilon] += 1
         return build(coef, N, epsilon)
 
-    def counted_require(self):
+    def counted_require(self, *args):
         inside.append(self)
         try:
-            return require(self)
+            return require(self, *args)
         finally:
             inside.pop()
 
@@ -253,6 +253,29 @@ def test_engines_on_one_coefficient_check_strong_duality_once(monkeypatch):
     assert set(asks.values()) == {1}
     # the +1 engine's hyperbolic blocks are the forms the check built
     assert sorted(builds) == sorted((key, e) for key in keys for e in (1, -1))
+    assert set(builds.values()) == {1}
+
+
+def test_an_engine_checks_strong_duality_with_its_own_sign(monkeypatch):
+    # a -1 engine on a fresh coefficient reads H(N, -1) for the check and
+    # for its blocks, and never builds H(N, +1)
+    builds = Counter()
+    build = wittkit.forms.hyperbolic_form
+
+    def counted_build(coef, N, epsilon=1):
+        builds[N.key, epsilon] += 1
+        return build(coef, N, epsilon)
+
+    monkeypatch.setattr(wittkit.forms, "hyperbolic_form", counted_build)
+    rwi = parse_ring_with_involution("GF(3)[t]/(t^2), sigma=t->-t")
+    coef = standard_coefficient(rwi)
+    engine = WittEngine(coef, -1)
+    assert coef._strong
+    for m in engine.shapes_up_to(2):
+        for f in engine.classes(m):
+            engine.metabolic(f)
+    keys = sorted(rwi.module([a]).key for a in indecomposable_factor_anns(rwi.ring))
+    assert sorted(builds) == [(key, -1) for key in keys]
     assert set(builds.values()) == {1}
 
 

@@ -2,14 +2,16 @@
 from-scratch oracle.
 
 A form built by orthogonal_sum or canonical_order takes its Gram entries
-and Gram key from its summands, and composes its norm fingerprint, norm
-table and coordinate tensor from their tables.  Every form, composed or
-not, answers is_nondegenerate by one rank on its coordinate tensor and a
-dimension count of the dual.  The oracle below computes each of them from
-the form alone: the entries coerced again, the tensor (raw coordinates)
-with evaluate on every pair of scalar basis vectors, b(x, x) of every
-element by bilinearity from that tensor, and nondegeneracy as the rank of
-the adjoint into a freshly built dual module.  Both must agree on every
+and Gram key from its summands, composes its norm fingerprint and
+coordinate tensor from their tables, and reads each norm as the sum of
+its leaves' table entries (_norm_reader), building no norm table of its
+own.  Every form, composed or not, answers is_nondegenerate by one rank
+on its coordinate tensor and a dimension count of the dual.  The oracle
+computes each of them from the form alone: the entries coerced again,
+the tensor (raw coordinates) with evaluate on every pair of scalar basis
+vectors, b(x, x) of every element by bilinearity from the tensor, once
+that matches (oracles.norm_table), and nondegeneracy as the rank of the
+adjoint into a freshly built dual module.  Both must agree on every
 class the engine enumerates, on every sum of two classes (the forms
 class enumeration adds up and the pairwise presentation oracle of
 test_intsnf.py looks up), on permuted copies of parsed forms, on sums
@@ -21,20 +23,23 @@ from collections import Counter
 
 import pytest
 
+import wittkit.forms
 from wittkit.coefficients import DualityCoefficient, DualModule, standard_coefficient
 from wittkit.forms import (
     HermitianForm,
-    _norm_table,
+    _adds,
+    _norm_reader,
     canonical_order,
     diagonal_form,
     orthogonal_sum,
 )
 from wittkit.linalg import Matrix, unit_vector
-from wittkit.modules import free_module, module_from_shape
+from wittkit.modules import FLModule, free_module, module_from_shape
 from wittkit.parser import parse_ring_with_involution
-from wittkit.wittgroup import WittEngine, sample_gram_tables
+from wittkit.rings import PrimeField, involution
+from wittkit.wittgroup import WittEngine, sample_gram_tables, witt_group
 
-from oracles import int_elements
+from oracles import int_elements, norm_table
 
 
 def scratch_coord_tensor(form):
@@ -44,23 +49,35 @@ def scratch_coord_tensor(form):
     return [[I.to_ints(form.evaluate(x, y)) for y in units] for x in units]
 
 
-def scratch_norm_table(form):
-    p = form.module.F.p
-    tensor = scratch_coord_tensor(form)
-    isd = form.coef.module.sdim
+def decoded(code, p, isd):
+    """The I-coordinate tuple of a norm code: its base-p digits, most
+    significant first."""
+    return tuple(code // p ** (isd - 1 - s) % p for s in range(isd))
+
+
+def reader_norms(form):
+    """b(x, x) of every element in index order, as _norm_reader gives it:
+    the entries of the leaf tables at the indices the weights give, each
+    decoded and added coordinate by coordinate."""
+    tables, where, _ = _norm_reader(form)
+    p, isd = form.module.F.p, form.coef.module.sdim
     out = []
     for x in int_elements(form.module):
+        ks = [0] * len(tables)
+        for a, (leaf, w) in zip(x, where):
+            ks[leaf] += a * w
         acc = [0] * isd
-        for a, xa in enumerate(x):
-            for b, xb in enumerate(x):
-                for s in range(isd):
-                    acc[s] += xa * xb * tensor[a][b][s]
-        out.append(tuple(v % p for v in acc))
+        for table, k in zip(tables, ks):
+            acc = [u + v for u, v in zip(acc, decoded(table[k], p, isd))]
+        out.append(tuple(u % p for u in acc))
     return out
 
 
 def scratch_fingerprint(form):
-    return tuple(sorted(Counter(scratch_norm_table(form)).items()))
+    """The oracle's norms counted, each as its code."""
+    p = form.module.F.p
+    codes = (sum(v * p ** (len(t) - 1 - s) for s, v in enumerate(t)) for t in norm_table(form))
+    return tuple(sorted(Counter(codes).items()))
 
 
 def scratch_nondegenerate(form):
@@ -89,7 +106,7 @@ def assert_tables_match(form):
     assert form.gram == coerced.gram
     assert form.gram_key() == coerced.gram_key()
     assert form.norm_fingerprint() == scratch_fingerprint(form)
-    assert _norm_table(form) == scratch_norm_table(form)
+    assert reader_norms(form) == norm_table(form)
     assert form._coord_tensor() == scratch_coord_tensor(form)
     assert form.is_nondegenerate() == scratch_nondegenerate(form)
 
@@ -217,3 +234,47 @@ def test_a_dual_larger_than_the_module_makes_the_form_degenerate():
     assert DualModule(coef, form.module).module.sdim == 2
     assert not form.is_nondegenerate()
     assert not scratch_nondegenerate(form)
+
+
+@pytest.mark.parametrize("p, isd", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 1)])
+def test_addition_rows_add_the_digits_mod_p(p, isd):
+    # the rows of a fresh module, read in shuffled order, so that a row
+    # kept under another code than its own is caught
+    rwi = involution(PrimeField(p), "id")
+    adds = _adds(FLModule(rwi, [rwi.ring.zero] * isd))
+    codes = list(range(p ** isd))
+    order = codes[:]
+    random.Random(p * 10 + isd).shuffle(order)
+    for a in order:
+        row = adds[a]
+        assert len(row) == p ** isd
+        da = decoded(a, p, isd)
+        for b in codes:
+            want = tuple((u + v) % p for u, v in zip(da, decoded(b, p, isd)))
+            assert decoded(row[b], p, isd) == want, (a, b)
+        assert adds[a] is row
+
+
+@pytest.mark.parametrize("text", ["GF(9), sigma=id", "GF(3)xGF(3), sigma=swap",
+                                  "GF(3)[t]/(t^3), sigma=id", "GF(3)[t]/(t^2), sigma=t->-t"])
+def test_no_composed_form_builds_a_norm_table(text, monkeypatch):
+    # the whole witt computation up to bound 4: only plain forms build a
+    # table, and the searches read composed forms through their leaves
+    table = wittkit.forms._norm_table
+    reader = wittkit.forms._norm_reader
+    composed_reads = []
+
+    def plain_only(form):
+        if form._parts is not None:
+            raise AssertionError(f"composed form {form!r} built a norm table")
+        return table(form)
+
+    def counted_reader(form):
+        if form._parts is not None:
+            composed_reads.append(form)
+        return reader(form)
+
+    monkeypatch.setattr(wittkit.forms, "_norm_table", plain_only)
+    monkeypatch.setattr(wittkit.forms, "_norm_reader", counted_reader)
+    witt_group(standard_coefficient(parse_ring_with_involution(text)), 1, 4)
+    assert composed_reads

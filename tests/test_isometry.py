@@ -10,7 +10,7 @@ composed tables, and other sampled tables on the same shape.
 
 The search solves the linear conditions on each image (killed by the
 annihilator, the Gram entries against the images placed) and filters the
-solutions by the norm table.  reference_isometric below filters every
+solutions by their norms.  reference_isometric below filters every
 element of a norm bucket through the annihilator action and the Gram
 entries one candidate at a time, with its targets from evaluate; both must
 return the same witness list, or both None, on every pair.  Over GF(5),
@@ -34,7 +34,6 @@ from wittkit.forms import (
     _condition,
     _functional,
     _mat_vec,
-    _norm_table,
     _scalar_action_ints,
     isometric,
 )
@@ -44,7 +43,7 @@ from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import Element, PrimeField, involution
 from wittkit.wittgroup import WittEngine, sample_gram_tables
 
-from oracles import int_elements
+from oracles import int_elements, norm_table
 
 
 def _int_matrix(m):
@@ -141,7 +140,7 @@ def reference_isometric(f1, f2):
     cross_t = [[I.to_ints(f1.evaluate(gens1[j], gens1[i])) for i in range(n)] for j in range(n)]
     elems = int_elements(M2)
     nidx = {}
-    for k, v in enumerate(_norm_table(f2)):
+    for k, v in enumerate(norm_table(f2)):
         nidx.setdefault(v, []).append(k)
     annmats = [None if fac.ann.is_zero() else _int_matrix(M2.action_matrix(fac.ann))
                for fac in M1.factors]
@@ -228,23 +227,29 @@ def test_search_returns_the_reference_witnesses(case, length):
     assert answers[True]
 
 
+def zero_reader(d, p):
+    """A _norm_reader of one leaf whose every norm is the code 0, in its
+    own coordinate order."""
+    return [[0] * p ** d], [(0, p ** (d - 1 - c)) for c in range(d)], None
+
+
 KERNEL_RINGS = sorted({text for text, _ in CASES} | {"GF(9), sigma=id"})
 
 
 @pytest.mark.parametrize("text", KERNEL_RINGS)
 def test_solutions_list_exactly_the_filtered_elements(text):
     # the annihilator rows plus 0, 1 or 2 seeded rows [col | t], or a
-    # seeded row twice with constants t and t + 1: under an all-zero norm
-    # table the walker yields, in order, the elements killed by ann that
-    # meet every seeded row; a system with no solution is inconsistent and
-    # yields none
+    # seeded row twice with constants t and t + 1: under a reader whose
+    # every norm is 0 the walker yields, in order, the elements killed by
+    # ann that meet every seeded row; a system with no solution is
+    # inconsistent and yields none
     engine = engine_for((text, 1))
     rng = random.Random(11)
     seen = {True: 0, False: 0}
     for module in engine.shapes_up_to(4):
         p, d = module.F.p, module.sdim
         elems = int_elements(module)
-        norms = [()] * len(elems)
+        reader = zero_reader(d, p)
         for ann in engine._anns:
             act = _int_matrix(module.action_matrix(ann))
             killed = [k for k, v in enumerate(elems) if not any(_mat_vec(act, v, p))]
@@ -257,7 +262,7 @@ def test_solutions_list_exactly_the_filtered_elements(text):
                     system.insert(_condition(r[:d], r[d]))
                 brute = [k for k in killed
                          if all(sum(map(mul, elems[k], r)) % p == r[d] for r in seeded)]
-                got = list(_candidates(system, norms, (), d, p))
+                got = list(_candidates(system, reader, 0, d, p))
                 assert got == [elems[k] for k in brute], (module, ann, seeded)
                 seen[bool(brute)] += 1
     assert seen[True] and seen[False]
@@ -272,7 +277,7 @@ def test_digits_decode_the_element_list(p):
     for d in range(6):
         elems = int_elements(free_module(rwi, d))
         assert len(elems) == p ** d
-        got = list(_candidates(Echelon(rwi.ring), [()] * len(elems), (), d, p))
+        got = list(_candidates(Echelon(rwi.ring), zero_reader(d, p), 0, d, p))
         assert got == elems, (p, d)
 
 

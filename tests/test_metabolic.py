@@ -24,7 +24,6 @@ from wittkit.forms import (
     HermitianForm,
     _closure_rows,
     _functional,
-    _norm_table,
     _scalar_action_ints,
     is_metabolic,
 )
@@ -33,7 +32,7 @@ from wittkit.modules import module_from_shape, simple_scalar_dim
 from wittkit.parser import parse_ring_with_involution
 from wittkit.wittgroup import WittEngine, enumerate_gram_tables, sample_gram_tables
 
-from oracles import int_elements
+from oracles import int_elements, norm_table
 
 
 def bfs_is_metabolic(form):
@@ -51,7 +50,7 @@ def bfs_is_metabolic(form):
         return False
     isd = form.coef.module.sdim
     elems = int_elements(M)
-    norms = _norm_table(form)
+    norms = norm_table(form)
     zero = (0,) * isd
     iso = [elems[k] for k, v in enumerate(norms) if v == zero and any(elems[k])]
     bt = form._coord_tensor()
@@ -192,7 +191,7 @@ def whole_table_pass(form):
     rows = Echelon(M.F)
     cols = []
     taken = []
-    for x, v in zip(int_elements(M), _norm_table(form)):
+    for x, v in zip(int_elements(M), norm_table(form)):
         if any(v) or any(sum(map(mul, x, col)) % p for col in cols) or rows.contains(x):
             continue
         taken.append(x)

@@ -333,6 +333,55 @@ def test_remembered_products_match_fresh_arithmetic(monkeypatch):
     assert QuotientRing(Rationals(), [1, 0, 1], "t")._mul_memo is None
 
 
+def reference_pdivmod(base, a, b):
+    """Long division as rings._pdivmod did it, trimming the remainder
+    again on every step and always scaling by the inverse leading
+    coefficient."""
+    b = rings._ptrim(base, b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lc_inv = base.inv(b[-1])
+    r = list(a)
+    q = [base.zero_data()] * max(0, len(a) - len(b) + 1)
+    while len(rings._ptrim(base, r)) >= len(b):
+        r = list(rings._ptrim(base, r))
+        d = len(r) - len(b)
+        c = base.mul(r[-1], lc_inv)
+        q[d] = c
+        for i, y in enumerate(b):
+            r[d + i] = base.add(r[d + i], base.neg(base.mul(c, y)))
+    return rings._ptrim(base, q), rings._ptrim(base, r)
+
+
+@pytest.mark.parametrize("base", [PrimeField(3), PrimeField(5), Rationals()],
+                         ids=["GF(3)", "GF(5)", "QQ"])
+def test_one_pass_division_matches_the_reference(base):
+    # seeded dividends of degree -1 to 7, some with trailing zeros, over
+    # divisors of degree 0 to 4, monic or not, some with trailing zeros
+    rng = random.Random(13)
+
+    def coeff():
+        if isinstance(base, Rationals):
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return base.from_int(rng.randrange(base.p))
+
+    def poly(n):
+        return tuple(coeff() for _ in range(n)) + (base.zero_data(),) * rng.randrange(2)
+
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        b = poly(rng.randrange(5)) + (base.one_data() if rng.randrange(2) else coeff(),)
+        if not rings._ptrim(base, b):
+            continue
+        b = b + (base.zero_data(),) * rng.randrange(2)
+        a = poly(rng.randrange(9))
+        assert rings._pdivmod(base, a, b) == reference_pdivmod(base, a, b), (a, b)
+        seen[rings._ptrim(base, b)[-1] == base.one_data()] += 1
+    assert seen[True] and seen[False]
+    with pytest.raises(ZeroDivisionError):
+        rings._pdivmod(base, (base.one_data(),), (base.zero_data(),))
+
+
 MEMO_MAPS = {
     "GF(9)": ["id", "frobenius"],
     "GF(3)[t]/(t^3)": ["id", "t->-t"],
