@@ -45,12 +45,12 @@ def _epsilon(text):
     raise argparse.ArgumentTypeError(f"epsilon must be +1 or -1, not {text!r}")
 
 
-def _resolve_bound(args, default=4):
+def _resolve_bound(args):
     if getattr(args, "bound", None) is not None:
         return args.bound
     if getattr(args, "bound_flag", None) is not None:
         return args.bound_flag
-    return default
+    return 4
 
 
 def _emit(args, human_lines, payload):

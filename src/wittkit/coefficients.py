@@ -88,9 +88,11 @@ class DualityCoefficient:
         """Raise NotStrongDuality unless every indecomposable cyclic module
         N is reflexive, i.e. H(N) is nondegenerate, for the caller's
         epsilon (an engine's own hyperbolic blocks): the adjoint is
-        bijective for both signs or for neither.  A success is kept on the
-        coefficient, so the check runs once; a failure names which half of
-        bijectivity of can: N -> D(D(N)) fails."""
+        bijective for both signs or for neither.  WittEngine checks with
+        the sign of its query (a devissage check's Gorenstein condition
+        too), so it builds H(N) for that sign only.  A success is kept on
+        the coefficient, so the check runs once; a failure names which half
+        of bijectivity of can: N -> D(D(N)) fails."""
         if not self._strong:
             for a in indecomposable_factor_anns(self.ring):
                 N = self.rwi.module([a])

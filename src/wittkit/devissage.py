@@ -17,7 +17,7 @@ from .coefficients import standard_coefficient
 from .errors import ImproperIdeal, WittKitError
 from .forms import coefficient_change
 from .intsnf import hom_kernel_cokernel_trivial
-from .modules import is_nilpotent_quotient
+from .modules import chain_components
 from .rings import QuotientRing, RingMap, identity_map, involution
 from .transfer import GammaComparison, TransferCoefficient, transfer_form
 from .wittgroup import require_valid_bound, witt_group
@@ -35,29 +35,32 @@ class DevissageData:
     """The tower pi: R -> k, the induced involution on k, and the socle
     coefficient pi^flat E for E = R.
 
-    The ring decides the tower: R is a field or k[t]/(t^n), so it is
-    local and every ring automorphism keeps its maximal ideal (which the
-    transfer coefficient checks again as equivariance of pi).  The
-    Gorenstein condition is checked once, as strong duality of E = R
-    (DualityCoefficient.require_strong: H(N) is nondegenerate on every
-    indecomposable N).  sigma on k is pi(sigma(x)) on the generators."""
+    The tower is read off the single chain component (e, t, n) of R: n = 1
+    is a field, its own residue field, and n > 1 is k[t]/(t^n) with
+    pi(t) = 0, so R is local and every ring automorphism keeps its maximal
+    ideal (the transfer coefficient checks it again as equivariance of
+    pi).  The R-side WittEngine checks the Gorenstein condition, strong
+    duality of E = R, with the sign of its query.  sigma on k is
+    pi(sigma(x)) on the generators."""
 
     def __init__(self, rwi):
         ring = rwi.ring
         self.rwi = rwi
         self.ring = ring
-        if ring.is_field:
+        try:
+            [(_, _, self.n)] = chain_components(ring)
+        except (WittKitError, ValueError):  # no module theory, or two components
+            raise WittKitError(f"no residue tower for {ring}") from None
+        if self.n == 1:
             self.k = ring
             self.pi = identity_map(ring)
             self.rwi_k = rwi
-        elif is_nilpotent_quotient(ring):
+        else:
             k = ring.base
             self.k = k
             self.pi = RingMap(ring, k, [k.gen(nm) for nm in k.generator_names()] + [k.zero])
             self.rwi_k = _induced_involution(rwi, self.pi)
-        else:
-            raise WittKitError(f"no residue tower for {ring}")
-        self.coef = standard_coefficient(rwi).require_strong()
+        self.coef = standard_coefficient(rwi)
 
     @cached_property
     def tc(self):
@@ -119,7 +122,7 @@ def verify_devissage(rwi, epsilon, bound):
     transfer, compared at the same length bound (at least 1) on both
     sides."""
     require_valid_bound(bound)
-    data = rwi if isinstance(rwi, DevissageData) else DevissageData(rwi)
+    data = DevissageData(rwi)
     Wk = witt_group(data.tc.coefficient, epsilon, bound)
     WR = witt_group(data.coef, epsilon, bound)
     return ComparisonReport(Wk, WR, *_class_map(Wk, WR, lambda f: transfer_form(data.tc, f)))
@@ -168,10 +171,10 @@ def verify_localcase_factorization(rwi, J, epsilon, bound):
     J is a principal invariant ideal, given by a generating element; the
     bound is at least 1."""
     require_valid_bound(bound)
-    data = rwi if isinstance(rwi, DevissageData) else DevissageData(rwi)
+    data = DevissageData(rwi)
     ring = data.ring
     g = ring.el(J)
-    if ring.is_field:
+    if data.n == 1:
         if not g.is_zero():
             raise ImproperIdeal("a field has no proper nonzero ideal")
         T, p, q, rwi_T = ring, identity_map(ring), data.pi, data.rwi

@@ -50,7 +50,6 @@ is read.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 from operator import mul
 
 from .coefficients import check_coefficient_iso
@@ -67,13 +66,12 @@ from .modules import free_module, module_from_shape, simple_scalar_dim
 
 
 class HermitianForm:
-    def __init__(self, coef, module, gram, epsilon, check=True):
+    def __init__(self, coef, module, gram, epsilon):
         _check_table(coef, module, gram, epsilon)
         I = coef.module
         self._setup(coef, module, epsilon,
                     key=tuple(tuple(I.to_ints(_coerce(I, e)) for e in row) for row in gram))
-        if check:
-            self._validate()
+        self._validate()
 
     def _setup(self, coef, module, epsilon, key=None, parts=None):
         """Every form is set up here, from one of two sources: key, the raw
@@ -444,9 +442,10 @@ def hyperbolic_form(coef, N, epsilon=1):
 # in index order, of an Echelon system of linear conditions (_condition)
 # whose norm is a target.  A norm is one int, the _code of its
 # I-coordinates, and the walker reads it through the form's _norm_reader as
-# a sum of its leaves' table entries, one _adds row lookup per leaf.  The
-# walker never decodes an index and no module lists its elements; the
-# tables still need a finite scalar field.
+# a sum of its leaves' table entries, one _adds row lookup per leaf after
+# the first.  One odometer walks every system on every form; it never
+# decodes an index and no module lists its elements; the tables still
+# need a finite scalar field.
 #
 # isometric keeps the conditions for the annihilator of factor i on f2's
 # module (_ann_rows); each level copies them and adds one condition per
@@ -667,9 +666,7 @@ def _candidates(system, reader, target, d, p):
     """The coordinate tuples x in F_p^d, in index order, that meet every
     _condition in the Echelon system and whose norm, as the _norm_reader
     reader sums it, is the code target; nothing when the conditions are
-    inconsistent.  With no condition on a form that is one leaf in its
-    own coordinate order, it reads the table in itertools.product order,
-    which is the index order.
+    inconsistent.
 
     A condition lists its columns backwards, so each reduced row solves
     for the last coordinate it involves.  The solutions are then base +
@@ -678,13 +675,10 @@ def _candidates(system, reader, target, d, p):
     base is 0 at all of them.  The dirs are in reduced echelon form with
     leading pivots, x[q] is the coefficient on v_q, and so the coefficient
     tuples in itertools.product order give the solutions in index
-    order."""
+    order.  With no condition the dirs are the unit vectors, and the walk
+    reads every element in index order."""
     tables, where, adds = reader
     rows = system.rows
-    if not rows and len(tables) == 1 and all(
-            w == p ** (d - 1 - c) for c, (_, w) in enumerate(where)):
-        yield from (x for x, v in zip(product(range(p), repeat=d), tables[0]) if v == target)
-        return
     if rows and rows[-1][0] == d:
         return  # a row reduced to 0 = t with t != 0
     solved = [(d - 1 - piv, row) for piv, row in rows]

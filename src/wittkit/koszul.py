@@ -77,15 +77,13 @@ def _constant(ring, data):
 
 class RegularSequenceData:
     """A sequence x_1..x_d in a polynomial ring, with the free rank-1
-    target coefficient L = R twisted by a unit (sigma(u) u = 1 is the
-    caller's burden and is re-checked where it matters)."""
+    target coefficient L = R."""
 
-    def __init__(self, ring, sequence, unit=1):
+    def __init__(self, ring, sequence):
         if not isinstance(ring, PolynomialRing):
             raise WittKitError("Koszul data needs a polynomial ring")
         self.ring = ring
         self.sequence = [ring.el(x) for x in sequence]
-        self.unit = ring.el(unit)
         if not self.sequence:
             raise WittKitError("empty sequence")
         if len(self.sequence) > ring.nv:
@@ -306,7 +304,7 @@ def involution_transport(data, rwi):
     report["chain_map"] = (ok, witness)
 
     # beta square: dualizing the top transport sends the functional value c
-    # to u.sigma(det A).sigma(c), transporting the conormal first reduces c;
+    # to sigma(det A).sigma(c), transporting the conormal first reduces c;
     # the two agree mod J for every c exactly when sigma(J) lies in J
     witness = next((x for x, y in zip(data.sequence, targets) if not data.in_ideal(y)), None)
     report["beta_square"] = (witness is None, witness)
@@ -317,14 +315,14 @@ def involution_transport(data, rwi):
 
 def conormal_sign(data, rwi):
     """The unit u with (omega tensor L, sigma) = (L restricted, u.sigma):
-    dualizing det of the conormal involution gives sigma(det A), and the
-    L-twist multiplies in.  Returned as a normal-form ring element;
+    dualizing det of the conormal involution gives sigma(det A), and L = R
+    adds no twist.  Returned as a normal-form ring element;
     sigma(u).u = 1 is asserted."""
     report = involution_transport(data, rwi)
     if not report["all_pass"]:
         raise EngineError("involution transport failed; conormal sign undefined")
     detA = report["matrix"].det()
-    u = data.reduce(rwi.conj(detA) * data.unit)
+    u = data.reduce(rwi.conj(detA))
     if data.reduce(rwi.conj(u) * u - data.ring.one) != data.ring.zero:
         raise EngineError("conormal unit fails sigma(u) u = 1")
     return u

@@ -10,8 +10,9 @@ The ring family is decided once, by chain_components: a supported ring is
 a product of chain rings e.R, each with a uniformizer pi and a length n
 (a field, k[t]/(t^n), or a product of two equal fields), and its
 indecomposable cyclic modules are R/(1 - e + pi^a), 1 <= a <= n.  The
-simple dimension, the indecomposables, module_from_shape and the cyclic
-splitting of every Decomposition read that description.
+simple dimension, the indecomposables, module_from_shape, the cyclic
+splitting of every Decomposition and the residue tower of DevissageData
+read that description, and nothing else in the library tests the family.
 
 Every module the library builds comes from RingWithInvolution.module,
 which keeps one FLModule per annihilator tuple on the ring with
@@ -44,31 +45,19 @@ from .linalg import Basis, Echelon, Matrix, matrix_of_map, span_basis, unit_vect
 from .rings import Element, ProductRing, QuotientRing, RingWithInvolution
 
 
-def is_nilpotent_quotient(ring):
-    """k[t]/(t^n) with n >= 1, i.e. local with principal nilpotent maximal
-    ideal (t)."""
-    if not isinstance(ring, QuotientRing) or ring.is_field:
-        return False
-    z = ring.base.zero_data()
-    return all(c == z for c in ring.modulus[:-1])
-
-
-def uniformizer(ring):
-    if not is_nilpotent_quotient(ring):
-        raise WittKitError(f"{ring} is not a nilpotent univariate quotient")
-    return ring.gen(ring.var)
-
-
 def chain_components(ring):
     """The ring as a product of chain rings e.R: one (e, pi, n) per
     factor, e its idempotent, pi a uniformizer of e.R and n the length of
-    e.R, so that pi^n = 0.  A field is [(1, 0, 1)], k[t]/(t^n) is
-    [(1, t, n)] and k x k is [(e1, 0, 1), (e2, 0, 1)]; every other ring
-    has no module theory here."""
+    e.R, so that pi^n = 0.  A field is [(1, 0, 1)], k[t]/(t^n) with
+    n >= 2 (a quotient by a power of its variable) is [(1, t, n)] and
+    k x k is [(e1, 0, 1), (e2, 0, 1)]; every other ring has no module
+    theory here.  This is the one place that tells the families apart."""
     if ring.is_field:
         return [(ring.one, ring.zero, 1)]
-    if is_nilpotent_quotient(ring):
-        return [(ring.one, uniformizer(ring), ring.n)]
+    if isinstance(ring, QuotientRing):
+        z = ring.base.zero_data()
+        if all(c == z for c in ring.modulus[:-1]):
+            return [(ring.one, ring.gen(ring.var), ring.n)]
     if isinstance(ring, ProductRing):
         if not (ring.r1.is_field and ring.r2.is_field and ring.r1 == ring.r2):
             raise WittKitError("product module theory needs equal field factors")

@@ -131,9 +131,6 @@ class Element:
     def inverse(self):
         return Element(self.ring, self.ring.inv(self.data))
 
-    def is_unit(self):
-        return self.ring.is_unit(self.data)
-
     def is_zero(self):
         return self.data == self.ring.zero_data()
 
@@ -310,9 +307,6 @@ class PrimeField(Ring):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def is_unit(self, a):
-        return a % self.p != 0
-
     def inv(self, a):
         if a % self.p == 0:
             raise NotAUnit(f"0 in {self}")
@@ -380,9 +374,6 @@ class Rationals(Ring):
 
     def mul(self, a, b):
         return a * b
-
-    def is_unit(self, a):
-        return a != 0
 
     def inv(self, a):
         if a == 0:
@@ -481,15 +472,6 @@ def _pdivmod(base, a, b):
         for i in range(n):
             r[d + i] = base.add(r[d + i], base.mul(c, b[i]))
     return tuple(q), _ptrim(base, r[:n])
-
-
-def _pgcd(base, a, b):
-    a, b = _ptrim(base, a), _ptrim(base, b)
-    while b:
-        a, b = b, _pdivmod(base, a, b)[1]
-    if a:
-        a = _pscale(base, base.inv(a[-1]), a)  # monic normalization
-    return a
 
 
 def _pxgcd(base, a, b):
@@ -635,10 +617,6 @@ class QuotientRing(Ring):
             memo[(a, b)] = memo[(b, a)] = out  # these rings are commutative
         return out
 
-    def is_unit(self, a):
-        g = _pgcd(self.base, _ptrim(self.base, a), self.modulus)
-        return len(g) == 1
-
     def inv(self, a):
         at = _ptrim(self.base, a)
         g, s, _ = _pxgcd(self.base, at, self.modulus)
@@ -703,9 +681,9 @@ def QuadraticField(d):
     return QuotientRing(Rationals(), [-d, 0, 1], _quadratic_name(d))
 
 
-def GF(q, var="u"):
+def GF(q):
     """The finite field with q = p^k elements (odd p).  For k > 1 the
-    modulus is the first monic irreducible polynomial of degree k in
+    modulus is the first monic irreducible polynomial in u of degree k in
     enumeration order, so the construction is deterministic."""
     p = next((c for c in range(2, q + 1) if q % c == 0), None)  # least prime factor
     m, k = q, 0
@@ -722,7 +700,7 @@ def GF(q, var="u"):
     for tail in itertools.product(range(p), repeat=k):
         cand = tuple(tail) + (1,)
         try:
-            R = QuotientRing(F, cand, var)
+            R = QuotientRing(F, cand, "u")
         except WittKitError:
             continue
         if R.is_field:
@@ -796,11 +774,8 @@ class PolynomialRing(Ring):
                 d[e] = self.base.add(d.get(e, self.base.zero_data()), self.base.mul(c1, c2))
         return self._freeze(d)
 
-    def is_unit(self, a):
-        return len(a) == 1 and a[0][0] == (0,) * self.nv
-
     def inv(self, a):
-        if not self.is_unit(a):
+        if not (len(a) == 1 and a[0][0] == (0,) * self.nv):  # a nonzero constant
             raise NotAUnit(f"{self.format_element(a)} in {self}")
         return self._freeze({(0,) * self.nv: self.base.inv(a[0][1])})
 
@@ -892,9 +867,6 @@ class ProductRing(Ring):
 
     def mul(self, a, b):
         return (self.r1.mul(a[0], b[0]), self.r2.mul(a[1], b[1]))
-
-    def is_unit(self, a):
-        return self.r1.is_unit(a[0]) and self.r2.is_unit(a[1])
 
     def inv(self, a):
         return (self.r1.inv(a[0]), self.r2.inv(a[1]))

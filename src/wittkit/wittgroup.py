@@ -46,9 +46,13 @@ from .intsnf import PresentedGroup, hom_kernel_cokernel_trivial
 from .linalg import Matrix
 from .modules import indecomposable_factor_anns
 
+# the most elements of a module, and of Gram tables on a factor, that class
+# enumeration takes on (EnumerationBoundExceeded beyond)
+MAX_SIZE = 400000
+
 
 class WittEngine:
-    def __init__(self, coef, epsilon, max_size=400000):
+    def __init__(self, coef, epsilon):
         ring = coef.rwi.ring
         if not ring.is_finite:
             raise NotFinite(f"class enumeration needs a finite ring, not {ring}")
@@ -56,7 +60,6 @@ class WittEngine:
         self.rwi = coef.rwi
         self.ring = ring
         self.epsilon = epsilon
-        self.max_size = max_size
         # key-sorted, so modules assembled from these anns in index order
         # come out in the canonical factor order
         facts = sorted((self.rwi.factor(a) for a in indecomposable_factor_anns(ring)),
@@ -67,11 +70,10 @@ class WittEngine:
         coef.require_strong(epsilon)
         self._blocks = None
         self._classes = {}
-        self._metabolic = {}
         self._lookups = {}
         self._sums = {}
 
-    # -- invariant caches --------------------------------------------------
+    # -- invariants, kept where computed (metabolic is asked once per class)
     def dual_of(self, module):
         return self.coef.dual(module)
 
@@ -79,17 +81,14 @@ class WittEngine:
         return form.norm_fingerprint()
 
     def metabolic(self, form):
-        k = (form.module.key, form.gram_key())
-        if k not in self._metabolic:
-            self._metabolic[k] = is_metabolic(form)
-        return self._metabolic[k]
+        return is_metabolic(form)
 
     # -- building blocks ---------------------------------------------------
     def one_factor_classes(self, ann):
         """Exhaustive classification on R/(ann): the nondegenerate forms
         among every Gram table on the module, one per isometry class."""
         module = self.rwi.module([ann])
-        tables = enumerate_gram_tables(self.coef, module, self.epsilon, limit=self.max_size)
+        tables = enumerate_gram_tables(self.coef, module, self.epsilon)
         return self._distinct(f for f in tables if f.is_nondegenerate())[0]
 
     def _distinct(self, forms):
@@ -165,7 +164,7 @@ class WittEngine:
 
     def require_shapes_fit(self, bound):
         """Raise EnumerationBoundExceeded unless every module of
-        shapes_up_to(bound) is within max_size, which classes() would
+        shapes_up_to(bound) is within MAX_SIZE, which classes() would
         otherwise find out only after enumerating the smaller shapes.
         Uses the indecomposable factors alone: most[L] is the largest
         scalar dimension of a shape of length <= L (an unbounded
@@ -176,9 +175,9 @@ class WittEngine:
         for total in range(1, bound + 1):
             most.append(max((most[total - f.length] + f.sdim
                              for f in self._facts if f.length <= total), default=0))
-            if most[total] and q ** most[total] > self.max_size:
+            if most[total] and q ** most[total] > MAX_SIZE:
                 raise EnumerationBoundExceeded(
-                    f"module of size {q ** most[total]} exceeds the engine limit {self.max_size}"
+                    f"module of size {q ** most[total]} exceeds the engine limit {MAX_SIZE}"
                 )
 
     def classes(self, module):
@@ -187,9 +186,9 @@ class WittEngine:
             module = self.rwi.module([module.factors[k].ann for k in order])
         if module.key in self._classes:
             return self._classes[module.key]
-        if module.size() > self.max_size:
+        if module.size() > MAX_SIZE:
             raise EnumerationBoundExceeded(
-                f"module of size {module.size()} exceeds the engine limit {self.max_size}"
+                f"module of size {module.size()} exceeds the engine limit {MAX_SIZE}"
             )
         if not module.factors:
             empty = _form_of_keys(self.coef, module, [], self.epsilon)
@@ -357,14 +356,14 @@ def require_valid_bound(bound):
         raise InvalidBound(f"the length bound must be at least 1, not {bound}")
 
 
-def witt_group(coef, epsilon, bound, max_size=400000):
+def witt_group(coef, epsilon, bound):
     """The presented Witt group at the given length bound (at least 1).
 
     The result records whether its inclusion into the bound+1 presentation
     is an isomorphism; every shape that one needs is checked against
-    max_size before any class is enumerated."""
+    MAX_SIZE before any class is enumerated."""
     require_valid_bound(bound)
-    engine = WittEngine(coef, epsilon, max_size=max_size)
+    engine = WittEngine(coef, epsilon)
     engine.require_shapes_fit(bound + 1)
     pres, pres1, classes = _presentation_at(engine, bound)
     images = [[int(i == j) for i in range(pres1.ngens)] for j in range(pres.ngens)]
@@ -416,15 +415,16 @@ def _gram_from_assignment(coef, module, epsilon, slots, assignment):
     return _form_of_keys(coef, module, keys, epsilon)
 
 
-def enumerate_gram_tables(coef, module, epsilon, limit=200000):
-    """Every valid Gram table on the module, lazily.  Guarded by limit."""
+def enumerate_gram_tables(coef, module, epsilon):
+    """Every valid Gram table on the module, lazily; more than MAX_SIZE
+    tables raise EnumerationBoundExceeded before the first."""
     F = coef.module.F
     slots = _gram_slots(coef, module, epsilon)
     total = 1
     for _, basis in slots:
         total *= F.size() ** len(basis)
-    if total > limit:
-        raise EnumerationBoundExceeded(f"{total} Gram tables exceed the limit {limit}")
+    if total > MAX_SIZE:
+        raise EnumerationBoundExceeded(f"{total} Gram tables exceed the limit {MAX_SIZE}")
     opts = [e.data for e in F.elements()]
     spaces = [list(itertools.product(opts, repeat=len(basis))) for _, basis in slots]
     for assignment in itertools.product(*spaces):

@@ -1,6 +1,9 @@
-"""Brute-force listings the tests share as oracles."""
+"""Brute-force listings the tests share as oracles, and the unchecked
+forms they build."""
 
 import itertools
+
+from wittkit.forms import _coerce, _form_of_keys
 
 
 def elements_of(M):
@@ -38,3 +41,13 @@ def norm_table(form):
                 acc = [u + xab * v for u, v in zip(acc, t)]
         out.append(tuple(v % p for v in acc))
     return out
+
+
+def unchecked_form(coef, module, gram, epsilon):
+    """The form of a Gram table, keyed as HermitianForm keys it (each entry
+    coerced into the coefficient module, then its raw coordinates) but
+    set up without the sesquilinearity and symmetry checks, so that tests
+    can build the forms those checks refuse."""
+    I = coef.module
+    keys = [[I.to_ints(_coerce(I, e)) for e in row] for row in gram]
+    return _form_of_keys(coef, module, keys, epsilon)

@@ -13,7 +13,7 @@ from wittkit.coefficients import (
     check_coefficient_iso,
     standard_coefficient,
 )
-from wittkit.devissage import DevissageData
+from wittkit.devissage import DevissageData, verify_devissage
 from wittkit.errors import CoefficientMismatch, NotACoefficientIso, NotStrongDuality
 from wittkit.forms import hyperbolic_form
 from wittkit.linalg import Matrix
@@ -205,9 +205,11 @@ def test_engines_on_one_coefficient_build_each_dual_once(monkeypatch):
         for m in engine.shapes_up_to(2):
             for f in engine.classes(m):
                 transfer_form(data.tc, f)
-    # duals against the k-side coefficient (engines) and against R (the
-    # nondegeneracy check of every transfer)
-    assert {c for c, _ in builds} == {id(kcoef), id(data.coef)}
+    # duals against the k-side coefficient only (the engines' hyperbolic
+    # blocks): a transfer decides nondegeneracy without the dual, and
+    # DevissageData leaves the strong-duality check of R to its R-side
+    # engine
+    assert {c for c, _ in builds} == {id(kcoef)}
     assert set(builds.values()) == {1}
 
 
@@ -276,6 +278,28 @@ def test_an_engine_checks_strong_duality_with_its_own_sign(monkeypatch):
             engine.metabolic(f)
     keys = sorted(rwi.module([a]).key for a in indecomposable_factor_anns(rwi.ring))
     assert sorted(builds) == [(key, -1) for key in keys]
+    assert set(builds.values()) == {1}
+
+
+@pytest.mark.parametrize("epsilon", [1, -1], ids=["+1", "-1"])
+def test_a_devissage_check_builds_the_hyperbolic_forms_of_its_sign_only(monkeypatch, epsilon):
+    # over R = GF(3)[t]/(t^4) the check builds H(N, epsilon) once on each
+    # of the 4 indecomposables, for the R-side engine's strong-duality
+    # check and blocks, and no H(N) of the other sign
+    builds = Counter()
+    build = wittkit.forms.hyperbolic_form
+
+    def counted_build(coef, N, epsilon=1):
+        builds[coef.ring, N.key, epsilon] += 1
+        return build(coef, N, epsilon)
+
+    monkeypatch.setattr(wittkit.forms, "hyperbolic_form", counted_build)
+    rwi = parse_ring_with_involution("GF(3)[t]/(t^4), sigma=t->-t")
+    assert verify_devissage(rwi, epsilon, 4).iso
+    over_r = sorted((key, e) for ring, key, e in builds if ring == rwi.ring)
+    keys = sorted(rwi.module([a]).key for a in indecomposable_factor_anns(rwi.ring))
+    assert len(keys) == 4
+    assert over_r == [(key, epsilon) for key in keys]
     assert set(builds.values()) == {1}
 
 

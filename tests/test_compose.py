@@ -102,7 +102,7 @@ def scratch_nondegenerate(form):
 def assert_tables_match(form):
     # the Gram entries and key a sum takes from its summands, against
     # entries coerced through FLModule.element and a key read off them
-    coerced = HermitianForm(form.coef, form.module, form.gram, form.epsilon, check=False)
+    coerced = HermitianForm(form.coef, form.module, form.gram, form.epsilon)
     assert form.gram == coerced.gram
     assert form.gram_key() == coerced.gram_key()
     assert form.norm_fingerprint() == scratch_fingerprint(form)

@@ -7,6 +7,8 @@ GF(3)[t]/(t^3) at bound 3 is pinned as the engine computes it (ROADMAP
 D3): the relation [f] + [-f] = 0 needs length 2*len(f), so some R-classes
 stay free below the stable bound."""
 
+import re
+
 import pytest
 
 from wittkit.coefficients import standard_coefficient
@@ -83,9 +85,18 @@ def test_localcase_diagram_commutes_over_t_cubed():
     assert rep.diagram_checked == 4
 
 
-def test_non_local_ring_is_rejected():
-    with pytest.raises(WittKitError, match="no residue tower"):
-        DevissageData(rwi("GF(3)xGF(3), sigma=swap"))
+@pytest.mark.parametrize("text", [
+    "GF(3)xGF(3), sigma=swap",
+    "GF(3)[x]/((x-1)^2), sigma=id",
+    "GF(5)[x]/(x^2+1), sigma=x->4*x",
+    "GF(3)[t]/(t^2)xGF(3)[t]/(t^2), sigma=swap",
+    "GF(3)xGF(9), sigma=id",
+])
+def test_a_ring_that_is_not_one_chain_ring_has_no_residue_tower(text):
+    # two chain components, or none that the module theory knows
+    R = rwi(text)
+    with pytest.raises(WittKitError, match=f"^no residue tower for {re.escape(str(R.ring))}$"):
+        DevissageData(R)
 
 
 # every t-adic ring with involution that the CLI goldens, bench/workloads.py
@@ -116,7 +127,7 @@ def test_the_enumerated_devissage_preconditions_hold(text):
     # a nilpotent x of a ring of scalar dimension d has x^d = 0
     d = ring.scalar_dim()
     maximal = {x.data for x in elements if (x ** d).is_zero()}
-    assert all(x.is_unit() for x in elements if x.data not in maximal)
+    assert all(x * x.inverse() == ring.one for x in elements if x.data not in maximal)
     residue_size = len(elements) // len(maximal)
     socle = [x for x in elements if all((x * ring.el(y)).is_zero() for y in maximal)]
     assert len(socle) == residue_size

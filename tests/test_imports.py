@@ -3,7 +3,9 @@ module-level helper and private method is referenced from somewhere else
 in the library, every public one too unless an allow-list gives the
 reason to keep it, every error class is raised or caught by another
 library module, wittkit.__all__ lists exactly the package's re-exports,
-and every name the benchmark tracer patches exists.
+every name the benchmark tracer patches exists, and every parameter
+default is passed by some library call unless an allow-list gives the
+reason to keep it.
 
 Checked with the standard library's ast, since no linter is a dependency.
 __init__.py is left out of the import check and of the public-name check:
@@ -302,7 +304,7 @@ def test_the_chain_level_duality_is_gone():
 
 
 # the one place where modules.py decides the ring family, and what it reads
-RING_FAMILY_READERS = {"chain_components", "is_nilpotent_quotient", "uniformizer"}
+RING_FAMILY_READERS = {"chain_components"}
 RING_FAMILY_NAMES = {"ProductRing", "is_nilpotent_quotient", "uniformizer", "idempotents", "is_field"}
 
 
@@ -338,10 +340,9 @@ def test_modules_decides_the_ring_family_in_one_place():
 
 
 # The layers above modules.py read the ring family only through it.  Left
-# out: devissage.py, whose residue tower (a field or k[t]/(t^n)) waits for
-# a coefficient field read off chain_components (ROADMAP D19), and
-# fieldwitt.py and linalg.py, which need a field by design.
-@pytest.mark.parametrize("name", ["forms.py", "wittgroup.py", "coefficients.py", "transfer.py"])
+# out: fieldwitt.py and linalg.py, which need a field by design.
+@pytest.mark.parametrize("name", ["forms.py", "wittgroup.py", "coefficients.py", "transfer.py",
+                                  "devissage.py"])
 def test_form_layers_read_the_ring_family_through_modules(name):
     assert ring_family_reads((Path(wittkit.__file__).parent / name).read_text()) == []
 
@@ -395,3 +396,116 @@ def test_the_ring_family_is_five_classes_each_for_a_reason():
     source = (Path(wittkit.__file__).parent / "rings.py").read_text()
     assert ring_subclasses(source) == sorted(RING_FAMILY)
     assert all(RING_FAMILY.values())
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def default_only_parameters(sources):
+    """module.function.parameter (module.Class.method.parameter for a
+    method) of every parameter default, in a dict of module name ->
+    source, that no call anywhere in the sources passes, by keyword or
+    by position.  Calls are matched by the name they call, a class's
+    __init__ by the class name; a call with *args or **kwargs passes
+    every parameter."""
+    defaults = []
+    calls = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defaults += _defaults(f"{module}.{node.name}", node.name, node, 0)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                        callee = node.name if item.name == "__init__" else item.name
+                        defaults += _defaults(f"{module}.{node.name}.{item.name}", callee, item,
+                                              0 if static else 1)
+        calls += [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+    def passed(callee, name, index):
+        for call in calls:
+            if _callee(call) != callee:
+                continue
+            if any(k.arg in (name, None) for k in call.keywords):
+                return True
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                return True
+            if index is not None and len(call.args) > index:
+                return True
+        return False
+
+    return [label for label, callee, name, index in defaults if not passed(callee, name, index)]
+
+
+def _defaults(label, callee, node, skip):
+    """(label.parameter, callee, parameter, index among the positional
+    arguments of a call, None for keyword-only) of each defaulted
+    parameter of the function node, whose first skip parameters (self or
+    cls) the call does not pass."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(f"{label}.{a.arg}", callee, a.arg, k - skip)
+           for k, a in enumerate(positional) if k >= first]
+    out += [(f"{label}.{a.arg}", callee, a.arg, None)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def test_the_check_sees_a_default_no_call_passes():
+    sources = {
+        "a": ("def f(x, y=1, z=2):\n    return x\n\n"
+              "class K:\n"
+              "    def __init__(self, a, b=0):\n        pass\n"
+              "    def m(self, c=None, *, d=3):\n        pass\n"
+              "    @staticmethod\n"
+              "    def s(e=1, g=2):\n        pass\n"),
+        "b": "from .a import K, f\nf(1, 2)\nK(1).m(c=4)\nK.s(5)\nf(*[1])\n",
+    }
+    assert default_only_parameters(sources) == ["a.K.__init__.b", "a.K.m.d", "a.K.s.g"]
+
+
+# module.function.parameter -> why its default is the only value the
+# library passes
+DEFAULT_ONLY = {
+    "cli.main.argv": "the entry point reads sys.argv; tests and the benchmark pass argv",
+    "forms.diagonal_form.epsilon": "oracle: diagonal_form is kept public for the tests (KEPT_PUBLIC)",
+    "forms.diagonal_form.shape": "oracle: diagonal_form is kept public for the tests (KEPT_PUBLIC)",
+}
+
+
+def test_every_parameter_default_is_passed_by_the_library_or_kept_for_a_reason():
+    unpassed = default_only_parameters({p.stem: p.read_text() for p in PACKAGE})
+    assert sorted(unpassed) == sorted(DEFAULT_ONLY)
+    assert all(DEFAULT_ONLY.values())
+
+
+def test_the_knobs_only_tests_set_and_the_unreached_paths_are_gone():
+    import inspect
+
+    from wittkit import cli, forms, koszul, modules, rings, wittgroup
+    from wittkit.coefficients import standard_coefficient
+
+    assert [n for n in ("is_nilpotent_quotient", "uniformizer") if hasattr(modules, n)] == []
+    assert not hasattr(rings, "_pgcd")
+    assert [c for c in ["Element", *RING_FAMILY] if hasattr(getattr(rings, c), "is_unit")] == []
+    engine = wittgroup.WittEngine(standard_coefficient(rings.involution(rings.GF(3), "id")), 1)
+    assert not hasattr(engine, "_metabolic")
+
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(wittgroup.WittEngine) == ["coef", "epsilon"]
+    assert params(wittgroup.witt_group) == ["coef", "epsilon", "bound"]
+    assert params(wittgroup.enumerate_gram_tables) == ["coef", "module", "epsilon"]
+    assert params(forms.HermitianForm) == ["coef", "module", "gram", "epsilon"]
+    assert params(rings.GF) == ["q"]
+    assert params(koszul.RegularSequenceData) == ["ring", "sequence"]
+    assert params(cli._resolve_bound) == ["args"]
+    assert wittgroup.MAX_SIZE == 400000

@@ -127,13 +127,6 @@ def test_sign_invariant_under_rescaling():
     assert conormal_sign(data, swap) == -R.one
 
 
-def test_unit_in_the_trivialization():
-    R, t = qt()
-    data = RegularSequenceData(R, [t], unit=-1)
-    assert data.reduce(data.unit) == -R.one
-    assert conormal_sign(data, involution(R, {"t": t})) == -R.one
-
-
 def test_ideal_must_be_invariant():
     R, X, Y = qxy()
     swap = involution(R, {"X": Y, "Y": X})

@@ -22,11 +22,9 @@ from wittkit.modules import (
     free_module,
     hom_space_basis,
     indecomposable_factor_anns,
-    is_nilpotent_quotient,
     map_matrix,
     module_from_shape,
     simple_scalar_dim,
-    uniformizer,
 )
 from wittkit.parser import parse_ring, parse_ring_with_involution
 from wittkit.rings import GF, Element, PrimeField, ProductRing, QuotientRing, RingMap, involution
@@ -51,18 +49,6 @@ def test_indecomposable_anns():
     P = ProductRing(F3, F3)
     panns = indecomposable_factor_anns(P)
     assert len(panns) == 2
-
-
-def test_nilpotent_quotient_predicate():
-    assert is_nilpotent_quotient(t2_ring())
-    assert not is_nilpotent_quotient(PrimeField(3))
-    F3 = PrimeField(3)
-    assert not is_nilpotent_quotient(ProductRing(F3, F3))
-
-
-def test_uniformizer():
-    R = t2_ring()
-    assert uniformizer(R) == R.gen("t")
 
 
 # ring text -> (e, pi, n) per chain component, the annihilators
@@ -447,7 +433,7 @@ class HeadActionSpace:
         return out
 
     def _decompose_local(self):
-        t = uniformizer(self.ring)
+        [(_, t, _)] = chain_components(self.ring)
         out = []
         space = self
         while space.basis:

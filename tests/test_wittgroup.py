@@ -18,7 +18,7 @@ from wittkit.errors import EngineError, EnumerationBoundExceeded, NotFinite
 from wittkit.forms import HermitianForm, diagonal_form, hyperbolic_form, is_metabolic, isometric
 from wittkit.linalg import Matrix
 from wittkit.devissage import DevissageData
-from wittkit.modules import FLModule, free_module, indecomposable_factor_anns, is_nilpotent_quotient
+from wittkit.modules import FLModule, chain_components, free_module, indecomposable_factor_anns
 from wittkit.parser import parse_ring_with_involution
 from wittkit.rings import (
     GF,
@@ -36,6 +36,8 @@ from wittkit.wittgroup import (
     sample_gram_tables,
     witt_group,
 )
+
+from oracles import unchecked_form
 
 
 def std(ring, spec="id"):
@@ -211,22 +213,24 @@ def test_engine_refuses_infinite_rings():
         WittEngine(std(Rationals()), 1)
 
 
-def test_engine_size_guard_fires_before_enumeration():
+def test_engine_size_guard_fires_before_enumeration(monkeypatch):
     coef = std(GF(9), "frobenius")
+    monkeypatch.setattr(wittgroup, "MAX_SIZE", 8)
     with pytest.raises(EnumerationBoundExceeded) as exc:
-        witt_group(coef, 1, 2, max_size=8)
+        witt_group(coef, 1, 2)
     assert "size 9 exceeds" in str(exc.value)
 
 
-def test_gram_table_enumeration_and_guard():
+def test_gram_table_enumeration_and_guard(monkeypatch):
     F3 = PrimeField(3)
     coef = std(F3)
     M = free_module(coef.rwi, 1)
     tables = list(enumerate_gram_tables(coef, M, 1))
     assert len(tables) == 3
     N = free_module(coef.rwi, 2)
+    monkeypatch.setattr(wittgroup, "MAX_SIZE", 2)
     with pytest.raises(EnumerationBoundExceeded):
-        list(enumerate_gram_tables(coef, N, 1, limit=2))
+        list(enumerate_gram_tables(coef, N, 1))
 
 
 def test_cross_validation_on_small_shapes():
@@ -322,7 +326,7 @@ def head_one_factor_classes(engine, ann):
         vec = [F.zero] * I.sdim
         for c, b in zip(combo, sol):
             vec = [x + c * y for x, y in zip(vec, b)]
-        form = HermitianForm(engine.coef, module, [[I.from_vec(tuple(vec))]], engine.epsilon, check=False)
+        form = unchecked_form(engine.coef, module, [[I.from_vec(tuple(vec))]], engine.epsilon)
         if not form.is_nondegenerate():
             continue
         fp = engine.fingerprint(form)
@@ -353,9 +357,10 @@ def test_one_factor_classes_equal_the_own_enumeration(text, epsilon):
         assert keys == [f.gram_key() for f in head_one_factor_classes(engine, ann)]
 
 
-def test_one_factor_classes_keep_to_the_engine_limit():
+def test_one_factor_classes_keep_to_the_engine_limit(monkeypatch):
     F9 = GF(9)
-    engine = WittEngine(std(F9), 1, max_size=8)
+    monkeypatch.setattr(wittgroup, "MAX_SIZE", 8)
+    engine = WittEngine(std(F9), 1)
     with pytest.raises(EnumerationBoundExceeded):
         engine.one_factor_classes(F9.zero)
 
@@ -440,7 +445,7 @@ def element_gram_tables(coef, module, epsilon):
             gram[i][j] = e
             if i != j:
                 gram[j][i] = I.scal(eps_el, coef.i(e))
-        yield HermitianForm(coef, module, gram, epsilon, check=False)
+        yield unchecked_form(coef, module, gram, epsilon)
 
 
 @pytest.mark.parametrize("text", [
@@ -459,7 +464,7 @@ def test_gram_enumeration_matches_the_element_oracle(text):
     below the diagonal are epsilon i of those above."""
     rwi = parse_ring_with_involution(text)
     coefs = [standard_coefficient(rwi)]
-    if is_nilpotent_quotient(rwi.ring):
+    if chain_components(rwi.ring)[0][2] > 1:  # k[t]/(t^n)
         coefs.append(DevissageData(rwi).tc.coefficient)
     for coef in coefs:
         anns = indecomposable_factor_anns(coef.ring)
